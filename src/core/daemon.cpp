@@ -282,45 +282,46 @@ msgpack::WireBatch Daemon::build_batch(const BatchAssignment& a) const {
     batch.samples[i].label = entry.label;
   }
 
-  // Cache pass first: a hit hands the encoder an owning view of the cached
-  // bytes — no shard read, no CRC re-verification. Misses fall through to
-  // one contiguous slice below.
-  std::vector<std::size_t> missing;
-  if (cache_) {
-    missing.reserve(a.count);
-    for (std::size_t i = 0; i < a.count; ++i) {
-      const auto& entry = index.records[a.first_record + i];
-      if (auto hit = cache_->find({a.shard_id, entry.sample_index})) {
-        batch.samples[i].bytes = std::move(*hit);
-      } else {
-        missing.push_back(i);
-      }
-    }
-    if (missing.empty()) return batch;  // whole-batch hit: storage untouched
-  }
-
-  // One contiguous slice: B records, zero-copy views into the mmap. The
-  // WireSamples BORROW those views (the reader outlives the encode below),
-  // so the record bytes are touched exactly once: mmap → encoder output.
-  // (A partially-hit batch still pays one slice; only its misses are
-  // repopulated from it.)
-  auto views = reader.slice(a.first_record, a.count, config_.verify_crc);
-  store_reads_.fetch_add(1, std::memory_order_relaxed);
-  store_records_read_.fetch_add(views.size(), std::memory_order_relaxed);
   if (!cache_) {
+    // One contiguous slice: B records, zero-copy views into the mmap. The
+    // WireSamples BORROW those views (the reader outlives the encode), so
+    // the record bytes are touched exactly once: mmap → encoder output.
+    auto views = reader.slice(a.first_record, a.count, config_.verify_crc);
+    store_reads_.fetch_add(1, std::memory_order_relaxed);
+    store_records_read_.fetch_add(views.size(), std::memory_order_relaxed);
     for (std::size_t i = 0; i < views.size(); ++i) batch.samples[i].bytes = views[i];
     return batch;
   }
+
+  // Cache pass first: a hit hands the encoder an owning view of the cached
+  // bytes — no shard read, and no CRC check (it passed one on insert).
+  std::vector<std::size_t> missing;
+  missing.reserve(a.count);
+  for (std::size_t i = 0; i < a.count; ++i) {
+    const auto& entry = index.records[a.first_record + i];
+    if (auto hit = cache_->find({a.shard_id, entry.sample_index})) {
+      batch.samples[i].bytes = std::move(*hit);
+    } else {
+      missing.push_back(i);
+    }
+  }
+  if (missing.empty()) return batch;  // whole-batch hit: storage untouched
+
+  // Only the misses come from storage, each CRC-checked once, right before
+  // the insert copies it while its bytes are still in the CPU cache.
+  store_reads_.fetch_add(1, std::memory_order_relaxed);
+  store_records_read_.fetch_add(missing.size(), std::memory_order_relaxed);
   for (std::size_t i : missing) {
     const auto& entry = index.records[a.first_record + i];
+    auto view = reader.record(a.first_record + i, config_.verify_crc);
     // The insert copies mmap bytes into cache-owned storage and returns a
     // view of that copy; when the cache cannot admit the entry (budget full
     // of pinned batches, oversized record) the borrowed mmap view serves
     // this batch and the bytes simply stay uncached.
-    if (auto cached = cache_->insert({a.shard_id, entry.sample_index}, views[i])) {
+    if (auto cached = cache_->insert({a.shard_id, entry.sample_index}, view)) {
       batch.samples[i].bytes = std::move(*cached);
     } else {
-      batch.samples[i].bytes = views[i];
+      batch.samples[i].bytes = view;
     }
   }
   return batch;

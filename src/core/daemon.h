@@ -48,7 +48,10 @@ namespace emlio::core {
 
 struct DaemonConfig {
   std::string daemon_id = "daemon0";
-  bool verify_crc = false;  ///< re-verify TFRecord CRCs on the hot path
+  /// Check the TFRecord CRCs of every record read from storage on the hot
+  /// path. With the cache on, that is each miss, once, before its insert;
+  /// hits are served unchecked.
+  bool verify_crc = false;
   /// Pipelined engine (default): read+encode on a shared pool, per-sink
   /// prefetch queues, one sender thread per sink. false = the legacy serial
   /// per-worker loop (kept for A/B benching; see bench/micro_daemon_pipeline).
@@ -130,8 +133,8 @@ struct DaemonStats {
   // Storage-read accounting (both engines). With the sample cache warm and
   // the dataset inside the budget, whole warm epochs add zero here — the
   // acceptance criterion bench_micro_cache asserts.
-  std::uint64_t store_reads = 0;         ///< contiguous shard slice reads
-  std::uint64_t store_records_read = 0;  ///< records those reads covered
+  std::uint64_t store_reads = 0;         ///< batches that read the shard
+  std::uint64_t store_records_read = 0;  ///< records read (the misses, with the cache on)
   /// Byte-moving syscalls the sinks issued on the wire path (summed over
   /// sinks from MessageSink::data_syscalls). The transport audit: the TCP
   /// lane reports ~1 per batch (one scatter-gather sendmsg per frame), the

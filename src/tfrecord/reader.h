@@ -31,7 +31,8 @@ class ShardReader {
   std::size_t num_records() const noexcept { return index_.records.size(); }
 
   /// Payload view of record i (zero-copy; valid while the reader lives).
-  /// CRC-verified when `verify` is true.
+  /// CRC-verified when `verify` is true. The daemon reads its cache misses
+  /// this way, so each is checked once, right before its cache insert.
   std::span<const std::uint8_t> record(std::size_t i, bool verify = false) const;
 
   /// Zero-copy payload views for the contiguous record range

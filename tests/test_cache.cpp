@@ -6,12 +6,16 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "cache/sample_cache.h"
+#include "core/daemon.h"
 #include "core/service.h"
+#include "msgpack/batch_codec.h"
+#include "net/sim_channel.h"
 #include "train/trainer.h"
 #include "workload/materialize.h"
 
@@ -363,6 +367,84 @@ TEST_F(CacheIntegrationTest, EvictionUnderPressureNeverCorruptsInFlightData) {
   EXPECT_LE(s.cache.resident_bytes_peak, 4u * 1024);
   EXPECT_GT(s.store_reads, 6u);  // partial hits: storage still consulted
   EXPECT_EQ(s.errors, 0u);
+}
+
+// Verify-once: with verify_crc on, a record's CRC is checked when it is read
+// from storage and inserted, never again on a hit. Corrupting the shard
+// bytes of a CACHED record therefore goes unnoticed (the clean cached copy
+// is served) even in a batch that also reads misses from storage, while a
+// corrupted MISS still fails its batch.
+TEST_F(CacheIntegrationTest, PartialHitBatchVerifiesOnlyItsMisses) {
+  auto indexes = tfrecord::load_all_indexes(dir_.string());
+  ASSERT_FALSE(indexes.empty());
+  const tfrecord::ShardIndex shard = indexes[0];
+  ASSERT_GE(shard.num_records(), 6u);
+
+  std::vector<std::vector<std::uint8_t>> original;
+  {
+    tfrecord::ShardReader reader(shard);
+    for (std::size_t i = 0; i < 6; ++i) {
+      auto v = reader.record(i, /*verify=*/true);
+      original.emplace_back(v.begin(), v.end());
+    }
+  }
+  auto corrupt_payload = [&](std::size_t record) {
+    std::fstream f(shard.shard_path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(shard.records[record].offset + 12));  // past the header
+    f.put(static_cast<char>(original[record][0] ^ 0xFF));
+  };
+
+  auto ch = net::make_sim_channel({});
+  std::vector<tfrecord::ShardReader> readers;
+  readers.emplace_back(shard);
+  DaemonConfig dc;
+  dc.verify_crc = true;
+  dc.cache_bytes = 64u << 20;
+  std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{
+      {0u, std::shared_ptr<net::MessageSink>(std::move(ch.sink))}};
+  Daemon daemon(dc, std::move(readers), sinks);
+
+  // One single-batch epoch of records [0, count).
+  auto serve = [&](std::uint32_t epoch, std::uint32_t count) {
+    BatchAssignment a;
+    a.epoch = epoch;
+    a.shard_id = shard.shard_id;
+    a.count = count;
+    WorkerPlan worker;
+    worker.batches.push_back(a);
+    NodePlan node;
+    node.workers.push_back(worker);
+    EpochPlan plan;
+    plan.epoch = epoch;
+    plan.nodes.push_back(node);
+    return daemon.serve_epoch(plan);
+  };
+  auto next_data_batch = [&] {
+    while (auto payload = ch.source->recv()) {
+      auto batch = msgpack::BatchCodec::decode(*payload);
+      if (!batch.last) return batch;
+    }
+    ADD_FAILURE() << "stream ended";
+    return msgpack::WireBatch{};
+  };
+
+  ASSERT_TRUE(serve(0, 2)) << daemon.last_error();  // records 0-1 cached
+  next_data_batch();
+
+  corrupt_payload(1);  // cached
+  ASSERT_TRUE(serve(1, 4)) << daemon.last_error();  // hits 0-1, misses 2-3
+  auto batch = next_data_batch();
+  ASSERT_EQ(batch.samples.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(batch.samples[i].bytes.to_vector(), original[i]);
+
+  corrupt_payload(5);  // not cached
+  EXPECT_FALSE(serve(2, 6));  // hits 0-3 (one corrupt on disk), misses 4-5
+  EXPECT_NE(daemon.last_error().find("payload CRC mismatch"), std::string::npos)
+      << daemon.last_error();
+
+  auto s = daemon.stats();
+  EXPECT_EQ(s.cache.hits, 2u + 4u);
+  EXPECT_EQ(s.store_records_read, 2u + 2u + 2u);  // misses only
 }
 
 TEST_F(CacheIntegrationTest, UnknownCachePolicyThrowsAtConstruction) {

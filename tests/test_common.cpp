@@ -110,13 +110,65 @@ TEST(Crc32c, MaskChangesValue) {
   EXPECT_NE(crc32c::mask(0xE3069283u), 0xE3069283u);
 }
 
-TEST(Crc32c, IncrementalMatchesOneShot) {
-  auto all = to_bytes("the quick brown fox");
-  auto part1 = std::span<const std::uint8_t>(all).subspan(0, 9);
-  // Incremental continuation is not a public API requirement; verify
-  // one-shot determinism instead.
-  EXPECT_EQ(crc32c::compute(all), crc32c::compute(all));
-  EXPECT_NE(crc32c::compute(part1), crc32c::compute(all));
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> out(n);
+  Rng rng(seed);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Crc32c, PortableKernelMatchesKnownVector) {
+  auto bytes = to_bytes("123456789");
+  EXPECT_EQ(crc32c::detail::compute_portable(bytes), 0xE3069283u);
+  EXPECT_EQ(crc32c::detail::compute_portable({}), 0u);
+}
+
+// Every length through the byte, word and short three-stream paths, at
+// every start misalignment (the hardware kernel aligns its word loads).
+TEST(Crc32c, DispatchedMatchesPortableAtEveryLengthAndAlignment) {
+  const auto buf = random_bytes(1024 + 16, 11);
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      auto s = all.subspan(offset, len);
+      ASSERT_EQ(crc32c::compute(s), crc32c::detail::compute_portable(s))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+// Sizes around the three-stream block boundaries: the workloads' 4 KiB,
+// 100 KiB and 2 MiB records, each also +1 and +7 bytes.
+TEST(Crc32c, DispatchedMatchesPortableOnRecordSizes) {
+  const auto buf = random_bytes((2u << 20) + 8, 12);
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t base : {std::size_t{4} << 10, std::size_t{100} << 10, std::size_t{2} << 20}) {
+    for (std::size_t extra : {0u, 1u, 7u}) {
+      auto s = all.subspan(0, base + extra);
+      EXPECT_EQ(crc32c::compute(s), crc32c::detail::compute_portable(s))
+          << "len " << base + extra;
+      EXPECT_EQ(crc32c::compute(s, 0x12345678u), crc32c::detail::compute_portable(s, 0x12345678u))
+          << "continued, len " << base + extra;
+    }
+  }
+}
+
+TEST(Crc32c, ContinuationMatchesOneShot) {
+  const auto buf = random_bytes(64 << 10, 13);
+  const std::span<const std::uint8_t> all(buf);
+  Rng rng(14);
+  for (int trial = 0; trial < 200; ++trial) {
+    auto len = static_cast<std::size_t>(rng() % (all.size() + 1));
+    auto split = static_cast<std::size_t>(rng() % (len + 1));
+    auto a = all.subspan(0, split);
+    auto b = all.subspan(split, len - split);
+    auto whole = all.subspan(0, len);
+    ASSERT_EQ(crc32c::compute(b, crc32c::compute(a)), crc32c::compute(whole))
+        << "len " << len << " split " << split;
+    ASSERT_EQ(crc32c::detail::compute_portable(b, crc32c::detail::compute_portable(a)),
+              crc32c::compute(whole))
+        << "len " << len << " split " << split;
+  }
 }
 
 // ---------------------------------------------------------------- rng

@@ -3,12 +3,14 @@
 //   make_fuzz_corpus <outdir>
 //
 // Writes one subdirectory per harness (msgpack/, framing/, shm_header/,
-// json/), each seeded with REAL wire bytes produced by the same code paths
-// the daemon uses — an encoded data batch, a sentinel, a valid frame header,
-// a freshly created shm segment header, a shard-index-shaped JSON document —
-// plus a few near-miss mutants (truncations, flipped magics) so the fuzzers
-// start on both sides of every validation branch instead of rediscovering
-// the format from zero.
+// json/, crc32c/), each seeded with REAL wire bytes produced by the same
+// code paths the daemon uses — an encoded data batch, a sentinel, a valid
+// frame header, a freshly created shm segment header, a shard-index-shaped
+// JSON document — plus a few near-miss mutants (truncations, flipped magics)
+// so the fuzzers start on both sides of every validation branch instead of
+// rediscovering the format from zero. The crc32c seeds are sized to reach
+// each path of the hardware kernel (bytes, words, short and long
+// three-stream blocks).
 #include <unistd.h>
 
 #include <cstdint>
@@ -140,6 +142,20 @@ int main(int argc, char** argv) {
 })"));
   write_seed(js, "scalars.json", std::string(R"([null, true, -1.5e3, "aéb", {}])"));
   write_seed(js, "nested.json", std::string("[[[[[[[[{\"k\":[1,2,3]}]]]]]]]]"));
+
+  // -------------------------------------------------------------- crc32c
+  // First byte = split point (0x80: the middle), then the message. Sizes:
+  // below one word, just past three short blocks (768), and just past
+  // three long blocks (24 KiB), each off by a few bytes.
+  const fs::path cr = out / "crc32c";
+  fs::create_directories(cr);
+  write_seed(cr, "check_vector.bin", std::string("\x80" "123456789"));
+  for (std::size_t len : {std::size_t{7}, std::size_t{3 * 256 + 13}, std::size_t{3 * 8192 + 13}}) {
+    std::vector<std::uint8_t> seed(len + 1);
+    seed[0] = 0x80;
+    for (std::size_t i = 1; i < seed.size(); ++i) seed[i] = static_cast<std::uint8_t>(i * 131);
+    write_seed(cr, "pattern_" + std::to_string(len) + ".bin", seed);
+  }
 
   std::cout << "fuzz corpus written to " << out << "\n";
   return 0;

@@ -1,9 +1,12 @@
 // Shared helpers for the figure-reproduction benches: the Table-1 header
-// every binary prints, and the results-file plumbing.
+// every binary prints, the results-file plumbing, and the spread summary the
+// repeated micro-bench sweeps report.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "eval/scenario.h"
 #include "sim/testbed.h"
@@ -40,6 +43,32 @@ inline void append_json_line(const json::Value& row, const char* path = results_
     std::fclose(f);
   }
   std::printf("%s\n", line.c_str());
+}
+
+/// Median, min and max of repeated measurements.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+inline Spread spread(std::vector<double> xs) {
+  Spread s;
+  if (xs.empty()) return s;
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  s.median = n % 2 ? xs[n / 2] : (xs[n / 2 - 1] + xs[n / 2]) / 2.0;
+  s.min = xs.front();
+  s.max = xs.back();
+  return s;
+}
+
+inline json::Value to_json(const Spread& s) {
+  json::Object o;
+  o["median"] = s.median;
+  o["min"] = s.min;
+  o["max"] = s.max;
+  return json::Value(std::move(o));
 }
 
 }  // namespace emlio::bench

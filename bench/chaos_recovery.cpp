@@ -199,7 +199,6 @@ ClusterRun run_cluster(const std::vector<tfrecord::ShardIndex>& indexes,
     for (std::size_t i = lo; i < hi; ++i) readers.emplace_back(indexes[i]);
     core::DaemonConfig dc;
     dc.daemon_id = id;
-    dc.pipelined = true;
     dc.pool_threads = 1;
     dc.prefetch_depth = 8;
     dc.default_lane_qos.rate_per_sec = kLaneRate;
@@ -371,7 +370,6 @@ bool scenario_join_late(const std::vector<tfrecord::ShardIndex>& indexes,
       for (const auto& idx : indexes) readers.emplace_back(idx);
       core::DaemonConfig dc;
       dc.daemon_id = "chaos-late-join";
-      dc.pipelined = true;
       dc.pool_threads = 1;
       dc.prefetch_depth = 8;
       std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, push}};
@@ -463,7 +461,6 @@ bool scenario_lossy_link(const std::vector<tfrecord::ShardIndex>& indexes,
     for (const auto& idx : indexes) readers.emplace_back(idx);
     core::DaemonConfig dc;
     dc.daemon_id = "chaos-lossy";
-    dc.pipelined = true;
     dc.pool_threads = 1;
     dc.prefetch_depth = 8;
     std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, sink}};

@@ -1,7 +1,6 @@
-// A/B microbench for the daemon's storage-side engine: the legacy serial
-// per-worker loop (read→encode→send on one thread per SendWorker) versus the
-// pipelined engine (shared read+encode pool → per-sink bounded prefetch
-// queues → one dedicated sender per sink).
+// Pool-width sweep for the daemon's storage-side engine (shared read+encode
+// pool → per-sink bounded prefetch queues → one dedicated sender per sink):
+// the same epoch served at encode-pool widths 1, 2 and 4.
 //
 // Topology: 6 shards, 2 compute nodes (2 sinks per daemon), full dataset per
 // node (scenario C2 — every batch is built and shipped twice), CRC
@@ -9,15 +8,18 @@
 // bandwidth/latency-shaped link so the wire is genuinely busy. One epoch is
 // timed end-to-end: daemon serve_epoch + both receivers fully drained.
 //
-// Appends one JSON row per engine to emlio_bench_results.jsonl and prints
-// the speedup; the pipelined engine must win on any multi-core box because
-// encode work fans out across the pool while both senders keep the links
-// saturated.
-#include <algorithm>
+// The widths run in alternating rounds (1, 2, 4, 1, 2, 4, ...) so slow drift
+// on the host spreads evenly over them; each width reports the median, min
+// and max epoch time over the rounds. Appends one JSON row per width to
+// emlio_bench_results.jsonl. No throughput gate: at this link speed the
+// epoch is mostly wire-bound, so the sweep shows where width stops helping.
+// Exit 1 only on a wrong sample count.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <thread>
 
 #include "bench_common.h"
@@ -31,6 +33,9 @@ using namespace emlio;
 
 namespace {
 
+constexpr std::size_t kWidths[] = {1, 2, 4};
+constexpr int kRounds = 5;
+
 struct RunResult {
   double seconds = 0.0;
   core::DaemonStats stats;
@@ -38,7 +43,7 @@ struct RunResult {
 
 RunResult run_epoch(const std::vector<tfrecord::ShardIndex>& indexes,
                     const core::Planner& planner, const workload::DatasetSpec& spec,
-                    bool pipelined, std::size_t pool_threads, std::size_t prefetch_depth) {
+                    std::size_t pool_threads) {
   // Fresh channels per run: daemon → node n, n ∈ {0, 1}.
   net::SimLinkConfig link;
   link.rtt_ms = 2.0;
@@ -60,11 +65,10 @@ RunResult run_epoch(const std::vector<tfrecord::ShardIndex>& indexes,
   std::vector<tfrecord::ShardReader> readers;
   for (const auto& idx : indexes) readers.emplace_back(idx);
   core::DaemonConfig dc;
-  dc.daemon_id = pipelined ? "pipelined" : "serial";
+  dc.daemon_id = "pool" + std::to_string(pool_threads);
   dc.verify_crc = true;  // real read-side CPU cost per record
-  dc.pipelined = pipelined;
   dc.pool_threads = pool_threads;
-  dc.prefetch_depth = prefetch_depth;
+  dc.prefetch_depth = 16;
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> dsinks{{0u, sinks[0]},
                                                                     {1u, sinks[1]}};
   core::Daemon daemon(dc, std::move(readers), dsinks);
@@ -105,47 +109,10 @@ RunResult run_epoch(const std::vector<tfrecord::ShardIndex>& indexes,
   return r;
 }
 
-json::Value row_for(const char* engine, const RunResult& r, double speedup) {
-  json::Object row;
-  row["bench"] = "micro_daemon_pipeline";
-  row["engine"] = std::string(engine);
-  row["cores"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  row["epoch_seconds"] = r.seconds;
-  row["speedup_vs_serial"] = speedup;
-  row["batches_sent"] = static_cast<std::int64_t>(r.stats.batches_sent);
-  row["bytes_sent"] = static_cast<std::int64_t>(r.stats.bytes_sent);
-  row["enqueue_stalls"] = static_cast<std::int64_t>(r.stats.enqueue_stalls);
-  row["sender_stalls"] = static_cast<std::int64_t>(r.stats.sender_stalls);
-  row["queue_peak_depth"] = static_cast<std::int64_t>(r.stats.queue_peak_depth);
-  return json::Value(std::move(row));
-}
-
 }  // namespace
 
 int main() {
   namespace fs = std::filesystem;
-
-  // Tie-by-construction guard (ROADMAP caveat): on a single hardware thread
-  // the read+encode pool cannot overlap the sender threads — both engines do
-  // the same CPU work at the same wire pacing and the A/B is meaningless.
-  // Skip explicitly (and record the skip) instead of publishing a ~1.0x
-  // "speedup" that reads like a pipeline regression. hardware_concurrency()
-  // == 0 means "unknown", not single-core — run the A/B there.
-  if (unsigned skip_cores = std::thread::hardware_concurrency();
-      skip_cores != 0 && skip_cores < 2) {
-    std::printf("micro_daemon_pipeline: SKIP — %u hardware thread(s); the serial and "
-                "pipelined engines tie by construction on <2 cores (same CPU work, same "
-                "wire pacing). Run on a >=2-core host for a meaningful A/B.\n",
-                skip_cores);
-    json::Object row;
-    row["bench"] = "micro_daemon_pipeline";
-    row["skipped"] = true;
-    row["reason"] = "fewer than 2 hardware threads: engines tie by construction";
-    row["cores"] = static_cast<std::int64_t>(skip_cores);
-    bench::append_json_line(json::Value(std::move(row)));
-    return 0;
-  }
-
   auto dir = fs::temp_directory_path() / "emlio_micro_daemon_pipeline";
   fs::remove_all(dir);
 
@@ -157,36 +124,50 @@ int main() {
   core::PlannerConfig pc;
   pc.batch_size = 32;
   pc.epochs = 1;
-  pc.threads_per_node = 1;  // the paper's default T: serial = 1 worker/node
   pc.full_dataset_per_node = true;
   core::Planner planner(indexes, pc);
 
-  unsigned cores = std::thread::hardware_concurrency();
+  const unsigned cores = std::thread::hardware_concurrency();
   std::printf("micro_daemon_pipeline: %zu shards, %llu samples x 2 nodes, B=%zu, CRC on, "
-              "%u cores\n",
+              "%u cores, widths 1/2/4 x %d alternating rounds\n",
               indexes.size(), static_cast<unsigned long long>(planner.dataset_size()),
-              pc.batch_size, cores);
+              pc.batch_size, cores, kRounds);
 
-  // Warm the page cache so both engines read from memory (this measures the
+  // Warm the page cache so every width reads from memory (this measures the
   // engine, not cold-file I/O luck).
   for (const auto& idx : indexes) tfrecord::ShardReader(idx).verify_all();
 
-  // Pool sized to the host, exactly as DaemonConfig's auto default does.
-  std::size_t pool = std::clamp<std::size_t>(cores, 2, 8);
-  auto serial = run_epoch(indexes, planner, spec, /*pipelined=*/false, 0, 16);
-  auto piped = run_epoch(indexes, planner, spec, /*pipelined=*/true, pool,
-                         /*prefetch_depth=*/16);
+  constexpr std::size_t kN = std::size(kWidths);
+  std::vector<double> seconds[kN];
+  RunResult last[kN];
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t w = 0; w < kN; ++w) {
+      last[w] = run_epoch(indexes, planner, spec, kWidths[w]);
+      seconds[w].push_back(last[w].seconds);
+    }
+  }
 
-  double speedup = serial.seconds / piped.seconds;
-  std::printf("  serial    : %.3f s\n", serial.seconds);
-  std::printf("  pipelined : %.3f s  (pool=%zu, prefetch=16)  speedup %.2fx\n", piped.seconds,
-              pool, speedup);
-  std::printf("  pipelined balance: %llu enqueue stalls / %llu sender stalls, peak depth %llu\n",
-              static_cast<unsigned long long>(piped.stats.enqueue_stalls),
-              static_cast<unsigned long long>(piped.stats.sender_stalls),
-              static_cast<unsigned long long>(piped.stats.queue_peak_depth));
-  bench::append_json_line(row_for("serial", serial, 1.0));
-  bench::append_json_line(row_for("pipelined", piped, speedup));
+  const double base = bench::spread(seconds[0]).median;
+  for (std::size_t w = 0; w < kN; ++w) {
+    const auto s = bench::spread(seconds[w]);
+    const double speedup = base / s.median;
+    std::printf("  pool=%zu : median %.3f s (min %.3f, max %.3f)  %.2fx width 1; "
+                "%llu enqueue / %llu sender stalls, peak depth %llu (last round)\n",
+                kWidths[w], s.median, s.min, s.max, speedup,
+                static_cast<unsigned long long>(last[w].stats.enqueue_stalls),
+                static_cast<unsigned long long>(last[w].stats.sender_stalls),
+                static_cast<unsigned long long>(last[w].stats.queue_peak_depth));
+    json::Object row;
+    row["bench"] = "micro_daemon_pipeline";
+    row["pool_threads"] = static_cast<std::int64_t>(kWidths[w]);
+    row["cores"] = static_cast<std::int64_t>(cores);
+    row["rounds"] = static_cast<std::int64_t>(kRounds);
+    row["epoch_seconds"] = bench::to_json(s);
+    row["speedup_vs_width1"] = speedup;
+    row["batches_sent"] = static_cast<std::int64_t>(last[w].stats.batches_sent);
+    row["bytes_sent"] = static_cast<std::int64_t>(last[w].stats.bytes_sent);
+    bench::append_json_line(json::Value(std::move(row)));
+  }
 
   fs::remove_all(dir);
   return 0;

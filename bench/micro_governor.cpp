@@ -131,7 +131,6 @@ DaemonRun run_daemon(const std::vector<tfrecord::ShardIndex>& indexes,
   core::DaemonConfig dc;
   dc.daemon_id = adaptive ? "governed" : "static";
   dc.verify_crc = true;  // real read-side CPU cost per record
-  dc.pipelined = true;
   dc.pool_threads = pool_threads;
   dc.prefetch_depth = 16;
   dc.adaptive_pool = adaptive;

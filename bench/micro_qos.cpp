@@ -85,7 +85,6 @@ QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes, const core::Pla
   core::DaemonConfig dc;
   dc.daemon_id = with_b ? "contended" : "isolated";
   dc.verify_crc = true;  // real encode-side CPU cost per record
-  dc.pipelined = true;
   dc.pool_threads = 4;
   dc.prefetch_depth = 8;
   dc.node_qos[0] = qos_a;
@@ -154,10 +153,10 @@ bool run_contract_phase() {
     return run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/true, qa, qb,
                    /*stall_b=*/false);
   };
-  auto a = run(LaneQos{LaneClass::kInteractive, 4, 0}, LaneQos{LaneClass::kBulk, 1, 0});
-  auto b = run(LaneQos{LaneClass::kBulk, 1, 0}, LaneQos{LaneClass::kInteractive, 4, 0});
-  auto c = run(LaneQos{LaneClass::kInteractive, 4, 0},
-               LaneQos{LaneClass::kBulk, 1, 2000});  // rate-capped low lane
+  auto a = run(LaneQos{4, 0}, LaneQos{1, 0});
+  auto b = run(LaneQos{1, 0}, LaneQos{4, 0});
+  auto c = run(LaneQos{4, 0},
+               LaneQos{1, 2000});  // rate-capped low lane
   fs::remove_all(dir);
   for (int n = 0; n < 2; ++n) {
     if (a.streams[n] != b.streams[n] || a.streams[n] != c.streams[n]) {
@@ -246,8 +245,8 @@ int main() {
   // Warm the page cache so both runs read from memory.
   for (const auto& idx : indexes) tfrecord::ShardReader(idx).verify_all();
 
-  const LaneQos fast{LaneClass::kInteractive, 4, 0};
-  const LaneQos slow{LaneClass::kBulk, 1, 0};
+  const LaneQos fast{4, 0};
+  const LaneQos slow{1, 0};
   std::printf("micro_qos: isolation phase — %zu shards, %llu samples x %u epochs, B=%zu, "
               "CRC on, pool=4, %u cores\n",
               indexes.size(), static_cast<unsigned long long>(planner.dataset_size()),

@@ -96,7 +96,6 @@ TraceRun run_once(const std::vector<tfrecord::ShardIndex>& indexes, const core::
   core::DaemonConfig dc;
   dc.daemon_id = trace ? "traced" : "untraced";
   dc.verify_crc = true;  // real per-record CPU so the clock calls have work to hide in
-  dc.pipelined = true;
   dc.pool_threads = 2;
   dc.prefetch_depth = 8;
   dc.trace = trace;

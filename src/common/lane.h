@@ -8,7 +8,7 @@
 // per-lane accounting (delivered items/bytes, enqueue/dequeue stalls) and a
 // QoS descriptor:
 //
-//   LaneQos { class: interactive | bulk, weight, optional rate limit }
+//   LaneQos { weight, optional rate limit }
 //
 // On top sit two arbitration pieces:
 //
@@ -49,7 +49,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -58,30 +57,10 @@
 
 namespace emlio {
 
-/// Tenant class of a lane. Classes are coarse labels over the weight space:
-/// interactive traffic is expected to carry high weights (and often rate
-/// limits on its bulk neighbours), bulk traffic low ones. The scheduler only
-/// consumes the weight; the class rides along for operators and stats.
-enum class LaneClass : std::uint8_t {
-  kInteractive,  ///< latency-sensitive (eval loops, interactive consumers)
-  kBulk,         ///< throughput traffic (training epochs, backfills)
-};
-
-inline const char* to_string(LaneClass c) {
-  return c == LaneClass::kBulk ? "bulk" : "interactive";
-}
-
-inline std::optional<LaneClass> parse_lane_class(std::string_view s) {
-  if (s == "interactive") return LaneClass::kInteractive;
-  if (s == "bulk") return LaneClass::kBulk;
-  return std::nullopt;
-}
-
 /// Per-lane QoS descriptor, threaded from the config layers down to the
-/// queues (DaemonConfig/ReceiverConfig → ServiceConfig → --lane-class /
-/// --lane-weight / --lane-rate on the tools).
+/// queues (DaemonConfig/ReceiverConfig → ServiceConfig → --lane-weight /
+/// --lane-rate on the tools).
 struct LaneQos {
-  LaneClass lane_class = LaneClass::kInteractive;
   /// Weighted-fair share. Clamped to >= 1 wherever it is consumed; a lane
   /// with weight W gets W / Σ weights of the contended resource.
   std::uint32_t weight = 1;
@@ -93,7 +72,6 @@ struct LaneQos {
 /// as the `lanes` array of DaemonStats/ReceiverStats.
 struct LaneStats {
   std::string name;
-  LaneClass lane_class = LaneClass::kInteractive;
   std::uint32_t weight = 1;
   std::uint64_t rate_per_sec = 0;
   std::uint64_t delivered_items = 0;  ///< items popped off the lane
@@ -110,7 +88,6 @@ struct LaneStats {
 inline void accumulate(LaneStats& into, const LaneStats& add) {
   if (into.name.empty()) {
     into.name = add.name;
-    into.lane_class = add.lane_class;
     into.weight = add.weight;
     into.rate_per_sec = add.rate_per_sec;
   }
@@ -373,7 +350,6 @@ class Lane {
   LaneStats stats() const {
     LaneStats s;
     s.name = name_;
-    s.lane_class = qos_.lane_class;
     s.weight = qos_.weight;
     s.rate_per_sec = qos_.rate_per_sec;
     s.delivered_items = delivered_items_.load(std::memory_order_relaxed);

@@ -13,7 +13,6 @@ namespace emlio::core {
 inline json::Value to_json(const LaneStats& lane) {
   json::Object o;
   o["name"] = lane.name;
-  o["class"] = to_string(lane.lane_class);
   o["weight"] = static_cast<std::uint64_t>(lane.weight);
   o["rate_per_sec"] = lane.rate_per_sec;
   o["delivered_items"] = lane.delivered_items;

@@ -26,7 +26,10 @@ namespace emlio::core {
 struct PlannerConfig {
   std::size_t batch_size = 128;       ///< B
   std::uint32_t epochs = 1;           ///< E
-  std::uint32_t threads_per_node = 1; ///< T — SendWorker threads per node
+  /// T — partitions (WorkerPlans) per node, the paper's SendWorker split.
+  /// The daemon's local_batches flattens and re-sorts them by batch_id, so
+  /// T shapes the plan only; the daemon's pool width is DaemonConfig's.
+  std::uint32_t threads_per_node = 1;
   std::uint64_t seed = 1234;          ///< epoch-shuffle RNG seed
   bool shuffle = true;                ///< disable for deterministic tests
   /// Scenario 2 semantics: every node receives the full dataset
@@ -40,7 +43,7 @@ struct BatchAssignment {
   std::uint64_t batch_id = 0;   ///< unique within (epoch, node)
   std::uint32_t epoch = 0;
   std::uint32_t node_id = 0;    ///< destination compute node
-  std::uint32_t worker_id = 0;  ///< SendWorker thread index on the daemon
+  std::uint32_t worker_id = 0;  ///< WorkerPlan partition index within the node
   std::uint32_t shard_id = 0;
   std::uint64_t first_record = 0;
   std::uint32_t count = 0;
@@ -48,7 +51,8 @@ struct BatchAssignment {
   bool operator==(const BatchAssignment&) const = default;
 };
 
-/// All batches one SendWorker thread handles for one (epoch, node).
+/// One of the T plan partitions (the paper's SendWorkers) for one
+/// (epoch, node).
 struct WorkerPlan {
   std::uint32_t node_id = 0;
   std::uint32_t worker_id = 0;

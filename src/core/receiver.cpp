@@ -38,61 +38,44 @@ Receiver::Receiver(ReceiverConfig config, std::vector<std::unique_ptr<net::Messa
     if (!s) throw std::invalid_argument("receiver: null message source");
   }
 
-  if (config_.decode_threads > 0) {
-    // Pooled engine: one ingest thread per source feeds that source's QoS
-    // lane; one dispatcher drains the lanes weighted-fair, stamps arrival
-    // tickets and feeds the decode pool under a bounded in-flight window
-    // (2× the pool: enough parked results to keep every worker busy across
-    // out-of-order completions, small enough that a stalled consumer stops
-    // ingest fast). Under the governor the window is sized for the widest
-    // pool it may grow, or admission would cap the parallelism the resize
-    // just bought.
-    decode_pool_ = std::make_unique<ThreadPool>(config_.decode_threads);
-    std::size_t window_width = config_.decode_threads;
-    if (config_.adaptive_pool) {
-      auto gc = PoolGovernorConfig::from_knobs(config_.adaptive_min_threads,
-                                               config_.adaptive_max_threads,
-                                               config_.adaptive_interval_ms);
-      // A consumer-bound engine also fills the window (workers block in
-      // emit, decode_stalls fire) but extra width cannot help it — cap the
-      // governor at what the consumer queue can absorb, the same "don't
-      // grow what downstream can't feed" rule the daemon applies to its
-      // admission windows.
-      gc.max_threads = std::max(
-          gc.min_threads, std::min(gc.max_threads, std::max<std::size_t>(config_.queue_capacity, 1)));
-      window_width = std::max(window_width, gc.max_threads);
-      // Ingest waiting on decode (decode_stalls) grows the pool; completions
-      // running ahead of ordering (resequence_stalls) shrink it.
-      governor_ = std::make_unique<PoolGovernor>("receiver/decode", *decode_pool_,
-                                                 decode_stalls_, resequence_stalls_, gc);
-    }
-    window_ = std::max<std::size_t>(window_width * 2, 4);
-    build_source_lanes();
-    ingest_active_ = 1;  // the dispatcher below is the window's one feeder
-    for (std::size_t i = 0; i < sources_.size(); ++i) {
-      threads_.emplace_back([this, src = sources_[i].get(), i] {
-        ingest_loop(*src, scheduler_->lane(i), i);
-      });
-    }
-    threads_.emplace_back([this] { dispatch_loop(); });
-  } else if (sources_.size() == 1) {
-    // Legacy serial engine, exactly as before: one thread pulls, decodes and
-    // sequences.
-    ingest_active_ = 1;
-    threads_.emplace_back([this] { serial_loop(*sources_.front()); });
-  } else {
-    // Serial engine over N sources: the same per-source lanes + weighted
-    // dispatcher as the pooled engine, decoding inline on the drain thread
-    // (this replaced the hand-built payload mux into one decode thread).
-    build_source_lanes();
-    ingest_active_ = 1;  // the single drain thread below
-    for (std::size_t i = 0; i < sources_.size(); ++i) {
-      threads_.emplace_back([this, src = sources_[i].get(), i] {
-        ingest_loop(*src, scheduler_->lane(i), i);
-      });
-    }
-    threads_.emplace_back([this] { serial_drain_loop(); });
+  // One ingest thread per source feeds that source's QoS lane; one
+  // dispatcher drains the lanes weighted-fair, stamps arrival tickets and
+  // feeds the decode pool under a bounded in-flight window (2× the pool:
+  // enough parked results to keep every worker busy across out-of-order
+  // completions, small enough that a stalled consumer stops ingest fast).
+  // Under the governor the window is sized for the widest pool it may grow,
+  // or admission would cap the parallelism the resize just bought.
+  const std::size_t width =
+      config_.decode_threads ? config_.decode_threads : auto_pool_width();
+  decode_pool_ = std::make_unique<ThreadPool>(width);
+  std::size_t window_width = width;
+  if (config_.adaptive_pool) {
+    auto gc = PoolGovernorConfig::from_knobs(config_.adaptive_min_threads,
+                                             config_.adaptive_max_threads,
+                                             config_.adaptive_interval_ms);
+    // A consumer-bound engine also fills the window (workers block in emit,
+    // decode_stalls fire) but extra width cannot help it — cap the governor
+    // at what the consumer queue can absorb, the same "don't grow what
+    // downstream can't feed" rule the daemon applies to its admission
+    // windows.
+    gc.max_threads = std::max(
+        gc.min_threads, std::min(gc.max_threads, std::max<std::size_t>(config_.queue_capacity, 1)));
+    window_width = std::max(window_width, gc.max_threads);
+    // Ingest waiting on decode (decode_stalls) grows the pool; completions
+    // running ahead of ordering (resequence_stalls) shrink it.
+    governor_ = std::make_unique<PoolGovernor>("receiver/decode", *decode_pool_, decode_stalls_,
+                                               resequence_stalls_, gc);
   }
+  window_ = std::max<std::size_t>(window_width * 2, 4);
+  const std::size_t depth = std::max<std::size_t>(config_.ingest_lane_depth, 1);
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    scheduler_.add_lane("src" + std::to_string(i), depth, lane_qos_for_source(i));
+  }
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    threads_.emplace_back(
+        [this, src = sources_[i].get(), i] { ingest_loop(*src, scheduler_.lane(i), i); });
+  }
+  threads_.emplace_back([this] { dispatch_loop(); });
 }
 
 LaneQos Receiver::lane_qos_for_source(std::size_t index) const {
@@ -100,14 +83,6 @@ LaneQos Receiver::lane_qos_for_source(std::size_t index) const {
                                                   : config_.default_lane_qos;
   qos.weight = std::max<std::uint32_t>(qos.weight, 1);
   return qos;
-}
-
-void Receiver::build_source_lanes() {
-  scheduler_ = std::make_unique<LaneScheduler<Inbound>>();
-  const std::size_t depth = std::max<std::size_t>(config_.ingest_lane_depth, 1);
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    scheduler_->add_lane("src" + std::to_string(i), depth, lane_qos_for_source(i));
-  }
 }
 
 Receiver::~Receiver() {
@@ -127,7 +102,7 @@ void Receiver::close() {
   for (auto& s : sources_) s->close();
   // Closed lanes stop accepting (ingest threads' in-hand payloads count as
   // drops) and drain unthrottled, so the dispatcher can account what is left.
-  if (scheduler_) scheduler_->close_all();
+  scheduler_.close_all();
   {
     MutexLock lock(window_mutex_);
     window_closed_ = true;
@@ -161,11 +136,11 @@ ReceiverStats Receiver::stats() const {
     s.pool_resizes = g.resizes;
     s.pool_threads_current = g.threads_current;
     s.pool_threads_peak = g.threads_peak;
-  } else if (decode_pool_) {
+  } else {
     s.pool_threads_current = decode_pool_->target_threads();
     s.pool_threads_peak = s.pool_threads_current;
   }
-  if (scheduler_) s.lanes = scheduler_->stats();
+  s.lanes = scheduler_.stats();
   if (tracer_.enabled()) s.latency = tracer_.summaries();
   return s;
 }
@@ -193,7 +168,7 @@ json::Value to_json(const ReceiverStats& s) {
   return json::Value(std::move(o));
 }
 
-// ------------------------------------------------------------ shared stages
+// ------------------------------------------------------ delivery bookkeeping
 
 msgpack::WireBatch Receiver::decode_payload(const Payload& payload, bool& error) {
   // Zero-copy decode: every sample in the result is a view sharing ownership
@@ -283,17 +258,15 @@ void Receiver::sync_epoch_telemetry_locked() {
 void Receiver::post_sender_note(std::size_t source_index, Note note) {
   if (source_index >= sources_.size()) return;
   const std::uint32_t sender = sender_for_source(source_index);
-  if (scheduler_) {
-    // Ride the source's lane so the declaration is ordered behind every
-    // payload the source already delivered — death must not stale-drop the
-    // dead sender's own in-flight tail.
-    Inbound in;
-    in.note = note;
-    in.sender = sender;
-    if (scheduler_->lane(source_index).push(in)) return;
-    // Lane closed: the source's stream already ended, nothing of it is in
-    // front of us — fall through and apply directly.
-  }
+  // Ride the source's lane so the declaration is ordered behind every
+  // payload the source already delivered — death must not stale-drop the
+  // dead sender's own in-flight tail.
+  Inbound in;
+  in.note = note;
+  in.sender = sender;
+  if (scheduler_.lane(source_index).push(in)) return;
+  // Lane closed: the source's stream already ended, nothing of it is in
+  // front of us — apply directly.
   MutexLock delivery(delivery_mutex_);
   apply_sender_note_locked(note, sender);
 }
@@ -349,26 +322,25 @@ bool payload_is_data(const Payload& payload) {
 
 void Receiver::count_drop(std::uint64_t n, const char* where) {
   dropped_on_close_.fetch_add(n, std::memory_order_relaxed);
-  // The one log line for every shutdown-drop path, serial and pooled engine
-  // alike; exchange() keeps it to a single emission across all of them.
+  // The one log line for every shutdown-drop path; exchange() keeps it to a
+  // single emission across all of them.
   if (!drop_logged_.exchange(true, std::memory_order_relaxed)) {
     log::warn("receiver: ", where, "; counting drops in ReceiverStats::dropped_on_close");
   }
 }
 
-bool Receiver::retire_stage_member(bool is_ingest) {
-  // One ingest thread ended, or (pooled engine) one admitted payload was
-  // fully delivered. Returns true when the last member of both stages
-  // retires — the stream is over.
+bool Receiver::retire_stage_member(bool is_dispatcher) {
+  // The dispatcher ended, or one admitted payload was fully delivered.
+  // Returns true once both are gone — the stream is over.
   bool last = false;
   {
     MutexLock lock(window_mutex_);
-    if (is_ingest) {
-      --ingest_active_;
+    if (is_dispatcher) {
+      dispatching_ = false;
     } else {
       --inflight_;
     }
-    last = ingest_active_ == 0 && inflight_ == 0;
+    last = !dispatching_ && inflight_ == 0;
   }
   window_cv_.notify_all();
   return last;
@@ -410,8 +382,8 @@ void Receiver::end_of_stream_locked() {
                      epochs_.stale_drops());
 }
 
-void Receiver::finish_stage_member(bool is_ingest) {
-  if (!retire_stage_member(is_ingest)) return;
+void Receiver::finish_dispatch() {
+  if (!retire_stage_member(/*is_dispatcher=*/true)) return;
   {
     MutexLock delivery(delivery_mutex_);
     end_of_stream_locked();
@@ -438,44 +410,7 @@ void adopt_batch_identity(obs::BatchTrace& trace, const msgpack::WireBatch& batc
 
 }  // namespace
 
-// ------------------------------------------------------ legacy serial engine
-
-void Receiver::serial_loop(net::MessageSource& source) {
-  const std::uint32_t sender = sender_for_source(0);
-  for (;;) {
-    auto payload = source.recv();
-    if (!payload) break;  // transport closed
-    obs::BatchTrace trace;
-    obs::BatchTrace* tp = tracer_.enabled() ? &trace : nullptr;
-    if (tp) trace.begin(obs::now_ns());
-    bool error = false;
-    msgpack::WireBatch batch;
-    {
-      obs::StageTimer dec(tp, obs::Stage::kDecode);
-      batch = decode_payload(*payload, error);
-    }
-    if (!error) {
-      const bool traced = tp && !batch.last;  // sentinels are not data batches
-      if (traced) adopt_batch_identity(trace, batch, payload->size());
-      MutexLock delivery(delivery_mutex_);
-      process_batch(std::move(batch), payload->size(), sender);
-      if (traced) {
-        trace.note(obs::Stage::kDeliver, obs::now_ns());
-        tracer_.complete(trace);
-      }
-    }
-  }
-  if (!closed_.load(std::memory_order_acquire) &&
-      source.end_state() == net::SourceEnd::kDeadPeer) {
-    // The stream ended because the peer died (and any reconnect window was
-    // exhausted), not because the sender closed: repair its epochs.
-    MutexLock delivery(delivery_mutex_);
-    apply_sender_note_locked(Note::kSenderDead, sender);
-  }
-  finish_stage_member(/*is_ingest=*/true);
-}
-
-// ------------------------------------------------- per-source lane engines
+// ------------------------------------------------ ingest, dispatch, decode
 
 void Receiver::ingest_loop(net::MessageSource& source, Lane<Inbound>& lane,
                            std::size_t source_index) {
@@ -516,54 +451,16 @@ void Receiver::ingest_loop(net::MessageSource& source, Lane<Inbound>& lane,
   lane.close();
 }
 
-void Receiver::serial_drain_loop() {
-  // Serial multi-source engine: drain the lanes weighted-fair, decoding
-  // inline — one decode thread, like the old mux, but with DWRR arbitration
-  // and per-lane accounting instead of one shared FIFO.
-  while (auto item = scheduler_->pop()) {
-    if (item->value.note != Note::kData) {
-      // Liveness token: ordered behind its source's payloads by the lane.
-      MutexLock delivery(delivery_mutex_);
-      apply_sender_note_locked(item->value.note, item->value.sender);
-      continue;
-    }
-    const std::size_t wire_bytes = item->value.payload.size();
-    scheduler_->lane(item->lane_index).add_delivered_bytes(wire_bytes);
-    obs::BatchTrace& trace = item->value.trace;
-    obs::BatchTrace* tp = trace.active() ? &trace : nullptr;
-    if (tp) trace.note(obs::Stage::kIngest, obs::now_ns());  // lane residency
-    bool error = false;
-    msgpack::WireBatch batch;
-    {
-      obs::StageTimer dec(tp, obs::Stage::kDecode);
-      batch = decode_payload(item->value.payload, error);
-    }
-    if (!error) {
-      const bool traced = tp && !batch.last;
-      if (traced) adopt_batch_identity(trace, batch, wire_bytes);
-      MutexLock delivery(delivery_mutex_);
-      process_batch(std::move(batch), wire_bytes, item->value.sender);
-      if (traced) {
-        trace.note(obs::Stage::kDeliver, obs::now_ns());
-        tracer_.complete(trace);
-      }
-    }
-  }
-  finish_stage_member(/*is_ingest=*/true);
-}
-
-// ----------------------------------------------------------- pooled engine
-
 void Receiver::dispatch_loop() {
   // Single consumer of every source lane: take payloads in deficit-weighted
   // round-robin order, stamp each with a global arrival ticket, and hand it
   // to the decode pool under the bounded in-flight window. The ticket order
   // IS the delivery order, so per-lane streams stay in arrival order at
   // every weight — the scheduler only decides how lanes interleave.
-  while (auto item = scheduler_->pop()) {
+  while (auto item = scheduler_.pop()) {
     if (item->value.note == Note::kData) {
       const std::size_t wire_bytes = item->value.payload.size();
-      scheduler_->lane(item->lane_index).add_delivered_bytes(wire_bytes);
+      scheduler_.lane(item->lane_index).add_delivered_bytes(wire_bytes);
       // Lane residency + DWRR arbitration end here; the window wait and the
       // pool's run queue are the decode-wait stage, stamped in decode_job.
       if (item->value.trace.active()) {
@@ -597,7 +494,7 @@ void Receiver::dispatch_loop() {
       if (payload_is_data(item->value.payload)) {
         count_drop(1, "engine closed with a payload pulled off the wire mid-admission");
       }
-      while (auto rest = scheduler_->pop()) {
+      while (auto rest = scheduler_.pop()) {
         if (payload_is_data(rest->value.payload)) {
           count_drop(1, "engine closed with a payload pulled off the wire mid-admission");
         }
@@ -608,7 +505,7 @@ void Receiver::dispatch_loop() {
       decode_job(ticket, std::move(in));
     });
   }
-  finish_stage_member(/*is_ingest=*/true);
+  finish_dispatch();
 }
 
 void Receiver::decode_job(std::uint64_t ticket, Inbound in) {
@@ -682,7 +579,7 @@ void Receiver::process_decoded(Decoded&& decoded) {
   // Delivered (or tombstoned): the window slot frees and ingest may admit
   // the next payload. We already hold delivery_mutex_, so a last retirement
   // runs the end-of-stream bookkeeping inline.
-  if (retire_stage_member(/*is_ingest=*/false)) {
+  if (retire_stage_member(/*is_dispatcher=*/false)) {
     end_of_stream_locked();
     queue_.close();
   }

@@ -20,15 +20,9 @@
 // the daemons). Decode workers deserialize out of order; a common::Sequencer
 // restores ticket order and a common::EpochSequencer applies the multi-sender
 // end-of-epoch algebra (sentinel/pending bookkeeping) before batches land in
-// the bounded consumer queue — delivery order and sentinel semantics are
-// byte-identical to the legacy serial engine's, and per-lane delivery stays
-// in arrival order at every weight.
-//
-// decode_threads == 0 keeps that legacy serial path for A/B benching: one
-// source decodes inline on its receive thread (exactly the old engine);
-// multiple sources run the same per-source lanes + weighted-fair dispatch
-// into one inline decode thread (this replaced the hand-built FanInSource
-// payload mux). next() hands batches to the DALI-style pipeline's
+// the bounded consumer queue — delivery follows the dispatcher's arrival
+// order exactly at every pool width, and per-lane delivery stays in arrival
+// order at every weight. next() hands batches to the DALI-style pipeline's
 // external_source.
 //
 // End-of-epoch detection: each serving daemon sends one sentinel per epoch;
@@ -62,25 +56,24 @@ namespace emlio::core {
 struct ReceiverConfig {
   std::size_t num_senders = 1;     ///< daemons pushing to this node
   std::size_t queue_capacity = 16; ///< shared queue depth (receiver HWM)
-  /// Decode fan-out width. 0 = the legacy serial engine (decode inline on
-  /// the receive thread; kept for A/B benching — see bench/micro_receiver).
-  /// N > 0 = pooled engine: N decode workers behind per-source ingest
-  /// threads, re-sequenced to the serial engine's exact delivery order.
+  /// Decode pool width: N decode workers behind per-source ingest threads,
+  /// re-sequenced into arrival order. 0 = auto (hardware concurrency,
+  /// clamped to [2, 8] — the same rule as DaemonConfig::pool_threads).
   std::size_t decode_threads = 0;
-  /// Adaptive decode-pool sizing (pooled engine only): a PoolGovernor grows
-  /// the pool when decode_stalls dominates the stall window (ingest waits on
-  /// decode) and shrinks it when resequence_stalls does (completions run
-  /// ahead of ordering), within [adaptive_min_threads, adaptive_max_threads].
-  /// The pool still starts at decode_threads; 0 max = auto (hardware
+  /// Adaptive decode-pool sizing: a PoolGovernor grows the pool when
+  /// decode_stalls dominates the stall window (ingest waits on decode) and
+  /// shrinks it when resequence_stalls does (completions run ahead of
+  /// ordering), within [adaptive_min_threads, adaptive_max_threads]. The
+  /// pool still starts at decode_threads; 0 max = auto (hardware
   /// concurrency, clamped to [2, 8]).
   bool adaptive_pool = false;
   std::size_t adaptive_min_threads = 1;
   std::size_t adaptive_max_threads = 0;
   std::uint64_t adaptive_interval_ms = 20;
-  /// Per-source ingest lane depth (pooled engine and the serial multi-source
-  /// fan-in). Raw payloads buffer here between a source's receive thread and
-  /// the weighted-fair dispatcher; a full lane blocks its ingest thread —
-  /// and through it the transport — without touching the other sources.
+  /// Per-source ingest lane depth. Raw payloads buffer here between a
+  /// source's receive thread and the weighted-fair dispatcher; a full lane
+  /// blocks its ingest thread — and through it the transport — without
+  /// touching the other sources.
   std::size_t ingest_lane_depth = 8;
   /// QoS applied to every source lane: the dispatcher drains the lanes
   /// deficit-weighted round-robin, so under fan-in contention source i gets
@@ -117,16 +110,14 @@ struct ReceiverStats {
   std::uint64_t bytes_received = 0;
   std::uint64_t decode_errors = 0;
   std::uint64_t epochs_completed = 0;
-  // Pipeline balance. The stall counters exist only in the pooled engine
-  // (always zero under the serial one); queue depth and decode time are
-  // measured by both engines.
+  // Pipeline balance.
   std::uint64_t decode_stalls = 0;      ///< ingest waits on a full decode
                                         ///< window (decode is the bottleneck)
   std::uint64_t resequence_stalls = 0;  ///< decodes that finished out of
                                         ///< order and parked behind a gap
   std::uint64_t queue_peak_depth = 0;   ///< max consumer-queue occupancy seen
   std::uint64_t decode_ns = 0;          ///< cumulative wall time inside
-                                        ///< BatchCodec::decode (both engines)
+                                        ///< BatchCodec::decode
   /// Batches that never reached the consumer after the receiver took them
   /// off the wire because the receiver itself was shutting down: decoded but
   /// rejected by a closed queue, still held for a future epoch when the
@@ -147,15 +138,12 @@ struct ReceiverStats {
   /// off the wire always reconcile:
   /// pulled = delivered + dropped_on_close + dropped_dead_sender.
   std::uint64_t dropped_dead_sender = 0;
-  // Decode-pool sizing (pooled engine). Without the governor, current ==
-  // peak == the configured width and resizes stays 0.
+  // Decode-pool sizing. Without the governor, current == peak == the
+  // configured width and resizes stays 0.
   std::uint64_t pool_resizes = 0;        ///< governor grow+shrink steps applied
   std::uint64_t pool_threads_current = 0;///< decode-pool width right now
   std::uint64_t pool_threads_peak = 0;   ///< widest the decode pool has been
-  /// Per-source ingest lane breakdown ("src<i>", in source order). Populated
-  /// by every engine that runs source lanes (pooled, and the serial
-  /// multi-source fan-in); empty under the single-source serial engine,
-  /// which has no lane stage.
+  /// Per-source ingest lane breakdown ("src<i>", in source order).
   std::vector<LaneStats> lanes;
   /// Per-stage latency quantiles (ingest/decode_wait/decode/resequence/
   /// deliver, plus wire under trace_wire senders, plus "e2e"), ns. Empty
@@ -198,8 +186,8 @@ class Receiver {
 
   /// Declare the sender behind `source_index` dead (transport watchdogs,
   /// net::ReconnectingSource::on_down). Ordered with that source's payload
-  /// stream: engines with source lanes enqueue the declaration as a control
-  /// token behind everything the source already delivered, so the dead
+  /// stream: the declaration rides the source's lane as a control token
+  /// behind everything the source already delivered, so the dead
   /// sender's in-flight batches land before its epochs repair. Safe from any
   /// thread; a no-op once the receiver is closed.
   void note_sender_dead(std::size_t source_index);
@@ -250,11 +238,8 @@ class Receiver {
     std::uint32_t sender = 0;
   };
 
-  void build_source_lanes();
   void ingest_loop(net::MessageSource& source, Lane<Inbound>& lane, std::size_t source_index);
-  void serial_loop(net::MessageSource& source);
   void dispatch_loop();
-  void serial_drain_loop();
   LaneQos lane_qos_for_source(std::size_t index) const;
   void decode_job(std::uint64_t ticket, Inbound in);
   msgpack::WireBatch decode_payload(const Payload& payload, bool& error);
@@ -267,18 +252,19 @@ class Receiver {
   /// algebra reaches emit through lambda callbacks the analysis treats as
   /// separate unannotated functions.
   void emit(msgpack::WireBatch&& batch);
-  /// Retire one stage member (an ingest/dispatch thread, or one admitted
-  /// payload). Returns true when it was the last of both stages — the
-  /// stream is over and the caller must run end_of_stream_locked() under
-  /// delivery_mutex_, then close the consumer queue.
-  bool retire_stage_member(bool is_ingest);
+  /// Retire the dispatcher (its lanes drained) or one admitted payload
+  /// (delivered or tombstoned). Returns true when both the dispatcher and
+  /// every admitted payload are gone — the stream is over and the caller
+  /// must run end_of_stream_locked() under delivery_mutex_, then close the
+  /// consumer queue.
+  bool retire_stage_member(bool is_dispatcher);
   /// End-of-stream bookkeeping: repair unfinished epochs (unless locally
   /// closed), account batches held for epochs that can never complete, and
   /// audit received == delivered + dropped.
   void end_of_stream_locked() EMLIO_REQUIRES(delivery_mutex_);
-  /// retire + end_of_stream + queue close, for callers not holding
-  /// delivery_mutex_.
-  void finish_stage_member(bool is_ingest);
+  /// The dispatcher's exit: retire + end_of_stream + queue close (it does
+  /// not hold delivery_mutex_).
+  void finish_dispatch();
   /// Count a payload/batch lost to shutdown and emit the one warn line.
   void count_drop(std::uint64_t n, const char* where);
 
@@ -294,7 +280,7 @@ class Receiver {
   /// drop.
   void sync_epoch_telemetry_locked() EMLIO_REQUIRES(delivery_mutex_);
   /// Route a control token through the same ordered path as the source's
-  /// payloads (lane when the engine has lanes, direct otherwise).
+  /// payloads (its lane; direct once that lane has closed).
   void post_sender_note(std::size_t source_index, Note note);
 
   ReceiverConfig config_;
@@ -307,7 +293,7 @@ class Receiver {
   BoundedQueue<msgpack::WireBatch> queue_;
   std::atomic<bool> closed_{false};
 
-  // Pooled engine. The window caps payloads admitted to the decode stage but
+  // Decode stage. The window caps payloads admitted to the decode stage but
   // not yet delivered: it bounds decode-stage memory and is the backpressure
   // coupling between a slow consumer and the ingest threads.
   std::unique_ptr<ThreadPool> decode_pool_;
@@ -315,7 +301,7 @@ class Receiver {
   Mutex window_mutex_;
   CondVar window_cv_;
   std::size_t inflight_ EMLIO_GUARDED_BY(window_mutex_) = 0;
-  std::size_t ingest_active_ EMLIO_GUARDED_BY(window_mutex_) = 0;
+  bool dispatching_ EMLIO_GUARDED_BY(window_mutex_) = true;  ///< the window's one feeder
   std::uint64_t next_ticket_ EMLIO_GUARDED_BY(window_mutex_) = 0;
   bool window_closed_ EMLIO_GUARDED_BY(window_mutex_) = false;
 
@@ -323,19 +309,17 @@ class Receiver {
   Sequencer<Decoded> resequencer_ EMLIO_GUARDED_BY(sequencer_mutex_);
 
   // Delivery context: whoever holds delivery_mutex_ drains the sequencer's
-  // ready prefix through the epoch bookkeeping into queue_. Serial-engine
-  // threads take it blocking; pooled decode workers try-lock and hand over.
+  // ready prefix through the epoch bookkeeping into queue_. Decode workers
+  // try-lock and hand over; sender notes and end of stream take it blocking.
   Mutex delivery_mutex_;
   EpochSequencer<msgpack::WireBatch> epochs_ EMLIO_GUARDED_BY(delivery_mutex_);
   bool delivery_rejected_ EMLIO_GUARDED_BY(delivery_mutex_) = false;  ///< queue_ closed under us
   /// Atomic, not delivery_mutex_-guarded: drops are also counted from the
-  /// ingest threads (window closed mid-admission) and the mux pumps.
+  /// ingest threads and the dispatcher (window closed mid-admission).
   std::atomic<bool> drop_logged_{false};
 
-  // Per-source ingest lanes + their weighted-fair drainer (pooled engine and
-  // the serial multi-source fan-in — this replaced the hand-built payload
-  // mux). Null under the single-source serial engine.
-  std::unique_ptr<LaneScheduler<Inbound>> scheduler_;
+  // Per-source ingest lanes + their weighted-fair drainer (the dispatcher).
+  LaneScheduler<Inbound> scheduler_;
 
   std::vector<std::thread> threads_;
 

@@ -32,10 +32,6 @@ EmlioService::EmlioService(ServiceConfig config)
     throw std::runtime_error("emlio service: unknown cache policy '" + config_.cache_policy +
                              "' (expected \"clock\" or \"lru\")");
   }
-  if (!parse_lane_class(config_.lane_class)) {
-    throw std::runtime_error("emlio service: unknown lane class '" + config_.lane_class +
-                             "' (expected \"interactive\" or \"bulk\")");
-  }
   PlannerConfig pc;
   pc.batch_size = config_.batch_size;
   pc.epochs = config_.epochs;
@@ -108,7 +104,6 @@ void EmlioService::start() {
   DaemonConfig dc;
   dc.daemon_id = "daemon0";
   dc.verify_crc = config_.verify_crc;
-  dc.pipelined = config_.pipelined;
   dc.pool_threads = config_.pipeline_pool_threads;
   dc.prefetch_depth = config_.prefetch_depth ? config_.prefetch_depth : config_.high_water_mark;
   dc.adaptive_pool = config_.adaptive_pool;
@@ -121,7 +116,6 @@ void EmlioService::start() {
   dc.trace_ring = config_.trace_ring;
   dc.trace_wire = config_.trace_wire;
   LaneQos qos;
-  qos.lane_class = *parse_lane_class(config_.lane_class);  // validated in ctor
   qos.weight = std::max<std::uint32_t>(config_.lane_weight, 1);
   qos.rate_per_sec = config_.lane_rate;
   dc.default_lane_qos = qos;
@@ -140,17 +134,6 @@ void EmlioService::start() {
   rc.trace_ring = config_.trace_ring;
   rc.reconnect.max_attempts = config_.retry_max;
   rc.reconnect.deadline = std::chrono::milliseconds(config_.retry_deadline_ms);
-  if (config_.adaptive_pool && rc.decode_threads == 0) {
-    // adaptive_pool asks for governed engines; the serial receiver has no
-    // pool to govern, so start the pooled engine at the governor's floor
-    // (the same fallback emlio_receive applies) instead of silently
-    // ignoring the knob.
-    rc.decode_threads = std::max<std::size_t>(config_.adaptive_min_threads, 1);
-  }
-  if (config_.adaptive_pool && !config_.pipelined) {
-    log::warn("emlio service: serial daemon engine has no encode pool; "
-              "--adaptive-pool governs only the receiver decode pool");
-  }
   receiver_ = std::make_unique<Receiver>(rc, std::move(source), &timestamps_);
 
   daemon_thread_ = std::thread([this, sink] {

@@ -31,29 +31,28 @@ struct ServiceConfig {
   std::string dataset_dir;            ///< TFRecord shards + mapping JSONs
   std::size_t batch_size = 32;        ///< B
   std::uint32_t epochs = 1;           ///< E
-  std::uint32_t threads_per_node = 2; ///< T — daemon SendWorker threads
+  /// T — plan partitions per node (PlannerConfig::threads_per_node). The
+  /// daemon flattens a node's WorkerPlans back into one batch-id-ordered
+  /// lane, so T shapes the plan, not the daemon's thread count.
+  std::uint32_t threads_per_node = 2;
   std::size_t high_water_mark = 16;   ///< ZMQ-style HWM
   std::size_t num_streams = 2;        ///< parallel TCP streams (kTcp)
   std::size_t receiver_queue = 16;    ///< shared in-memory queue depth
   /// Daemon pipeline: read+encode pool size (0 = auto) and per-sink
-  /// prefetch-queue depth (0 = follow high_water_mark). pipelined=false
-  /// falls back to the legacy serial per-worker loop (A/B benching).
+  /// prefetch-queue depth (0 = follow high_water_mark).
   std::size_t pipeline_pool_threads = 0;
   std::size_t prefetch_depth = 0;
-  bool pipelined = true;
-  /// Receiver decode fan-out width (ReceiverConfig::decode_threads).
-  /// 0 = the legacy serial receive-decode thread; N > 0 = pooled decode
-  /// workers with re-sequenced (delivery-order-identical) output.
+  /// Receiver decode pool width (ReceiverConfig::decode_threads; 0 = auto,
+  /// the same rule as pipeline_pool_threads). Output is re-sequenced into
+  /// arrival order at every width.
   std::size_t decode_threads = 0;
   /// Shared stall-ratio pool governor, one instance per staged engine: the
   /// daemon's encode pool grows when sender_stalls dominates (and shrinks on
   /// enqueue_stalls), the receiver's decode pool grows when decode_stalls
   /// dominates (and shrinks on resequence_stalls). Bounds and control
   /// interval are shared by both governors; 0 max = auto (hardware
-  /// concurrency, clamped to [2, 8]). With decode_threads == 0 the receiver
-  /// is started at adaptive_min_threads so the governor has a pool to steer
-  /// (a serial daemon engine, pipelined == false, stays ungoverned — warned
-  /// at start()).
+  /// concurrency, clamped to [2, 8]). Each pool starts at its configured
+  /// width.
   bool adaptive_pool = false;
   std::size_t adaptive_min_threads = 1;
   std::size_t adaptive_max_threads = 0;
@@ -65,14 +64,12 @@ struct ServiceConfig {
   std::size_t cache_bytes = 0;
   std::string cache_policy = "clock";
   /// QoS lane descriptor applied to the daemon's sink lane and the
-  /// receiver's source lane ("interactive" or "bulk" — anything else makes
-  /// the constructor throw; weight clamped to >= 1; lane_rate is an
+  /// receiver's source lane (weight clamped to >= 1; lane_rate is an
   /// items/sec token-bucket limit at the consuming edge, 0 = none). A
   /// single-node service has one lane on each side, so the knobs mostly
   /// matter for stats labelling and rate capping here; multi-lane fairness
   /// lives in DaemonConfig::node_qos / ReceiverConfig::source_qos, which
   /// multi-node deployments set directly.
-  std::string lane_class = "interactive";
   std::uint32_t lane_weight = 1;
   std::uint64_t lane_rate = 0;
   /// Per-batch stage tracing on BOTH engines (src/obs): stage + end-to-end

@@ -361,7 +361,8 @@ ScenarioResult run_emlio(const ScenarioConfig& cfg) {
   // Pipelined storage engine: the read+encode pool can be wider than the
   // daemon's worker count (DaemonConfig::pool_threads), and a bounded
   // encoded-batch queue sits between encode and the wire
-  // (DaemonConfig::prefetch_depth). Defaults model the serial engine.
+  // (DaemonConfig::prefetch_depth). Defaults model the paper's daemon: one
+  // encode thread per SendWorker (pool width = T).
   std::size_t pool_threads =
       p.emlio_pool_threads ? p.emlio_pool_threads : p.emlio_daemon_threads;
   // Receiver-side decode fan-out (ReceiverConfig::decode_threads): the

@@ -43,9 +43,8 @@ struct ShmOptions {
 };
 
 /// Sender endpoint; owns (creates) the segment and unlinks it on
-/// destruction. Thread-safe: sends are serialized internally, so both the
-/// serial engine (many workers sending) and the staged engine (one sender
-/// lane thread) can use it directly.
+/// destruction. Thread-safe: sends are serialized internally, so any number
+/// of sender threads (the daemon runs one per sink lane) can use it directly.
 class ShmMessageSink final : public MessageSink {
  public:
   ShmMessageSink(const std::string& name, const ShmOptions& opts = {});

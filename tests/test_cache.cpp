@@ -453,22 +453,5 @@ TEST_F(CacheIntegrationTest, UnknownCachePolicyThrowsAtConstruction) {
   EXPECT_THROW(EmlioService service(cfg), std::runtime_error);
 }
 
-// The serial (non-pipelined) engine shares build_batch and therefore the
-// cache: warm epochs skip storage there too.
-TEST_F(CacheIntegrationTest, SerialEngineUsesTheCacheToo) {
-  auto cfg = config(/*cache_bytes=*/64u << 20);
-  cfg.pipelined = false;
-  EmlioService service(cfg);
-  service.start();
-  auto stream = drain_all_epochs(service);
-  service.stop();
-
-  ASSERT_EQ(stream.size(), 3u);
-  auto s = service.stats().daemon;
-  EXPECT_EQ(s.store_reads, 6u);  // cold epoch only
-  EXPECT_EQ(s.cache.hits, 96u);
-  EXPECT_EQ(s.cache.misses, 48u);
-}
-
 }  // namespace
 }  // namespace emlio::core

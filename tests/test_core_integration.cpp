@@ -106,15 +106,14 @@ TEST_F(CoreIntegrationTest, ShmTransportDeliversSameGuarantees) {
 }
 
 TEST_F(CoreIntegrationTest, ShmStreamIsByteIdenticalToInProcess) {
-  // Same seed + single-threaded deterministic engines: the decoded batch
-  // stream over shm must be byte-for-byte the stream the in-process channel
-  // delivers. Flattens every batch (ids + labels + sample bytes) into one
-  // buffer per transport and compares.
+  // Same seed, default engines: the daemon's resequencer pins batch-id order
+  // on the wire and the receiver's restores arrival order after its decode
+  // pool, so the decoded batch stream over shm must be byte-for-byte the
+  // stream the in-process channel delivers. Flattens every batch (ids +
+  // labels + sample bytes) into one buffer per transport and compares.
   auto capture = [&](Transport transport) {
     auto cfg = base_config();
     cfg.transport = transport;
-    cfg.threads_per_node = 1;  // one worker → deterministic batch order
-    cfg.pipelined = false;     // serial engines: no pool reordering anywhere
     EmlioService service(cfg);
     service.start();
     std::vector<std::uint8_t> stream;
@@ -235,7 +234,7 @@ TEST_F(CoreIntegrationTest, ShuffleOffPreservesShardOrder) {
     if (batch->last) break;
     batch_ids.push_back(batch->batch_id);
   }
-  // Single worker + single stream in-process channel → planner batch order.
+  // Batch-id-ordered lane + single in-process stream → planner batch order.
   for (std::size_t i = 0; i < batch_ids.size(); ++i) {
     EXPECT_EQ(batch_ids[i], i);
   }
@@ -486,7 +485,7 @@ msgpack::WireBatch data_batch_with_payload(std::uint32_t epoch, std::uint64_t id
 }
 
 TEST(ReceiverParallelDecode, SentinelOvertakeAndEpochReorderPooled) {
-  // The worst-case orderings the serial tests pin down, decoded by a pool:
+  // The worst-case orderings the tests above pin down, decoded by a 4-wide pool:
   // both sentinels beat all data, and epoch-1 data overtakes epoch 0's tail.
   std::vector<msgpack::WireBatch> script;
   script.push_back(msgpack::BatchCodec::make_sentinel(0, 0, 1));  // sender A epoch 0
@@ -510,12 +509,35 @@ TEST(ReceiverParallelDecode, SentinelOvertakeAndEpochReorderPooled) {
   EXPECT_EQ(receiver.stats().epochs_completed, 2u);
 }
 
-TEST(ReceiverParallelDecode, RandomizedInterleavingsSerialVsPooledByteIdentical) {
+/// Engine-free reference delivery: replay `arrivals` in order on one thread
+/// through the same EpochSequencer algebra the receiver runs. Whatever the
+/// decode pool's width, the receiver must deliver exactly this stream.
+std::vector<msgpack::WireBatch> oracle_delivery(const std::vector<Payload>& arrivals,
+                                                std::size_t num_senders) {
+  std::vector<msgpack::WireBatch> out;
+  EpochSequencer<msgpack::WireBatch> epochs(num_senders);
+  auto on_data = [&](msgpack::WireBatch&& b) { out.push_back(std::move(b)); };
+  auto on_marker = [&](std::uint32_t epoch, std::uint64_t expected) {
+    out.push_back(msgpack::BatchCodec::make_sentinel(0, epoch, expected));
+  };
+  for (const auto& payload : arrivals) {
+    auto batch = msgpack::BatchCodec::decode(payload);
+    if (batch.last) {
+      epochs.sentinel(batch.epoch, batch.sent_count, on_data, on_marker);
+    } else {
+      epochs.data(batch.epoch, std::move(batch), on_data, on_marker);
+    }
+  }
+  epochs.finish(on_data, on_marker);
+  return out;
+}
+
+TEST(ReceiverParallelDecode, RandomizedInterleavingsMatchSequencerOracle) {
   // Property: for ANY cross-sender interleaving a parallel transport could
-  // produce, the pooled engine delivers the exact batch stream the serial
-  // engine does — batch for batch, byte for byte. Randomized merges of
+  // produce, the receiver delivers the oracle's batch stream — batch for
+  // batch, byte for byte — at width 1 and at width 4. Randomized merges of
   // 3 senders × 3 epochs (ragged batch counts, sentinel overtakes included
-  // by construction), same arrival order replayed through both engines.
+  // by construction), same arrival order replayed through every run.
   std::mt19937 rng(0xE171u);
   for (int round = 0; round < 5; ++round) {
     constexpr std::size_t kSenders = 3;
@@ -544,29 +566,29 @@ TEST(ReceiverParallelDecode, RandomizedInterleavingsSerialVsPooledByteIdentical)
       merged.push_back(streams[s][cursor[s]++]);
     }
 
-    std::vector<msgpack::WireBatch> delivered[2];
-    for (int pooled = 0; pooled < 2; ++pooled) {
+    const auto want = oracle_delivery(ScriptedSource(merged).script, kSenders);
+    ASSERT_EQ(want.size(), next_id + kEpochs) << "round " << round;
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
       ReceiverConfig rc;
       rc.num_senders = kSenders;
       rc.queue_capacity = 4;
-      rc.decode_threads = pooled ? 4 : 0;
+      rc.decode_threads = width;
       Receiver receiver(rc, std::make_unique<ScriptedSource>(merged));
-      delivered[pooled] = drain_all(receiver);
+      EXPECT_EQ(drain_all(receiver), want) << "round " << round << " width " << width;
       EXPECT_EQ(receiver.stats().epochs_completed, kEpochs) << "round " << round;
       EXPECT_EQ(receiver.stats().dropped_on_close, 0u) << "round " << round;
     }
-    ASSERT_EQ(delivered[0].size(), delivered[1].size()) << "round " << round;
-    EXPECT_EQ(delivered[0], delivered[1]) << "round " << round;
   }
 }
 
 TEST(ReceiverParallelDecode, HeldBatchesRepairedAtStreamEnd) {
   // Epoch-1 data arrives but epoch 0 never completes (a sender died before
   // its sentinel). When the stream ends on its own — not a local close() —
-  // both engines repair: each evidenced epoch completes degraded, the held
+  // the receiver repairs at every width: each evidenced epoch completes
+  // degraded, the held
   // epoch-1 batch is DELIVERED (not leaked or dropped), and the repairs are
   // counted in epochs_repaired.
-  for (std::size_t decode_threads : {std::size_t{0}, std::size_t{2}}) {
+  for (std::size_t decode_threads : {std::size_t{1}, std::size_t{2}}) {
     std::vector<msgpack::WireBatch> script;
     script.push_back(data_batch(0, 0));
     script.push_back(data_batch(1, 5));  // held until epoch 0 resolves
@@ -591,37 +613,6 @@ TEST(ReceiverParallelDecode, HeldBatchesRepairedAtStreamEnd) {
     EXPECT_EQ(stats.dropped_on_close, 0u) << "decode_threads=" << decode_threads;
     EXPECT_EQ(stats.dropped_dead_sender, 0u) << "decode_threads=" << decode_threads;
   }
-}
-
-TEST(ReceiverParallelDecode, CloseWithUnconsumedDecodesCountsDrops) {
-  // The receiver decodes ahead of a consumer that never shows up; close()
-  // rejects the queued-up deliveries. Every decoded batch must be accounted:
-  // drained from the queue, or counted in dropped_on_close.
-  constexpr std::uint64_t kBatches = 6;
-  std::vector<msgpack::WireBatch> script;
-  for (std::uint64_t i = 0; i < kBatches; ++i) script.push_back(data_batch(0, i));
-  ReceiverConfig rc;
-  rc.num_senders = 1;
-  rc.queue_capacity = 1;  // the engine blocks on delivery almost immediately
-  Receiver receiver(rc, std::make_unique<ScriptedSource>(std::move(script)));
-  receiver.close();
-  std::uint64_t drained = 0;
-  while (receiver.next()) ++drained;  // whatever made it in before the close
-  // The serial engine decodes the whole script (its source keeps yielding);
-  // wait for the conservation equation to settle.
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  ReceiverStats stats;
-  do {
-    stats = receiver.stats();
-    if (stats.batches_received == kBatches &&
-        drained + stats.dropped_on_close == kBatches) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  } while (std::chrono::steady_clock::now() < deadline);
-  EXPECT_EQ(stats.batches_received, kBatches);
-  EXPECT_EQ(drained + stats.dropped_on_close, kBatches);
-  EXPECT_GE(stats.dropped_on_close, 1u);
 }
 
 /// Source that yields `count` data payloads, then BLOCKS until closed —
@@ -654,6 +645,41 @@ struct GatedSource final : net::MessageSource {
   std::condition_variable cv;
   bool closed = false;
 };
+
+TEST(ReceiverParallelDecode, CloseWithUnconsumedDecodesCountsDrops) {
+  // The receiver decodes ahead of a consumer that never shows up; close()
+  // rejects the queued-up deliveries. Every payload pulled off the wire must
+  // be accounted: drained from the queue, or counted in dropped_on_close.
+  constexpr std::size_t kBatches = 6;
+  auto source = std::make_unique<GatedSource>(kBatches);
+  auto* src = source.get();
+  ReceiverConfig rc;
+  rc.num_senders = 1;
+  rc.queue_capacity = 1;  // the engine blocks on delivery almost immediately
+  Receiver receiver(rc, std::move(source));
+  // Two decoded batches: one fills the queue, the next blocks delivery.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (receiver.stats().batches_received < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(receiver.stats().batches_received, 2u);
+  receiver.close();
+  std::uint64_t drained = 0;
+  while (receiver.next()) ++drained;  // whatever made it in before the close
+  // Straggler decode jobs may still be counting drops; wait for the
+  // conservation equation to settle.
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::uint64_t pulled = 0;
+  ReceiverStats stats;
+  do {
+    stats = receiver.stats();
+    pulled = src->handed.load(std::memory_order_relaxed);
+    if (drained + stats.dropped_on_close == pulled) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  } while (std::chrono::steady_clock::now() < deadline);
+  EXPECT_EQ(drained + stats.dropped_on_close, pulled);
+  EXPECT_GE(stats.dropped_on_close, 1u);
+}
 
 TEST(ReceiverParallelDecode, CloseUnderFullWindowAccountsInHandPayload) {
   // Regression: the pooled ingest loop pulls a payload off the wire, then
@@ -822,14 +848,14 @@ TEST_F(CoreIntegrationTest, MissingSinkSurfacesErrorStateInsteadOfCrashing) {
   Planner planner(indexes, pc);
   auto plan = planner.plan_epoch(0, /*num_nodes=*/2);  // plan serves nodes 0 AND 1
 
-  for (bool pipelined : {true, false}) {
+  for (std::size_t pool : {std::size_t{1}, std::size_t{3}}) {
     auto ch = net::make_sim_channel({});
     auto sink0 = std::shared_ptr<net::MessageSink>(std::move(ch.sink));
     std::vector<tfrecord::ShardReader> readers;
     for (const auto& idx : indexes) readers.emplace_back(idx);
     DaemonConfig dc;
-    dc.daemon_id = pipelined ? "pipelined" : "serial";
-    dc.pipelined = pipelined;
+    dc.daemon_id = "pool" + std::to_string(pool);
+    dc.pool_threads = pool;
     std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, sink0}};  // no node 1!
     Daemon daemon(dc, std::move(readers), sinks);
     EXPECT_TRUE(daemon.ok());
@@ -916,8 +942,8 @@ TEST_F(CoreIntegrationTest, BackpressuredSinkDoesNotStarveOtherLanes) {
 /// Drives a full 2-daemon × 2-receiver cluster epoch through the pipelined
 /// engine and checks per-node delivery against the plan. `full_dataset` picks
 /// scenario C2 (§5.2: every node consumes the whole dataset) over the default
-/// sharded partitioning (C1). `decode_threads` picks the receiver engine:
-/// 0 = serial (multi-source mux), N = pooled decode fan-out.
+/// sharded partitioning (C1). `decode_threads` is the receivers' decode pool
+/// width (0 = auto).
 class MultiDaemonMultiReceiver : public CoreIntegrationTest {
  protected:
   void run_cluster(bool full_dataset, std::uint32_t epochs, std::size_t decode_threads) {
@@ -1043,14 +1069,13 @@ TEST_F(MultiDaemonMultiReceiver, ShardedPartitionedC1) {
 
 TEST_F(MultiDaemonMultiReceiver, FullDatasetPerNodeC2) {
   // Scenario C2 (§5.2): every node consumes the full dataset; both daemons
-  // serve both nodes their locally-owned half. Serial receiver over two
-  // sources — the internal mux engine.
+  // serve both nodes their locally-owned half. Receivers at the auto width.
   run_cluster(/*full_dataset=*/true, /*epochs=*/2, /*decode_threads=*/0);
 }
 
 TEST_F(MultiDaemonMultiReceiver, FullDatasetPerNodeC2PooledDecode) {
-  // C2 again with the pooled decode engine: byte traffic doubles per node
-  // (the paper's heavy fan-in case), exactly where decode fan-out matters.
+  // C2 again with a 3-wide decode pool: byte traffic doubles per node (the
+  // paper's heavy fan-in case), exactly where decode fan-out matters.
   run_cluster(/*full_dataset=*/true, /*epochs=*/2, /*decode_threads=*/3);
 }
 
@@ -1065,8 +1090,8 @@ struct E2eParams {
   std::uint32_t threads;
   std::size_t streams;
   Transport transport;
-  bool pipelined = true;
-  std::size_t decode_threads = 0;  ///< receiver engine: 0 serial, N pooled
+  std::size_t pool_threads = 0;    ///< daemon encode pool width, 0 = auto
+  std::size_t decode_threads = 0;  ///< receiver decode pool width, 0 = auto
   bool adaptive = false;  ///< stall-ratio governors on both pooled stages
 };
 
@@ -1089,7 +1114,7 @@ TEST_P(EndToEndSweep, EpochAlwaysCleanAcrossConfigs) {
   cfg.threads_per_node = p.threads;
   cfg.num_streams = p.streams;
   cfg.transport = p.transport;
-  cfg.pipelined = p.pipelined;
+  cfg.pipeline_pool_threads = p.pool_threads;
   cfg.decode_threads = p.decode_threads;
   cfg.adaptive_pool = p.adaptive;
   cfg.adaptive_interval_ms = 2;  // plenty of control windows per epoch
@@ -1125,25 +1150,26 @@ INSTANTIATE_TEST_SUITE_P(
                       E2eParams{3, 5, 3, 4, Transport::kTcp},
                       E2eParams{5, 16, 1, 3, Transport::kTcp},
                       E2eParams{1, 9, 4, 2, Transport::kTcp},
-                      // Legacy serial engine stays covered too:
-                      E2eParams{3, 8, 2, 1, Transport::kInProcess, /*pipelined=*/false},
-                      E2eParams{4, 7, 3, 2, Transport::kTcp, /*pipelined=*/false},
-                      // Pooled receiver decode over both transports:
-                      E2eParams{3, 8, 2, 1, Transport::kInProcess, true, /*decode=*/4},
-                      E2eParams{4, 7, 2, 3, Transport::kTcp, true, /*decode=*/2},
-                      // ...and pooled decode behind the serial daemon engine:
-                      E2eParams{2, 9, 2, 1, Transport::kInProcess, false, /*decode=*/3},
+                      // Width 1 on both pools (the degenerate pipeline):
+                      E2eParams{3, 8, 2, 1, Transport::kInProcess, /*pool=*/1, /*decode=*/1},
+                      E2eParams{4, 7, 3, 2, Transport::kTcp, /*pool=*/1, /*decode=*/1},
+                      // Explicit decode widths over both transports:
+                      E2eParams{3, 8, 2, 1, Transport::kInProcess, 0, /*decode=*/4},
+                      E2eParams{4, 7, 2, 3, Transport::kTcp, 0, /*decode=*/2},
+                      // ...and a wide decode pool behind a width-1 daemon:
+                      E2eParams{2, 9, 2, 1, Transport::kInProcess, /*pool=*/1, /*decode=*/3},
                       // Governed pools on both ends (adaptive sizing live
                       // during the epoch must not change delivery):
-                      E2eParams{3, 8, 2, 1, Transport::kInProcess, true, 2, /*adaptive=*/true},
-                      E2eParams{4, 7, 2, 2, Transport::kTcp, true, 1, /*adaptive=*/true},
-                      // Shared-memory lane: staged, serial, pooled decode,
-                      // and fully governed — identical guarantees expected.
+                      E2eParams{3, 8, 2, 1, Transport::kInProcess, 0, 2, /*adaptive=*/true},
+                      E2eParams{4, 7, 2, 2, Transport::kTcp, 0, 1, /*adaptive=*/true},
+                      // Shared-memory lane: auto widths, width 1, explicit
+                      // decode width, and fully governed — identical
+                      // guarantees expected.
                       E2eParams{2, 8, 2, 1, Transport::kShm},
                       E2eParams{3, 5, 3, 1, Transport::kShm},
-                      E2eParams{4, 7, 3, 1, Transport::kShm, /*pipelined=*/false},
-                      E2eParams{4, 7, 2, 1, Transport::kShm, true, /*decode=*/2},
-                      E2eParams{3, 8, 2, 1, Transport::kShm, true, 2, /*adaptive=*/true}));
+                      E2eParams{4, 7, 3, 1, Transport::kShm, /*pool=*/1, /*decode=*/1},
+                      E2eParams{4, 7, 2, 1, Transport::kShm, 0, /*decode=*/2},
+                      E2eParams{3, 8, 2, 1, Transport::kShm, 0, 2, /*adaptive=*/true}));
 
 }  // namespace
 }  // namespace emlio::core

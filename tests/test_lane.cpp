@@ -159,8 +159,8 @@ TEST(LaneScheduler, DrainsEverythingThenNullopt) {
 
 TEST(LaneScheduler, PerLaneOrderIsFifoAtEveryWeight) {
   LaneScheduler<int> sched;
-  auto a = sched.add_lane("a", 64, LaneQos{LaneClass::kInteractive, 7, 0});
-  auto b = sched.add_lane("b", 64, LaneQos{LaneClass::kBulk, 1, 0});
+  auto a = sched.add_lane("a", 64, LaneQos{7, 0});
+  auto b = sched.add_lane("b", 64, LaneQos{1, 0});
   for (int i = 0; i < 50; ++i) {
     EXPECT_TRUE(a->push(i));
     EXPECT_TRUE(b->push(i));
@@ -183,8 +183,8 @@ TEST(LaneScheduler, BackloggedLanesSplitServiceByWeight) {
   // live producer threads can't keep a 4×-faster-draining lane full, which
   // would measure producer throughput instead of the DWRR split.
   LaneScheduler<int> sched;
-  auto heavy = sched.add_lane("heavy", 8, LaneQos{LaneClass::kInteractive, 4, 0});
-  auto light = sched.add_lane("light", 8, LaneQos{LaneClass::kBulk, 1, 0});
+  auto heavy = sched.add_lane("heavy", 8, LaneQos{4, 0});
+  auto light = sched.add_lane("light", 8, LaneQos{1, 0});
   int heavy_served = 0;
   constexpr int kPops = 1000;
   for (int i = 0; i < kPops; ++i) {
@@ -203,8 +203,8 @@ TEST(LaneScheduler, BackloggedLanesSplitServiceByWeight) {
 
 TEST(LaneScheduler, ThrottledLaneDoesNotBlockOthers) {
   LaneScheduler<int> sched;
-  auto throttled = sched.add_lane("slow", 8, LaneQos{LaneClass::kBulk, 1, 1});  // 1/sec
-  auto free_lane = sched.add_lane("fast", 8, LaneQos{LaneClass::kInteractive, 1, 0});
+  auto throttled = sched.add_lane("slow", 8, LaneQos{1, 1});  // 1/sec
+  auto free_lane = sched.add_lane("fast", 8, LaneQos{1, 0});
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(throttled->push(i));
     EXPECT_TRUE(free_lane->push(100 + i));

@@ -118,7 +118,7 @@ TEST_F(QosTest, GovernorIgnoresColdSinkLane) {
   dc.adaptive_min_threads = 1;
   dc.adaptive_max_threads = 4;
   dc.adaptive_interval_ms = 1;  // many control windows inside the test
-  dc.node_qos[1] = LaneQos{LaneClass::kInteractive, 1, 1000000};  // cap >> rate
+  dc.node_qos[1] = LaneQos{1, 1000000};  // cap >> rate
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, wedged},
                                                                    {1u, sink1}};
   Daemon daemon(dc, readers(), sinks);
@@ -200,8 +200,7 @@ TEST_F(QosTest, DaemonLaneBreakdownCarriesQosAndAggregates) {
   DaemonConfig dc;
   dc.pool_threads = 2;
   dc.prefetch_depth = 2;  // small queue: force some enqueue stalls
-  dc.default_lane_qos.lane_class = LaneClass::kBulk;
-  dc.node_qos[1] = LaneQos{LaneClass::kInteractive, 3, 0};
+  dc.node_qos[1] = LaneQos{3, 0};
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, sink0}, {1u, sink1}};
   Daemon daemon(dc, readers(), sinks);
 
@@ -227,9 +226,7 @@ TEST_F(QosTest, DaemonLaneBreakdownCarriesQosAndAggregates) {
   EXPECT_EQ(stats.lanes[0].name, "node0");
   EXPECT_EQ(stats.lanes[1].name, "node1");
   // QoS identity rides into the breakdown: default for node 0, override for 1.
-  EXPECT_EQ(stats.lanes[0].lane_class, LaneClass::kBulk);
   EXPECT_EQ(stats.lanes[0].weight, 1u);
-  EXPECT_EQ(stats.lanes[1].lane_class, LaneClass::kInteractive);
   EXPECT_EQ(stats.lanes[1].weight, 3u);
   // Both lanes moved data (items and attributed wire bytes).
   std::uint64_t items = 0, enq = 0, deq = 0, peak = 0;
@@ -276,8 +273,8 @@ TEST_F(QosTest, ReceiverPerSourceLaneBreakdown) {
   ReceiverConfig rc;
   rc.num_senders = 2;
   rc.decode_threads = 2;
-  rc.source_qos = {LaneQos{LaneClass::kInteractive, 4, 0},
-                   LaneQos{LaneClass::kBulk, 1, 0}};
+  rc.source_qos = {LaneQos{4, 0},
+                   LaneQos{1, 0}};
   std::vector<std::unique_ptr<net::MessageSource>> ins;
   ins.push_back(std::move(ch0.source));
   ins.push_back(std::move(ch1.source));
@@ -328,8 +325,6 @@ TEST_F(QosTest, ReceiverPerSourceLaneBreakdown) {
   EXPECT_EQ(stats.lanes[1].name, "src1");
   EXPECT_EQ(stats.lanes[0].weight, 4u);
   EXPECT_EQ(stats.lanes[1].weight, 1u);
-  EXPECT_EQ(stats.lanes[0].lane_class, LaneClass::kInteractive);
-  EXPECT_EQ(stats.lanes[1].lane_class, LaneClass::kBulk);
   std::uint64_t lane_items = 0;
   for (const auto& lane : stats.lanes) {
     EXPECT_GT(lane.delivered_items, 0u) << lane.name;
@@ -342,7 +337,7 @@ TEST_F(QosTest, ReceiverPerSourceLaneBreakdown) {
   receiver.close();
 }
 
-TEST_F(QosTest, SingleSourceSerialReceiverHasNoLaneStage) {
+TEST_F(QosTest, SingleSourceReceiverHasOneLane) {
   auto ch = net::make_sim_channel({});
   auto sink = std::shared_ptr<net::MessageSink>(std::move(ch.sink));
   ReceiverConfig rc;
@@ -351,7 +346,10 @@ TEST_F(QosTest, SingleSourceSerialReceiverHasNoLaneStage) {
   sink->close();
   while (receiver.next()) {
   }
-  EXPECT_TRUE(receiver.stats().lanes.empty());
+  auto lanes = receiver.stats().lanes;
+  ASSERT_EQ(lanes.size(), 1u);
+  EXPECT_EQ(lanes[0].name, "src0");
+  EXPECT_TRUE(lanes[0].closed);
   receiver.close();
 }
 
@@ -361,8 +359,8 @@ TEST_F(QosTest, WeightsNeverChangePerLaneStreamContent) {
   // Same plan, same seed, radically different QoS splits: each node's
   // decoded stream must be byte-for-byte identical across configurations —
   // weights shift WHEN a lane is served, never WHAT it carries or in what
-  // order. (The per-sink resequencer pins batch-id order; serial receivers
-  // keep decode deterministic.)
+  // order. (The per-sink resequencer pins batch-id order; the receivers'
+  // resequencer restores arrival order after the decode pool.)
   auto capture = [&](LaneQos q0, LaneQos q1) {
     auto indexes = tfrecord::load_all_indexes(dir_.string());
     PlannerConfig pc;
@@ -421,10 +419,10 @@ TEST_F(QosTest, WeightsNeverChangePerLaneStreamContent) {
     return std::make_pair(std::move(s0), std::move(s1));
   };
 
-  auto a = capture(LaneQos{LaneClass::kInteractive, 1, 0}, LaneQos{LaneClass::kBulk, 4, 0});
-  auto b = capture(LaneQos{LaneClass::kBulk, 4, 0}, LaneQos{LaneClass::kInteractive, 1, 0});
-  auto c = capture(LaneQos{LaneClass::kInteractive, 1, 200},  // rate-capped lane
-                   LaneQos{LaneClass::kInteractive, 1, 0});
+  auto a = capture(LaneQos{1, 0}, LaneQos{4, 0});
+  auto b = capture(LaneQos{4, 0}, LaneQos{1, 0});
+  auto c = capture(LaneQos{1, 200},  // rate-capped lane
+                   LaneQos{1, 0});
   ASSERT_GT(a.first.size(), 0u);
   ASSERT_GT(a.second.size(), 0u);
   EXPECT_EQ(a.first, b.first);
@@ -435,19 +433,11 @@ TEST_F(QosTest, WeightsNeverChangePerLaneStreamContent) {
 
 // ----------------------------------------------------- service-level plumbing
 
-TEST_F(QosTest, ServiceRejectsUnknownLaneClass) {
-  ServiceConfig cfg;
-  cfg.dataset_dir = dir_.string();
-  cfg.lane_class = "premium";
-  EXPECT_THROW(EmlioService{cfg}, std::runtime_error);
-}
-
 TEST_F(QosTest, ServiceThreadsQosToBothEngines) {
   ServiceConfig cfg;
   cfg.dataset_dir = dir_.string();
   cfg.batch_size = 8;
   cfg.epochs = 1;
-  cfg.lane_class = "bulk";
   cfg.lane_weight = 5;
   EmlioService service(cfg);
   service.start();
@@ -457,11 +447,9 @@ TEST_F(QosTest, ServiceThreadsQosToBothEngines) {
   service.stop();
   auto stats = service.stats();
   ASSERT_EQ(stats.daemon.lanes.size(), 1u);
-  EXPECT_EQ(stats.daemon.lanes[0].lane_class, LaneClass::kBulk);
   EXPECT_EQ(stats.daemon.lanes[0].weight, 5u);
-  // Single-source receiver runs the serial engine only when decode_threads
-  // == 0 AND there is one source; the service default is serial, so the
-  // receiver side has no lane stage here — the daemon side carries the QoS.
+  ASSERT_EQ(stats.receiver.lanes.size(), 1u);
+  EXPECT_EQ(stats.receiver.lanes[0].weight, 5u);
 }
 
 // ------------------------------------------------------------- StatsStreamer

@@ -8,9 +8,9 @@
 //   emlio_daemon --data DIR --connect localhost:5555
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-slab-mb 4]
 //       [--batch 128] [--epochs 1] [--threads 2] [--streams 2] [--hwm 16]
-//       [--pool 0] [--prefetch 16] [--serial] [--seed 1234]
+//       [--pool 0] [--prefetch 16] [--seed 1234]
 //       [--adaptive-pool] [--adaptive-min 1] [--adaptive-max 0]
-//       [--lane-class interactive|bulk] [--lane-weight 1] [--lane-rate 0]
+//       [--lane-weight 1] [--lane-rate 0]
 //       [--cache-mb 0] [--cache-policy clock|lru]
 //       [--retry-max 1] [--retry-deadline 0]
 //       [--stats-json PATH] [--stats-interval SECS]
@@ -32,8 +32,9 @@
 // budget).
 //
 // --pool sizes the shared read+encode thread pool (0 = auto), --prefetch the
-// per-sink encoded-batch queue (the HWM of the storage-side pipeline);
-// --serial falls back to the legacy one-thread-per-worker loop for A/B runs.
+// per-sink encoded-batch queue (the HWM of the storage-side pipeline).
+// --threads sets T, the number of plan partitions per node; the daemon
+// merges them back into one batch-id-ordered stream per sink.
 // --adaptive-pool hands the pool's sizing to the stall-ratio governor: it
 // grows the pool when sender stalls dominate (the wire waits on encode) and
 // shrinks it when enqueue stalls do, within [--adaptive-min, --adaptive-max]
@@ -41,14 +42,13 @@
 // --cache-mb gives the sample cache a byte budget (0 = off): record payloads
 // stay resident across epochs so warm epochs skip shard reads entirely;
 // --cache-policy picks its eviction policy. --seed sets the planner's
-// shuffle seed. --lane-class/--lane-weight/--lane-rate set the QoS
-// descriptor applied to every sink lane (class labels the tenant, weight is
-// its DWRR share of a contended encode pool, rate an items/sec cap at the
-// sender edge). --stats-json dumps the final DaemonStats (throughput +
-// pipeline + cache + per-lane counters) as a JSON file at exit, so
-// harnesses read structured results instead of scraping stdout;
-// --stats-interval streams per-window DaemonStats deltas to stdout as tsdb
-// line protocol while the run is live.
+// shuffle seed. --lane-weight/--lane-rate set the QoS descriptor applied to
+// every sink lane (weight is its DWRR share of a contended encode pool, rate
+// an items/sec cap at the sender edge). --stats-json dumps the final
+// DaemonStats (throughput + pipeline + cache + per-lane counters) as a JSON
+// file at exit, so harnesses read structured results instead of scraping
+// stdout; --stats-interval streams per-window DaemonStats deltas to stdout
+// as tsdb line protocol while the run is live.
 // --trace stamps every batch through read → encode → lane-wait → wire and
 // folds the stamps into per-stage latency histograms: quantiles land in the
 // stats JSON (latency.<stage>.{p50,p95,p99,max}), stream as gauges under
@@ -82,10 +82,9 @@ int main(int argc, char** argv) {
   std::size_t adaptive_min = 1, adaptive_max = 0;
   std::size_t retry_max = 1;
   std::uint64_t retry_deadline_ms = 0;
-  bool serial = false, adaptive = false;
+  bool adaptive = false;
   std::uint32_t epochs = 1;
   std::uint64_t seed = 1234;
-  std::string lane_class = "interactive";
   std::size_t lane_weight = 1;
   std::uint64_t lane_rate = 0;
   double stats_interval = 0.0;
@@ -109,12 +108,10 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--hwm")) hwm = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--pool")) pool = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--prefetch")) prefetch = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--serial")) serial = true;
     else if (!std::strcmp(argv[i], "--adaptive-pool")) adaptive = true;
     else if (!std::strcmp(argv[i], "--adaptive-min")) adaptive_min = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--adaptive-max")) adaptive_max = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--seed")) seed = std::strtoull(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--lane-class")) lane_class = next();
     else if (!std::strcmp(argv[i], "--lane-weight")) lane_weight = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--lane-rate")) lane_rate = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--cache-mb")) cache_mb = std::strtoul(next(), nullptr, 10);
@@ -131,9 +128,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "usage: emlio_daemon --data DIR --connect HOST:PORT "
                            "[--transport tcp|shm] [--shm-name NAME] [--shm-slab-mb MB] "
                            "[--batch B] [--epochs E] [--threads T] [--streams S] [--hwm H] "
-                           "[--pool N] [--prefetch D] [--serial] [--seed N] "
+                           "[--pool N] [--prefetch D] [--seed N] "
                            "[--adaptive-pool] [--adaptive-min N] [--adaptive-max N] "
-                           "[--lane-class interactive|bulk] [--lane-weight W] [--lane-rate N] "
+                           "[--lane-weight W] [--lane-rate N] "
                            "[--cache-mb MB] [--cache-policy clock|lru] "
                            "[--retry-max N] [--retry-deadline MS] "
                            "[--stats-json PATH] [--stats-interval SECS] "
@@ -147,22 +144,10 @@ int main(int argc, char** argv) {
                  cache_policy.c_str());
     return 2;
   }
-  auto parsed_class = parse_lane_class(lane_class);
-  if (!parsed_class) {
-    std::fprintf(stderr, "emlio_daemon: unknown --lane-class '%s' (expected interactive or bulk)\n",
-                 lane_class.c_str());
-    return 2;
-  }
   if (lane_weight == 0) lane_weight = 1;  // same clamp the library applies
   if (data.empty()) {
     std::fprintf(stderr, "emlio_daemon: --data is required\n");
     return 2;
-  }
-  if (serial && adaptive) {
-    // The serial engine has no pool to govern; say so instead of printing a
-    // forever-zero governor line that reads like a broken controller.
-    std::fprintf(stderr, "emlio_daemon: --serial has no encode pool; ignoring --adaptive-pool\n");
-    adaptive = false;
   }
   if (adaptive_min == 0) adaptive_min = 1;  // same clamp the library applies
   const bool use_shm = transport == "shm";
@@ -221,7 +206,6 @@ int main(int argc, char** argv) {
     std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, sink}};
     core::DaemonConfig dc;
     dc.daemon_id = "daemon0";
-    dc.pipelined = !serial;
     dc.pool_threads = pool;
     dc.prefetch_depth = prefetch;
     dc.adaptive_pool = adaptive;
@@ -229,7 +213,6 @@ int main(int argc, char** argv) {
     dc.adaptive_max_threads = adaptive_max;
     dc.cache_bytes = cache_mb << 20;
     dc.cache_policy = *policy;
-    dc.default_lane_qos.lane_class = *parsed_class;
     dc.default_lane_qos.weight = static_cast<std::uint32_t>(lane_weight);
     dc.default_lane_qos.rate_per_sec = lane_rate;
     if (!trace_dump.empty()) trace = true;  // a dump without tracing is empty

@@ -4,9 +4,9 @@
 //
 //   emlio_receive --port 5555 [--senders 1] [--epochs 1] [--expected N]
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-wait-ms 10000]
-//       [--decode-threads N] [--serial]
+//       [--decode-threads 0]
 //       [--adaptive-pool] [--adaptive-min 1] [--adaptive-max 0]
-//       [--lane-class interactive|bulk] [--lane-weight 1] [--lane-rate 0]
+//       [--lane-weight 1] [--lane-rate 0]
 //       [--retry-max 1] [--retry-deadline 0]
 //       [--stats-json PATH] [--stats-interval SECS]
 //       [--trace] [--trace-ring 16] [--trace-dump PATH]
@@ -28,14 +28,12 @@
 // attach-waits up to --shm-wait-ms, so it may be started before the daemon.
 // shm carries exactly one sender — --senders and --port are then unused.
 //
-// --decode-threads sizes the receiver's decode pool (0 = the legacy serial
-// receive-decode thread); --serial forces the serial engine regardless of
-// --decode-threads (A/B runs, mirroring emlio_daemon --serial).
-// --adaptive-pool hands the decode pool's sizing to the stall-ratio governor
-// (grow on decode stalls, shrink on resequence stalls, within
-// [--adaptive-min, --adaptive-max], 0 max = auto); --decode-threads then only
-// sets the starting width and must be > 0.
-// --lane-class/--lane-weight/--lane-rate set the QoS descriptor applied to
+// --decode-threads sizes the receiver's decode pool (0 = auto, the same rule
+// as emlio_daemon --pool). --adaptive-pool hands the decode pool's sizing to
+// the stall-ratio governor (grow on decode stalls, shrink on resequence
+// stalls, within [--adaptive-min, --adaptive-max], 0 max = auto);
+// --decode-threads then only sets the starting width.
+// --lane-weight/--lane-rate set the QoS descriptor applied to
 // every source ingest lane (the weighted-fair dispatcher drains source lanes
 // DWRR; rate is an items/sec cap at the dispatch edge). --stats-json dumps
 // the final ReceiverStats (throughput + decode-pipeline + per-lane counters)
@@ -77,9 +75,8 @@ int main(int argc, char** argv) {
   std::size_t adaptive_min = 1, adaptive_max = 0;
   std::size_t retry_max = 1;
   std::uint64_t retry_deadline_ms = 0;
-  bool serial = false, adaptive = false;
+  bool adaptive = false;
   std::string stats_json;
-  std::string lane_class = "interactive";
   std::size_t lane_weight = 1;
   std::uint64_t lane_rate = 0;
   double stats_interval = 0.0;
@@ -99,12 +96,10 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--epochs")) epochs = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--expected")) expected = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--decode-threads")) decode_threads = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--serial")) serial = true;
     else if (!std::strcmp(argv[i], "--adaptive-pool")) adaptive = true;
     else if (!std::strcmp(argv[i], "--adaptive-min")) adaptive_min = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--adaptive-max")) adaptive_max = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--stats-json")) stats_json = next();
-    else if (!std::strcmp(argv[i], "--lane-class")) lane_class = next();
     else if (!std::strcmp(argv[i], "--lane-weight")) lane_weight = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--lane-rate")) lane_rate = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--retry-max")) retry_max = std::strtoul(next(), nullptr, 10);
@@ -117,29 +112,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: emlio_receive --port P [--senders N] [--epochs E] [--expected N] "
                    "[--transport tcp|shm] [--shm-name NAME] [--shm-wait-ms MS] "
-                   "[--decode-threads N] [--serial] "
+                   "[--decode-threads N] "
                    "[--adaptive-pool] [--adaptive-min N] [--adaptive-max N] "
-                   "[--lane-class interactive|bulk] [--lane-weight W] [--lane-rate N] "
+                   "[--lane-weight W] [--lane-rate N] "
                    "[--retry-max N] [--retry-deadline MS] "
                    "[--stats-json PATH] [--stats-interval SECS] "
                    "[--trace] [--trace-ring K] [--trace-dump PATH]\n");
       return 2;
     }
   }
-  auto parsed_class = parse_lane_class(lane_class);
-  if (!parsed_class) {
-    std::fprintf(stderr,
-                 "emlio_receive: unknown --lane-class '%s' (expected interactive or bulk)\n",
-                 lane_class.c_str());
-    return 2;
-  }
   if (lane_weight == 0) lane_weight = 1;  // same clamp the library applies
-  if (serial) {
-    decode_threads = 0;
-    adaptive = false;  // the serial engine has no pool to govern
-  }
   if (adaptive_min == 0) adaptive_min = 1;  // same clamp the library applies
-  if (adaptive && decode_threads == 0) decode_threads = adaptive_min;
 
   const bool use_shm = transport == "shm";
   if (!use_shm && transport != "tcp") {
@@ -151,6 +134,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "emlio_receive: shm transport carries exactly one sender\n");
     return 2;
   }
+
+  const std::string decode_width =
+      decode_threads ? std::to_string(decode_threads) + " threads" : "auto width";
 
   try {
     std::unique_ptr<net::PullSocket> pull;
@@ -166,9 +152,7 @@ int main(int argc, char** argv) {
       auto inner = net::ShmMessageSource::attach_wait(shm_name,
                                                       std::chrono::milliseconds(shm_wait_ms));
       std::printf("emlio_receive: attached to shm segment %s (%u epoch(s), decode %s)\n",
-                  shm_name.c_str(), epochs,
-                  decode_threads ? (std::to_string(decode_threads) + " pooled threads").c_str()
-                                 : "serial");
+                  shm_name.c_str(), epochs, decode_width.c_str());
       if (reconnect_window) {
         // Survive a daemon crash: when the pid probe declares the creator
         // dead, mark the sender dead (in-flight epochs repair) and re-attach
@@ -199,9 +183,7 @@ int main(int argc, char** argv) {
       pull = std::make_unique<net::PullSocket>(port, /*queue_capacity=*/64);
       std::printf("emlio_receive: listening on 127.0.0.1:%u (%zu sender(s), %u epoch(s), "
                   "decode %s)\n",
-                  pull->port(), senders, epochs,
-                  decode_threads ? (std::to_string(decode_threads) + " pooled threads").c_str()
-                                 : "serial");
+                  pull->port(), senders, epochs, decode_width.c_str());
       // Surface connection churn: the PULL socket keeps accepting forever (a
       // restarted daemon just reconnects), so the "reconnect window" here is
       // only observability plus the dead-peer mark PullSocket raises on
@@ -226,7 +208,6 @@ int main(int argc, char** argv) {
     rc.adaptive_pool = adaptive;
     rc.adaptive_min_threads = adaptive_min;
     rc.adaptive_max_threads = adaptive_max;
-    rc.default_lane_qos.lane_class = *parsed_class;
     rc.default_lane_qos.weight = static_cast<std::uint32_t>(lane_weight);
     rc.default_lane_qos.rate_per_sec = lane_rate;
     if (!trace_dump.empty()) trace = true;  // a dump without tracing is empty

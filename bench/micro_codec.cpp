@@ -1,13 +1,15 @@
 // google-benchmark microbenches for the hot paths: CRC32C (dispatched and
-// portable kernels), TFRecord framing
-// and slicing, msgpack batch encode/decode, and sample generation — plus a
+// portable kernels), TFRecord framing and slicing, msgpack batch
+// encode/decode, the splice-threshold sweep, and sample generation — plus a
 // decode-path allocation audit that quantifies the zero-copy Payload
 // refactor (per-sample heap allocations and bytes copied, view decode vs the
 // old materializing decode), appended as JSON via bench_common.h.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <new>
 
@@ -138,6 +140,65 @@ void BM_BatchEncodePooledParallel(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.payload_bytes()));
 }
 BENCHMARK(BM_BatchEncodePooledParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+// The splice-threshold sweep behind BatchCodec::kSpliceMinBytes. Per
+// 16-sample batch it times the two stages a sample's bytes cross on the shm
+// lane: the encode (run on the daemon's encode pool) and the sink's gather
+// into a slab (run on the lane's single sender thread). Inline copies every
+// sample into the head and gathers one piece; spliced writes only headers
+// and gathers the samples from their own storage. Samples are views into a
+// 64 MiB arena, cycled so they arrive cold like mmap'd records, and each
+// message is gathered 8 batches after its encode, as if it had waited in
+// the sink's queue. Args: sample bytes, spliced (0/1). Counters per batch:
+// encode_ns and gather_ns. Splicing pays where the CPU it saves (inline
+// encode + gather minus spliced encode + gather) clearly exceeds what it
+// adds to the serial sender (spliced gather minus inline gather).
+void BM_SpliceGather(benchmark::State& state) {
+  constexpr std::size_t kSamples = 16;
+  constexpr std::size_t kQueued = 8;
+  constexpr std::size_t kArenaBytes = 64u << 20;
+  const auto sample_bytes = static_cast<std::size_t>(state.range(0));
+  const bool spliced = state.range(1) != 0;
+  const Payload arena(payload(kArenaBytes));
+  const std::size_t batches = kArenaBytes / (kSamples * sample_bytes);
+  auto pool = BufferPool::create();
+  std::vector<std::uint8_t> slab(kSamples * (sample_bytes + 64) + 256);
+  std::vector<SplicedPayload> queued(kQueued);
+  double encode_s = 0, gather_s = 0;
+  std::size_t next = 0;
+  msgpack::WireBatch batch;
+  batch.samples.resize(kSamples);
+  for (auto _ : state) {
+    const std::size_t base = (next % batches) * kSamples * sample_bytes;
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      batch.samples[i].index = base + i;
+      batch.samples[i].bytes = arena.slice(base + i * sample_bytes, sample_bytes);
+    }
+    SplicedPayload& slot = queued[next++ % kQueued];
+    auto t0 = std::chrono::steady_clock::now();
+    std::uint8_t* out = slab.data();
+    slot.for_each_piece([&](std::span<const std::uint8_t> piece) {
+      std::memcpy(out, piece.data(), piece.size());
+      out += piece.size();
+    });
+    benchmark::DoNotOptimize(slab.data());
+    benchmark::ClobberMemory();
+    auto t1 = std::chrono::steady_clock::now();
+    slot = spliced ? msgpack::detail::encode_spliced(batch, *pool, 0)
+                   : SplicedPayload(msgpack::BatchCodec::encode(batch, *pool));
+    auto t2 = std::chrono::steady_clock::now();
+    gather_s += std::chrono::duration<double>(t1 - t0).count();
+    encode_s += std::chrono::duration<double>(t2 - t1).count();
+  }
+  const auto n = static_cast<double>(state.iterations());
+  state.counters["encode_ns"] = encode_s * 1e9 / n;
+  state.counters["gather_ns"] = gather_s * 1e9 / n;
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSamples * sample_bytes));
+}
+BENCHMARK(BM_SpliceGather)
+    ->ArgsProduct({{4 << 10, 8 << 10, 16 << 10, 32 << 10, 48 << 10, 64 << 10, 100 << 10},
+                   {0, 1}});
 
 void BM_BatchDecode(benchmark::State& state) {
   auto encoded =

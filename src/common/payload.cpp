@@ -88,25 +88,65 @@ bool PayloadView::operator==(const PayloadView& other) const noexcept {
   return size_ == other.size_ && std::equal(begin(), end(), other.begin());
 }
 
+// --------------------------------------------------------- SplicedPayload
+
+SplicedPayload::SplicedPayload(Payload head, std::vector<Splice> splices)
+    : head_(std::move(head)), splices_(std::move(splices)), size_(head_.size()) {
+  std::size_t pos = 0;
+  for (const Splice& s : splices_) {
+    if (s.at < pos || s.at > head_.size()) {
+      throw std::invalid_argument("spliced payload: splice offset " + std::to_string(s.at) +
+                                  " out of order or past the head");
+    }
+    if (!s.bytes.empty() && !s.bytes.owns_storage()) {
+      throw std::invalid_argument("spliced payload: a splice must own its storage");
+    }
+    pos = s.at;
+    size_ += s.bytes.size();
+  }
+}
+
+Payload SplicedPayload::flatten(BufferPool& pool) && {
+  if (splices_.empty()) return std::move(head_);
+  ByteBuffer buf = pool.acquire(size_);
+  for_each_piece([&](std::span<const std::uint8_t> piece) { buf.push_bytes(piece); });
+  PayloadCounters::bytes_copied.fetch_add(size_, std::memory_order_relaxed);
+  return pool.seal(std::move(buf));
+}
+
 // ------------------------------------------------------------- BufferPool
 
-ByteBuffer BufferPool::acquire(std::size_t reserve_bytes) {
-  std::vector<std::uint8_t> storage;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!idle_.empty()) {
-      storage = std::move(idle_.back());
-      idle_.pop_back();
-      ++reused_;
-    } else {
-      ++allocated_;
-    }
+std::vector<std::uint8_t> BufferPool::take_idle() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (idle_.empty()) {
+    ++allocated_;
+    return {};
   }
+  std::vector<std::uint8_t> storage = std::move(idle_.back());
+  idle_.pop_back();
+  ++reused_;
+  return storage;
+}
+
+ByteBuffer BufferPool::acquire(std::size_t reserve_bytes) {
+  std::vector<std::uint8_t> storage = take_idle();
   storage.clear();  // keeps capacity
   if (reserve_bytes > storage.capacity()) {
     PayloadCounters::buffers_allocated.fetch_add(1, std::memory_order_relaxed);
     storage.reserve(reserve_bytes);
   }
+  return ByteBuffer(std::move(storage));
+}
+
+ByteBuffer BufferPool::acquire_for_overwrite(std::size_t length) {
+  std::vector<std::uint8_t> storage = take_idle();
+  if (length > storage.capacity()) {
+    // Growing in place would first copy the old bytes across; start over.
+    PayloadCounters::buffers_allocated.fetch_add(1, std::memory_order_relaxed);
+    storage = std::vector<std::uint8_t>();
+    storage.reserve(length);
+  }
+  storage.resize(length);  // within capacity: fills only [old size, length)
   return ByteBuffer(std::move(storage));
 }
 

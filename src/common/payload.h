@@ -1,21 +1,23 @@
 // Ref-counted, slice-able byte buffers — the zero-copy currency of the data
 // plane.
 //
-// A batch payload is produced once (daemon-side msgpack encode into a pooled
-// buffer), crosses the transport by moving a `Payload` handle, and is
-// consumed receiver-side as `PayloadView`s that *share ownership* of the
-// received bytes: decoding a WireBatch materializes no per-sample copies,
-// only refcount bumps. The backing storage is released — or returned to its
-// `BufferPool` — when the last handle drops, so buffer reuse follows the
-// consumer's pace automatically.
+// A batch is produced once, daemon-side, as a `SplicedPayload`: a pooled
+// msgpack head with its large samples spliced in by reference. It crosses
+// the transport by moving handles — its bytes are first copied at the
+// sink's boundary — and is consumed receiver-side as `PayloadView`s that
+// *share ownership* of the received bytes: decoding a WireBatch
+// materializes no per-sample copies, only refcount bumps. The backing
+// storage is released — or returned to its `BufferPool` — when the last
+// handle drops, so buffer reuse follows the consumer's pace automatically.
 //
 // Ownership modes of a PayloadView:
 //   * owning   — shares the refcount of a Payload / adopted vector; safe to
 //                hold indefinitely,
-//   * borrowed — wraps caller-owned memory (an mmap'd shard slice, a stack
-//                buffer); valid only while the caller keeps it alive. The
-//                daemon uses borrowed views for mmap→encoder slices, which
-//                never outlive the ShardReader.
+//   * borrowed — wraps caller-owned memory (a stack buffer, a test vector);
+//                valid only while the caller keeps it alive. The daemon never
+//                uses one: its mmap'd record views share the mapping's
+//                ownership (tfrecord::ShardReader), because a SplicedPayload
+//                queued for a sink may outlive the encode job that built it.
 #pragma once
 
 #include <atomic>
@@ -180,6 +182,65 @@ class PayloadView {
   std::size_t size_ = 0;
 };
 
+/// A serialized message held as a pooled head plus large byte ranges
+/// spliced in by reference — how the daemon ships a batch without first
+/// copying its big samples into one message buffer. The message's bytes, in
+/// wire order, are the head with each splice's bytes inserted before head
+/// byte `at`; a sink gathers those pieces straight to its boundary (one
+/// sendmsg iovec list, one slab copy) instead of the encoder concatenating
+/// them.
+///
+/// With no splices it is exactly a Payload: the empty splice vector never
+/// allocates. Every splice owns its storage — a queued message outlives the
+/// encode job that built it — and copying a SplicedPayload copies handles,
+/// never bytes.
+class SplicedPayload {
+ public:
+  struct Splice {
+    std::size_t at = 0;  ///< head offset the bytes are inserted before
+    PayloadView bytes;   ///< owning view of the spliced bytes
+  };
+
+  SplicedPayload() = default;
+
+  /// A message that is its head alone.
+  /*implicit*/ SplicedPayload(Payload head) noexcept
+      : head_(std::move(head)), size_(head_.size()) {}
+
+  /// Throws std::invalid_argument unless the offsets are non-decreasing and
+  /// inside the head and every splice owns its storage.
+  SplicedPayload(Payload head, std::vector<Splice> splices);
+
+  /// Serialized size: head plus every splice.
+  std::size_t size() const noexcept { return size_; }
+  const Payload& head() const noexcept { return head_; }
+  const std::vector<Splice>& splices() const noexcept { return splices_; }
+
+  /// Calls f(std::span<const std::uint8_t>) on each non-empty piece of the
+  /// message in wire order: head ranges interleaved with the splices.
+  template <typename F>
+  void for_each_piece(F&& f) const {
+    const auto head = head_.view();
+    std::size_t pos = 0;
+    for (const Splice& s : splices_) {
+      if (s.at > pos) f(head.subspan(pos, s.at - pos));
+      if (!s.bytes.empty()) f(s.bytes.view());
+      pos = s.at;
+    }
+    if (head.size() > pos) f(head.subspan(pos));
+  }
+
+  /// Consume the message into one contiguous Payload: the head itself when
+  /// nothing is spliced, otherwise one copy into `pool` storage (counted in
+  /// PayloadCounters) — the fallback for sinks that cannot gather.
+  Payload flatten(BufferPool& pool) &&;
+
+ private:
+  Payload head_;
+  std::vector<Splice> splices_;
+  std::size_t size_ = 0;
+};
+
 /// Recycles message buffers between encode/receive cycles. seal() freezes a
 /// ByteBuffer into an immutable Payload whose storage returns here when the
 /// last handle (including every decoded sample view) drops — so the pool's
@@ -213,6 +274,13 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
   /// An empty ByteBuffer backed by recycled storage when available.
   ByteBuffer acquire(std::size_t reserve_bytes = 0);
 
+  /// A ByteBuffer of exactly `length` bytes for the caller to overwrite in
+  /// full (a socket read). Recycled storage keeps its old bytes: only growth
+  /// past the recycled buffer's previous length is zero-filled, which
+  /// std::vector cannot skip. A buffer that is not fully overwritten must be
+  /// discarded, never sealed.
+  ByteBuffer acquire_for_overwrite(std::size_t length);
+
   /// Freeze `buf` into an immutable Payload. Storage returns to this pool
   /// when the last Payload/PayloadView referencing it drops (or is freed if
   /// the pool is gone or full by then).
@@ -224,6 +292,8 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
   BufferPool(std::size_t max_idle_buffers, std::size_t max_buffer_bytes)
       : max_idle_(max_idle_buffers ? max_idle_buffers : 1), max_buffer_bytes_(max_buffer_bytes) {}
   void release(std::vector<std::uint8_t>&& storage);
+  /// Pop recycled storage (contents and size as released), or an empty vector.
+  std::vector<std::uint8_t> take_idle();
 
   const std::size_t max_idle_;
   const std::size_t max_buffer_bytes_;

@@ -256,13 +256,13 @@ msgpack::WireBatch Daemon::build_batch(const BatchAssignment& a) const {
   }
 
   if (!cache_) {
-    // One contiguous slice: B records, zero-copy views into the mmap. The
-    // WireSamples BORROW those views (the reader outlives the encode), so
-    // the record bytes are touched exactly once: mmap → encoder output.
+    // One contiguous slice: B records, zero-copy views into the mmap that
+    // share the mapping's ownership, so a queued message that splices them
+    // stays valid whatever happens to the reader.
     auto views = reader.slice(a.first_record, a.count, config_.verify_crc);
     store_reads_.fetch_add(1, std::memory_order_relaxed);
     store_records_read_.fetch_add(views.size(), std::memory_order_relaxed);
-    for (std::size_t i = 0; i < views.size(); ++i) batch.samples[i].bytes = views[i];
+    for (std::size_t i = 0; i < views.size(); ++i) batch.samples[i].bytes = std::move(views[i]);
     return batch;
   }
 
@@ -289,12 +289,12 @@ msgpack::WireBatch Daemon::build_batch(const BatchAssignment& a) const {
     auto view = reader.record(a.first_record + i, config_.verify_crc);
     // The insert copies mmap bytes into cache-owned storage and returns a
     // view of that copy; when the cache cannot admit the entry (budget full
-    // of pinned batches, oversized record) the borrowed mmap view serves
-    // this batch and the bytes simply stay uncached.
+    // of pinned batches, oversized record) the mmap view serves this batch
+    // and the bytes simply stay uncached.
     if (auto cached = cache_->insert({a.shard_id, entry.sample_index}, view)) {
       batch.samples[i].bytes = std::move(*cached);
     } else {
-      batch.samples[i].bytes = view;
+      batch.samples[i].bytes = std::move(view);
     }
   }
   return batch;
@@ -364,15 +364,17 @@ void Daemon::encode_job(SinkLane& lane, std::size_t seq) {
           batch.trace_origin_ns = static_cast<std::uint64_t>(out.trace.start_ns);
         }
       }
-      // Encode into a pooled buffer: the mmap'd record bytes are copied
-      // once, into the serialized message; the Payload handle then moves
-      // through the queue and sink copy-free and the buffer recycles when
-      // the transport drops it.
+      // Encode into a pooled head: small samples are copied into it; for a
+      // sink that gathers, large ones are spliced in by reference and first
+      // copied by the sink at its boundary. The message moves through the
+      // queue and sink copy-free and the head recycles when the transport
+      // drops it.
       {
         obs::StageTimer enc(tp, obs::Stage::kEncode);
-        out.payload = msgpack::BatchCodec::encode(batch, *pool_);
+        out.message = lane.sink->gathers() ? msgpack::BatchCodec::encode_spliced(batch, *pool_)
+                                           : msgpack::BatchCodec::encode(batch, *pool_);
       }
-      if (tp) out.trace.wire_bytes = out.payload.size();
+      if (tp) out.trace.wire_bytes = out.message.size();
     } catch (const std::exception& e) {
       record_error("encode worker (node " + std::to_string(lane.node_id) + ", batch " +
                    std::to_string(lane.jobs[seq].batch_id) + "): " + e.what());
@@ -483,16 +485,24 @@ void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
     if (!msg) return;  // closed and drained
     pump(lane);       // space just freed: refill while we spend time on the wire
     admit_more();
-    std::uint64_t nbytes = msg->payload.size();
+    std::uint64_t nbytes = msg->message.size();
     obs::BatchTrace* tp = msg->trace.active() ? &msg->trace : nullptr;
     // Everything between encode-done and here — resequencer parking + queue
     // residency + rate-limit throttling — is the lane-wait stage.
     if (tp) tp->note(obs::Stage::kLaneWait, obs::now_ns());
     if (timestamps_) timestamps_->record("batch_send", static_cast<std::int64_t>(msg->batch_id));
     bool sent;
-    {
+    try {
       obs::StageTimer wire(tp, obs::Stage::kWire);
-      sent = lane.sink->send(std::move(msg->payload));
+      sent = lane.sink->send_spliced(std::move(msg->message));
+    } catch (const std::exception& e) {
+      // A throwing sink (e.g. a batch larger than an shm slab) fails this
+      // lane like a closed one, instead of escaping the thread.
+      record_error("sender (node " + std::to_string(lane.node_id) + ", batch " +
+                   std::to_string(msg->batch_id) + "): " + e.what());
+      lane.failed.store(true, std::memory_order_release);
+      lane.lane.close();
+      return;
     }
     if (!sent) {
       log::warn("daemon ", config_.daemon_id, ": sink for node ", lane.node_id,

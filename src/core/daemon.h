@@ -7,19 +7,24 @@
 //   (shared ThreadPool)  -->  BoundedQueue, cap = HWM  -->  (one per sink)
 //
 // Each job slices B records straight out of the mmap'd shard (zero-copy
-// views) and msgpack-serializes them into one pooled Payload. Finished
-// payloads are re-sequenced into batch-id order and flow through the sink's
-// bounded prefetch queue; a dedicated sender thread drains the queue and
-// PUSHes to the destination node's MessageSink. Disk/encode and network are
+// views that share the mapping's ownership) and msgpack-serializes them
+// into one SplicedPayload: a pooled head, with samples of at least
+// BatchCodec::kSpliceMinBytes spliced in by reference rather than copied
+// when the sink gathers (MessageSink::gathers). Finished messages are
+// re-sequenced into batch-id order and flow through the sink's bounded
+// prefetch queue; a dedicated sender thread drains the queue and PUSHes to
+// the destination node's MessageSink, which copies the spliced bytes only
+// at its boundary. Disk/encode and network are
 // therefore concurrently busy — design principle (1) — while the bounded
 // queue plus the sink's high-water mark provide the blocking-send
 // backpressure of §4.5. The wire stream per sink stays deterministic
 // (batch-id order) regardless of pool size.
 //
 // Failure semantics: serve_epoch validates the plan against the configured
-// sinks BEFORE launching any thread; validation and worker failures are
-// surfaced through an error state (ok()/last_error(), serve_epoch's return
-// value) instead of escaping a std::thread and terminating the process.
+// sinks BEFORE launching any thread; validation and worker failures —
+// including a sink that throws from send — are surfaced through an error
+// state (ok()/last_error(), serve_epoch's return value) instead of escaping
+// a std::thread and terminating the process.
 #pragma once
 
 #include <atomic>
@@ -109,8 +114,10 @@ struct DaemonConfig {
 struct DaemonStats {
   std::uint64_t batches_sent = 0;
   std::uint64_t samples_sent = 0;
-  std::uint64_t bytes_sent = 0;  ///< serialized payload bytes
-  BufferPool::Stats encode_pool; ///< reuse behaviour of the encode buffers
+  std::uint64_t bytes_sent = 0;  ///< serialized payload bytes (spliced samples included)
+  /// Reuse behaviour of the encode buffers: each batch's message head,
+  /// which holds the whole batch only when no sample was spliced.
+  BufferPool::Stats encode_pool;
   // Pipeline balance counters:
   std::uint64_t enqueue_stalls = 0;   ///< encodes that found their sink queue
                                       ///< full (disk/encode outran the wire)
@@ -193,7 +200,7 @@ class Daemon {
   /// One encoded batch queued for a sink, with the metadata its sender
   /// needs for stats and sentinel accounting.
   struct OutboundBatch {
-    Payload payload;
+    SplicedPayload message;
     std::uint64_t batch_id = 0;
     std::uint64_t nsamples = 0;
     /// Stamp sheet riding along the lane (inactive unless config_.trace).
@@ -233,12 +240,13 @@ class Daemon {
   std::map<std::uint32_t, tfrecord::ShardReader> readers_;
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks_;
   TimestampLogger* timestamps_;
-  /// Encode buffers cycle through here: serialized, sent, recycled when the
+  /// Message heads cycle through here: serialized, sent, recycled when the
   /// transport (or receiver) drops the last reference.
   std::shared_ptr<BufferPool> pool_ = BufferPool::create();
   /// Cross-epoch sample cache (null when DaemonConfig::cache_bytes == 0).
   /// shared_ptr so in-flight batch views built from it stay valid however
-  /// long the transport holds them.
+  /// long the transport holds them; a spliced entry stays pinned until its
+  /// sink has sent or copied it.
   std::shared_ptr<cache::SampleCache> cache_;
   /// Shared read+encode pool, built at construction so stats() never races
   /// its creation.

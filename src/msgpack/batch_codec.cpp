@@ -8,17 +8,22 @@
 namespace emlio::msgpack {
 
 namespace {
+
 constexpr std::uint64_t kWireVersion = 1;
+
+/// Whether the v1 writer splices `bytes` rather than copying them. Only an
+/// owning view may be spliced: the message outlives the encode call.
+bool splices(const PayloadView& bytes, std::size_t splice_min) {
+  return bytes.size() >= splice_min && bytes.owns_storage();
 }
 
-std::size_t WireBatch::payload_bytes() const {
-  std::size_t total = 0;
-  for (const auto& s : samples) total += s.bytes.size();
-  return total;
-}
-
-std::size_t BatchCodec::encode(const WireBatch& batch, ByteBuffer& out) {
-  std::size_t start = out.size();
+/// THE v1 schema writer: every encode overload calls it, so the key
+/// sequence exists once. With `spliced` null every sample is copied into
+/// `out` (the contiguous encoding). Otherwise a sample that splices() gets
+/// only its bin header in `out`, and (offset in `out`, view) is appended to
+/// `spliced` — the wire bytes are the same either way.
+void write_v1(const WireBatch& batch, ByteBuffer& out, std::size_t splice_min,
+              std::vector<SplicedPayload::Splice>* spliced) {
   Encoder enc(out);
   enc.pack_map_header(batch.trace_origin_ns ? 9 : 8);
   // Keys are emitted in sorted order to match Map-based decoding of other
@@ -39,7 +44,12 @@ std::size_t BatchCodec::encode(const WireBatch& batch, ByteBuffer& out) {
     enc.pack_array_header(3);
     enc.pack_uint(s.index);
     enc.pack_int(s.label);
-    enc.pack_bin(s.bytes);
+    if (spliced && splices(s.bytes, splice_min)) {
+      enc.pack_bin_header(s.bytes.size());
+      spliced->push_back({out.size(), s.bytes});
+    } else {
+      enc.pack_bin(s.bytes);
+    }
   }
   enc.pack_string("shard");
   enc.pack_uint(batch.shard_id);
@@ -49,30 +59,60 @@ std::size_t BatchCodec::encode(const WireBatch& batch, ByteBuffer& out) {
   }
   enc.pack_string("v");
   enc.pack_uint(kWireVersion);
-  return out.size() - start;
 }
 
-namespace {
-
-/// Rough upper bound of the encoded size: payload + per-sample msgpack
-/// overhead + map/key overhead. Used to size (pooled) encode buffers so the
+/// Rough upper bound of the bytes write_v1 puts in `out` when samples of at
+/// least `splice_min` bytes are spliced: the copied sample bytes + per-sample
+/// msgpack overhead + map/key overhead. Sizes (pooled) encode buffers so the
 /// vector never reallocates mid-encode.
-std::size_t encoded_size_estimate(const WireBatch& batch) {
-  return batch.payload_bytes() + 64 * batch.samples.size() + 128;
+std::size_t head_size_estimate(const WireBatch& batch, std::size_t splice_min) {
+  std::size_t copied = 0;
+  for (const auto& s : batch.samples) {
+    if (!splices(s.bytes, splice_min)) copied += s.bytes.size();
+  }
+  return copied + 64 * batch.samples.size() + 128;
 }
+
+constexpr std::size_t kNoSplice = SIZE_MAX;
 
 }  // namespace
 
+std::size_t WireBatch::payload_bytes() const {
+  std::size_t total = 0;
+  for (const auto& s : samples) total += s.bytes.size();
+  return total;
+}
+
+std::size_t BatchCodec::encode(const WireBatch& batch, ByteBuffer& out) {
+  const std::size_t start = out.size();
+  write_v1(batch, out, kNoSplice, nullptr);
+  return out.size() - start;
+}
+
 Payload BatchCodec::encode(const WireBatch& batch) {
-  ByteBuffer buf(encoded_size_estimate(batch));
-  encode(batch, buf);
+  ByteBuffer buf(head_size_estimate(batch, kNoSplice));
+  write_v1(batch, buf, kNoSplice, nullptr);
   return Payload(std::move(buf));
 }
 
 Payload BatchCodec::encode(const WireBatch& batch, BufferPool& pool) {
-  ByteBuffer buf = pool.acquire(encoded_size_estimate(batch));
-  encode(batch, buf);
+  ByteBuffer buf = pool.acquire(head_size_estimate(batch, kNoSplice));
+  write_v1(batch, buf, kNoSplice, nullptr);
   return pool.seal(std::move(buf));
+}
+
+SplicedPayload BatchCodec::encode_spliced(const WireBatch& batch, BufferPool& pool) {
+  return detail::encode_spliced(batch, pool, kSpliceMinBytes);
+}
+
+SplicedPayload detail::encode_spliced(const WireBatch& batch, BufferPool& pool,
+                                      std::size_t splice_min) {
+  ByteBuffer buf = pool.acquire(head_size_estimate(batch, splice_min));
+  // Stays unallocated when nothing splices, so a small-sample batch
+  // allocates no more than encode(batch, pool) does.
+  std::vector<SplicedPayload::Splice> spliced;
+  write_v1(batch, buf, splice_min, &spliced);
+  return SplicedPayload(pool.seal(std::move(buf)), std::move(spliced));
 }
 
 WireBatch BatchCodec::decode(PayloadView bytes) {

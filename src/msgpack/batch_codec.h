@@ -37,10 +37,11 @@ namespace emlio::msgpack {
 /// One training example on the wire: raw encoded bytes plus label and the
 /// dataset-global sample index (for data-parallel bookkeeping).
 ///
-/// `bytes` is a ref-counted PayloadView: on the encode path it is a borrowed
-/// slice of the mmap'd shard (no copy into the batch), and on the decode
-/// path it shares ownership of the received message buffer (no per-sample
-/// copy out of it).
+/// `bytes` is a ref-counted PayloadView: on the encode path it shares
+/// ownership of the mmap'd shard or a cache entry (no copy into the batch,
+/// and a large one is spliced into the message by reference), and on the
+/// decode path it shares ownership of the received message buffer (no
+/// per-sample copy out of it).
 struct WireSample {
   std::uint64_t index = 0;
   std::int64_t label = 0;
@@ -85,10 +86,30 @@ class BatchCodec {
   /// message buffer; that is the serialization itself, not an extra hop).
   static Payload encode(const WireBatch& batch);
 
-  /// Serialize into a Payload backed by `pool` — the daemon's hot path. The
-  /// buffer returns to the pool when the last reference (transport queue,
-  /// receiver, decoded sample views) drops.
+  /// Serialize into a Payload backed by `pool`. The buffer returns to the
+  /// pool when the last reference (transport queue, receiver, decoded sample
+  /// views) drops.
   static Payload encode(const WireBatch& batch, BufferPool& pool);
+
+  /// Samples of at least this many bytes are spliced into an encode_spliced
+  /// message instead of copied into its head. Splicing moves a sample's one
+  /// remaining copy from the parallel encode pool onto the sink's single
+  /// sender thread, so it pays only where the copy it saves outweighs what
+  /// it adds there. bench_micro_codec's BM_SpliceGather sweep (16-sample
+  /// batches, 4-vCPU Xeon, g++ 12.2, Release, three runs): per ns added to
+  /// the sender, splicing saved 0.4-1.1 ns of CPU at 4 KiB samples, 0.8-1.5
+  /// at 8 KiB, 1.0-1.4 at 16 KiB, 1.5-3.8 at 32 KiB and 1.6 or more from
+  /// 48 KiB on. 32 KiB is the smallest size where it saved at least 1.5x in
+  /// every run. The benchmark's 4 KiB workloads stay inline; its 100 KiB and
+  /// 2 MiB workloads splice.
+  static constexpr std::size_t kSpliceMinBytes = 32u << 10;
+
+  /// Serialize for a MessageSink — the daemon's hot path. The message's
+  /// bytes equal encode(batch, pool)'s, but every sample of at least
+  /// kSpliceMinBytes that owns its storage is spliced in by reference: only
+  /// its bin header is written into the pooled head. Smaller or borrowed
+  /// samples are copied into the head.
+  static SplicedPayload encode_spliced(const WireBatch& batch, BufferPool& pool);
 
   /// Parse a batch with ZERO per-sample byte copies: each WireSample.bytes
   /// is a slice of `bytes`. If `bytes` owns its storage (a Payload, or an
@@ -105,5 +126,11 @@ class BatchCodec {
   static WireBatch make_sentinel(std::uint32_t node_id, std::uint32_t epoch,
                                  std::uint64_t sent_count = 0);
 };
+
+namespace detail {
+/// BatchCodec::encode_spliced with an explicit threshold, for the threshold
+/// sweep and the byte-identity tests; the data plane uses kSpliceMinBytes.
+SplicedPayload encode_spliced(const WireBatch& batch, BufferPool& pool, std::size_t splice_min);
+}  // namespace detail
 
 }  // namespace emlio::msgpack

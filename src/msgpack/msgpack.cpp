@@ -165,7 +165,11 @@ void Encoder::pack_string(std::string_view s) {
 }
 
 void Encoder::pack_bin(std::span<const std::uint8_t> bytes) {
-  std::size_t n = bytes.size();
+  pack_bin_header(bytes.size());
+  out_->push_bytes(bytes);
+}
+
+void Encoder::pack_bin_header(std::size_t n) {
   if (n <= 0xFFu) {
     out_->push_u8(0xC4);
     out_->push_u8(static_cast<std::uint8_t>(n));
@@ -176,7 +180,6 @@ void Encoder::pack_bin(std::span<const std::uint8_t> bytes) {
     out_->push_u8(0xC6);
     out_->push_u32be(static_cast<std::uint32_t>(n));
   }
-  out_->push_bytes(bytes);
 }
 
 void Encoder::pack_array_header(std::size_t n) {

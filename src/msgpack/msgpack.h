@@ -92,6 +92,9 @@ class Encoder {
   void pack_string(std::string_view s);
   /// bin family — used for raw sample bytes; zero-copy on the input side.
   void pack_bin(std::span<const std::uint8_t> bytes);
+  /// Just the bin header for `n` bytes; the caller supplies the bytes (the
+  /// batch codec splices large samples in by reference this way).
+  void pack_bin_header(std::size_t n);
   /// Write an array header; caller then packs `n` elements.
   void pack_array_header(std::size_t n);
   /// Write a map header; caller then packs `n` key/value pairs.

@@ -11,11 +11,20 @@
 // message: a send() transfers the handle into the transport and a recv()
 // transfers it out, so a payload crosses every in-process hop (send queue,
 // HWM queue, receiver queue) without its bytes ever being copied. The only
-// copy a transport may make is at a real socket boundary (kernel write/read).
-// Any future transport (UDS, shared memory) plugs in behind these same
-// Payload-based interfaces.
+// copy a transport may make is at its boundary (kernel write/read, the shm
+// slab).
+//
+// Into a sink that gathers, the daemon sends SplicedPayloads: a pooled
+// msgpack head with its large samples spliced in by reference, so those
+// bytes are first copied at the boundary itself. TCP gathers head pieces
+// and splices into one sendmsg iovec list; shm copies them straight into the
+// slab. A sink that cannot gather (the sim link, test wrappers) gets
+// contiguous Payloads from the daemon; called directly, it inherits
+// send_spliced's default, which flattens into pooled storage and calls
+// send(Payload).
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "common/payload.h"
@@ -36,6 +45,21 @@ class MessageSink {
   /// the message is dropped in that case.
   virtual bool send(Payload message) = 0;
 
+  /// Send one spliced message; same contract as send(Payload), and the
+  /// receiver gets the same bytes. The default passes a message without
+  /// splices to send(Payload) unchanged and otherwise flattens it into this
+  /// sink's pooled storage first (no fresh allocation per batch once warm).
+  /// Transports that can gather the pieces override it.
+  virtual bool send_spliced(SplicedPayload message) {
+    return send(std::move(message).flatten(*flatten_pool_));
+  }
+
+  /// True when send_spliced gathers a message's pieces at the transport's
+  /// boundary (TCP sendmsg, the shm slab copy). The daemon splices samples
+  /// only into sinks that gather: any other sink would flatten on its one
+  /// sender thread the copy the parallel encode pool otherwise makes.
+  virtual bool gathers() const { return false; }
+
   /// Flush and close. Further sends fail. Idempotent.
   virtual void close() = 0;
 
@@ -46,6 +70,10 @@ class MessageSink {
   /// transports whose data plane never enters the kernel (in-process,
   /// shared memory).
   virtual std::uint64_t data_syscalls() const { return 0; }
+
+ private:
+  /// Storage for send_spliced's default flatten.
+  std::shared_ptr<BufferPool> flatten_pool_ = BufferPool::create();
 };
 
 /// How a MessageSource's stream came to an end — consulted after recv()

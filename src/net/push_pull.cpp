@@ -26,7 +26,7 @@ PushSocket::PushSocket(const std::string& host, std::uint16_t port, PushPullOpti
         std::this_thread::sleep_for(*delay);
       }
     }
-    s.queue = std::make_unique<BoundedQueue<Payload>>(options.high_water_mark);
+    s.queue = std::make_unique<BoundedQueue<SplicedPayload>>(options.high_water_mark);
     streams_.push_back(std::move(s));
   }
   // Start senders only after every connect succeeded, so a failed constructor
@@ -38,7 +38,9 @@ PushSocket::PushSocket(const std::string& host, std::uint16_t port, PushPullOpti
 
 PushSocket::~PushSocket() { close(); }
 
-bool PushSocket::send(Payload message) {
+bool PushSocket::send(Payload message) { return send_spliced(std::move(message)); }
+
+bool PushSocket::send_spliced(SplicedPayload message) {
   if (closed_.load(std::memory_order_acquire)) return false;
   std::size_t idx = next_stream_.fetch_add(1, std::memory_order_relaxed) % streams_.size();
   if (!streams_[idx].queue->push(std::move(message))) return false;
@@ -60,7 +62,7 @@ void PushSocket::sender_loop(Stream& stream) {
     auto msg = stream.queue->pop();
     if (!msg) return;  // closed and drained
     try {
-      syscalls_.fetch_add(send_frame(stream.tcp, *msg), std::memory_order_relaxed);
+      syscalls_.fetch_add(send_frame(stream.tcp, *msg, stream.iov), std::memory_order_relaxed);
     } catch (const std::exception& e) {
       log::error("push sender: ", e.what());
       stream.queue->close();

@@ -48,16 +48,22 @@ class PushSocket final : public MessageSink {
   PushSocket(const std::string& host, std::uint16_t port, PushPullOptions options = {});
   ~PushSocket() override;
 
-  /// Moves the payload into the selected stream's queue; bytes are not
-  /// copied until the sender thread writes them to the kernel.
+  /// send_spliced's no-splice case.
   bool send(Payload message) override;
+
+  /// Moves the message into the selected stream's queue; bytes are not
+  /// copied until the sender thread gathers the frame header, head pieces
+  /// and splices into one sendmsg to the kernel.
+  bool send_spliced(SplicedPayload message) override;
+  bool gathers() const override { return true; }
 
   /// Drain queues, flush streams, close connections, join sender threads.
   void close() override;
 
   /// Byte-moving syscalls issued so far: one sendmsg per framed message
-  /// (header + payload as two iovecs), more only when the kernel takes a
-  /// frame in pieces. The "1 writev per batch" audit of the TCP lane.
+  /// (header, head pieces and splices as one iovec list), more only when
+  /// the kernel takes a frame in pieces or the frame has more than IOV_MAX
+  /// pieces. The "1 writev per batch" audit of the TCP lane.
   std::uint64_t data_syscalls() const override {
     return syscalls_.load(std::memory_order_relaxed);
   }
@@ -68,7 +74,8 @@ class PushSocket final : public MessageSink {
  private:
   struct Stream {
     TcpStream tcp;
-    std::unique_ptr<BoundedQueue<Payload>> queue;
+    std::unique_ptr<BoundedQueue<SplicedPayload>> queue;
+    std::vector<iovec> iov;  ///< send_frame's gather-list scratch
     std::thread sender;
   };
   void sender_loop(Stream& stream);

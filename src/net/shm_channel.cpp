@@ -30,7 +30,9 @@ ShmMessageSink::ShmMessageSink(const std::string& name, const ShmOptions& opts)
 
 ShmMessageSink::~ShmMessageSink() { close(); }
 
-bool ShmMessageSink::send(Payload message) {
+bool ShmMessageSink::send(Payload message) { return send_spliced(std::move(message)); }
+
+bool ShmMessageSink::send_spliced(SplicedPayload message) {
   if (message.size() > seg_->slab_bytes()) {
     throw std::runtime_error("shm send: message of " + std::to_string(message.size()) +
                              " bytes exceeds slab_bytes=" + std::to_string(seg_->slab_bytes()) +
@@ -62,11 +64,14 @@ bool ShmMessageSink::send(Payload message) {
   }
 
   const std::uint32_t index = shm_desc_index(*desc);
-  if (!message.empty()) {
-    // The one copy this transport makes — its "socket boundary" (channel.h):
-    // bytes enter the shared mapping here and are never copied again.
-    std::memcpy(seg_->slab_ptr(index), message.data(), message.size());
-  }
+  // The one copy this transport makes — its boundary (channel.h): head
+  // pieces and spliced samples enter the shared mapping here, in wire
+  // order, and are never copied again.
+  std::uint8_t* slab = seg_->slab_ptr(index);
+  message.for_each_piece([&](std::span<const std::uint8_t> piece) {
+    std::memcpy(slab, piece.data(), piece.size());
+    slab += piece.size();
+  });
   seg_->data_push(shm_desc_make(index, static_cast<std::uint32_t>(message.size())));
   seg_->ring_data_bell();
   return true;

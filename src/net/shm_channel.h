@@ -1,10 +1,10 @@
 // Shared-memory MessageSink/MessageSource — the same-host zero-syscall lane.
 //
 // ShmMessageSink (daemon side) creates a ShmSegment; ShmMessageSource
-// (receiver side) attaches to it by name. A send() copies the message bytes
-// into a free slab once — the one copy every transport is allowed at its
-// "socket boundary" (see channel.h) — and publishes an 8-byte descriptor
-// into the data ring; nothing enters the kernel. A recv() pops a descriptor
+// (receiver side) attaches to it by name. A send copies the message's head
+// pieces and spliced samples straight into a free slab — the one copy every
+// transport is allowed at its boundary (see channel.h) — and publishes an
+// 8-byte descriptor into the data ring; nothing enters the kernel. A recv() pops a descriptor
 // and wraps the slab in a refcount-pinned Payload (Payload::wrap_external)
 // whose release closure returns the slab to the free ring, so the receiver's
 // decode views read batch bytes directly out of shared memory and the slab
@@ -50,12 +50,17 @@ class ShmMessageSink final : public MessageSink {
   ShmMessageSink(const std::string& name, const ShmOptions& opts = {});
   ~ShmMessageSink() override;
 
-  /// Copies the message into a free slab and publishes its descriptor.
-  /// Blocks while all slabs are in flight (backpressure). Returns false
-  /// once the channel is closed from either end or the receiver process is
-  /// gone. Throws if the message exceeds slab_bytes — that is a
-  /// configuration error, not a runtime condition.
+  /// send_spliced's no-splice case.
   bool send(Payload message) override;
+
+  /// Copies the message's pieces (head ranges and splices, in wire order)
+  /// into a free slab and publishes its descriptor. Blocks while all slabs
+  /// are in flight (backpressure). Returns false once the channel is closed
+  /// from either end or the receiver process is gone. Throws if the
+  /// message's serialized size exceeds slab_bytes — that is a configuration
+  /// error, not a runtime condition.
+  bool send_spliced(SplicedPayload message) override;
+  bool gathers() const override { return true; }
 
   /// Publishes the close flag so the receiver drains the ring and ends its
   /// stream. Unblocks any send stuck waiting for a slab. Idempotent.

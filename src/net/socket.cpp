@@ -7,6 +7,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <climits>
 #include <memory>
 
 #include <cerrno>
@@ -93,22 +95,17 @@ void TcpStream::send_all(std::span<const std::uint8_t> bytes) {
   }
 }
 
-std::size_t TcpStream::sendv_all(std::span<const std::uint8_t> head,
-                                 std::span<const std::uint8_t> body) {
+std::size_t TcpStream::sendv_all(std::span<iovec> iov) {
   // sendmsg, not writev: writev has no flags argument and we need
   // MSG_NOSIGNAL so a dead peer surfaces as EPIPE, not SIGPIPE.
-  iovec iov[2];
-  iov[0].iov_base = const_cast<void*>(static_cast<const void*>(head.data()));
-  iov[0].iov_len = head.size();
-  iov[1].iov_base = const_cast<void*>(static_cast<const void*>(body.data()));
-  iov[1].iov_len = body.size();
   std::size_t idx = 0;
-  while (idx < 2 && iov[idx].iov_len == 0) ++idx;
   std::size_t syscalls = 0;
-  while (idx < 2) {
+  for (;;) {
+    while (idx < iov.size() && iov[idx].iov_len == 0) ++idx;
+    if (idx == iov.size()) return syscalls;
     msghdr msg{};
     msg.msg_iov = &iov[idx];
-    msg.msg_iovlen = 2 - idx;
+    msg.msg_iovlen = std::min<std::size_t>(iov.size() - idx, IOV_MAX);
     ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
     ++syscalls;  // counted even on EINTR — the audit counts kernel crossings
     if (n < 0) {
@@ -116,16 +113,15 @@ std::size_t TcpStream::sendv_all(std::span<const std::uint8_t> head,
       throw_errno("sendmsg");
     }
     auto left = static_cast<std::size_t>(n);
-    while (idx < 2 && left >= iov[idx].iov_len) {
+    while (left > 0 && left >= iov[idx].iov_len) {
       left -= iov[idx].iov_len;
       ++idx;
     }
-    if (idx < 2 && left > 0) {
+    if (left > 0) {
       iov[idx].iov_base = static_cast<std::uint8_t*>(iov[idx].iov_base) + left;
       iov[idx].iov_len -= left;
     }
   }
-  return syscalls;
 }
 
 bool TcpStream::recv_all(std::span<std::uint8_t> bytes) {

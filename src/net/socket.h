@@ -6,6 +6,8 @@
 // into large framed messages, so Nagle coalescing only adds latency.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -49,13 +51,14 @@ class TcpStream {
   /// Write the entire span; throws on error/EOF.
   void send_all(std::span<const std::uint8_t> bytes);
 
-  /// Write two spans (frame header + payload) as ONE scatter-gather message
-  /// — sendmsg with two iovecs, no join copy — so a full frame normally
-  /// costs a single kernel crossing. Advances the iovecs across partial
-  /// writes; throws on error. Returns the number of byte-moving syscalls
-  /// issued (1 unless the kernel took the frame in pieces), which feeds the
-  /// transport syscall audit (MessageSink::data_syscalls).
-  std::size_t sendv_all(std::span<const std::uint8_t> head, std::span<const std::uint8_t> body);
+  /// Write every byte of `iov`, in order, as scatter-gather sendmsg calls
+  /// (MSG_NOSIGNAL) of at most IOV_MAX entries each — no join copy, so a
+  /// frame of fewer than IOV_MAX pieces normally costs a single kernel
+  /// crossing. Resumes after a partial write inside any entry by advancing
+  /// `iov` in place (its contents are consumed). Throws on error. Returns
+  /// the number of byte-moving syscalls issued, which feeds the transport
+  /// syscall audit (MessageSink::data_syscalls).
+  std::size_t sendv_all(std::span<iovec> iov);
 
   /// Read exactly bytes.size() bytes. Returns false on clean EOF at a
   /// message boundary (0 bytes read so far); throws on mid-read EOF/error.

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <mutex>
 #include <random>
 #include <set>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "core/planner.h"
 #include "core/receiver.h"
 #include "core/service.h"
+#include "net/shm_channel.h"
 #include "net/sim_channel.h"
 #include "pipeline/pipeline.h"
 #include "train/trainer.h"
@@ -867,6 +869,95 @@ TEST_F(CoreIntegrationTest, MissingSinkSurfacesErrorStateInsteadOfCrashing) {
     // Validation precedes launch: nothing was sent, no thread crashed.
     EXPECT_EQ(daemon.stats().batches_sent, 0u);
   }
+}
+
+TEST_F(CoreIntegrationTest, SinkThrowingFromSendFailsTheEpochNotTheProcess) {
+  // Regression: a sink exception in the sender thread — here an shm batch
+  // larger than slab_bytes — escaped Daemon::sender_loop and aborted the
+  // process. It must fail the lane and surface through the error state.
+  auto indexes = tfrecord::load_all_indexes(dir_.string());
+  PlannerConfig pc;
+  pc.batch_size = 8;  // 8 samples of ~900 B: every batch exceeds one 4 KiB slab
+  pc.epochs = 1;
+  Planner planner(indexes, pc);
+  net::ShmOptions so;
+  so.slab_bytes = 4096;
+  so.slab_count = 4;
+  auto sink = std::make_shared<net::ShmMessageSink>(
+      "emlio.test.core." + std::to_string(::getpid()), so);
+  std::vector<tfrecord::ShardReader> readers;
+  for (const auto& idx : indexes) readers.emplace_back(idx);
+  Daemon daemon(DaemonConfig{}, std::move(readers), {{0u, sink}});
+  EXPECT_FALSE(daemon.serve_epoch(planner.plan_epoch(0, /*num_nodes=*/1)));
+  EXPECT_FALSE(daemon.ok());
+  EXPECT_NE(daemon.last_error().find("slab_bytes"), std::string::npos) << daemon.last_error();
+  EXPECT_GE(daemon.stats().errors, 1u);
+  EXPECT_EQ(daemon.stats().batches_sent, 0u);
+}
+
+/// Keeps every message exactly as the daemon handed it over — spliced
+/// pieces not flattened — so a test can read them after the daemon is gone.
+struct CapturingSink final : net::MessageSink {
+  bool send(Payload message) override { return send_spliced(std::move(message)); }
+  bool send_spliced(SplicedPayload message) override {
+    std::lock_guard<std::mutex> lock(mu);
+    messages.push_back(std::move(message));
+    return true;
+  }
+  bool gathers() const override { return true; }
+  void close() override {}
+  std::mutex mu;
+  std::vector<SplicedPayload> messages;
+};
+
+TEST_F(CoreIntegrationTest, SplicedBatchesOutliveTheirReaderAndDaemon) {
+  // The daemon splices large records into its messages by reference, and a
+  // queued message may outlive the encode job, the ShardReader and the
+  // Daemon itself. The views must keep the shard mapping alive: on a build
+  // whose views borrow the mapping, reading them below touches unmapped
+  // memory (SEGV, or an ASan report).
+  const fs::path big = dir_ / "big";
+  fs::create_directories(big);
+  auto spec = workload::presets::tiny(12, 2 * msgpack::BatchCodec::kSpliceMinBytes);
+  spec.size_jitter = 0.0;
+  workload::materialize_tfrecord(spec, big.string(), 2);
+  auto indexes = tfrecord::load_all_indexes(big.string());
+
+  // Expected bytes per sample, read (and the reader dropped) up front so no
+  // later mapping can land where the daemon's was.
+  std::map<std::uint64_t, std::vector<std::uint8_t>> expected;
+  for (const auto& idx : indexes) {
+    tfrecord::ShardReader reader(idx);
+    for (std::size_t i = 0; i < reader.num_records(); ++i) {
+      expected[idx.records[i].sample_index] = reader.record(i).to_vector();
+    }
+  }
+
+  PlannerConfig pc;
+  pc.batch_size = 4;
+  pc.epochs = 1;
+  Planner planner(indexes, pc);
+  auto sink = std::make_shared<CapturingSink>();
+  {
+    std::vector<tfrecord::ShardReader> readers;
+    for (const auto& idx : indexes) readers.emplace_back(idx);
+    Daemon daemon(DaemonConfig{}, std::move(readers), {{0u, sink}});
+    ASSERT_TRUE(daemon.serve_epoch(planner.plan_epoch(0, /*num_nodes=*/1))) << daemon.last_error();
+  }  // readers and daemon destroyed: only the captured messages remain
+
+  auto pool = BufferPool::create();
+  std::size_t spliced = 0;
+  std::size_t samples = 0;
+  for (auto& message : sink->messages) {
+    spliced += message.splices().size();
+    auto batch = msgpack::BatchCodec::decode(std::move(message).flatten(*pool));
+    for (const auto& s : batch.samples) {
+      ++samples;
+      EXPECT_EQ(s.bytes.to_vector(), expected.at(s.index)) << "sample " << s.index;
+    }
+  }
+  EXPECT_EQ(samples, 12u);
+  EXPECT_EQ(spliced, 12u);  // every record crossed by reference
 }
 
 TEST_F(CoreIntegrationTest, BackpressuredSinkDoesNotStarveOtherLanes) {

@@ -441,6 +441,103 @@ TEST(BatchCodec, EncodeAcceptsBorrowedMmapStyleViews) {
   EXPECT_EQ(BatchCodec::encode(borrowed), BatchCodec::encode(owned).view());
 }
 
+// ------------------------------------------------------- spliced encoding
+
+/// A batch whose samples have exactly the given sizes (owning storage).
+WireBatch batch_of_sizes(std::initializer_list<std::size_t> sizes) {
+  WireBatch b = make_batch(0, 0);
+  Rng rng(11);
+  std::uint64_t index = 500;
+  for (std::size_t n : sizes) {
+    WireSample s;
+    s.index = index++;
+    s.label = -static_cast<std::int64_t>(index % 7);
+    std::vector<std::uint8_t> payload(n);
+    for (auto& x : payload) x = static_cast<std::uint8_t>(rng());
+    s.bytes = std::move(payload);
+    b.samples.push_back(std::move(s));
+  }
+  return b;
+}
+
+struct SpliceCase {
+  const char* name;
+  WireBatch batch;
+};
+
+std::vector<SpliceCase> splice_cases() {
+  constexpr std::size_t kT = BatchCodec::kSpliceMinBytes;
+  std::vector<SpliceCase> cases;
+  cases.push_back({"sentinel", BatchCodec::make_sentinel(3, 9, 41)});
+  cases.push_back({"empty_sample", batch_of_sizes({0})});
+  cases.push_back({"bin8_edge", batch_of_sizes({255, 256})});
+  cases.push_back({"bin16_edge", batch_of_sizes({65535, 65536})});
+  cases.push_back({"both_sides_of_threshold",
+                   batch_of_sizes({kT - 1, kT, 17, kT + 1, 0, 3 * kT, 4096})});
+  WireBatch traced = batch_of_sizes({kT, 100, 2 * kT});
+  traced.trace_origin_ns = 0x1234567890ull;
+  cases.push_back({"trace_origin_set", std::move(traced)});
+  return cases;
+}
+
+// The spliced message, flattened, is byte-identical to the contiguous
+// encoding and decodes to the same batch — at the data plane's threshold
+// and with every sample spliced (every bin header width, empty samples).
+TEST(BatchCodecSplice, FlattenedEqualsContiguousEncoding) {
+  auto pool = BufferPool::create();
+  for (const auto& c : splice_cases()) {
+    const Payload contiguous = BatchCodec::encode(c.batch);
+    for (std::size_t splice_min : {BatchCodec::kSpliceMinBytes, std::size_t{0}}) {
+      SCOPED_TRACE(std::string(c.name) + " splice_min=" + std::to_string(splice_min));
+      SplicedPayload msg = splice_min == BatchCodec::kSpliceMinBytes
+                               ? BatchCodec::encode_spliced(c.batch, *pool)
+                               : detail::encode_spliced(c.batch, *pool, splice_min);
+      std::size_t expect_splices = 0;
+      for (const auto& s : c.batch.samples) expect_splices += s.bytes.size() >= splice_min;
+      EXPECT_EQ(msg.splices().size(), expect_splices);
+      EXPECT_EQ(msg.size(), contiguous.size());
+      const Payload flat = std::move(msg).flatten(*pool);
+      EXPECT_EQ(flat, contiguous.view());
+      EXPECT_EQ(BatchCodec::decode(flat), c.batch);
+    }
+  }
+}
+
+TEST(BatchCodecSplice, SplicedSampleBytesAreNeverCopiedOnEncode) {
+  constexpr std::size_t kT = BatchCodec::kSpliceMinBytes;
+  const WireBatch b = batch_of_sizes({kT, 64, 2 * kT, kT - 1});
+  auto pool = BufferPool::create();
+  PayloadCounters::reset();
+  SplicedPayload msg = BatchCodec::encode_spliced(b, *pool);
+  EXPECT_EQ(PayloadCounters::bytes_copied.load(), 0u);
+  // The head holds the small samples and every header, not the big ones...
+  EXPECT_LT(msg.head().size(), 64 + (kT - 1) + 128);
+  // ...which are the samples' own storage, spliced in by reference.
+  ASSERT_EQ(msg.splices().size(), 2u);
+  EXPECT_TRUE(msg.splices()[0].bytes.shares_storage_with(b.samples[0].bytes));
+  EXPECT_EQ(msg.splices()[0].bytes.data(), b.samples[0].bytes.data());
+  EXPECT_TRUE(msg.splices()[1].bytes.shares_storage_with(b.samples[2].bytes));
+  EXPECT_EQ(msg.splices()[1].bytes.data(), b.samples[2].bytes.data());
+  // Flattening — the fallback for sinks that cannot gather — is the one
+  // deep copy, and it is counted.
+  const Payload flat = std::move(msg).flatten(*pool);
+  EXPECT_EQ(PayloadCounters::bytes_copied.load(), flat.size());
+}
+
+TEST(BatchCodecSplice, BorrowedSamplesAreCopiedNotSpliced) {
+  // A spliced view must own its bytes — the message outlives the encode
+  // call — so a borrowed sample of any size is copied into the head.
+  std::vector<std::uint8_t> backing(2 * BatchCodec::kSpliceMinBytes, 0x5A);
+  WireBatch b = make_batch(0, 0);
+  WireSample s;
+  s.bytes = std::span<const std::uint8_t>(backing);
+  b.samples.push_back(std::move(s));
+  auto pool = BufferPool::create();
+  const SplicedPayload msg = BatchCodec::encode_spliced(b, *pool);
+  EXPECT_TRUE(msg.splices().empty());
+  EXPECT_EQ(msg.head(), BatchCodec::encode(b).view());
+}
+
 class BatchSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BatchSizeSweep, RoundTripAtSize) {

@@ -5,15 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <pthread.h>
 #include <sys/mman.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <numeric>
 #include <random>
 #include <thread>
 
 #include "common/clock.h"
+#include "msgpack/batch_codec.h"
 #include "net/framing.h"
 #include "net/push_pull.h"
 #include "net/reconnect.h"
@@ -131,6 +136,100 @@ TEST(Framing, EmptyPayloadAllowed) {
   server.join();
 }
 
+TEST(Framing, PooledReceiveBufferIsRecycledWithoutZeroFill) {
+  // recv_frame reads into pooled storage of exactly the frame's length and
+  // does not zero it first: a recycled buffer comes back still holding the
+  // last frame's bytes, until the next read overwrites every one of them.
+  auto pool = BufferPool::create(4);
+  TcpListener listener(0);
+  std::thread server([&] {
+    auto conn = listener.accept();
+    send_frame(*conn, std::vector<std::uint8_t>(4096, 0xAB));
+    send_frame(*conn, std::vector<std::uint8_t>(4096, 0xCD));
+  });
+  auto client = TcpStream::connect("127.0.0.1", listener.port());
+  const std::uint8_t* storage = nullptr;
+  {
+    auto first = recv_frame(client, pool.get());
+    ASSERT_TRUE(first.has_value());
+    storage = first->data();
+  }  // dropped: the buffer returns to the pool
+  {
+    ByteBuffer recycled = pool->acquire_for_overwrite(4096);
+    EXPECT_EQ(recycled.data(), storage);
+    EXPECT_EQ(std::count(recycled.data(), recycled.data() + 4096, 0xAB), 4096);
+    pool->seal(std::move(recycled));  // and back again
+  }
+  auto second = recv_frame(client, pool.get());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->data(), storage);
+  EXPECT_EQ(*second, std::vector<std::uint8_t>(4096, 0xCD));
+  server.join();
+}
+
+TEST(Framing, MultiMiBSplicedFrameSurvivesPartialWrites) {
+  // A frame the kernel takes in pieces: small socket buffers, a slow reader,
+  // and signals that interrupt the blocked sendmsg (the handler has no
+  // SA_RESTART, so each interrupted call returns a short count). The sender
+  // must resume inside whichever piece each short write ended in.
+  struct sigaction quiet {};
+  struct sigaction previous {};
+  quiet.sa_handler = [](int) {};
+  sigemptyset(&quiet.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &quiet, &previous), 0);
+
+  msgpack::WireBatch batch;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    std::vector<std::uint8_t> sample(2u << 20);
+    std::iota(sample.begin(), sample.end(), static_cast<std::uint8_t>(17 * i));
+    batch.samples.push_back({.index = i, .label = 0, .bytes = std::move(sample)});
+  }
+  batch.samples.push_back({.index = 3, .label = 1, .bytes = std::vector<std::uint8_t>(100, 3)});
+  auto pool = BufferPool::create();
+  const SplicedPayload message = msgpack::BatchCodec::encode_spliced(batch, *pool);
+  ASSERT_EQ(message.splices().size(), 3u);
+  const Payload contiguous = msgpack::BatchCodec::encode(batch);
+
+  TcpListener listener(0);
+  auto client = TcpStream::connect("127.0.0.1", listener.port());
+  auto server = listener.accept();
+  ASSERT_TRUE(server.has_value());
+  const int small = 64 * 1024;
+  ::setsockopt(client.native_handle(), SOL_SOCKET, SO_SNDBUF, &small, sizeof small);
+  ::setsockopt(server->native_handle(), SOL_SOCKET, SO_RCVBUF, &small, sizeof small);
+
+  std::atomic<bool> sent{false};
+  std::size_t syscalls = 0;
+  std::thread sender([&] {
+    std::vector<iovec> iov;
+    syscalls = send_frame(client, message, iov);
+    sent = true;
+  });
+  std::thread interrupter([&, target = sender.native_handle()] {
+    while (!sent) {
+      ::pthread_kill(target, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::vector<std::uint8_t> got(kFrameHeaderBytes + contiguous.size());
+  std::size_t have = 0;
+  while (have < got.size()) {
+    const ssize_t n = ::recv(server->native_handle(), got.data() + have,
+                             std::min<std::size_t>(16 * 1024, got.size() - have), 0);
+    if (n <= 0) break;
+    have += static_cast<std::size_t>(n);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  interrupter.join();  // before the sender: its handle must stay valid
+  sender.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+
+  ASSERT_EQ(have, got.size());
+  EXPECT_EQ(parse_frame_header(got), contiguous.size());
+  EXPECT_TRUE(std::equal(got.begin() + kFrameHeaderBytes, got.end(), contiguous.data()));
+  EXPECT_GE(syscalls, 2u);
+}
+
 TEST(Framing, BadMagicRejected) {
   TcpListener listener(0);
   std::thread server([&] {
@@ -237,6 +336,32 @@ TEST(PushPull, DataSyscallAuditCountsOneWritePerFrame) {
   push.close();
   EXPECT_EQ(push.messages_sent(), kCount);
   EXPECT_EQ(push.data_syscalls(), kCount);  // exactly one sendmsg per tiny frame
+}
+
+TEST(PushPull, SplicedFrameBeyondIovMaxArrivesIntact) {
+  // 1,100 spliced samples make a frame of 2,202 gather pieces — more than
+  // IOV_MAX (1,024) — so it takes several sendmsg calls, and the bytes
+  // must still arrive exactly as the contiguous encoding.
+  msgpack::WireBatch batch;
+  for (std::uint64_t i = 0; i < 1100; ++i) {
+    batch.samples.push_back({.index = i,
+                             .label = static_cast<std::int64_t>(i % 3),
+                             .bytes = std::vector<std::uint8_t>(40 + i % 7,
+                                                                static_cast<std::uint8_t>(i))});
+  }
+  auto pool = BufferPool::create();
+  SplicedPayload spliced = msgpack::detail::encode_spliced(batch, *pool, /*splice_min=*/1);
+  ASSERT_EQ(spliced.splices().size(), 1100u);
+  const Payload contiguous = msgpack::BatchCodec::encode(batch);
+
+  PullSocket pull(0, 4);
+  PushSocket push("127.0.0.1", pull.port());
+  ASSERT_TRUE(push.send_spliced(std::move(spliced)));
+  auto m = pull.recv();
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(*m, contiguous.view());
+  push.close();  // joins the sender, so its syscall count is final
+  EXPECT_GE(push.data_syscalls(), 2u);
 }
 
 // ---------------------------------------------------------------- sim link
@@ -700,6 +825,41 @@ INSTANTIATE_TEST_SUITE_P(AllTransports, TransportConformance,
                            return std::string(param_info.param.name);
                          });
 
+// Spliced sends on every transport: TCP gathers the pieces into sendmsg,
+// shm into its slab, and the sim link takes the default flatten. The
+// receiver sees the contiguous encoding either way, in order.
+TEST(SplicedSend, ByteIdenticalInOrderOnEveryTransport) {
+  constexpr std::size_t kT = msgpack::BatchCodec::kSpliceMinBytes;
+  std::vector<msgpack::WireBatch> batches;
+  for (std::uint64_t b = 0; b < 6; ++b) {
+    msgpack::WireBatch batch;
+    batch.batch_id = b;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const std::size_t n = (b + i) % 2 ? kT + 100 * b : 512;
+      const auto fill = static_cast<std::uint8_t>(b + i);
+      batch.samples.push_back(
+          {.index = 10 * b + i, .label = 0, .bytes = std::vector<std::uint8_t>(n, fill)});
+    }
+    batches.push_back(std::move(batch));
+  }
+  for (auto make : {&make_tcp_pair, &make_sim_pair, &make_shm_pair}) {
+    auto pair = make(/*hwm=*/4, /*max_message=*/4 * kT);
+    auto pool = BufferPool::create();
+    std::thread producer([&] {
+      for (const auto& b : batches) {
+        EXPECT_TRUE(pair.sink->send_spliced(msgpack::BatchCodec::encode_spliced(b, *pool)));
+      }
+      pair.sink->close();
+    });
+    for (const auto& b : batches) {
+      auto m = pair.source->recv();
+      ASSERT_TRUE(m.has_value());
+      EXPECT_EQ(*m, msgpack::BatchCodec::encode(b).view()) << "batch " << b.batch_id;
+    }
+    producer.join();
+  }
+}
+
 // ------------------------------------------------- shm-specific behavior
 
 TEST(ShmChannel, ZeroSyscallLaneReportsZero) {
@@ -780,6 +940,11 @@ TEST(ShmChannel, OversizedMessageThrows) {
   ShmMessageSink sink(name, opts);
   ShmMessageSource source(name);
   EXPECT_THROW(sink.send(std::vector<std::uint8_t>(8192, 1)), std::runtime_error);
+  // The limit is on the whole message, spliced bytes included.
+  std::vector<SplicedPayload::Splice> big;
+  big.push_back({1, PayloadView(std::vector<std::uint8_t>(8192, 2))});
+  EXPECT_THROW(sink.send_spliced(SplicedPayload(Payload(msg({1, 2})), std::move(big))),
+               std::runtime_error);
   ASSERT_TRUE(sink.send(msg({1})));  // the channel survives the rejection
   EXPECT_TRUE(source.recv().has_value());
 }

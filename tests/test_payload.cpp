@@ -194,5 +194,61 @@ TEST(BufferPool, ConcurrentAcquireSealRelease) {
   EXPECT_EQ(stats.reused + stats.allocated, 800u);
 }
 
+TEST(BufferPool, AcquireForOverwriteLeavesRecycledBytesAlone) {
+  auto pool = BufferPool::create(4);
+  const std::uint8_t* storage = nullptr;
+  {
+    ByteBuffer buf = pool->acquire_for_overwrite(64);
+    ASSERT_EQ(buf.size(), 64u);
+    for (std::size_t i = 0; i < 64; ++i) buf.data()[i] = static_cast<std::uint8_t>(0xC0 + i);
+    storage = buf.data();
+    Payload p = pool->seal(std::move(buf));
+  }  // recycled
+  ByteBuffer again = pool->acquire_for_overwrite(48);
+  ASSERT_EQ(again.size(), 48u);
+  EXPECT_EQ(again.data(), storage);
+  for (std::size_t i = 0; i < 48; ++i) {
+    EXPECT_EQ(again.data()[i], static_cast<std::uint8_t>(0xC0 + i)) << "byte " << i;
+  }
+}
+
+TEST(SplicedPayload, PiecesInterleaveHeadAndSplicesInWireOrder) {
+  Payload head(std::vector<std::uint8_t>{1, 2, 3, 4});
+  std::vector<SplicedPayload::Splice> splices;
+  splices.push_back({0, PayloadView(std::vector<std::uint8_t>{10})});
+  splices.push_back({2, PayloadView(std::vector<std::uint8_t>{20, 21})});
+  splices.push_back({2, PayloadView(std::vector<std::uint8_t>{})});
+  splices.push_back({4, PayloadView(std::vector<std::uint8_t>{30})});
+  SplicedPayload msg(head, std::move(splices));
+  EXPECT_EQ(msg.size(), 8u);
+  std::vector<std::vector<std::uint8_t>> pieces;
+  msg.for_each_piece(
+      [&](std::span<const std::uint8_t> p) { pieces.emplace_back(p.begin(), p.end()); });
+  const std::vector<std::vector<std::uint8_t>> want = {{10}, {1, 2}, {20, 21}, {3, 4}, {30}};
+  EXPECT_EQ(pieces, want);
+  auto pool = BufferPool::create();
+  EXPECT_EQ(std::move(msg).flatten(*pool),
+            (std::vector<std::uint8_t>{10, 1, 2, 20, 21, 3, 4, 30}));
+  // Without splices the message IS its head: flatten hands it back, no copy.
+  SplicedPayload plain(head);
+  EXPECT_EQ(std::move(plain).flatten(*pool).data(), head.data());
+}
+
+TEST(SplicedPayload, RejectsMisplacedOrBorrowedSplices) {
+  Payload head(std::vector<std::uint8_t>{1, 2, 3});
+  auto one = [](std::size_t at, PayloadView bytes) {
+    std::vector<SplicedPayload::Splice> v;
+    v.push_back({at, std::move(bytes)});
+    return v;
+  };
+  EXPECT_THROW(SplicedPayload(head, one(4, std::vector<std::uint8_t>{9})), std::invalid_argument);
+  std::vector<SplicedPayload::Splice> backwards;
+  backwards.push_back({2, PayloadView(std::vector<std::uint8_t>{9})});
+  backwards.push_back({1, PayloadView(std::vector<std::uint8_t>{9})});
+  EXPECT_THROW(SplicedPayload(head, std::move(backwards)), std::invalid_argument);
+  std::vector<std::uint8_t> caller_owned{7, 7};
+  EXPECT_THROW(SplicedPayload(head, one(1, PayloadView(caller_owned))), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace emlio

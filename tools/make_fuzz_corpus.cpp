@@ -3,14 +3,16 @@
 //   make_fuzz_corpus <outdir>
 //
 // Writes one subdirectory per harness (msgpack/, framing/, shm_header/,
-// json/, crc32c/), each seeded with REAL wire bytes produced by the same
-// code paths the daemon uses — an encoded data batch, a sentinel, a valid
-// frame header, a freshly created shm segment header, a shard-index-shaped
-// JSON document — plus a few near-miss mutants (truncations, flipped magics)
-// so the fuzzers start on both sides of every validation branch instead of
-// rediscovering the format from zero. The crc32c seeds are sized to reach
-// each path of the hardware kernel (bytes, words, short and long
-// three-stream blocks).
+// json/, crc32c/, splice/), each seeded with REAL wire bytes produced by the
+// same code paths the daemon uses — an encoded data batch, a sentinel, a
+// valid frame header, a freshly created shm segment header, a
+// shard-index-shaped JSON document — plus a few near-miss mutants
+// (truncations, flipped magics) so the fuzzers start on both sides of every
+// validation branch instead of rediscovering the format from zero. The
+// crc32c seeds are sized to reach each path of the hardware kernel (bytes,
+// words, short and long three-stream blocks); the splice seeds describe
+// batches with samples on both sides of each splice threshold and at every
+// bin header edge.
 #include <unistd.h>
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include <iostream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "json/json.h"
@@ -156,6 +159,36 @@ int main(int argc, char** argv) {
     for (std::size_t i = 1; i < seed.size(); ++i) seed[i] = static_cast<std::uint8_t>(i * 131);
     write_seed(cr, "pattern_" + std::to_string(len) + ".bin", seed);
   }
+
+  // -------------------------------------------------------------- splice
+  // Byte 0 = flags (bit 0 trace origin, bit 1 last, bits 2-3 threshold
+  // index), then 3 bytes per sample: size = a * 512 + b * 2 + (c >> 7),
+  // c bit 0 = borrowed (see fuzz/fuzz_splice.cpp).
+  const fs::path sp = out / "splice";
+  fs::create_directories(sp);
+  auto sample = [](std::size_t n, bool borrowed) {
+    return std::vector<std::uint8_t>{static_cast<std::uint8_t>(n / 512),
+                                     static_cast<std::uint8_t>(n % 512 / 2),
+                                     static_cast<std::uint8_t>((n % 2) << 7 | 0x2A | borrowed)};
+  };
+  auto splice_seed = [&](std::uint8_t flags,
+                         std::initializer_list<std::pair<std::size_t, bool>> samples) {
+    std::vector<std::uint8_t> seed{flags};
+    for (auto [n, borrowed] : samples) {
+      auto s3 = sample(n, borrowed);
+      seed.insert(seed.end(), s3.begin(), s3.end());
+    }
+    return seed;
+  };
+  const std::size_t t = emlio::msgpack::BatchCodec::kSpliceMinBytes;
+  write_seed(sp, "both_sides_of_threshold.bin",
+             splice_seed(0, {{4096, false}, {t - 1, false}, {t, false}, {0, false},
+                             {2 * t + 1, false}, {t + 8, true}}));
+  write_seed(sp, "all_spliced_traced.bin",
+             splice_seed(1 | 1 << 2, {{0, false}, {1, false}, {255, false}, {256, false}}));
+  write_seed(sp, "bin16_edges_sentinel_flag.bin",
+             splice_seed(2 | 3 << 2, {{65535, false}, {65536, false}, {65537, true}}));
+  write_seed(sp, "no_samples.bin", splice_seed(2, {}));
 
   std::cout << "fuzz corpus written to " << out << "\n";
   return 0;

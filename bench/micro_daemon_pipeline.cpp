@@ -164,8 +164,7 @@ int main() {
     row["rounds"] = static_cast<std::int64_t>(kRounds);
     row["epoch_seconds"] = bench::to_json(s);
     row["speedup_vs_width1"] = speedup;
-    row["batches_sent"] = static_cast<std::int64_t>(last[w].stats.batches_sent);
-    row["bytes_sent"] = static_cast<std::int64_t>(last[w].stats.bytes_sent);
+    row["stats"] = core::to_json(last[w].stats);
     bench::append_json_line(json::Value(std::move(row)));
   }
 

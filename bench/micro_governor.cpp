@@ -319,12 +319,7 @@ json::Value daemon_row(const char* engine, const DaemonRun& r, double ratio) {
   row["cores"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
   row["seconds"] = r.seconds;
   row["throughput_vs_static"] = ratio;
-  row["batches_sent"] = static_cast<std::int64_t>(r.stats.batches_sent);
-  row["sender_stalls"] = static_cast<std::int64_t>(r.stats.sender_stalls);
-  row["enqueue_stalls"] = static_cast<std::int64_t>(r.stats.enqueue_stalls);
-  row["pool_resizes"] = static_cast<std::int64_t>(r.stats.pool_resizes);
-  row["pool_threads_current"] = static_cast<std::int64_t>(r.stats.pool_threads_current);
-  row["pool_threads_peak"] = static_cast<std::int64_t>(r.stats.pool_threads_peak);
+  row["stats"] = core::to_json(r.stats);
   return json::Value(std::move(row));
 }
 
@@ -337,11 +332,7 @@ json::Value receiver_row(const char* engine, const ReceiverRun& r, double ratio)
   row["seconds"] = r.seconds;
   row["throughput_vs_static"] = ratio;
   row["batches"] = static_cast<std::int64_t>(r.batches);
-  row["decode_stalls"] = static_cast<std::int64_t>(r.stats.decode_stalls);
-  row["resequence_stalls"] = static_cast<std::int64_t>(r.stats.resequence_stalls);
-  row["pool_resizes"] = static_cast<std::int64_t>(r.stats.pool_resizes);
-  row["pool_threads_current"] = static_cast<std::int64_t>(r.stats.pool_threads_current);
-  row["pool_threads_peak"] = static_cast<std::int64_t>(r.stats.pool_threads_peak);
+  row["stats"] = core::to_json(r.stats);
   return json::Value(std::move(row));
 }
 

@@ -184,19 +184,7 @@ json::Value qos_row(const char* engine, const QosRun& r, double ratio) {
   row["cores"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
   row["a_seconds"] = r.a_seconds;
   row["throughput_vs_isolated"] = ratio;
-  row["batches_sent"] = static_cast<std::int64_t>(r.stats.batches_sent);
-  row["enqueue_stalls"] = static_cast<std::int64_t>(r.stats.enqueue_stalls);
-  row["sender_stalls"] = static_cast<std::int64_t>(r.stats.sender_stalls);
-  json::Array lanes;
-  for (const auto& lane : r.stats.lanes) {
-    json::Object l;
-    l["name"] = lane.name;
-    l["weight"] = static_cast<std::int64_t>(lane.weight);
-    l["delivered_items"] = static_cast<std::int64_t>(lane.delivered_items);
-    l["enqueue_stalls"] = static_cast<std::int64_t>(lane.enqueue_stalls);
-    lanes.push_back(json::Value(std::move(l)));
-  }
-  row["lanes"] = std::move(lanes);
+  row["stats"] = core::to_json(r.stats);
   return json::Value(std::move(row));
 }
 

@@ -284,7 +284,7 @@ int main() {
     row["batches"] = static_cast<std::int64_t>(want);
     row["run_seconds"] = bench::to_json(s);
     row["speedup_vs_width1"] = ratio;
-    row["decode_ns"] = static_cast<std::int64_t>(last[w].stats.decode_ns);
+    row["stats"] = core::to_json(last[w].stats);
     bench::append_json_line(json::Value(std::move(row)));
   }
 

@@ -49,6 +49,7 @@
 #include "common/mutex.h"
 #include "common/payload.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 
 namespace emlio::cache {
 
@@ -95,20 +96,23 @@ struct SampleCacheConfig {
   std::size_t shards = 8;
 };
 
-/// Counters surfaced through DaemonStats::cache. All monotonic except the
-/// resident gauges.
+// SampleCacheStats' metrics (obs/metrics.h).
+#define EMLIO_SAMPLE_CACHE_STATS(M)                                                           \
+  M(std::uint64_t, hits, kCounter)                /* find() served from cache */              \
+  M(std::uint64_t, misses, kCounter)              /* find() that found nothing */             \
+  M(std::uint64_t, inserts, kCounter)             /* entries admitted */                      \
+  M(std::uint64_t, evictions, kCounter)           /* entries evicted to make room */          \
+  M(std::uint64_t, pinned_skips, kCounter)        /* eviction candidates skipped because */   \
+                                                  /* outside handles still pin their bytes */ \
+  M(std::uint64_t, rejected, kCounter)            /* inserts refused (oversized, or every */  \
+                                                  /* candidate pinned) */                     \
+  M(std::uint64_t, resident_bytes, kGauge)        /* bytes currently cached */                \
+  M(std::uint64_t, resident_bytes_peak, kGauge)   /* high-water mark of the above */          \
+  M(std::uint64_t, entries, kGauge)               /* entries currently cached */
+
+/// Surfaced through DaemonStats::cache (JSON keys `cache_<name>`).
 struct SampleCacheStats {
-  std::uint64_t hits = 0;          ///< find() served from cache
-  std::uint64_t misses = 0;        ///< find() that found nothing
-  std::uint64_t inserts = 0;       ///< entries admitted
-  std::uint64_t evictions = 0;     ///< entries evicted to make room
-  std::uint64_t pinned_skips = 0;  ///< eviction candidates skipped because
-                                   ///< outside handles still pin their bytes
-  std::uint64_t rejected = 0;      ///< inserts refused (oversized, or every
-                                   ///< candidate pinned)
-  std::uint64_t resident_bytes = 0;       ///< bytes currently cached
-  std::uint64_t resident_bytes_peak = 0;  ///< high-water mark of the above
-  std::uint64_t entries = 0;              ///< entries currently cached
+  EMLIO_METRICS(EMLIO_SAMPLE_CACHE_STATS)
 };
 
 class SampleCache {

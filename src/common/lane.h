@@ -35,9 +35,9 @@
 // closed lane drains without rate limiting so shutdown stays prompt.
 //
 // Counter convention: all lane counters are independent relaxed atomics —
-// see the stats documentation on core::DaemonStats. Locking discipline is
-// machine-checked (common/thread_annotations.h): queue and token-bucket
-// state is EMLIO_GUARDED_BY(mu_), scheduler state by the shared hub's mutex.
+// see obs/metrics.h. Locking discipline is machine-checked
+// (common/thread_annotations.h): queue and token-bucket state is
+// EMLIO_GUARDED_BY(mu_), scheduler state by the shared hub's mutex.
 #pragma once
 
 #include <algorithm>
@@ -54,6 +54,7 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 
 namespace emlio {
 
@@ -68,18 +69,26 @@ struct LaneQos {
   std::uint64_t rate_per_sec = 0;
 };
 
+// LaneStats' metrics (obs/metrics.h). A Lane increments the counters
+// sub-list; Lane::stats() reads the rest at snapshot time.
+#define EMLIO_LANE_COUNTERS(M)                                                          \
+  M(std::uint64_t, delivered_items, kCounter) /* items popped off the lane */           \
+  M(std::uint64_t, delivered_bytes, kCounter) /* bytes the consumer attributed to it */ \
+  M(std::uint64_t, enqueue_stalls, kCounter)  /* producer found the lane full */        \
+  M(std::uint64_t, dequeue_stalls, kCounter)  /* consumer found the lane empty */
+
+#define EMLIO_LANE_STATS(M)                                                         \
+  M(std::string, name, kLabel)                                                      \
+  M(std::uint32_t, weight, kGauge)                                                  \
+  M(std::uint64_t, rate_per_sec, kGauge)                                            \
+  EMLIO_LANE_COUNTERS(M)                                                            \
+  M(std::uint64_t, queue_peak_depth, kGauge) /* max occupancy seen (inside push) */ \
+  M(bool, closed, kGauge)
+
 /// Point-in-time per-lane counters, snapshot by Lane::stats() and surfaced
 /// as the `lanes` array of DaemonStats/ReceiverStats.
 struct LaneStats {
-  std::string name;
-  std::uint32_t weight = 1;
-  std::uint64_t rate_per_sec = 0;
-  std::uint64_t delivered_items = 0;  ///< items popped off the lane
-  std::uint64_t delivered_bytes = 0;  ///< bytes the consumer attributed to it
-  std::uint64_t enqueue_stalls = 0;   ///< producer found the lane full
-  std::uint64_t dequeue_stalls = 0;   ///< consumer found the lane empty
-  std::uint64_t queue_peak_depth = 0; ///< max occupancy seen (inside push)
-  bool closed = false;
+  EMLIO_METRICS(EMLIO_LANE_STATS)
 };
 
 /// Fold `add` into `into` — counters sum, peaks max, identity fields come
@@ -212,7 +221,7 @@ class Lane {
     {
       MutexLock lock(mu_);
       if (items_.size() >= capacity_ && !closed_) {
-        enqueue_stalls_.fetch_add(1, std::memory_order_relaxed);
+        counters_.enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
       }
       while (items_.size() >= capacity_ && !closed_) not_full_.wait(mu_);
       if (closed_) return false;
@@ -251,7 +260,7 @@ class Lane {
     {
       MutexLock lock(mu_);
       if (items_.empty() && !closed_) {
-        dequeue_stalls_.fetch_add(1, std::memory_order_relaxed);
+        counters_.dequeue_stalls.fetch_add(1, std::memory_order_relaxed);
       }
       for (;;) {
         while (items_.empty() && !closed_) not_empty_.wait(mu_);
@@ -335,27 +344,28 @@ class Lane {
   }
 
   /// Producer-side stall with caller-owned dedup (see try_push).
-  void note_enqueue_stall() { enqueue_stalls_.fetch_add(1, std::memory_order_relaxed); }
+  void note_enqueue_stall() { counters_.enqueue_stalls.fetch_add(1, std::memory_order_relaxed); }
   /// The lane cannot know T's wire size; the consumer attributes bytes.
   void add_delivered_bytes(std::uint64_t n) {
-    delivered_bytes_.fetch_add(n, std::memory_order_relaxed);
+    counters_.delivered_bytes.fetch_add(n, std::memory_order_relaxed);
   }
 
   std::uint64_t delivered_items() const {
-    return delivered_items_.load(std::memory_order_relaxed);
+    return counters_.delivered_items.load(std::memory_order_relaxed);
   }
-  std::uint64_t enqueue_stalls() const { return enqueue_stalls_.load(std::memory_order_relaxed); }
-  std::uint64_t dequeue_stalls() const { return dequeue_stalls_.load(std::memory_order_relaxed); }
+  std::uint64_t enqueue_stalls() const {
+    return counters_.enqueue_stalls.load(std::memory_order_relaxed);
+  }
+  std::uint64_t dequeue_stalls() const {
+    return counters_.dequeue_stalls.load(std::memory_order_relaxed);
+  }
 
   LaneStats stats() const {
     LaneStats s;
     s.name = name_;
     s.weight = qos_.weight;
     s.rate_per_sec = qos_.rate_per_sec;
-    s.delivered_items = delivered_items_.load(std::memory_order_relaxed);
-    s.delivered_bytes = delivered_bytes_.load(std::memory_order_relaxed);
-    s.enqueue_stalls = enqueue_stalls_.load(std::memory_order_relaxed);
-    s.dequeue_stalls = dequeue_stalls_.load(std::memory_order_relaxed);
+    counters_.load_into(s);
     {
       MutexLock lock(mu_);
       s.queue_peak_depth = peak_;
@@ -376,7 +386,7 @@ class Lane {
   T take_front_locked() EMLIO_REQUIRES(mu_) {
     T item = std::move(items_.front());
     items_.pop_front();
-    delivered_items_.fetch_add(1, std::memory_order_relaxed);
+    counters_.delivered_items.fetch_add(1, std::memory_order_relaxed);
     return item;
   }
 
@@ -431,10 +441,10 @@ class Lane {
   double burst_ EMLIO_GUARDED_BY(mu_) = 0.0;
   ClockT::time_point last_refill_ EMLIO_GUARDED_BY(mu_){};
 
-  std::atomic<std::uint64_t> delivered_items_{0};
-  std::atomic<std::uint64_t> delivered_bytes_{0};
-  std::atomic<std::uint64_t> enqueue_stalls_{0};
-  std::atomic<std::uint64_t> dequeue_stalls_{0};
+  struct Counters {
+    EMLIO_COUNTER_BLOCK(EMLIO_LANE_COUNTERS)
+  };
+  Counters counters_;
 };
 
 /// Blocking deficit-weighted-round-robin drainer over N lanes (single

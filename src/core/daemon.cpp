@@ -7,7 +7,6 @@
 #include "common/debug.h"
 #include "common/log.h"
 #include "common/sequencer.h"
-#include "core/lane_stats_json.h"
 
 namespace emlio::core {
 
@@ -74,13 +73,11 @@ std::vector<std::uint32_t> Daemon::shard_ids() const {
 }
 
 DaemonStats Daemon::stats() const {
-  // Relaxed loads throughout — see the counter convention on DaemonStats.
   DaemonStats s;
-  s.batches_sent = batches_sent_.load(std::memory_order_relaxed);
-  s.samples_sent = samples_sent_.load(std::memory_order_relaxed);
-  s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-  s.encode_pool = pool_->stats();
-  s.errors = errors_.load(std::memory_order_relaxed);
+  counters_.load_into(s);
+  const BufferPool::Stats heads = pool_->stats();
+  s.encode_pool_reused = heads.reused;
+  s.encode_pool_allocated = heads.allocated;
   {
     // Per-node lane breakdown: completed epochs (lane_totals_) plus any live
     // epoch's lanes, folded per destination node. The flat stall/peak fields
@@ -100,8 +97,6 @@ DaemonStats Daemon::stats() const {
       s.lanes.push_back(std::move(lane_stats));
     }
   }
-  s.store_reads = store_reads_.load(std::memory_order_relaxed);
-  s.store_records_read = store_records_read_.load(std::memory_order_relaxed);
   for (const auto& [id, sink] : sinks_) {
     (void)id;
     s.wire_syscalls += sink->data_syscalls();
@@ -122,36 +117,22 @@ DaemonStats Daemon::stats() const {
 
 json::Value to_json(const DaemonStats& s) {
   json::Object o;
-  o["batches_sent"] = s.batches_sent;
-  o["samples_sent"] = s.samples_sent;
-  o["bytes_sent"] = s.bytes_sent;
-  o["encode_pool_reused"] = s.encode_pool.reused;
-  o["encode_pool_allocated"] = s.encode_pool.allocated;
-  o["enqueue_stalls"] = s.enqueue_stalls;
-  o["sender_stalls"] = s.sender_stalls;
-  o["queue_peak_depth"] = s.queue_peak_depth;
-  o["errors"] = s.errors;
-  o["pool_resizes"] = s.pool_resizes;
-  o["pool_threads_current"] = s.pool_threads_current;
-  o["pool_threads_peak"] = s.pool_threads_peak;
-  o["store_reads"] = s.store_reads;
-  o["store_records_read"] = s.store_records_read;
-  o["wire_syscalls"] = s.wire_syscalls;
-  o["cache_hits"] = s.cache.hits;
-  o["cache_misses"] = s.cache.misses;
-  o["cache_inserts"] = s.cache.inserts;
-  o["cache_evictions"] = s.cache.evictions;
-  o["cache_pinned_skips"] = s.cache.pinned_skips;
-  o["cache_rejected"] = s.cache.rejected;
-  o["cache_resident_bytes"] = s.cache.resident_bytes;
-  o["cache_resident_bytes_peak"] = s.cache.resident_bytes_peak;
-  o["cache_entries"] = s.cache.entries;
-  o["lanes"] = to_json(s.lanes);
+  obs::put_metrics(o, s);
+  obs::put_metrics(o, s.cache, "cache_");
+  o["lanes"] = obs::metrics_array(s.lanes);
   // Nested per-stage quantile objects, present only when tracing — the
   // default JSON schema is unchanged. StatsStreamer flattens these to
-  // latency.<stage>.{count,p50,p95,p99,max}; tools gauge the quantile leaves.
+  // latency.<stage>.{count,p50,p95,p99,max}; the quantile leaves are gauges.
   if (!s.latency.empty()) o["latency"] = obs::to_json(s.latency);
   return json::Value(std::move(o));
+}
+
+std::set<std::string> gauges(const DaemonStats&) {
+  std::set<std::string> g(obs::kStageQuantileLeaves.begin(), obs::kStageQuantileLeaves.end());
+  obs::collect_gauges<DaemonStats>(g);
+  obs::collect_gauges<cache::SampleCacheStats>(g, "cache_");
+  obs::collect_gauges<LaneStats>(g);
+  return g;
 }
 
 bool Daemon::ok() const {
@@ -165,7 +146,7 @@ std::string Daemon::last_error() const {
 }
 
 void Daemon::record_error(const std::string& what) {
-  errors_.fetch_add(1, std::memory_order_relaxed);
+  counters_.errors.fetch_add(1, std::memory_order_relaxed);
   log::error("daemon ", config_.daemon_id, ": ", what);
   MutexLock lock(error_mutex_);
   if (last_error_.empty()) last_error_ = what;
@@ -260,8 +241,8 @@ msgpack::WireBatch Daemon::build_batch(const BatchAssignment& a) const {
     // share the mapping's ownership, so a queued message that splices them
     // stays valid whatever happens to the reader.
     auto views = reader.slice(a.first_record, a.count, config_.verify_crc);
-    store_reads_.fetch_add(1, std::memory_order_relaxed);
-    store_records_read_.fetch_add(views.size(), std::memory_order_relaxed);
+    counters_.store_reads.fetch_add(1, std::memory_order_relaxed);
+    counters_.store_records_read.fetch_add(views.size(), std::memory_order_relaxed);
     for (std::size_t i = 0; i < views.size(); ++i) batch.samples[i].bytes = std::move(views[i]);
     return batch;
   }
@@ -282,8 +263,8 @@ msgpack::WireBatch Daemon::build_batch(const BatchAssignment& a) const {
 
   // Only the misses come from storage, each CRC-checked once, right before
   // the insert copies it while its bytes are still in the CPU cache.
-  store_reads_.fetch_add(1, std::memory_order_relaxed);
-  store_records_read_.fetch_add(missing.size(), std::memory_order_relaxed);
+  counters_.store_reads.fetch_add(1, std::memory_order_relaxed);
+  counters_.store_records_read.fetch_add(missing.size(), std::memory_order_relaxed);
   for (std::size_t i : missing) {
     const auto& entry = index.records[a.first_record + i];
     auto view = reader.record(a.first_record + i, config_.verify_crc);
@@ -513,9 +494,9 @@ void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
     }
     if (tp) tracer_.complete(*tp);
     lane.lane.add_delivered_bytes(nbytes);
-    batches_sent_.fetch_add(1, std::memory_order_relaxed);
-    samples_sent_.fetch_add(msg->nsamples, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(nbytes, std::memory_order_relaxed);
+    counters_.batches_sent.fetch_add(1, std::memory_order_relaxed);
+    counters_.samples_sent.fetch_add(msg->nsamples, std::memory_order_relaxed);
+    counters_.bytes_sent.fetch_add(nbytes, std::memory_order_relaxed);
     lane.counter->fetch_add(1, std::memory_order_relaxed);
   }
 }

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,7 @@
 #include "core/planner.h"
 #include "json/json.h"
 #include "msgpack/batch_codec.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "net/channel.h"
 #include "tfrecord/reader.h"
@@ -103,52 +105,55 @@ struct DaemonConfig {
   bool trace_wire = false;
 };
 
-// Stats counter convention (daemon AND receiver — this is the one place it
-// is documented): every hot-path counter is an independent relaxed
-// std::atomic. Writers use fetch_add/compare_exchange with
-// memory_order_relaxed; snapshot readers (stats()) use relaxed loads. No
-// counter is used to publish other data, so no acquire/release pairing is
-// needed; cross-counter invariants (samples vs batches, received vs
-// delivered + dropped) settle once the stream is drained and the worker
-// threads are joined.
+// DaemonStats' metrics (obs/metrics.h, which also documents the counter
+// convention). The engine increments the counters sub-list; stats() derives
+// the rest from the lanes, the encode pool, the governor and the sinks.
+#define EMLIO_DAEMON_COUNTERS(M)                                                   \
+  M(std::uint64_t, batches_sent, kCounter)                                         \
+  M(std::uint64_t, samples_sent, kCounter)                                         \
+  M(std::uint64_t, bytes_sent, kCounter) /* serialized payload bytes (spliced */   \
+                                         /* samples included) */                   \
+  M(std::uint64_t, errors, kCounter)     /* plan-validation + worker failures */   \
+  /* Storage-read accounting. With the sample cache warm and the dataset */        \
+  /* inside the budget, whole warm epochs add zero here — the acceptance */        \
+  /* criterion bench_micro_cache asserts. */                                       \
+  M(std::uint64_t, store_reads, kCounter)        /* batches that read the shard */ \
+  M(std::uint64_t, store_records_read, kCounter) /* records read (the misses, */   \
+                                                 /* with the cache on) */
+
+#define EMLIO_DAEMON_STATS(M)                                                             \
+  EMLIO_DAEMON_COUNTERS(M)                                                                \
+  /* Reuse of the encode buffers: each batch's message head, which holds the */           \
+  /* whole batch only when no sample was spliced. */                                      \
+  M(std::uint64_t, encode_pool_reused, kCounter)    /* heads served from the free list */ \
+  M(std::uint64_t, encode_pool_allocated, kCounter) /* heads built fresh */               \
+  /* Pipeline balance: the aggregates of `lanes` (sum / sum / max). */                    \
+  M(std::uint64_t, enqueue_stalls, kCounter) /* encodes that found their sink queue */    \
+                                             /* full (disk/encode outran the wire) */     \
+  M(std::uint64_t, sender_stalls, kCounter)  /* sender pops that found the queue */       \
+                                             /* empty (wire outran disk/encode) */        \
+  /* Max prefetch-queue occupancy seen. Lane queues track their own peak */               \
+  /* inside push (no hot-path re-lock); stats() takes the max over completed */           \
+  /* epochs and the live epoch's lanes, so a mid-epoch snapshot includes the */           \
+  /* running epoch. */                                                                    \
+  M(std::uint64_t, queue_peak_depth, kGauge)                                              \
+  /* Encode-pool sizing. Without the governor, current == peak == the */                  \
+  /* configured width and resizes stays 0. */                                             \
+  M(std::uint64_t, pool_resizes, kCounter)       /* governor grow+shrink steps applied */ \
+  M(std::uint64_t, pool_threads_current, kGauge) /* encode-pool width right now */        \
+  M(std::uint64_t, pool_threads_peak, kGauge)    /* widest the encode pool has been */    \
+  /* Byte-moving syscalls the sinks issued on the wire path (summed over */               \
+  /* sinks from MessageSink::data_syscalls). The transport audit: the TCP */              \
+  /* lane reports ~1 per batch (one scatter-gather sendmsg per frame), the */             \
+  /* shm lane exactly 0 — its data plane never enters the kernel. Futex */                \
+  /* parking and other control syscalls are excluded on every transport. */               \
+  M(std::uint64_t, wire_syscalls, kCounter)
+
 struct DaemonStats {
-  std::uint64_t batches_sent = 0;
-  std::uint64_t samples_sent = 0;
-  std::uint64_t bytes_sent = 0;  ///< serialized payload bytes (spliced samples included)
-  /// Reuse behaviour of the encode buffers: each batch's message head,
-  /// which holds the whole batch only when no sample was spliced.
-  BufferPool::Stats encode_pool;
-  // Pipeline balance counters:
-  std::uint64_t enqueue_stalls = 0;   ///< encodes that found their sink queue
-                                      ///< full (disk/encode outran the wire)
-  std::uint64_t sender_stalls = 0;    ///< sender pops that found the queue
-                                      ///< empty (wire outran disk/encode)
-  /// Max prefetch-queue occupancy seen. Lane queues track their own peak
-  /// inside push (no hot-path re-lock) and are folded in as each epoch's
-  /// senders join — so a mid-epoch snapshot reflects completed epochs only.
-  std::uint64_t queue_peak_depth = 0;
-  std::uint64_t errors = 0;           ///< plan-validation + worker failures
-  // Encode-pool sizing. Without the governor, current == peak == the
-  // configured width and resizes stays 0.
-  std::uint64_t pool_resizes = 0;        ///< governor grow+shrink steps applied
-  std::uint64_t pool_threads_current = 0;///< encode-pool width right now
-  std::uint64_t pool_threads_peak = 0;   ///< widest the encode pool has been
-  // Storage-read accounting. With the sample cache warm and the dataset
-  // inside the budget, whole warm epochs add zero here — the acceptance
-  // criterion bench_micro_cache asserts.
-  std::uint64_t store_reads = 0;         ///< batches that read the shard
-  std::uint64_t store_records_read = 0;  ///< records read (the misses, with the cache on)
-  /// Byte-moving syscalls the sinks issued on the wire path (summed over
-  /// sinks from MessageSink::data_syscalls). The transport audit: the TCP
-  /// lane reports ~1 per batch (one scatter-gather sendmsg per frame), the
-  /// shm lane exactly 0 — its data plane never enters the kernel. Futex
-  /// parking and other control syscalls are excluded on every transport.
-  std::uint64_t wire_syscalls = 0;
-  cache::SampleCacheStats cache;         ///< zeros when the cache is off
+  EMLIO_METRICS(EMLIO_DAEMON_STATS)
+  cache::SampleCacheStats cache;  ///< zeros when the cache is off
   /// Per-destination-node lane breakdown: completed epochs folded per node
   /// plus any live epoch's lanes, sorted by node id.
-  /// enqueue_stalls/sender_stalls/queue_peak_depth above are the aggregates
-  /// of these (sum / sum / max).
   std::vector<LaneStats> lanes;
   /// Per-stage latency quantiles (read/encode/lane_wait/wire + "e2e"), ns.
   /// Empty unless DaemonConfig::trace.
@@ -159,6 +164,10 @@ struct DaemonStats {
 /// flat JSON object — `emlio_daemon --stats-json` and the micro benches
 /// emit this so downstream tooling stops scraping stdout.
 json::Value to_json(const DaemonStats& stats);
+
+/// The leaf names of to_json(DaemonStats) that stream as gauges (the
+/// StatsStreamer::Options::gauges of `emlio_daemon --stats-interval`).
+std::set<std::string> gauges(const DaemonStats&);
 
 class Daemon {
  public:
@@ -252,13 +261,12 @@ class Daemon {
   /// its creation.
   std::unique_ptr<ThreadPool> encode_pool_;
 
-  std::atomic<std::uint64_t> batches_sent_{0};
-  std::atomic<std::uint64_t> samples_sent_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  // mutable: bumped inside const build_batch (a read-side cache effect).
-  mutable std::atomic<std::uint64_t> store_reads_{0};
-  mutable std::atomic<std::uint64_t> store_records_read_{0};
+  struct Counters {
+    EMLIO_COUNTER_BLOCK(EMLIO_DAEMON_COUNTERS)
+  };
+  // mutable: the store-read counters are bumped inside const build_batch (a
+  // read-side cache effect).
+  mutable Counters counters_;
 
   mutable Mutex error_mutex_;
   std::string last_error_ EMLIO_GUARDED_BY(error_mutex_);

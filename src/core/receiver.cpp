@@ -6,7 +6,6 @@
 
 #include "common/debug.h"
 #include "common/log.h"
-#include "core/lane_stats_json.h"
 
 namespace emlio::core {
 
@@ -63,8 +62,9 @@ Receiver::Receiver(ReceiverConfig config, std::vector<std::unique_ptr<net::Messa
     window_width = std::max(window_width, gc.max_threads);
     // Ingest waiting on decode (decode_stalls) grows the pool; completions
     // running ahead of ordering (resequence_stalls) shrink it.
-    governor_ = std::make_unique<PoolGovernor>("receiver/decode", *decode_pool_, decode_stalls_,
-                                               resequence_stalls_, gc);
+    governor_ = std::make_unique<PoolGovernor>("receiver/decode", *decode_pool_,
+                                               counters_.decode_stalls,
+                                               counters_.resequence_stalls, gc);
   }
   window_ = std::max<std::size_t>(window_width * 2, 4);
   const std::size_t depth = std::max<std::size_t>(config_.ingest_lane_depth, 1);
@@ -114,23 +114,11 @@ void Receiver::close() {
 std::optional<msgpack::WireBatch> Receiver::next() { return queue_.pop(); }
 
 ReceiverStats Receiver::stats() const {
-  // Relaxed loads throughout — see the counter convention on DaemonStats
-  // (core/daemon.h).
   ReceiverStats s;
-  s.batches_received = batches_received_.load(std::memory_order_relaxed);
-  s.samples_received = samples_received_.load(std::memory_order_relaxed);
-  s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-  s.decode_errors = decode_errors_.load(std::memory_order_relaxed);
-  s.epochs_completed = epochs_completed_.load(std::memory_order_relaxed);
-  s.decode_stalls = decode_stalls_.load(std::memory_order_relaxed);
-  s.resequence_stalls = resequence_stalls_.load(std::memory_order_relaxed);
+  counters_.load_into(s);
   // The consumer queue tracks its own high-water mark inside push — the old
   // per-delivery size() sample paid a second lock round-trip per batch.
   s.queue_peak_depth = queue_.peak_depth();
-  s.decode_ns = decode_ns_.load(std::memory_order_relaxed);
-  s.dropped_on_close = dropped_on_close_.load(std::memory_order_relaxed);
-  s.epochs_repaired = epochs_repaired_.load(std::memory_order_relaxed);
-  s.dropped_dead_sender = dropped_dead_sender_.load(std::memory_order_relaxed);
   if (governor_) {
     auto g = governor_->stats();
     s.pool_resizes = g.resizes;
@@ -147,25 +135,18 @@ ReceiverStats Receiver::stats() const {
 
 json::Value to_json(const ReceiverStats& s) {
   json::Object o;
-  o["batches_received"] = s.batches_received;
-  o["samples_received"] = s.samples_received;
-  o["bytes_received"] = s.bytes_received;
-  o["decode_errors"] = s.decode_errors;
-  o["epochs_completed"] = s.epochs_completed;
-  o["decode_stalls"] = s.decode_stalls;
-  o["resequence_stalls"] = s.resequence_stalls;
-  o["queue_peak_depth"] = s.queue_peak_depth;
-  o["decode_ns"] = s.decode_ns;
-  o["dropped_on_close"] = s.dropped_on_close;
-  o["epochs_repaired"] = s.epochs_repaired;
-  o["dropped_dead_sender"] = s.dropped_dead_sender;
-  o["pool_resizes"] = s.pool_resizes;
-  o["pool_threads_current"] = s.pool_threads_current;
-  o["pool_threads_peak"] = s.pool_threads_peak;
-  o["lanes"] = to_json(s.lanes);
+  obs::put_metrics(o, s);
+  o["lanes"] = obs::metrics_array(s.lanes);
   // Present only when tracing — see the matching note on to_json(DaemonStats).
   if (!s.latency.empty()) o["latency"] = obs::to_json(s.latency);
   return json::Value(std::move(o));
+}
+
+std::set<std::string> gauges(const ReceiverStats&) {
+  std::set<std::string> g(obs::kStageQuantileLeaves.begin(), obs::kStageQuantileLeaves.end());
+  obs::collect_gauges<ReceiverStats>(g);
+  obs::collect_gauges<LaneStats>(g);
+  return g;
 }
 
 // ------------------------------------------------------ delivery bookkeeping
@@ -181,13 +162,13 @@ msgpack::WireBatch Receiver::decode_payload(const Payload& payload, bool& error)
     batch = msgpack::BatchCodec::decode(payload);
   } catch (const std::exception& e) {
     log::error("receiver: undecodable payload (", e.what(), ")");
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    counters_.decode_errors.fetch_add(1, std::memory_order_relaxed);
     error = true;
   }
   auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-  decode_ns_.fetch_add(static_cast<std::uint64_t>(ns), std::memory_order_relaxed);
+  counters_.decode_ns.fetch_add(static_cast<std::uint64_t>(ns), std::memory_order_relaxed);
   return batch;
 }
 
@@ -203,22 +184,16 @@ void Receiver::process_batch(msgpack::WireBatch&& batch, std::size_t wire_bytes,
                              std::uint32_t sender) {
   // Caller holds delivery_mutex_: the epoch algebra and the queue pushes it
   // triggers run strictly one batch at a time, in sequence order.
-  auto on_data = [this](msgpack::WireBatch&& ready) { emit(std::move(ready)); };
-  auto on_marker = [this](std::uint32_t epoch, std::uint64_t expected) {
-    epochs_completed_.fetch_add(1, std::memory_order_relaxed);
-    if (timestamps_) timestamps_->record("epoch_complete", epoch);
-    emit(msgpack::BatchCodec::make_sentinel(0, epoch, expected));
-  };
   if (batch.last) {
-    epochs_.sentinel(batch.epoch, sender, batch.sent_count, on_data, on_marker);
+    epochs_.sentinel(batch.epoch, sender, batch.sent_count, delivery_, delivery_);
   } else {
-    batches_received_.fetch_add(1, std::memory_order_relaxed);
-    samples_received_.fetch_add(batch.samples.size(), std::memory_order_relaxed);
-    bytes_received_.fetch_add(wire_bytes, std::memory_order_relaxed);
+    counters_.batches_received.fetch_add(1, std::memory_order_relaxed);
+    counters_.samples_received.fetch_add(batch.samples.size(), std::memory_order_relaxed);
+    counters_.bytes_received.fetch_add(wire_bytes, std::memory_order_relaxed);
     if (timestamps_) {
       timestamps_->record("batch_recv", static_cast<std::int64_t>(batch.batch_id));
     }
-    epochs_.data(batch.epoch, sender, std::move(batch), on_data, on_marker);
+    epochs_.data(batch.epoch, sender, std::move(batch), delivery_, delivery_);
   }
   sync_epoch_telemetry_locked();
 }
@@ -227,15 +202,9 @@ void Receiver::apply_sender_note_locked(Note note, std::uint32_t sender) {
   // Caller holds delivery_mutex_. A death may complete epochs the dead
   // sender was holding back, so it gets the same delivery callbacks as a
   // batch.
-  auto on_data = [this](msgpack::WireBatch&& ready) { emit(std::move(ready)); };
-  auto on_marker = [this](std::uint32_t epoch, std::uint64_t expected) {
-    epochs_completed_.fetch_add(1, std::memory_order_relaxed);
-    if (timestamps_) timestamps_->record("epoch_complete", epoch);
-    emit(msgpack::BatchCodec::make_sentinel(0, epoch, expected));
-  };
   if (note == Note::kSenderDead) {
     log::warn("receiver: sender ", sender, " declared dead; repairing in-flight epochs");
-    epochs_.sender_dead(sender, on_data, on_marker);
+    epochs_.sender_dead(sender, delivery_, delivery_);
   } else if (note == Note::kSenderRevived) {
     log::info("receiver: sender ", sender, " revived; epochs wait for it again");
     epochs_.sender_revived(sender);
@@ -244,10 +213,10 @@ void Receiver::apply_sender_note_locked(Note note, std::uint32_t sender) {
 }
 
 void Receiver::sync_epoch_telemetry_locked() {
-  epochs_repaired_.store(epochs_.epochs_repaired(), std::memory_order_relaxed);
+  counters_.epochs_repaired.store(epochs_.epochs_repaired(), std::memory_order_relaxed);
   const std::uint64_t stale = epochs_.stale_drops();
-  if (stale != dropped_dead_sender_.load(std::memory_order_relaxed)) {
-    dropped_dead_sender_.store(stale, std::memory_order_relaxed);
+  if (stale != counters_.dropped_dead_sender.load(std::memory_order_relaxed)) {
+    counters_.dropped_dead_sender.store(stale, std::memory_order_relaxed);
     if (!dead_drop_logged_.exchange(true, std::memory_order_relaxed)) {
       log::warn("receiver: dropping batch(es) re-sent for epochs already repaired after a "
                 "sender death; counting in ReceiverStats::dropped_dead_sender");
@@ -279,6 +248,16 @@ void Receiver::note_sender_dead(std::size_t source_index) {
 void Receiver::note_sender_revived(std::size_t source_index) {
   if (closed_.load(std::memory_order_acquire)) return;
   post_sender_note(source_index, Note::kSenderRevived);
+}
+
+void Receiver::EpochDelivery::operator()(msgpack::WireBatch&& ready) const {
+  receiver.emit(std::move(ready));
+}
+
+void Receiver::EpochDelivery::operator()(std::uint32_t epoch, std::uint64_t expected) const {
+  receiver.counters_.epochs_completed.fetch_add(1, std::memory_order_relaxed);
+  if (receiver.timestamps_) receiver.timestamps_->record("epoch_complete", epoch);
+  receiver.emit(msgpack::BatchCodec::make_sentinel(0, epoch, expected));
 }
 
 void Receiver::emit(msgpack::WireBatch&& batch) {
@@ -321,7 +300,7 @@ bool payload_is_data(const Payload& payload) {
 }  // namespace
 
 void Receiver::count_drop(std::uint64_t n, const char* where) {
-  dropped_on_close_.fetch_add(n, std::memory_order_relaxed);
+  counters_.dropped_on_close.fetch_add(n, std::memory_order_relaxed);
   // The one log line for every shutdown-drop path; exchange() keeps it to a
   // single emission across all of them.
   if (!drop_logged_.exchange(true, std::memory_order_relaxed)) {
@@ -354,13 +333,7 @@ void Receiver::end_of_stream_locked() {
     // dead), not by a local close: nothing further can arrive, so run the
     // end-of-stream repair. Epochs with direct evidence complete degraded
     // and their held batches deliver instead of leaking.
-    auto on_data = [this](msgpack::WireBatch&& ready) { emit(std::move(ready)); };
-    auto on_marker = [this](std::uint32_t epoch, std::uint64_t expected) {
-      epochs_completed_.fetch_add(1, std::memory_order_relaxed);
-      if (timestamps_) timestamps_->record("epoch_complete", epoch);
-      emit(msgpack::BatchCodec::make_sentinel(0, epoch, expected));
-    };
-    epochs_.finish(on_data, on_marker);
+    epochs_.finish(delivery_, delivery_);
     sync_epoch_telemetry_locked();
   }
   // A locally closed receiver skips the repair: whatever is still held
@@ -376,7 +349,7 @@ void Receiver::end_of_stream_locked() {
   // complete, or stale-dropped after a sender death. Held batches were just
   // folded into post_receive_drops_ above, so the books must balance here.
   EMLIO_AUDIT_EQ("receiver batch conservation",
-                 batches_received_.load(std::memory_order_relaxed),
+                 counters_.batches_received.load(std::memory_order_relaxed),
                  delivered_batches_.load(std::memory_order_relaxed) +
                      post_receive_drops_.load(std::memory_order_relaxed) +
                      epochs_.stale_drops());
@@ -476,7 +449,7 @@ void Receiver::dispatch_loop() {
       MutexLock lock(window_mutex_);
       if (inflight_ >= window_ && !window_closed_) {
         // Decode (or the consumer behind it) is the bottleneck right now.
-        decode_stalls_.fetch_add(1, std::memory_order_relaxed);
+        counters_.decode_stalls.fetch_add(1, std::memory_order_relaxed);
         while (inflight_ >= window_ && !window_closed_) window_cv_.wait(window_mutex_);
       }
       if (!window_closed_) {
@@ -532,7 +505,7 @@ void Receiver::decode_job(std::uint64_t ticket, Inbound in) {
     MutexLock lock(sequencer_mutex_);
     in_order = resequencer_.put(ticket, std::move(decoded));
   }
-  if (!in_order) resequence_stalls_.fetch_add(1, std::memory_order_relaxed);
+  if (!in_order) counters_.resequence_stalls.fetch_add(1, std::memory_order_relaxed);
   pump_delivery();
 }
 

@@ -34,6 +34,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -49,6 +51,7 @@
 #include "msgpack/batch_codec.h"
 #include "net/channel.h"
 #include "net/retry.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace emlio::core {
@@ -104,45 +107,54 @@ struct ReceiverConfig {
   net::RetryOptions reconnect;
 };
 
+// ReceiverStats' metrics (obs/metrics.h, which also documents the counter
+// convention). The engine increments the counters sub-list; stats() reads
+// the rest from the consumer queue and the decode pool.
+#define EMLIO_RECEIVER_COUNTERS(M)                                                      \
+  M(std::uint64_t, batches_received, kCounter)                                          \
+  M(std::uint64_t, samples_received, kCounter)                                          \
+  M(std::uint64_t, bytes_received, kCounter)                                            \
+  M(std::uint64_t, decode_errors, kCounter)                                             \
+  M(std::uint64_t, epochs_completed, kCounter)                                          \
+  /* Pipeline balance. */                                                               \
+  M(std::uint64_t, decode_stalls, kCounter)     /* ingest waits on a full decode */     \
+                                                /* window (decode is the bottleneck) */ \
+  M(std::uint64_t, resequence_stalls, kCounter) /* decodes that finished out of */      \
+                                                /* order and parked behind a gap */     \
+  M(std::uint64_t, decode_ns, kCounter)         /* cumulative wall time inside */       \
+                                                /* BatchCodec::decode */                \
+  /* Batches that never reached the consumer after the receiver took them */            \
+  /* off the wire because the receiver itself was shutting down: decoded but */         \
+  /* rejected by a closed queue, still held for a future epoch when the */              \
+  /* receiver closed locally, or pulled off a source and then refused */                \
+  /* admission by a closing engine (the mid-admission window close and the */           \
+  /* mux shutdown used to lose these without a trace). */                               \
+  M(std::uint64_t, dropped_on_close, kCounter)                                          \
+  /* Epochs that completed *degraded*: a sender died (or the stream ended) */           \
+  /* before contributing its sentinel and/or all its announced batches, and */          \
+  /* the EpochSequencer's repair rule released the epoch instead of holding */          \
+  /* it forever. The epoch's marker still fires, so training proceeds with */           \
+  /* the surviving senders' data. */                                                    \
+  M(std::uint64_t, epochs_repaired, kCounter)                                           \
+  /* Batches dropped because their sender had been declared dead: stale */              \
+  /* re-sends for epochs that already completed repaired (a restarted daemon */         \
+  /* re-serving from epoch 0). Distinct from dropped_on_close — these are */            \
+  /* fault fallout, not shutdown fallout. Data payloads the receiver pulls */           \
+  /* off the wire always reconcile: */                                                  \
+  /* pulled = delivered + dropped_on_close + dropped_dead_sender. */                    \
+  M(std::uint64_t, dropped_dead_sender, kCounter)
+
+#define EMLIO_RECEIVER_STATS(M)                                                           \
+  EMLIO_RECEIVER_COUNTERS(M)                                                              \
+  M(std::uint64_t, queue_peak_depth, kGauge) /* max consumer-queue occupancy seen */      \
+  /* Decode-pool sizing. Without the governor, current == peak == the */                  \
+  /* configured width and resizes stays 0. */                                             \
+  M(std::uint64_t, pool_resizes, kCounter)       /* governor grow+shrink steps applied */ \
+  M(std::uint64_t, pool_threads_current, kGauge) /* decode-pool width right now */        \
+  M(std::uint64_t, pool_threads_peak, kGauge)    /* widest the decode pool has been */
+
 struct ReceiverStats {
-  std::uint64_t batches_received = 0;
-  std::uint64_t samples_received = 0;
-  std::uint64_t bytes_received = 0;
-  std::uint64_t decode_errors = 0;
-  std::uint64_t epochs_completed = 0;
-  // Pipeline balance.
-  std::uint64_t decode_stalls = 0;      ///< ingest waits on a full decode
-                                        ///< window (decode is the bottleneck)
-  std::uint64_t resequence_stalls = 0;  ///< decodes that finished out of
-                                        ///< order and parked behind a gap
-  std::uint64_t queue_peak_depth = 0;   ///< max consumer-queue occupancy seen
-  std::uint64_t decode_ns = 0;          ///< cumulative wall time inside
-                                        ///< BatchCodec::decode
-  /// Batches that never reached the consumer after the receiver took them
-  /// off the wire because the receiver itself was shutting down: decoded but
-  /// rejected by a closed queue, still held for a future epoch when the
-  /// receiver closed locally, or pulled off a source and then refused
-  /// admission by a closing engine (the mid-admission window close and the
-  /// mux shutdown used to lose these without a trace).
-  std::uint64_t dropped_on_close = 0;
-  /// Epochs that completed *degraded*: a sender died (or the stream ended)
-  /// before contributing its sentinel and/or all its announced batches, and
-  /// the EpochSequencer's repair rule released the epoch instead of holding
-  /// it forever. The epoch's marker still fires, so training proceeds with
-  /// the surviving senders' data.
-  std::uint64_t epochs_repaired = 0;
-  /// Batches dropped because their sender had been declared dead: stale
-  /// re-sends for epochs that already completed repaired (a restarted daemon
-  /// re-serving from epoch 0). Distinct from dropped_on_close — these are
-  /// fault fallout, not shutdown fallout. Data payloads the receiver pulls
-  /// off the wire always reconcile:
-  /// pulled = delivered + dropped_on_close + dropped_dead_sender.
-  std::uint64_t dropped_dead_sender = 0;
-  // Decode-pool sizing. Without the governor, current == peak == the
-  // configured width and resizes stays 0.
-  std::uint64_t pool_resizes = 0;        ///< governor grow+shrink steps applied
-  std::uint64_t pool_threads_current = 0;///< decode-pool width right now
-  std::uint64_t pool_threads_peak = 0;   ///< widest the decode pool has been
+  EMLIO_METRICS(EMLIO_RECEIVER_STATS)
   /// Per-source ingest lane breakdown ("src<i>", in source order).
   std::vector<LaneStats> lanes;
   /// Per-stage latency quantiles (ingest/decode_wait/decode/resequence/
@@ -154,6 +166,10 @@ struct ReceiverStats {
 /// Serialize the stats block as one flat JSON object (`emlio_receive
 /// --stats-json`, bench rows).
 json::Value to_json(const ReceiverStats& stats);
+
+/// The leaf names of to_json(ReceiverStats) that stream as gauges (the
+/// StatsStreamer::Options::gauges of `emlio_receive --stats-interval`).
+std::set<std::string> gauges(const ReceiverStats&);
 
 class Receiver {
  public:
@@ -199,9 +215,8 @@ class Receiver {
   void note_sender_revived(std::size_t source_index);
 
   /// Point-in-time snapshot. Follows the stats counter convention documented
-  /// on DaemonStats (core/daemon.h): independent relaxed atomics, internally
-  /// consistent per counter; cross-counter invariants settle once the stream
-  /// is drained.
+  /// in obs/metrics.h: independent relaxed atomics, internally consistent per
+  /// counter; cross-counter invariants settle once the stream is drained.
   ReceiverStats stats() const;
 
   /// Slow-batch forensics dump (`--trace-dump`): the trace_ring slowest
@@ -249,9 +264,19 @@ class Receiver {
       EMLIO_REQUIRES(delivery_mutex_);
   /// Deliver one ordered batch to the consumer queue. Callers hold
   /// delivery_mutex_ — asserted, not REQUIRES-annotated, because the epoch
-  /// algebra reaches emit through lambda callbacks the analysis treats as
-  /// separate unannotated functions.
+  /// algebra reaches emit through callbacks the analysis treats as separate
+  /// unannotated functions.
   void emit(msgpack::WireBatch&& batch);
+  /// The epoch algebra's delivery callbacks: one object, passed as both
+  /// EpochSequencer's on_data and on_marker by every call into it. A ready
+  /// batch goes to emit(); a completed epoch is counted (the one
+  /// epochs_completed increment), timestamped and marked. Runs under
+  /// delivery_mutex_.
+  struct EpochDelivery {
+    Receiver& receiver;
+    void operator()(msgpack::WireBatch&& ready) const;
+    void operator()(std::uint32_t epoch, std::uint64_t expected) const;
+  };
   /// Retire the dispatcher (its lanes drained) or one admitted payload
   /// (delivered or tombstoned). Returns true when both the dispatcher and
   /// every admitted payload are gone — the stream is over and the caller
@@ -313,6 +338,7 @@ class Receiver {
   // try-lock and hand over; sender notes and end of stream take it blocking.
   Mutex delivery_mutex_;
   EpochSequencer<msgpack::WireBatch> epochs_ EMLIO_GUARDED_BY(delivery_mutex_);
+  const EpochDelivery delivery_{*this};
   bool delivery_rejected_ EMLIO_GUARDED_BY(delivery_mutex_) = false;  ///< queue_ closed under us
   /// Atomic, not delivery_mutex_-guarded: drops are also counted from the
   /// ingest threads and the dispatcher (window closed mid-admission).
@@ -323,22 +349,15 @@ class Receiver {
 
   std::vector<std::thread> threads_;
 
-  std::atomic<std::uint64_t> batches_received_{0};
-  std::atomic<std::uint64_t> samples_received_{0};
-  std::atomic<std::uint64_t> bytes_received_{0};
-  std::atomic<std::uint64_t> decode_errors_{0};
-  std::atomic<std::uint64_t> epochs_completed_{0};
-  std::atomic<std::uint64_t> decode_stalls_{0};
-  std::atomic<std::uint64_t> resequence_stalls_{0};
-  std::atomic<std::uint64_t> decode_ns_{0};
-  std::atomic<std::uint64_t> dropped_on_close_{0};
-  std::atomic<std::uint64_t> epochs_repaired_{0};
-  std::atomic<std::uint64_t> dropped_dead_sender_{0};
+  struct Counters {
+    EMLIO_COUNTER_BLOCK(EMLIO_RECEIVER_COUNTERS)
+  };
+  Counters counters_;
   // Conservation bookkeeping for the end-of-stream audit (common/debug.h):
   // counted-received batches split into queue deliveries and post-receive
   // drops (queue closed under us, or held for an epoch that can never
   // complete). Mid-admission drops are excluded — those payloads never made
-  // it into batches_received_. Internal only, not surfaced in ReceiverStats.
+  // it into batches_received. Internal only, not surfaced in ReceiverStats.
   std::atomic<std::uint64_t> delivered_batches_{0};
   std::atomic<std::uint64_t> post_receive_drops_{0};
   /// One warn line for the first dead-sender drop, mirroring drop_logged_.

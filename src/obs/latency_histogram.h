@@ -56,7 +56,7 @@ class LatencyHistogram {
   struct Snapshot {
     // Raw buckets feed quantile(); JSON carries the derived quantiles
     // instead of the per-stage bucket counts.
-    std::vector<std::uint64_t> buckets;  // lint: not-serialized
+    std::vector<std::uint64_t> buckets;
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
     std::uint64_t max = 0;

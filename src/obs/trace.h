@@ -58,8 +58,8 @@ struct BatchTrace {
   std::uint64_t wire_bytes = 0;
   std::uint64_t nsamples = 0;
 
-  std::int64_t start_ns = 0;  // first boundary stamp (0 = trace inactive) — lint: not-serialized
-  std::int64_t last_ns = 0;   // most recent boundary stamp — lint: not-serialized
+  std::int64_t start_ns = 0;  // first boundary stamp (0 = trace inactive)
+  std::int64_t last_ns = 0;   // most recent boundary stamp
   std::int64_t total_ns = 0;  // last_ns - start_ns
   std::array<std::int64_t, kStageCount> stage_ns{};
 
@@ -140,6 +140,11 @@ struct StageSummary {
 
 /// {"<stage>":{"count":..,"p50":..,"p95":..,"p99":..,"max":..}, ...}
 json::Value to_json(const std::vector<StageSummary>& summaries);
+
+/// The quantile leaves of the rows above. They are point-in-time
+/// distributions, so a stats stream carries them as gauges; "count" is a
+/// counter.
+inline constexpr std::array<const char*, 4> kStageQuantileLeaves = {"p50", "p95", "p99", "max"};
 
 struct TracerConfig {
   bool enabled = false;

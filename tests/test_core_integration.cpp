@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <random>
 #include <set>
@@ -191,10 +192,33 @@ TEST_F(CoreIntegrationTest, LatencySpikeMidEpochDoesNotCorrupt) {
   service.stop();
 }
 
+/// Key → JSON type tag ('i' int, 'd' double, 'b' bool, 's' string,
+/// 'a' array, 'o' object) of one stats object.
+std::map<std::string, char> json_schema(const json::Value& v) {
+  std::map<std::string, char> out;
+  for (const auto& [key, child] : v.as_object()) {
+    out[key] = child.is_int()      ? 'i'
+               : child.is_double() ? 'd'
+               : child.is_bool()   ? 'b'
+               : child.is_string() ? 's'
+               : child.is_array()  ? 'a'
+                                   : 'o';
+  }
+  return out;
+}
+
+std::map<std::string, char> ints(std::initializer_list<const char*> keys) {
+  std::map<std::string, char> out;
+  for (const char* k : keys) out[k] = 'i';
+  return out;
+}
+
 TEST_F(CoreIntegrationTest, AdaptivePoolServiceDeliversCleanlyAndReportsSizing) {
   // Governors live on both staged engines for a whole multi-epoch run: the
   // stream must stay exactly-once and the new sizing stats must be wired
-  // through ServiceStats/to_json end to end.
+  // through ServiceStats/to_json end to end. Traced, with the cache on, the
+  // run also fills every section of the stats JSON, whose schema and gauge
+  // sets are pinned below (`--stats-json` and `--stats-interval` emit them).
   auto cfg = base_config();
   cfg.epochs = 2;
   cfg.pipeline_pool_threads = 1;  // deliberately undersized start
@@ -203,6 +227,8 @@ TEST_F(CoreIntegrationTest, AdaptivePoolServiceDeliversCleanlyAndReportsSizing) 
   cfg.adaptive_min_threads = 1;
   cfg.adaptive_max_threads = 4;
   cfg.adaptive_interval_ms = 2;
+  cfg.trace = true;
+  cfg.cache_bytes = 1u << 20;
   EmlioService service(cfg);
   service.start();
   for (std::uint32_t e = 0; e < 2; ++e) {
@@ -219,10 +245,58 @@ TEST_F(CoreIntegrationTest, AdaptivePoolServiceDeliversCleanlyAndReportsSizing) 
   EXPECT_GE(stats.receiver.pool_threads_current, 1u);
   EXPECT_LE(stats.receiver.pool_threads_current, 4u);
   EXPECT_GE(stats.receiver.pool_threads_peak, stats.receiver.pool_threads_current);
-  auto dj = to_json(stats.daemon);
-  auto rj = to_json(stats.receiver);
-  EXPECT_TRUE(dj.as_object().count("pool_resizes"));
-  EXPECT_TRUE(rj.as_object().count("pool_resizes"));
+  EXPECT_GT(stats.daemon.cache.hits, 0u);
+
+  auto daemon_keys = ints({"batches_sent", "bytes_sent", "cache_entries", "cache_evictions",
+                           "cache_hits", "cache_inserts", "cache_misses", "cache_pinned_skips",
+                           "cache_rejected", "cache_resident_bytes", "cache_resident_bytes_peak",
+                           "encode_pool_allocated", "encode_pool_reused", "enqueue_stalls",
+                           "errors", "pool_resizes", "pool_threads_current", "pool_threads_peak",
+                           "queue_peak_depth", "samples_sent", "sender_stalls", "store_reads",
+                           "store_records_read", "wire_syscalls"});
+  ASSERT_EQ(daemon_keys.size(), 24u);
+  daemon_keys["lanes"] = 'a';
+  daemon_keys["latency"] = 'o';
+  auto receiver_keys =
+      ints({"batches_received", "bytes_received", "decode_errors", "decode_ns", "decode_stalls",
+            "dropped_dead_sender", "dropped_on_close", "epochs_completed", "epochs_repaired",
+            "pool_resizes", "pool_threads_current", "pool_threads_peak", "queue_peak_depth",
+            "resequence_stalls", "samples_received"});
+  ASSERT_EQ(receiver_keys.size(), 15u);
+  receiver_keys["lanes"] = 'a';
+  receiver_keys["latency"] = 'o';
+  auto lane_keys = ints({"delivered_bytes", "delivered_items", "dequeue_stalls", "enqueue_stalls",
+                         "queue_peak_depth", "rate_per_sec", "weight"});
+  lane_keys["name"] = 's';
+  lane_keys["closed"] = 'b';
+  ASSERT_EQ(lane_keys.size(), 9u);
+  const std::map<std::string, char> stage_keys{
+      {"count", 'i'}, {"p50", 'd'}, {"p95", 'd'}, {"p99", 'd'}, {"max", 'd'}};
+
+  const json::Value sides[] = {to_json(stats.daemon), to_json(stats.receiver)};
+  EXPECT_EQ(json_schema(sides[0]), daemon_keys);
+  EXPECT_EQ(json_schema(sides[1]), receiver_keys);
+  for (const auto& side : sides) {
+    ASSERT_FALSE(side.at("lanes").as_array().empty());
+    for (const auto& lane : side.at("lanes").as_array()) {
+      EXPECT_EQ(json_schema(lane), lane_keys);
+    }
+    ASSERT_FALSE(side.at("latency").as_object().empty());
+    for (const auto& [stage, row] : side.at("latency").as_object()) {
+      EXPECT_EQ(json_schema(row), stage_keys) << stage;
+    }
+  }
+
+  // The leaves `--stats-interval` streams as-is rather than as deltas.
+  const std::set<std::string> daemon_gauges{
+      "pool_threads_current", "pool_threads_peak", "queue_peak_depth", "cache_resident_bytes",
+      "cache_resident_bytes_peak", "cache_entries", "weight", "rate_per_sec", "closed",
+      "p50", "p95", "p99", "max"};
+  const std::set<std::string> receiver_gauges{
+      "pool_threads_current", "pool_threads_peak", "queue_peak_depth", "weight", "rate_per_sec",
+      "closed", "p50", "p95", "p99", "max"};
+  EXPECT_EQ(gauges(stats.daemon), daemon_gauges);
+  EXPECT_EQ(gauges(stats.receiver), receiver_gauges);
 }
 
 TEST_F(CoreIntegrationTest, ShuffleOffPreservesShardOrder) {

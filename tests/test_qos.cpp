@@ -155,10 +155,15 @@ TEST_F(QosTest, GovernorIgnoresColdSinkLane) {
   // The breakdown shows why: the wedged lane delivered exactly the one
   // payload its parked sender holds, while the healthy lane moved data.
   {
-    auto lanes = daemon.stats().lanes;
+    auto stats = daemon.stats();
+    const auto& lanes = stats.lanes;
     ASSERT_EQ(lanes.size(), 2u);
     EXPECT_EQ(lanes[0].delivered_items, 1u);  // "node0", wedged in send()
     EXPECT_GT(lanes[1].delivered_items, 1u);  // "node1", healthy
+    // Mid-epoch, stats() folds the live lanes in: the wedged lane's full
+    // queue already shows in its own peak and in the aggregate.
+    EXPECT_EQ(lanes[0].queue_peak_depth, dc.prefetch_depth);
+    EXPECT_EQ(stats.queue_peak_depth, dc.prefetch_depth);
   }
 
   // Unpark node 0; both streams complete cleanly.

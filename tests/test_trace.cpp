@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -156,11 +158,24 @@ TEST(LatencyHistogram, ConcurrentRecordingLosesNothing) {
   EXPECT_EQ(h.max(), 3000u + kPerThread - 1);
 }
 
+/// The key set of a JSON object.
+std::set<std::string> keys_of(const json::Value& v) {
+  std::set<std::string> out;
+  for (const auto& [key, child] : v.as_object()) out.insert(key);
+  return out;
+}
+
 TEST(LatencyHistogram, ToJsonCarriesQuantileKeys) {
   LatencyHistogram h;
   h.record(1000);
-  auto j = to_json(h.snapshot());
+  const auto snap = h.snapshot();
+  // Binds every field: a new Snapshot field breaks this build until its
+  // JSON key (or its absence, like the raw buckets') is decided here.
+  [[maybe_unused]] const auto& [buckets, count, sum, max, min] = snap;
+  auto j = to_json(snap);
   const auto& o = j.as_object();
+  EXPECT_EQ(keys_of(j), (std::set<std::string>{"count", "sum_ns", "mean_ns", "min_ns", "max_ns",
+                                                "p50", "p95", "p99"}));
   EXPECT_EQ(o.at("count").as_int(), 1);
   EXPECT_EQ(o.at("p50").as_double(), 1000.0);
   EXPECT_EQ(o.at("p99").as_double(), 1000.0);
@@ -303,7 +318,18 @@ TEST(Tracer, CompleteFoldsStagesAndRing) {
   const auto& ring = ring_val.as_object();
   EXPECT_EQ(ring.at("completed").as_int(), 8);
   EXPECT_EQ(ring.at("ring_capacity").as_int(), 4);
-  EXPECT_EQ(ring.at("slowest").as_array().size(), 4u);
+  ASSERT_EQ(ring.at("slowest").as_array().size(), 4u);
+
+  // Each slow entry is to_json(BatchTrace). Binding every field breaks this
+  // build when BatchTrace gains one, until its JSON key (or its absence,
+  // like the raw stamps') is decided here.
+  [[maybe_unused]] const auto& [epoch, batch_id, node_id, shard_id, wire_bytes, nsamples,
+                                start_ns, last_ns, total_ns, stage_ns] = slowest[0];
+  const json::Value& entry = ring.at("slowest").as_array()[0];
+  EXPECT_EQ(keys_of(entry), (std::set<std::string>{"epoch", "batch", "node", "shard", "bytes",
+                                                    "samples", "total_ns", "stages"}));
+  EXPECT_EQ(entry.at("batch").as_int(), 8);
+  EXPECT_EQ(keys_of(entry.at("stages")), (std::set<std::string>{"read", "encode"}));
 }
 
 TEST(Tracer, InactiveTracesAreIgnored) {

@@ -227,13 +227,7 @@ int main(int argc, char** argv) {
       so_stream.tags = {{"daemon", dc.daemon_id}};
       so_stream.interval =
           std::chrono::milliseconds(static_cast<std::int64_t>(stats_interval * 1000.0));
-      so_stream.gauges = {"pool_threads_current", "pool_threads_peak", "queue_peak_depth",
-                          "cache_resident_bytes", "cache_resident_bytes_peak", "cache_entries",
-                          "weight", "rate_per_sec", "closed",
-                          // latency.<stage>.* quantiles are point-in-time
-                          // distributions, not monotone counters — stream
-                          // them as-is (the live latency timeline).
-                          "p50", "p95", "p99", "max"};
+      so_stream.gauges = core::gauges(core::DaemonStats{});
       streamer.emplace([&daemon] { return core::to_json(daemon.stats()); },
                        std::move(so_stream));
     }

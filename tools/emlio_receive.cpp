@@ -224,10 +224,7 @@ int main(int argc, char** argv) {
       so.tags = {{"receiver", "node0"}};
       so.interval =
           std::chrono::milliseconds(static_cast<std::int64_t>(stats_interval * 1000.0));
-      so.gauges = {"pool_threads_current", "pool_threads_peak", "queue_peak_depth",
-                   "weight", "rate_per_sec", "closed",
-                   // latency.<stage>.* quantiles stream as-is, not as deltas.
-                   "p50", "p95", "p99", "max"};
+      so.gauges = core::gauges(core::ReceiverStats{});
       streamer.emplace([&receiver] { return core::to_json(receiver.stats()); }, std::move(so));
     }
 

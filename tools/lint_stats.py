@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
 """Stats-convention lint for the emlio source tree.
 
-Two checks, both enforcing documented conventions (see the comment block
-above Daemon's counter members in src/core/daemon.h):
+One check, enforcing the counter convention documented in src/obs/metrics.h:
+every atomic access in src/ (.load / .store / .fetch_add / .fetch_sub /
+.fetch_or / .exchange / .compare_exchange_*) must pass an explicit
+std::memory_order argument. Stats counters are independent relaxed atomics by
+convention; an ordering-free call silently defaults to seq_cst, which both
+hides the author's intent and puts a full fence on a hot path. The check also
+covers the loads the metric-list expanders generate.
 
-1. explicit-ordering: every atomic access in src/ (.load / .store /
-   .fetch_add / .fetch_sub / .fetch_or / .exchange /
-   .compare_exchange_*) must pass an explicit std::memory_order argument.
-   Stats counters are independent relaxed atomics by convention; an
-   ordering-free call silently defaults to seq_cst, which both hides the
-   author's intent and puts a full fence on a hot path.
-
-2. serializer-drift: every field of a stats struct that has a free-function
-   `json::Value to_json(const T&)` serializer must be referenced inside that
-   serializer's body. Adding a counter to the struct but not to to_json is
-   how dashboards silently lose telemetry. Fields that are deliberately not
-   serialized carry `// lint: not-serialized` on their declaration line.
+Serializer drift needs no lint: each stats struct's fields, its JSON keys and
+its tsdb gauge names all expand from one metric list (src/obs/metrics.h), and
+tests/test_trace.cpp pins the two hand-written serializers, to_json(BatchTrace)
+and to_json(LatencyHistogram::Snapshot), by binding every field.
 
 Usage: tools/lint_stats.py [repo_root]     (exit 0 clean, 1 findings)
 """
@@ -30,37 +27,6 @@ ATOMIC_CALL = re.compile(
     r"\.(load|store|fetch_add|fetch_sub|fetch_or|fetch_and|exchange|"
     r"compare_exchange_weak|compare_exchange_strong)\s*\("
 )
-TO_JSON_DEF = re.compile(
-    r"json::Value\s+to_json\s*\(\s*const\s+([A-Za-z_][\w:]*)\s*&\s*(\w+)\s*\)\s*\{"
-)
-# A field declaration: `type name;` or `type name = init;` — no '(' before
-# the name (rejects methods), optionally preceded by qualifiers. The prefix
-# must begin with an identifier character so a bare assignment statement
-# (`last_ns = now;`) inside an inline method body cannot pass as a
-# declaration whose "type" is whitespace.
-FIELD_DECL = re.compile(
-    r"^\s*(?!using|typedef|static|friend|return|if|for|while|switch)"
-    r"([A-Za-z_][\w:<>,\s\*&]*?)[\s&\*]([A-Za-z_]\w*)\s*(?:=[^;]*)?;"
-)
-OPT_OUT = "lint: not-serialized"
-
-
-def strip_comments(text: str) -> str:
-    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
-    return re.sub(r"//[^\n]*", "", text)
-
-
-def balanced_body(text: str, open_brace: int) -> str:
-    """Return the text between the brace at `open_brace` and its match."""
-    depth = 0
-    for i in range(open_brace, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return text[open_brace + 1 : i]
-    return text[open_brace + 1 :]
 
 
 def check_orderings(sources: list[Path]) -> list[str]:
@@ -80,51 +46,6 @@ def check_orderings(sources: list[Path]) -> list[str]:
     return findings
 
 
-def find_struct_fields(sources: list[Path], name: str) -> tuple[Path | None, list[str]]:
-    """Locate `struct <name> {` and return its non-opted-out field names."""
-    short = name.split("::")[-1]
-    decl = re.compile(r"\bstruct\s+" + re.escape(short) + r"\b[^;{]*\{")
-    for path in sources:
-        text = path.read_text()
-        m = decl.search(text)
-        if not m:
-            continue
-        body = balanced_body(text, m.end() - 1)
-        fields = []
-        for line in body.splitlines():
-            if OPT_OUT in line:
-                continue
-            code = line.split("//")[0]
-            if "(" in code.split("=")[0]:  # method / ctor / function pointer
-                continue
-            fm = FIELD_DECL.match(code)
-            if fm:
-                fields.append(fm.group(2))
-        return path, fields
-    return None, []
-
-
-def check_serializers(sources: list[Path]) -> list[str]:
-    findings = []
-    for path in sources:
-        text = path.read_text()
-        for m in TO_JSON_DEF.finditer(text):
-            type_name, param = m.group(1), m.group(2)
-            body = strip_comments(balanced_body(text, m.end() - 1))
-            struct_path, fields = find_struct_fields(sources, type_name)
-            if struct_path is None:
-                continue  # vector overloads etc. resolve to no struct
-            for field in fields:
-                if not re.search(r"\b" + re.escape(param) + r"\." + re.escape(field) + r"\b",
-                                 body):
-                    findings.append(
-                        f"{path}: to_json(const {type_name}&) does not serialize "
-                        f"field '{field}' (declared in {struct_path.name}; add it or "
-                        f"mark the field '// {OPT_OUT}')"
-                    )
-    return findings
-
-
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
     src = root / "src"
@@ -132,7 +53,7 @@ def main() -> int:
     if not sources:
         print(f"lint_stats: no sources under {src}", file=sys.stderr)
         return 2
-    findings = list(dict.fromkeys(check_orderings(sources) + check_serializers(sources)))
+    findings = check_orderings(sources)
     for f in findings:
         print(f)
     print(f"lint_stats: {len(sources)} files, {len(findings)} finding(s)")

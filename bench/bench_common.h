@@ -1,11 +1,14 @@
 // Shared helpers for the figure-reproduction benches: the Table-1 header
-// every binary prints, the results-file plumbing, and the spread summary the
-// repeated micro-bench sweeps report.
+// every binary prints, the results-file plumbing, the spread summary the
+// repeated micro-bench sweeps report, and the micro benches' one core-count
+// SKIP policy.
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "eval/scenario.h"
@@ -69,6 +72,54 @@ inline json::Value to_json(const Spread& s) {
   o["min"] = s.min;
   o["max"] = s.max;
   return json::Value(std::move(o));
+}
+
+/// One round of an A/B pair timed over alternating rounds: both sides back
+/// to back, `a` first in even rounds and `b` first in odd ones, so drift
+/// within a round falls on both sides alike. Gate on the median of the
+/// per-round ratios (spread()).
+template <typename A, typename B>
+void run_pair(int round, A&& a, B&& b) {
+  if (round % 2 == 0) {
+    a();
+    b();
+  } else {
+    b();
+    a();
+  }
+}
+
+/// The micro benches' core-count policy, for a timing assertion that needs
+/// `min_cores` hardware threads. With fewer, the timed threads would share
+/// cores, so the bench prints an explicit SKIP saying what the timing
+/// would measure instead (`measures`), appends a skipped JSON row and exits
+/// 0 — unless `force_env` is set, in which case it runs as a plumbing
+/// smoke without the timing assertion. An unknown core count (0) runs and
+/// asserts.
+struct CoreGate {
+  unsigned cores = 0;
+  bool skip = false;          ///< SKIP printed and recorded: return 0 now
+  bool assert_timing = true;  ///< enough cores for the timing assertion
+};
+
+inline CoreGate core_gate(const char* bench, unsigned min_cores, const char* force_env,
+                          const char* measures) {
+  CoreGate g;
+  g.cores = std::thread::hardware_concurrency();
+  g.assert_timing = g.cores == 0 || g.cores >= min_cores;
+  if (g.assert_timing || std::getenv(force_env) != nullptr) return g;
+  g.skip = true;
+  std::printf("%s: SKIP — %u hardware thread(s); the timing would measure %s. Run on a "
+              ">=%u-core host for the timing assertion (or %s=1 for a smoke run).\n",
+              bench, g.cores, measures, min_cores, force_env);
+  json::Object row;
+  row["bench"] = std::string(bench);
+  row["skipped"] = true;
+  row["reason"] = "fewer than " + std::to_string(min_cores) +
+                  " hardware threads: the timing would measure " + measures;
+  row["cores"] = static_cast<std::int64_t>(g.cores);
+  append_json_line(json::Value(std::move(row)));
+  return g;
 }
 
 }  // namespace emlio::bench

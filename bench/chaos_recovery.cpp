@@ -25,8 +25,9 @@
 // Below 2 cores the daemons, receiver threads, chaos script and drain loop
 // all share one core and the latency timeline measures the scheduler, so
 // the bench prints an explicit SKIP, records a skipped JSON row and exits 0
-// — same protocol as the other micro benches. EMLIO_CHAOS_FORCE=1 runs it
-// anyway; the latency-recovery assertion still only applies on >=2 cores.
+// (bench::core_gate, the micro benches' one SKIP policy).
+// EMLIO_CHAOS_FORCE=1 runs it anyway; the latency-recovery assertion still
+// only applies on >=2 cores.
 //
 // Appends one JSON row per scenario to emlio_bench_results.jsonl. Exit 1 on
 // any assertion failure.
@@ -34,7 +35,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -515,22 +515,12 @@ bool scenario_lossy_link(const std::vector<tfrecord::ShardIndex>& indexes,
 int main() {
   namespace fs = std::filesystem;
 
-  unsigned cores = std::thread::hardware_concurrency();
-  const bool force = std::getenv("EMLIO_CHAOS_FORCE") != nullptr;
-  const bool assert_latency = cores == 0 || cores >= 2;
-  if (!force && cores != 0 && cores < 2) {
-    std::printf("chaos_recovery: SKIP — %u hardware thread(s); daemons, receiver, chaos "
-                "script and drain loop share one core, so the latency timeline measures the "
-                "scheduler. Run on a >=2-core host (or EMLIO_CHAOS_FORCE=1).\n",
-                cores);
-    json::Object row;
-    row["bench"] = "chaos_recovery";
-    row["skipped"] = true;
-    row["reason"] = "fewer than 2 hardware threads: latency timeline meaningless";
-    row["cores"] = static_cast<std::int64_t>(cores);
-    bench::append_json_line(json::Value(std::move(row)));
-    return 0;
-  }
+  const auto gate = bench::core_gate(
+      "chaos_recovery", 2, "EMLIO_CHAOS_FORCE",
+      "the scheduler (daemons, receiver, chaos script and drain loop share one core)");
+  if (gate.skip) return 0;
+  const unsigned cores = gate.cores;
+  const bool assert_latency = gate.assert_timing;
 
   auto dir = fs::temp_directory_path() / "emlio_chaos_recovery";
   fs::remove_all(dir);

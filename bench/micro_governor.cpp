@@ -22,9 +22,13 @@
 //      decode stalls must grow the governed decode pool from 1 thread to
 //      ≥80 % of the static decode=4 throughput, ≥1 resize observed.
 //
+// Phases 2 and 3 each time both engines over 7 alternating rounds
+// (bench::run_pair) and gate on the median per-round throughput ratio.
+//
 // Below 4 cores phases 2–3 are meaningless (every pool shares one or two
 // cores with the senders), so the bench prints an explicit SKIP, records a
-// skipped JSON row and exits 0 — same protocol as the other micro benches.
+// skipped JSON row and exits 0 (bench::core_gate, the micro benches' one
+// SKIP policy).
 // EMLIO_MICRO_GOVERNOR_FORCE=1 runs them anyway (plumbing smoke on small
 // hosts); the ratio assertions still only apply on ≥4 cores.
 //
@@ -34,7 +38,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <random>
 #include <thread>
@@ -53,6 +56,10 @@ using namespace emlio;
 namespace {
 
 // ----------------------------------------------------------- shared helpers
+
+/// Alternating rounds per A/B phase (bench::run_pair); the gates take the
+/// median per-round ratio.
+constexpr int kRounds = 7;
 
 msgpack::WireBatch make_data_batch(std::uint32_t epoch, std::uint64_t batch_id,
                                    std::size_t samples, std::size_t sample_bytes,
@@ -311,29 +318,47 @@ bool run_contract_phase() {
 
 // --------------------------------------------------------------- JSONL rows
 
-json::Value daemon_row(const char* engine, const DaemonRun& r, double ratio) {
+/// One engine's row: its run time over the rounds, the median throughput
+/// ratio, and the last round's stats.
+json::Value daemon_row(const char* engine, const DaemonRun& last, const bench::Spread& seconds,
+                       double ratio) {
   json::Object row;
   row["bench"] = "micro_governor";
   row["phase"] = std::string("daemon");
   row["engine"] = std::string(engine);
   row["cores"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  row["seconds"] = r.seconds;
+  row["rounds"] = static_cast<std::int64_t>(kRounds);
+  row["seconds"] = bench::to_json(seconds);
   row["throughput_vs_static"] = ratio;
-  row["stats"] = core::to_json(r.stats);
+  row["stats"] = core::to_json(last.stats);
   return json::Value(std::move(row));
 }
 
-json::Value receiver_row(const char* engine, const ReceiverRun& r, double ratio) {
+json::Value receiver_row(const char* engine, const ReceiverRun& last,
+                         const bench::Spread& seconds, double ratio) {
   json::Object row;
   row["bench"] = "micro_governor";
   row["phase"] = std::string("receiver");
   row["engine"] = std::string(engine);
   row["cores"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  row["seconds"] = r.seconds;
+  row["rounds"] = static_cast<std::int64_t>(kRounds);
+  row["seconds"] = bench::to_json(seconds);
   row["throughput_vs_static"] = ratio;
-  row["batches"] = static_cast<std::int64_t>(r.batches);
-  row["stats"] = core::to_json(r.stats);
+  row["batches"] = static_cast<std::int64_t>(last.batches);
+  row["stats"] = core::to_json(last.stats);
   return json::Value(std::move(row));
+}
+
+/// Print one phase's static and governed run times and the ratio spread.
+void print_pair(const std::string& static_width, const bench::Spread& stat,
+                const bench::Spread& gov, const bench::Spread& ratio) {
+  std::printf("  static   : median %.3f s (min %.3f, max %.3f), %s\n", stat.median, stat.min,
+              stat.max, static_width.c_str());
+  std::printf("  governed : median %.3f s (min %.3f, max %.3f), start=1\n", gov.median, gov.min,
+              gov.max);
+  std::printf("  throughput vs static over %d alternating rounds: median %.0f%% (min %.0f%%, "
+              "max %.0f%%)\n",
+              kRounds, ratio.median * 100.0, ratio.min * 100.0, ratio.max * 100.0);
 }
 
 }  // namespace
@@ -344,22 +369,12 @@ int main() {
   // Phase 1 needs no parallelism to be meaningful — it always runs.
   if (!run_contract_phase()) return 1;
 
-  unsigned cores = std::thread::hardware_concurrency();
-  const bool force = std::getenv("EMLIO_MICRO_GOVERNOR_FORCE") != nullptr;
-  const bool assert_ratios = cores == 0 || cores >= 4;
-  if (!force && cores != 0 && cores < 4) {
-    std::printf("micro_governor: SKIP — %u hardware thread(s); a governed pool, its senders "
-                "and the wire threads would share cores, so convergence-vs-static is "
-                "meaningless. Run on a >=4-core host for the throughput assertions.\n",
-                cores);
-    json::Object row;
-    row["bench"] = "micro_governor";
-    row["skipped"] = true;
-    row["reason"] = "fewer than 4 hardware threads: governed-vs-static A/B meaningless";
-    row["cores"] = static_cast<std::int64_t>(cores);
-    bench::append_json_line(json::Value(std::move(row)));
-    return 0;
-  }
+  const auto gate = bench::core_gate(
+      "micro_governor", 4, "EMLIO_MICRO_GOVERNOR_FORCE",
+      "core sharing (a governed pool, its senders and the wire threads share cores)");
+  if (gate.skip) return 0;
+  const unsigned cores = gate.cores;
+  const bool assert_ratios = gate.assert_timing;
 
   // ---------------------------------------------- phase 2: daemon convergence
   // CRC-on encode over a fast wire: the encode pool is the bottleneck, so
@@ -385,35 +400,52 @@ int main() {
               indexes.size(), static_cast<unsigned long long>(planner.dataset_size()), pc.epochs,
               pc.batch_size, cores, tuned);
 
-  auto d_static = run_daemon(indexes, planner, pc.epochs, /*adaptive=*/false, tuned,
-                             /*adaptive_max=*/0, /*interval_ms=*/10);
-  auto d_gov = run_daemon(indexes, planner, pc.epochs, /*adaptive=*/true, /*pool_threads=*/1,
-                          tuned, /*interval_ms=*/10);
+  // Alternating rounds (bench::run_pair), gated on the median per-round
+  // ratio: one run per side swings by up to 2× on a host whose speed drifts.
+  std::vector<double> d_static_s, d_gov_s, d_ratios;
+  DaemonRun d_static, d_gov;
+  for (int round = 0; round < kRounds; ++round) {
+    bench::run_pair(
+        round,
+        [&] {
+          d_static = run_daemon(indexes, planner, pc.epochs, /*adaptive=*/false, tuned,
+                                /*adaptive_max=*/0, /*interval_ms=*/10);
+        },
+        [&] {
+          d_gov = run_daemon(indexes, planner, pc.epochs, /*adaptive=*/true, /*pool_threads=*/1,
+                             tuned, /*interval_ms=*/10);
+        });
+    if (d_static.streams[0] != d_gov.streams[0] || d_static.streams[1] != d_gov.streams[1]) {
+      std::fprintf(stderr,
+                   "micro_governor: FAIL — governed daemon stream diverged from static\n");
+      fs::remove_all(dir);
+      return 1;
+    }
+    if (assert_ratios && d_gov.stats.pool_resizes == 0) {
+      std::fprintf(stderr,
+                   "micro_governor: FAIL — governed daemon never resized from 1 thread\n");
+      fs::remove_all(dir);
+      return 1;
+    }
+    d_static_s.push_back(d_static.seconds);
+    d_gov_s.push_back(d_gov.seconds);
+    d_ratios.push_back(d_gov.seconds > 0.0 ? d_static.seconds / d_gov.seconds : 0.0);
+  }
   fs::remove_all(dir);
 
-  bool identical = d_static.streams[0] == d_gov.streams[0] &&
-                   d_static.streams[1] == d_gov.streams[1];
-  double d_ratio = d_gov.seconds > 0.0 ? d_static.seconds / d_gov.seconds : 0.0;
-  std::printf("  static   : %.3f s (pool=%zu)\n", d_static.seconds, tuned);
-  std::printf("  governed : %.3f s (start=1, %llu resizes, peak %llu threads)  "
-              "throughput %.0f%% of static\n",
-              d_gov.seconds, static_cast<unsigned long long>(d_gov.stats.pool_resizes),
-              static_cast<unsigned long long>(d_gov.stats.pool_threads_peak), d_ratio * 100.0);
-  bench::append_json_line(daemon_row("static", d_static, 1.0));
-  bench::append_json_line(daemon_row("governed", d_gov, d_ratio));
-  if (!identical) {
-    std::fprintf(stderr, "micro_governor: FAIL — governed daemon stream diverged from static\n");
-    return 1;
-  }
-  if (assert_ratios && d_gov.stats.pool_resizes == 0) {
-    std::fprintf(stderr, "micro_governor: FAIL — governed daemon never resized from 1 thread\n");
-    return 1;
-  }
-  if (assert_ratios && d_ratio < 0.8) {
+  const auto d_ratio = bench::spread(d_ratios);
+  print_pair("pool=" + std::to_string(tuned), bench::spread(d_static_s), bench::spread(d_gov_s),
+             d_ratio);
+  std::printf("  governed, last round: %llu resizes, peak %llu threads\n",
+              static_cast<unsigned long long>(d_gov.stats.pool_resizes),
+              static_cast<unsigned long long>(d_gov.stats.pool_threads_peak));
+  bench::append_json_line(daemon_row("static", d_static, bench::spread(d_static_s), 1.0));
+  bench::append_json_line(daemon_row("governed", d_gov, bench::spread(d_gov_s), d_ratio.median));
+  if (assert_ratios && d_ratio.median < 0.8) {
     std::fprintf(stderr,
-                 "micro_governor: FAIL — governed daemon reached %.0f%% of static throughput "
-                 "(< 80%%) on a %u-core host\n",
-                 d_ratio * 100.0, cores);
+                 "micro_governor: FAIL — governed daemon reached a median %.0f%% of static "
+                 "throughput (< 80%%) on a %u-core host\n",
+                 d_ratio.median * 100.0, cores);
     return 1;
   }
 
@@ -438,39 +470,52 @@ int main() {
               "samples)\n",
               kDaemons, kBatchesPerDaemon, kSamplesPerBatch, kSampleBytes);
 
-  auto r_static = run_fan_in(per_daemon, /*adaptive=*/false, /*decode_threads=*/4,
-                             /*adaptive_max=*/0, /*interval_ms=*/5);
-  auto r_gov = run_fan_in(per_daemon, /*adaptive=*/true, /*decode_threads=*/1,
-                          /*adaptive_max=*/4, /*interval_ms=*/5);
-
   const std::uint64_t want = kDaemons * kBatchesPerDaemon;
-  double r_ratio = r_gov.seconds > 0.0 ? r_static.seconds / r_gov.seconds : 0.0;
-  std::printf("  static   : %.3f s (decode=4)\n", r_static.seconds);
-  std::printf("  governed : %.3f s (start=1, %llu resizes, peak %llu threads)  "
-              "throughput %.0f%% of static\n",
-              r_gov.seconds, static_cast<unsigned long long>(r_gov.stats.pool_resizes),
-              static_cast<unsigned long long>(r_gov.stats.pool_threads_peak), r_ratio * 100.0);
-  bench::append_json_line(receiver_row("static", r_static, 1.0));
-  bench::append_json_line(receiver_row("governed", r_gov, r_ratio));
-  if (r_static.batches != want || r_gov.batches != want) {
-    std::fprintf(stderr,
-                 "micro_governor: FAIL — wrong batch count (static %llu, governed %llu, "
-                 "want %llu)\n",
-                 static_cast<unsigned long long>(r_static.batches),
-                 static_cast<unsigned long long>(r_gov.batches),
-                 static_cast<unsigned long long>(want));
-    return 1;
+  std::vector<double> r_static_s, r_gov_s, r_ratios;
+  ReceiverRun r_static, r_gov;
+  for (int round = 0; round < kRounds; ++round) {
+    bench::run_pair(
+        round,
+        [&] {
+          r_static = run_fan_in(per_daemon, /*adaptive=*/false, /*decode_threads=*/4,
+                                /*adaptive_max=*/0, /*interval_ms=*/5);
+        },
+        [&] {
+          r_gov = run_fan_in(per_daemon, /*adaptive=*/true, /*decode_threads=*/1,
+                             /*adaptive_max=*/4, /*interval_ms=*/5);
+        });
+    if (r_static.batches != want || r_gov.batches != want) {
+      std::fprintf(stderr,
+                   "micro_governor: FAIL — wrong batch count (static %llu, governed %llu, "
+                   "want %llu)\n",
+                   static_cast<unsigned long long>(r_static.batches),
+                   static_cast<unsigned long long>(r_gov.batches),
+                   static_cast<unsigned long long>(want));
+      return 1;
+    }
+    if (assert_ratios && r_gov.stats.pool_resizes == 0) {
+      std::fprintf(stderr,
+                   "micro_governor: FAIL — governed receiver never resized from 1 thread\n");
+      return 1;
+    }
+    r_static_s.push_back(r_static.seconds);
+    r_gov_s.push_back(r_gov.seconds);
+    r_ratios.push_back(r_gov.seconds > 0.0 ? r_static.seconds / r_gov.seconds : 0.0);
   }
-  if (assert_ratios && r_gov.stats.pool_resizes == 0) {
+
+  const auto r_ratio = bench::spread(r_ratios);
+  print_pair("decode=4", bench::spread(r_static_s), bench::spread(r_gov_s), r_ratio);
+  std::printf("  governed, last round: %llu resizes, peak %llu threads\n",
+              static_cast<unsigned long long>(r_gov.stats.pool_resizes),
+              static_cast<unsigned long long>(r_gov.stats.pool_threads_peak));
+  bench::append_json_line(receiver_row("static", r_static, bench::spread(r_static_s), 1.0));
+  bench::append_json_line(
+      receiver_row("governed", r_gov, bench::spread(r_gov_s), r_ratio.median));
+  if (assert_ratios && r_ratio.median < 0.8) {
     std::fprintf(stderr,
-                 "micro_governor: FAIL — governed receiver never resized from 1 thread\n");
-    return 1;
-  }
-  if (assert_ratios && r_ratio < 0.8) {
-    std::fprintf(stderr,
-                 "micro_governor: FAIL — governed receiver reached %.0f%% of static "
+                 "micro_governor: FAIL — governed receiver reached a median %.0f%% of static "
                  "throughput (< 80%%) on a %u-core host\n",
-                 r_ratio * 100.0, cores);
+                 r_ratio.median * 100.0, cores);
     return 1;
   }
   return 0;

@@ -11,20 +11,22 @@
 //      weights move WHEN a lane is served, never WHAT it carries. Exit 1 on
 //      any divergence.
 //
-//   2. Isolation (needs ≥4 cores): a weight-4 node first runs ISOLATED
-//      (baseline: the encode pool works for it alone), then CONTENDED with a
+//   2. Isolation (needs ≥4 cores): a weight-4 node runs ISOLATED
+//      (baseline: the encode pool works for it alone) and CONTENDED with a
 //      weight-1 sibling whose consumer is deliberately parked until the fast
-//      node finishes. DWRR admission caps the stalled lane at its in-flight
-//      window, so the weight-4 node must complete its full stream in ≥80 %
-//      of its isolated throughput. The pre-lane engine fails this: pool
+//      node finishes, over 7 alternating rounds. DWRR admission caps the
+//      stalled lane at its in-flight window, so the weight-4 node must
+//      complete its full stream at a median ≥80 % of its isolated
+//      throughput (per-round ratios). The pre-lane engine fails this: pool
 //      threads pile up against the stalled lane's full queue and the fast
 //      node starves. FAILS (exit 1) below the 80 % floor.
 //
 // Below 4 cores phase 2 is meaningless (the pool, both senders and both
 // consumers share a core or two), so the bench prints an explicit SKIP,
-// records a skipped JSON row and exits 0 — same protocol as the other micro
-// benches. EMLIO_MICRO_QOS_FORCE=1 runs it anyway (plumbing smoke on small
-// hosts); the ratio assertion still only applies on ≥4 cores.
+// records a skipped JSON row and exits 0 (bench::core_gate, the micro
+// benches' one SKIP policy). EMLIO_MICRO_QOS_FORCE=1 runs it anyway
+// (plumbing smoke on small hosts); the ratio assertion still only applies
+// on ≥4 cores.
 //
 // Appends one JSON row per phase/engine (or the skip row) to
 // emlio_bench_results.jsonl.
@@ -32,7 +34,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <thread>
 #include <vector>
@@ -176,15 +177,18 @@ bool run_contract_phase() {
 
 // --------------------------------------------------------------- JSONL rows
 
-json::Value qos_row(const char* engine, const QosRun& r, double ratio) {
+/// One engine's row: its time to node A's last sample over the rounds, the
+/// median throughput ratio, and the last round's stats.
+json::Value qos_row(const char* engine, const QosRun& last, const bench::Spread& seconds,
+                    double ratio) {
   json::Object row;
   row["bench"] = "micro_qos";
   row["phase"] = std::string("isolation");
   row["engine"] = std::string(engine);
   row["cores"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  row["a_seconds"] = r.a_seconds;
+  row["a_seconds"] = bench::to_json(seconds);
   row["throughput_vs_isolated"] = ratio;
-  row["stats"] = core::to_json(r.stats);
+  row["stats"] = core::to_json(last.stats);
   return json::Value(std::move(row));
 }
 
@@ -196,22 +200,12 @@ int main() {
   // Phase 1 needs no parallelism to be meaningful — it always runs.
   if (!run_contract_phase()) return 1;
 
-  unsigned cores = std::thread::hardware_concurrency();
-  const bool force = std::getenv("EMLIO_MICRO_QOS_FORCE") != nullptr;
-  const bool assert_ratio = cores == 0 || cores >= 4;
-  if (!force && cores != 0 && cores < 4) {
-    std::printf("micro_qos: SKIP — %u hardware thread(s); the encode pool, both senders and "
-                "both consumers would share cores, so isolated-vs-contended is meaningless. "
-                "Run on a >=4-core host for the throughput assertion.\n",
-                cores);
-    json::Object row;
-    row["bench"] = "micro_qos";
-    row["skipped"] = true;
-    row["reason"] = "fewer than 4 hardware threads: isolated-vs-contended A/B meaningless";
-    row["cores"] = static_cast<std::int64_t>(cores);
-    bench::append_json_line(json::Value(std::move(row)));
-    return 0;
-  }
+  const auto gate = bench::core_gate(
+      "micro_qos", 4, "EMLIO_MICRO_QOS_FORCE",
+      "core sharing (the encode pool, both senders and both consumers share cores)");
+  if (gate.skip) return 0;
+  const unsigned cores = gate.cores;
+  const bool assert_ratio = gate.assert_timing;
 
   // ------------------------------------------------------ phase 2: isolation
   // CRC-on encode of 64 KB samples over a fast wire: the encode pool is the
@@ -240,37 +234,59 @@ int main() {
               indexes.size(), static_cast<unsigned long long>(planner.dataset_size()),
               pc.epochs, pc.batch_size, cores);
 
-  auto isolated = run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/false,
-                          fast, slow, /*stall_b=*/false);
-  auto contended = run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/true,
-                           fast, slow, /*stall_b=*/true);
+  // Alternating rounds (bench::run_pair), gated on the median per-round
+  // ratio: a single ~0.2 s run per side swings by up to 2× on a host whose
+  // speed drifts.
+  constexpr int kRounds = 7;
+  std::vector<double> isolated_s, contended_s, ratios;
+  QosRun isolated, contended;
+  for (int round = 0; round < kRounds; ++round) {
+    auto run_isolated = [&] {
+      isolated = run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/false, fast,
+                         slow, /*stall_b=*/false);
+    };
+    auto run_contended = [&] {
+      contended = run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/true, fast,
+                          slow, /*stall_b=*/true);
+    };
+    bench::run_pair(round, run_isolated, run_contended);
+    // Contract inside the measured phase too: A's stream must not change
+    // when a stalled sibling appears.
+    if (isolated.streams[0] != contended.streams[0]) {
+      std::fprintf(stderr, "micro_qos: FAIL — node A's stream changed between isolated and "
+                           "contended runs\n");
+      fs::remove_all(dir);
+      return 1;
+    }
+    isolated_s.push_back(isolated.a_seconds);
+    contended_s.push_back(contended.a_seconds);
+    ratios.push_back(contended.a_seconds > 0.0 ? isolated.a_seconds / contended.a_seconds : 0.0);
+  }
   fs::remove_all(dir);
 
-  // Contract inside the measured phase too: A's stream must not change when
-  // a stalled sibling appears.
-  if (isolated.streams[0] != contended.streams[0]) {
-    std::fprintf(stderr, "micro_qos: FAIL — node A's stream changed between isolated and "
-                         "contended runs\n");
-    return 1;
-  }
-  double ratio = contended.a_seconds > 0.0 ? isolated.a_seconds / contended.a_seconds : 0.0;
-  std::printf("  isolated  : %.3f s to node A's last sample\n", isolated.a_seconds);
-  std::printf("  contended : %.3f s with a stalled weight-1 sibling  (throughput %.0f%% of "
-              "isolated)\n",
-              contended.a_seconds, ratio * 100.0);
+  const auto iso = bench::spread(isolated_s);
+  const auto con = bench::spread(contended_s);
+  const auto ratio = bench::spread(ratios);
+  std::printf("  isolated  : median %.3f s (min %.3f, max %.3f) to node A's last sample\n",
+              iso.median, iso.min, iso.max);
+  std::printf("  contended : median %.3f s (min %.3f, max %.3f) with a stalled weight-1 sibling\n",
+              con.median, con.min, con.max);
+  std::printf("  throughput vs isolated over %d alternating rounds: median %.0f%% (min %.0f%%, "
+              "max %.0f%%)\n",
+              kRounds, ratio.median * 100.0, ratio.min * 100.0, ratio.max * 100.0);
   for (const auto& lane : contended.stats.lanes) {
-    std::printf("    lane %s: weight %u, %llu delivered, %llu enqueue stalls\n",
+    std::printf("    lane %s: weight %u, %llu delivered, %llu enqueue stalls (last round)\n",
                 lane.name.c_str(), lane.weight,
                 static_cast<unsigned long long>(lane.delivered_items),
                 static_cast<unsigned long long>(lane.enqueue_stalls));
   }
-  bench::append_json_line(qos_row("isolated", isolated, 1.0));
-  bench::append_json_line(qos_row("contended", contended, ratio));
-  if (assert_ratio && ratio < 0.8) {
+  bench::append_json_line(qos_row("isolated", isolated, iso, 1.0));
+  bench::append_json_line(qos_row("contended", contended, con, ratio.median));
+  if (assert_ratio && ratio.median < 0.8) {
     std::fprintf(stderr,
-                 "micro_qos: FAIL — stalled weight-1 lane dragged the weight-4 node to "
+                 "micro_qos: FAIL — stalled weight-1 lane dragged the weight-4 node to a median "
                  "%.0f%% of isolated throughput (< 80%%) on a %u-core host\n",
-                 ratio * 100.0, cores);
+                 ratio.median * 100.0, cores);
     return 1;
   }
   return 0;

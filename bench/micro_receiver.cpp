@@ -1,6 +1,6 @@
 // Microbench for the compute-side receiver (per-source ingest threads →
-// weighted-fair dispatcher → shared decode ThreadPool → Sequencer-ordered
-// delivery). Two phases:
+// weighted-fair inline admission → shared decode ThreadPool →
+// Sequencer-ordered delivery). Two phases:
 //
 //   1. Ordered-delivery contract (hard failure): a deterministic
 //      multi-sender script — sentinel overtakes, epoch reordering,

@@ -20,7 +20,8 @@
 //
 // On a single-core host the A/B is a context-switch benchmark, not a
 // transport benchmark, so phase 2 prints an explicit SKIP, records a skipped
-// JSON row and exits 0 — same protocol as the other micro benches.
+// JSON row and exits 0 (bench::core_gate, the micro benches' one SKIP
+// policy).
 // EMLIO_MICRO_SHM_FORCE=1 runs it anyway (plumbing smoke; the ≥2× assertion
 // still only applies on ≥2 cores).
 //
@@ -29,7 +30,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <thread>
 #include <unistd.h>
@@ -211,22 +211,12 @@ json::Value ab_row(const char* lane, const AbResult& r, std::size_t batches,
 int main() {
   if (!run_contract_phase()) return 1;
 
-  unsigned cores = std::thread::hardware_concurrency();
-  const bool force = std::getenv("EMLIO_MICRO_SHM_FORCE") != nullptr;
-  const bool assert_ratio = cores == 0 || cores >= 2;
-  if (!force && cores != 0 && cores < 2) {
-    std::printf("micro_shm: SKIP — %u hardware thread(s); producer and consumer would "
-                "timeshare one core, so lane throughput measures the scheduler, not the "
-                "transport. Run on a >=2-core host for the >=2x assertion.\n",
-                cores);
-    json::Object row;
-    row["bench"] = "micro_shm";
-    row["skipped"] = true;
-    row["reason"] = "fewer than 2 hardware threads: lane A/B measures context switching";
-    row["cores"] = static_cast<std::int64_t>(cores);
-    bench::append_json_line(json::Value(std::move(row)));
-    return 0;
-  }
+  const auto gate = bench::core_gate(
+      "micro_shm", 2, "EMLIO_MICRO_SHM_FORCE",
+      "context switching (producer and consumer timeshare one core)");
+  if (gate.skip) return 0;
+  const unsigned cores = gate.cores;
+  const bool assert_ratio = gate.assert_timing;
 
   constexpr std::size_t kBatches = 1500;
   constexpr std::size_t kBatchBytes = 256 * 1024;  // one encoded mid-size batch

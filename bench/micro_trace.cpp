@@ -20,16 +20,15 @@
 //
 // Below 2 cores the daemon thread, receiver threads and the drain loop
 // share one core and the timing is dominated by context switching, so the
-// bench prints an explicit SKIP, records a skipped JSON row and exits 0 —
-// same protocol as the other micro benches. EMLIO_MICRO_TRACE_FORCE=1 runs
-// it anyway (plumbing smoke on small hosts); the ratio assertion still only
-// applies on ≥2 cores.
+// bench prints an explicit SKIP, records a skipped JSON row and exits 0
+// (bench::core_gate, the micro benches' one SKIP policy).
+// EMLIO_MICRO_TRACE_FORCE=1 runs it anyway (plumbing smoke on small hosts);
+// the ratio assertion still only applies on ≥2 cores.
 //
 // Appends one JSON row per configuration (or the skip row) to
 // emlio_bench_results.jsonl.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -134,22 +133,12 @@ json::Value trace_row(const char* config, const TraceRun& r, double ratio) {
 int main() {
   namespace fs = std::filesystem;
 
-  unsigned cores = std::thread::hardware_concurrency();
-  const bool force = std::getenv("EMLIO_MICRO_TRACE_FORCE") != nullptr;
-  const bool assert_ratio = cores == 0 || cores >= 2;
-  if (!force && cores != 0 && cores < 2) {
-    std::printf("micro_trace: SKIP — %u hardware thread(s); daemon, receiver and drain share "
-                "one core, so traced-vs-untraced timing measures the scheduler. Run on a "
-                ">=2-core host for the overhead assertion.\n",
-                cores);
-    json::Object row;
-    row["bench"] = "micro_trace";
-    row["skipped"] = true;
-    row["reason"] = "fewer than 2 hardware threads: traced-vs-untraced timing meaningless";
-    row["cores"] = static_cast<std::int64_t>(cores);
-    bench::append_json_line(json::Value(std::move(row)));
-    return 0;
-  }
+  const auto gate = bench::core_gate(
+      "micro_trace", 2, "EMLIO_MICRO_TRACE_FORCE",
+      "the scheduler (daemon, receiver and drain share one core)");
+  if (gate.skip) return 0;
+  const unsigned cores = gate.cores;
+  const bool assert_ratio = gate.assert_timing;
 
   // --------------------------------------------------- phase 1: byte identity
   auto dir = fs::temp_directory_path() / "emlio_micro_trace";

@@ -3,10 +3,11 @@
 //
 // The paper relies on ZeroMQ's high-water mark (HWM=16) to make storage-side
 // workers "naturally back off when compute-side queues are full" (§4.5).
-// Every queue in this library — the daemon's send queue, the receiver's
-// shared in-memory queue, and the DALI-style pipeline's prefetch buffer — is
-// an instance of this class, so blocking-send semantics propagate
-// backpressure from the GPU all the way to the disk.
+// The TCP transport's stream queues, the receiver's consumer queue and the
+// DALI-style pipeline's prefetch buffer are instances of this class, and
+// the engines' per-sink and per-source lanes (common/lane.h) keep its
+// blocking contract, so backpressure propagates from the GPU all the way to
+// the disk.
 #pragma once
 
 #include <cstddef>

@@ -17,14 +17,17 @@ namespace emlio::core {
 /// Lane<T> now; what remains is the daemon-specific glue around it.
 struct Daemon::SinkLane {
   SinkLane(std::string name, std::size_t depth, LaneQos qos)
-      : lane(std::move(name), depth, qos) {}
+      : lane(std::move(name), depth, qos), pacer(qos.rate_per_sec) {}
 
   std::uint32_t node_id = 0;
   net::MessageSink* sink = nullptr;
   std::vector<BatchAssignment> jobs;  ///< sorted by batch_id; read-only
   /// Bounded prefetch queue + per-lane counters + QoS (weight feeds the DWRR
-  /// admission cycle; rate_per_sec throttles the sender edge via pop()).
+  /// admission cycle).
   Lane<OutboundBatch> lane;
+  /// The lane's rate cap, paced on the sender thread before each send;
+  /// stopped when the lane fails so what is queued drains at once.
+  RatePacer pacer;
   std::atomic<bool> failed{false};
   std::atomic<std::uint64_t>* counter = nullptr;  ///< sentinel accounting
 
@@ -390,7 +393,8 @@ void Daemon::pump(SinkLane& lane) {
   {
     MutexLock lock(lane.mu);
     if (lane.failed.load(std::memory_order_acquire)) {
-      lane.lane.close();  // abort: sender (if alive) drains then exits
+      lane.lane.close();  // abort: sender (if alive) drains then exits,
+      lane.pacer.stop();  // unpaced
       return;
     }
     while (OutboundBatch* head = lane.resequencer.front()) {
@@ -461,15 +465,17 @@ void Daemon::admit_more() {
 void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
   for (;;) {
     // Lane::pop counts the dequeue stall (empty at entry: the wire outran
-    // disk/encode) and enforces this lane's rate limit at the consuming edge.
+    // disk/encode).
     auto msg = lane.lane.pop();
     if (!msg) return;  // closed and drained
     pump(lane);       // space just freed: refill while we spend time on the wire
     admit_more();
+    // The lane's rate cap, paid here by every batch, the epoch's tail too.
+    lane.pacer.pace();
     std::uint64_t nbytes = msg->message.size();
     obs::BatchTrace* tp = msg->trace.active() ? &msg->trace : nullptr;
     // Everything between encode-done and here — resequencer parking + queue
-    // residency + rate-limit throttling — is the lane-wait stage.
+    // residency + rate-limit pacing — is the lane-wait stage.
     if (tp) tp->note(obs::Stage::kLaneWait, obs::now_ns());
     if (timestamps_) timestamps_->record("batch_send", static_cast<std::int64_t>(msg->batch_id));
     bool sent;
@@ -542,18 +548,21 @@ bool Daemon::pipelined_epoch(const EpochPlan& plan,
 
   {
     std::vector<std::thread> senders;
-    // Runs on BOTH paths (exception or normal): close every lane (so blocked
-    // producers and senders unblock), join the senders — a joinable sender
-    // must never be destroyed — wait out straggler encode jobs (they
-    // reference the lanes this frame owns), then retire the lanes: fold
-    // their counters into the per-node lifetime totals and drop them from
-    // the admission + governor registries.
+    // Runs on BOTH paths (exception or normal): close every lane and stop
+    // its pacer (so blocked producers and senders unblock), join the
+    // senders — a joinable sender must never be destroyed — wait out
+    // straggler encode jobs (they reference the lanes this frame owns), then
+    // retire the lanes: fold their counters into the per-node lifetime
+    // totals and drop them from the admission + governor registries.
     struct DrainGuard {
       Daemon* daemon;
       std::vector<std::unique_ptr<SinkLane>>& lanes;
       std::vector<std::thread>& senders;
       ~DrainGuard() {
-        for (auto& lane : lanes) lane->lane.close();
+        for (auto& lane : lanes) {
+          lane->lane.close();
+          lane->pacer.stop();
+        }
         for (auto& t : senders) {
           if (t.joinable()) t.join();
         }

@@ -3,8 +3,9 @@
 // Runs on every storage node. For each epoch it takes the node plans whose
 // shards it owns and streams them through a pipelined engine:
 //
-//   read+encode jobs          per-sink prefetch queue       sender thread
-//   (shared ThreadPool)  -->  BoundedQueue, cap = HWM  -->  (one per sink)
+//   read+encode jobs          per-sink prefetch lane        sender thread
+//   (shared ThreadPool)  -->  Lane (common/lane.h),   -->  (one per sink)
+//                             cap = HWM
 //
 // Each job slices B records straight out of the mmap'd shard (zero-copy
 // views that share the mapping's ownership) and msgpack-serializes them
@@ -12,12 +13,12 @@
 // BatchCodec::kSpliceMinBytes spliced in by reference rather than copied
 // when the sink gathers (MessageSink::gathers). Finished messages are
 // re-sequenced into batch-id order and flow through the sink's bounded
-// prefetch queue; a dedicated sender thread drains the queue and PUSHes to
-// the destination node's MessageSink, which copies the spliced bytes only
-// at its boundary. Disk/encode and network are
-// therefore concurrently busy — design principle (1) — while the bounded
-// queue plus the sink's high-water mark provide the blocking-send
-// backpressure of §4.5. The wire stream per sink stays deterministic
+// prefetch lane; a dedicated sender thread drains the lane, paces the
+// lane's rate cap (if any) and PUSHes to the destination node's
+// MessageSink, which copies the spliced bytes only at its boundary.
+// Disk/encode and network are therefore concurrently busy — design
+// principle (1) — while the bounded lane plus the sink's high-water mark
+// provide the blocking-send backpressure of §4.5. The wire stream per sink stays deterministic
 // (batch-id order) regardless of pool size.
 //
 // Failure semantics: serve_epoch validates the plan against the configured
@@ -75,8 +76,8 @@ struct DaemonConfig {
   std::size_t adaptive_min_threads = 1;
   std::size_t adaptive_max_threads = 0;
   std::uint64_t adaptive_interval_ms = 20;
-  /// QoS descriptor applied to every sink lane (class, weighted-fair share,
-  /// optional items/sec rate limit at the sender edge). Encode-pool
+  /// QoS descriptor applied to every sink lane (weighted-fair share,
+  /// optional items/sec rate cap paced before each send). Encode-pool
   /// admission is deficit-weighted round-robin across the sink lanes, so a
   /// node with weight W is guaranteed W / Σ weights of a contended encode
   /// pool — and a stalled lane (full queue, no consumer) stops admitting

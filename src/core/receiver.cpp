@@ -37,10 +37,10 @@ Receiver::Receiver(ReceiverConfig config, std::vector<std::unique_ptr<net::Messa
     if (!s) throw std::invalid_argument("receiver: null message source");
   }
 
-  // One ingest thread per source feeds that source's QoS lane; one
-  // dispatcher drains the lanes weighted-fair, stamps arrival tickets and
-  // feeds the decode pool under a bounded in-flight window (2× the pool:
-  // enough parked results to keep every worker busy across out-of-order
+  // One ingest thread per source feeds that source's QoS lane; admission
+  // picks among the lanes weighted-fair, stamps arrival tickets and feeds
+  // the decode pool under a bounded in-flight window (2× the pool: enough
+  // parked results to keep every worker busy across out-of-order
   // completions, small enough that a stalled consumer stops ingest fast).
   // Under the governor the window is sized for the widest pool it may grow,
   // or admission would cap the parallelism the resize just bought.
@@ -69,13 +69,18 @@ Receiver::Receiver(ReceiverConfig config, std::vector<std::unique_ptr<net::Messa
   window_ = std::max<std::size_t>(window_width * 2, 4);
   const std::size_t depth = std::max<std::size_t>(config_.ingest_lane_depth, 1);
   for (std::size_t i = 0; i < sources_.size(); ++i) {
-    scheduler_.add_lane("src" + std::to_string(i), depth, lane_qos_for_source(i));
+    lanes_.push_back(
+        std::make_unique<SourceLane>("src" + std::to_string(i), depth, lane_qos_for_source(i)));
+  }
+  {
+    MutexLock lock(window_mutex_);
+    for (const auto& l : lanes_) cycle_.add(l->lane.qos().weight);
+    queued_.assign(lanes_.size(), 0);
+    feeders_ = lanes_.size();
   }
   for (std::size_t i = 0; i < sources_.size(); ++i) {
-    threads_.emplace_back(
-        [this, src = sources_[i].get(), i] { ingest_loop(*src, scheduler_.lane(i), i); });
+    threads_.emplace_back([this, src = sources_[i].get(), i] { ingest_loop(*src, i); });
   }
-  threads_.emplace_back([this] { dispatch_loop(); });
 }
 
 LaneQos Receiver::lane_qos_for_source(std::size_t index) const {
@@ -92,8 +97,11 @@ Receiver::~Receiver() {
   }
   // Stop the governor before its pool, then drain straggler decode jobs
   // (their deliveries count as drops now that the queue is closed) before
-  // any member they touch goes away.
+  // any member they touch goes away. Idle the pool before resetting it: a
+  // straggler may still post, through decode_pool_, a payload it admitted
+  // just before close().
   governor_.reset();
+  decode_pool_->wait_idle();
   decode_pool_.reset();
 }
 
@@ -101,13 +109,16 @@ void Receiver::close() {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;
   for (auto& s : sources_) s->close();
   // Closed lanes stop accepting (ingest threads' in-hand payloads count as
-  // drops) and drain unthrottled, so the dispatcher can account what is left.
-  scheduler_.close_all();
+  // drops) and stopped pacers release a throttled ingest thread at once.
+  // The next admission drains what is still queued and accounts it.
+  for (auto& l : lanes_) {
+    l->lane.close();
+    l->pacer.stop();
+  }
   {
     MutexLock lock(window_mutex_);
     window_closed_ = true;
   }
-  window_cv_.notify_all();
   queue_.close();
 }
 
@@ -128,7 +139,8 @@ ReceiverStats Receiver::stats() const {
     s.pool_threads_current = decode_pool_->target_threads();
     s.pool_threads_peak = s.pool_threads_current;
   }
-  s.lanes = scheduler_.stats();
+  s.lanes.reserve(lanes_.size());
+  for (const auto& l : lanes_) s.lanes.push_back(l->lane.stats());
   if (tracer_.enabled()) s.latency = tracer_.summaries();
   return s;
 }
@@ -229,15 +241,26 @@ void Receiver::post_sender_note(std::size_t source_index, Note note) {
   const std::uint32_t sender = sender_for_source(source_index);
   // Ride the source's lane so the declaration is ordered behind every
   // payload the source already delivered — death must not stale-drop the
-  // dead sender's own in-flight tail.
+  // dead sender's own in-flight tail. The poster is a feeder until its
+  // token is queued, so the stream cannot end under it.
+  bool feeding = false;
+  {
+    MutexLock lock(window_mutex_);
+    if (feeders_ > 0) {
+      ++feeders_;
+      feeding = true;
+    }
+  }
   Inbound in;
   in.note = note;
   in.sender = sender;
-  if (scheduler_.lane(source_index).push(in)) return;
-  // Lane closed: the source's stream already ended, nothing of it is in
-  // front of us — apply directly.
-  MutexLock delivery(delivery_mutex_);
-  apply_sender_note_locked(note, sender);
+  if (!feeding || !push_and_admit(source_index, in)) {
+    // Lane closed: the source's stream already ended, nothing of it is in
+    // front of us — apply directly.
+    MutexLock delivery(delivery_mutex_);
+    apply_sender_note_locked(note, sender);
+  }
+  if (feeding) retire_feeder();
 }
 
 void Receiver::note_sender_dead(std::size_t source_index) {
@@ -308,23 +331,6 @@ void Receiver::count_drop(std::uint64_t n, const char* where) {
   }
 }
 
-bool Receiver::retire_stage_member(bool is_dispatcher) {
-  // The dispatcher ended, or one admitted payload was fully delivered.
-  // Returns true once both are gone — the stream is over.
-  bool last = false;
-  {
-    MutexLock lock(window_mutex_);
-    if (is_dispatcher) {
-      dispatching_ = false;
-    } else {
-      --inflight_;
-    }
-    last = !dispatching_ && inflight_ == 0;
-  }
-  window_cv_.notify_all();
-  return last;
-}
-
 void Receiver::end_of_stream_locked() {
   // Account batches still held for epochs that can never complete (a sender
   // died mid-epoch); the caller closes the consumer queue afterwards.
@@ -355,15 +361,6 @@ void Receiver::end_of_stream_locked() {
                      epochs_.stale_drops());
 }
 
-void Receiver::finish_dispatch() {
-  if (!retire_stage_member(/*is_dispatcher=*/true)) return;
-  {
-    MutexLock delivery(delivery_mutex_);
-    end_of_stream_locked();
-  }
-  queue_.close();
-}
-
 namespace {
 
 /// Fill a receiver-side trace's identity from its decoded batch, and graft
@@ -383,23 +380,25 @@ void adopt_batch_identity(obs::BatchTrace& trace, const msgpack::WireBatch& batc
 
 }  // namespace
 
-// ------------------------------------------------ ingest, dispatch, decode
+// ------------------------------------------------- ingest, admission, decode
 
-void Receiver::ingest_loop(net::MessageSource& source, Lane<Inbound>& lane,
-                           std::size_t source_index) {
+void Receiver::ingest_loop(net::MessageSource& source, std::size_t source_index) {
   // Pull raw payloads off one source into its QoS lane. A full lane blocks
   // here (Lane::push counts the per-lane enqueue stall), which blocks the
   // transport, which blocks that daemon — per-source backpressure that never
   // touches the other lanes.
+  SourceLane& lane = *lanes_[source_index];
   const std::uint32_t sender = sender_for_source(source_index);
   while (auto payload = source.recv()) {
     Inbound in;
     in.payload = std::move(*payload);
     in.sender = sender;
-    // The trace starts the moment the payload leaves the transport; lane
-    // residency accrues to the "ingest" stage at the dispatcher's pop.
+    // The trace starts the moment the payload leaves the transport; pacing,
+    // lane residency and any wait for a decode slot accrue to the "ingest"
+    // stage, which ends at admission.
     if (tracer_.enabled()) in.trace.begin(obs::now_ns());
-    if (!lane.push(in)) {
+    lane.pacer.pace();  // the source's rate cap; close() stops it
+    if (!push_and_admit(source_index, in)) {
       // Shutting down: the lane rejected a payload this thread already
       // pulled off the wire — without the count it would simply vanish
       // (received != delivered + dropped, and nobody would know why).
@@ -417,68 +416,110 @@ void Receiver::ingest_loop(net::MessageSource& source, Lane<Inbound>& lane,
     Inbound note;
     note.note = Note::kSenderDead;
     note.sender = sender;
-    lane.push(note);  // a closed lane rejects — then the engine is ending anyway
+    // A closed lane rejects it — then the engine is ending anyway.
+    push_and_admit(source_index, note);
   }
   // This source is done (transport closed or engine closing): its lane
-  // drains, then the dispatcher's scheduler drops it from the rotation.
-  lane.close();
+  // drains through admission, and the stream ends once every feeder has
+  // left and the window has emptied.
+  lane.lane.close();
+  retire_feeder();
 }
 
-void Receiver::dispatch_loop() {
-  // Single consumer of every source lane: take payloads in deficit-weighted
-  // round-robin order, stamp each with a global arrival ticket, and hand it
-  // to the decode pool under the bounded in-flight window. The ticket order
-  // IS the delivery order, so per-lane streams stay in arrival order at
-  // every weight — the scheduler only decides how lanes interleave.
-  while (auto item = scheduler_.pop()) {
-    if (item->value.note == Note::kData) {
-      const std::size_t wire_bytes = item->value.payload.size();
-      scheduler_.lane(item->lane_index).add_delivered_bytes(wire_bytes);
-      // Lane residency + DWRR arbitration end here; the window wait and the
-      // pool's run queue are the decode-wait stage, stamped in decode_job.
-      if (item->value.trace.active()) {
-        item->value.trace.note(obs::Stage::kIngest, obs::now_ns());
-      }
-    }
-    // Liveness tokens take a ticket like any payload: the death/revival must
-    // land in the delivery stream behind the sender's already-admitted
-    // batches, and the ticket order is the delivery order.
+bool Receiver::push_and_admit(std::size_t source_index, Inbound& in) {
+  if (!lanes_[source_index]->lane.push(in)) return false;
+  admit_more(Retire::kNone, source_index);
+  return true;
+}
+
+void Receiver::retire_feeder() {
+  if (!admit_more(Retire::kFeeder)) return;
+  MutexLock delivery(delivery_mutex_);
+  end_of_stream_locked();
+  queue_.close();
+}
+
+bool Receiver::admit_more(Retire retire, std::size_t pushed) {
+  // Admission runs inline on whichever thread just changed its inputs: an
+  // ingest thread that pushed, a decode completion that freed a slot, a
+  // feeder that left. Under window_mutex_ a WeightedCycle picks the next
+  // lane with a queued head — deficit-weighted round-robin, the pattern of
+  // Daemon::admit_more — pops it and stamps its arrival ticket while the
+  // window has room, one payload per pass. The ticket order IS the delivery
+  // order, so per-lane streams stay in arrival order at every weight; the
+  // cycle only decides how lanes interleave.
+  bool apply = true;
+  for (;;) {
+    std::optional<Inbound> admitted;
+    std::vector<Inbound> refused;
+    std::size_t lane = kNoLane;
     std::uint64_t ticket = 0;
-    bool admitted = false;
+    bool more = false;
+    bool over = false;
     {
       MutexLock lock(window_mutex_);
-      if (inflight_ >= window_ && !window_closed_) {
-        // Decode (or the consumer behind it) is the bottleneck right now.
-        counters_.decode_stalls.fetch_add(1, std::memory_order_relaxed);
-        while (inflight_ >= window_ && !window_closed_) window_cv_.wait(window_mutex_);
+      if (apply) {
+        apply = false;
+        if (pushed != kNoLane) {
+          ++queued_[pushed];
+          ++queued_total_;
+        }
+        if (retire == Retire::kFeeder) --feeders_;
+        if (retire == Retire::kDecode) --inflight_;
       }
-      if (!window_closed_) {
-        ++inflight_;
-        // The ticket defines delivery order; stamping it under the same lock
-        // as admission keeps the two atomic per payload.
-        ticket = next_ticket_++;
-        admitted = true;
-      }
-    }
-    if (!admitted) {
-      // Refused admission by the closing engine: account this payload,
-      // then drain and account whatever is left in the lanes (closed
-      // lanes never block), keeping pulled == delivered + dropped.
-      if (payload_is_data(item->value.payload)) {
-        count_drop(1, "engine closed with a payload pulled off the wire mid-admission");
-      }
-      while (auto rest = scheduler_.pop()) {
-        if (payload_is_data(rest->value.payload)) {
-          count_drop(1, "engine closed with a payload pulled off the wire mid-admission");
+      if (window_closed_) {
+        // Refused admission by the closing engine: drain what is queued and
+        // account it below, keeping pulled == delivered + dropped.
+        for (std::size_t i = 0; i < lanes_.size(); ++i) {
+          for (; queued_[i] > 0; --queued_[i]) refused.push_back(*lanes_[i]->lane.try_pop());
+        }
+        queued_total_ = 0;
+      } else if (inflight_ < window_) {
+        // Local alias: pick() runs the predicate synchronously, under the
+        // lock, but a lambda body is analyzed as a separate function.
+        const auto& queued = queued_;
+        lane = cycle_.pick([&](std::size_t i) { return queued[i] > 0; });
+        if (lane != kNoLane) {
+          admitted = lanes_[lane]->lane.try_pop();
+          EMLIO_DCHECK(admitted.has_value());
+          --queued_[lane];
+          --queued_total_;
+          ++inflight_;
+          ticket = next_ticket_++;
+          stalled_ = false;
         }
       }
-      break;
+      if (!window_closed_ && inflight_ >= window_ && queued_total_ > 0 && !stalled_) {
+        // A payload waits for a slot: decode (or the consumer behind it) is
+        // the bottleneck right now. Counted once per waiting payload; the
+        // flag clears when the next one is admitted.
+        stalled_ = true;
+        counters_.decode_stalls.fetch_add(1, std::memory_order_relaxed);
+      }
+      more = admitted && inflight_ < window_ && queued_total_ > 0;
+      over = retire != Retire::kNone && feeders_ == 0 && inflight_ == 0 && queued_total_ == 0;
     }
-    decode_pool_->post([this, ticket, in = std::move(item->value)]() mutable {
-      decode_job(ticket, std::move(in));
-    });
+    for (const Inbound& in : refused) {
+      if (in.note == Note::kData && payload_is_data(in.payload)) {
+        count_drop(1, "engine closed with a payload pulled off the wire mid-admission");
+      }
+    }
+    if (admitted) {
+      if (admitted->note == Note::kData) {
+        lanes_[lane]->lane.add_delivered_bytes(admitted->payload.size());
+        // Ingest ends here; the pool's run queue is the decode-wait stage,
+        // stamped in decode_job.
+        if (admitted->trace.active()) admitted->trace.note(obs::Stage::kIngest, obs::now_ns());
+      }
+      // Liveness tokens take a ticket like any payload: the death/revival
+      // must land in the delivery stream behind the sender's
+      // already-admitted batches.
+      decode_pool_->post([this, ticket, in = std::move(*admitted)]() mutable {
+        decode_job(ticket, std::move(in));
+      });
+    }
+    if (!more) return over;
   }
-  finish_dispatch();
 }
 
 void Receiver::decode_job(std::uint64_t ticket, Inbound in) {
@@ -549,10 +590,10 @@ void Receiver::process_decoded(Decoded&& decoded) {
       tracer_.complete(trace);
     }
   }
-  // Delivered (or tombstoned): the window slot frees and ingest may admit
-  // the next payload. We already hold delivery_mutex_, so a last retirement
-  // runs the end-of-stream bookkeeping inline.
-  if (retire_stage_member(/*is_dispatcher=*/false)) {
+  // Delivered (or tombstoned): the window slot frees and admission takes
+  // the next queued payload. We already hold delivery_mutex_, so a last
+  // retirement runs the end-of-stream bookkeeping inline.
+  if (admit_more(Retire::kDecode)) {
     end_of_stream_locked();
     queue_.close();
   }

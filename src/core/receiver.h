@@ -4,26 +4,28 @@
 // serial stage of the mmap→GPU path decodes in parallel under many-daemon
 // fan-in:
 //
-//   ingest threads           per-source        dispatcher    decode workers
-//   (one per MessageSource)  QoS lanes         (DWRR over    (shared pool) ->
-//   pull raw payloads    --> (common/lane.h) -> the lanes, -> Sequencer ->
-//                                              stamps         epoch reassembly
-//                                              tickets)       -> BoundedQueue
+//   ingest threads           per-source         admission          decode workers
+//   (one per MessageSource)  QoS lanes          (inline: DWRR      (shared pool) ->
+//   pull raw payloads    --> (common/lane.h) -> over the lanes, -> Sequencer ->
+//                                               stamps tickets)    epoch reassembly
+//                                                                  -> BoundedQueue
 //
 // Each ingest thread pulls raw msgpack payloads off its own source — true
-// N-daemon fan-in runs N sources, not N streams muxed into one — and pushes
-// them into that source's bounded QoS lane. One dispatcher drains the lanes
-// deficit-weighted round-robin (LaneScheduler), stamps each payload with a
-// global arrival ticket, and hands it to the decode pool under a bounded
-// in-flight window (backpressure: a slow decode stage stops the dispatcher,
-// which fills the lanes, which stops the ingest threads, the transport, and
-// the daemons). Decode workers deserialize out of order; a common::Sequencer
-// restores ticket order and a common::EpochSequencer applies the multi-sender
-// end-of-epoch algebra (sentinel/pending bookkeeping) before batches land in
-// the bounded consumer queue — delivery follows the dispatcher's arrival
-// order exactly at every pool width, and per-lane delivery stays in arrival
-// order at every weight. next() hands batches to the DALI-style pipeline's
-// external_source.
+// N-daemon fan-in runs N sources, not N streams muxed into one — paces the
+// source's rate cap (if any) and pushes each payload into that source's
+// bounded QoS lane. No thread sits between the lanes and the decode pool:
+// admission runs inline, the way the daemon admits encode jobs. After every
+// push and every decode completion, a WeightedCycle picks the next lane with
+// a queued head (deficit-weighted round-robin), pops it and stamps it with a
+// global arrival ticket while the in-flight decode window has room
+// (backpressure: a slow decode stage fills the window, then the lanes, which
+// stops the ingest threads, the transport, and the daemons). Decode workers
+// deserialize out of order; a common::Sequencer restores ticket order and a
+// common::EpochSequencer applies the multi-sender end-of-epoch algebra
+// (sentinel/pending bookkeeping) before batches land in the bounded consumer
+// queue — delivery follows the admission order exactly at every pool width,
+// and per-lane delivery stays in arrival order at every weight. next() hands
+// batches to the DALI-style pipeline's external_source.
 //
 // End-of-epoch detection: each serving daemon sends one sentinel per epoch;
 // once all `num_senders` sentinels for the current epoch have arrived AND
@@ -73,17 +75,18 @@ struct ReceiverConfig {
   std::size_t adaptive_min_threads = 1;
   std::size_t adaptive_max_threads = 0;
   std::uint64_t adaptive_interval_ms = 20;
-  /// Per-source ingest lane depth. Raw payloads buffer here between a
-  /// source's receive thread and the weighted-fair dispatcher; a full lane
+  /// Per-source ingest lane depth. Raw payloads wait here between a
+  /// source's receive thread and admission to the decode window; a full lane
   /// blocks its ingest thread — and through it the transport — without
   /// touching the other sources.
   std::size_t ingest_lane_depth = 8;
-  /// QoS applied to every source lane: the dispatcher drains the lanes
-  /// deficit-weighted round-robin, so under fan-in contention source i gets
-  /// weight_i / Σ weights of the decode admissions — a stalled or slow
-  /// low-weight source cannot crowd out a high-weight one beyond its share.
-  /// Per-lane delivery stays in-arrival-order and byte-identical at every
-  /// weight.
+  /// QoS applied to every source lane. Admission to the decode window picks
+  /// among the lanes deficit-weighted round-robin, so under fan-in
+  /// contention source i gets weight_i / Σ weights of the decode admissions
+  /// — a stalled or slow low-weight source cannot crowd out a high-weight
+  /// one beyond its share. A rate cap is paced on the source's ingest thread
+  /// before each push. Per-lane delivery stays in-arrival-order and
+  /// byte-identical at every weight.
   LaneQos default_lane_qos;
   /// Per-source overrides of default_lane_qos, indexed like `sources`.
   /// Shorter than `sources` is fine: missing entries use the default.
@@ -117,8 +120,9 @@ struct ReceiverConfig {
   M(std::uint64_t, decode_errors, kCounter)                                             \
   M(std::uint64_t, epochs_completed, kCounter)                                          \
   /* Pipeline balance. */                                                               \
-  M(std::uint64_t, decode_stalls, kCounter)     /* ingest waits on a full decode */     \
-                                                /* window (decode is the bottleneck) */ \
+  M(std::uint64_t, decode_stalls, kCounter)     /* payloads that waited for a */        \
+                                                /* decode-window slot (decode is the */ \
+                                                /* bottleneck) */                       \
   M(std::uint64_t, resequence_stalls, kCounter) /* decodes that finished out of */      \
                                                 /* order and parked behind a gap */     \
   M(std::uint64_t, decode_ns, kCounter)         /* cumulative wall time inside */       \
@@ -253,8 +257,32 @@ class Receiver {
     std::uint32_t sender = 0;
   };
 
-  void ingest_loop(net::MessageSource& source, Lane<Inbound>& lane, std::size_t source_index);
-  void dispatch_loop();
+  /// One source's ingest lane and the pacer that caps its rate at the push.
+  struct SourceLane {
+    SourceLane(std::string name, std::size_t depth, LaneQos qos)
+        : lane(std::move(name), depth, qos), pacer(qos.rate_per_sec) {}
+    Lane<Inbound> lane;
+    RatePacer pacer;
+  };
+  /// What an admit_more() call ends besides admitting: nothing, one feeder
+  /// (an ingest thread or a note poster), or one admitted payload.
+  enum class Retire : std::uint8_t { kNone, kFeeder, kDecode };
+  static constexpr std::size_t kNoLane = WeightedCycle::npos;
+
+  void ingest_loop(net::MessageSource& source, std::size_t source_index);
+  /// Push `in` into source lane `source_index` and admit. false = the lane
+  /// is closed (`in` untouched).
+  bool push_and_admit(std::size_t source_index, Inbound& in);
+  /// Inline admission into the decode window (see the .cpp). `pushed` is
+  /// the lane the caller just pushed one item into (kNoLane: none). Returns
+  /// true to exactly one caller: the retirement that leaves no feeder,
+  /// nothing queued and nothing in flight — the stream is over, and the
+  /// caller must run end_of_stream_locked() under delivery_mutex_, then
+  /// close the consumer queue.
+  bool admit_more(Retire retire, std::size_t pushed = kNoLane);
+  /// A feeder's exit: retire it, and end the stream if it was the last
+  /// thing the stream waited for.
+  void retire_feeder();
   LaneQos lane_qos_for_source(std::size_t index) const;
   void decode_job(std::uint64_t ticket, Inbound in);
   msgpack::WireBatch decode_payload(const Payload& payload, bool& error);
@@ -277,19 +305,10 @@ class Receiver {
     void operator()(msgpack::WireBatch&& ready) const;
     void operator()(std::uint32_t epoch, std::uint64_t expected) const;
   };
-  /// Retire the dispatcher (its lanes drained) or one admitted payload
-  /// (delivered or tombstoned). Returns true when both the dispatcher and
-  /// every admitted payload are gone — the stream is over and the caller
-  /// must run end_of_stream_locked() under delivery_mutex_, then close the
-  /// consumer queue.
-  bool retire_stage_member(bool is_dispatcher);
   /// End-of-stream bookkeeping: repair unfinished epochs (unless locally
   /// closed), account batches held for epochs that can never complete, and
   /// audit received == delivered + dropped.
   void end_of_stream_locked() EMLIO_REQUIRES(delivery_mutex_);
-  /// The dispatcher's exit: retire + end_of_stream + queue close (it does
-  /// not hold delivery_mutex_).
-  void finish_dispatch();
   /// Count a payload/batch lost to shutdown and emit the one warn line.
   void count_drop(std::uint64_t n, const char* where);
 
@@ -323,10 +342,24 @@ class Receiver {
   // coupling between a slow consumer and the ingest threads.
   std::unique_ptr<ThreadPool> decode_pool_;
   std::size_t window_ = 0;
+
+  // Per-source ingest lanes, in source order; fixed after construction.
+  std::vector<std::unique_ptr<SourceLane>> lanes_;
+
+  // Admission, all guarded by window_mutex_ (taken before a lane's own
+  // lock, never under it): one DWRR cycle over the source lanes, the
+  // in-flight window, and the counts that tell when the stream is over.
   Mutex window_mutex_;
-  CondVar window_cv_;
+  WeightedCycle cycle_ EMLIO_GUARDED_BY(window_mutex_);
+  /// Per lane: items pushed and announced to admission, not yet popped
+  /// (the lane may briefly hold more — a pusher between push and announce).
+  std::vector<std::size_t> queued_ EMLIO_GUARDED_BY(window_mutex_);
+  std::size_t queued_total_ EMLIO_GUARDED_BY(window_mutex_) = 0;
   std::size_t inflight_ EMLIO_GUARDED_BY(window_mutex_) = 0;
-  bool dispatching_ EMLIO_GUARDED_BY(window_mutex_) = true;  ///< the window's one feeder
+  /// Ingest threads plus note posters that may still push.
+  std::size_t feeders_ EMLIO_GUARDED_BY(window_mutex_) = 0;
+  /// A queued payload waits for a slot and decode_stalls has counted it.
+  bool stalled_ EMLIO_GUARDED_BY(window_mutex_) = false;
   std::uint64_t next_ticket_ EMLIO_GUARDED_BY(window_mutex_) = 0;
   bool window_closed_ EMLIO_GUARDED_BY(window_mutex_) = false;
 
@@ -341,13 +374,10 @@ class Receiver {
   const EpochDelivery delivery_{*this};
   bool delivery_rejected_ EMLIO_GUARDED_BY(delivery_mutex_) = false;  ///< queue_ closed under us
   /// Atomic, not delivery_mutex_-guarded: drops are also counted from the
-  /// ingest threads and the dispatcher (window closed mid-admission).
+  /// ingest threads and from admission (window closed mid-admission).
   std::atomic<bool> drop_logged_{false};
 
-  // Per-source ingest lanes + their weighted-fair drainer (the dispatcher).
-  LaneScheduler<Inbound> scheduler_;
-
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> threads_;  ///< one ingest thread per source
 
   struct Counters {
     EMLIO_COUNTER_BLOCK(EMLIO_RECEIVER_COUNTERS)

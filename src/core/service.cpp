@@ -21,7 +21,7 @@ std::shared_ptr<net::MessageSink> wrap_push(std::unique_ptr<net::PushSocket> pus
 }  // namespace
 
 EmlioService::EmlioService(ServiceConfig config)
-    : config_(std::move(config)), timestamps_(SteadyClock::instance()) {
+    : config_(std::move(config)), timestamps_(SteadyClock::instance(), kEventLogCapacity) {
   indexes_ = tfrecord::load_all_indexes(config_.dataset_dir);
   if (indexes_.empty()) {
     throw std::runtime_error("emlio service: no shards found in " + config_.dataset_dir);

@@ -65,7 +65,7 @@ struct ServiceConfig {
   std::string cache_policy = "clock";
   /// QoS lane descriptor applied to the daemon's sink lane and the
   /// receiver's source lane (weight clamped to >= 1; lane_rate is an
-  /// items/sec token-bucket limit at the consuming edge, 0 = none). A
+  /// items/sec token-bucket cap paced at each engine's edge, 0 = none). A
   /// single-node service has one lane on each side, so the knobs mostly
   /// matter for stats labelling and rate capping here; multi-lane fairness
   /// lives in DaemonConfig::node_qos / ReceiverConfig::source_qos, which
@@ -136,6 +136,11 @@ class EmlioService {
   const Planner& planner() const { return *planner_; }
   std::uint64_t dataset_samples() const { return planner_->dataset_size(); }
   ServiceStats stats() const;
+  /// Bound on the service's event log: two events per data batch
+  /// (batch_send, batch_recv) plus the epoch events, about 50 B each, so
+  /// 2^16 events hold the last ~32k batches in ~3.3 MB. Once full, the
+  /// oldest events are evicted and counted in dropped_events().
+  static constexpr std::size_t kEventLogCapacity = std::size_t{1} << 16;
   TimestampLogger& timestamps() { return timestamps_; }
   /// Slow-batch forensics (ServiceConfig::trace): each engine's trace_json.
   /// Null JSON before start().

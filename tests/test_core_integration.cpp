@@ -331,6 +331,30 @@ TEST_F(CoreIntegrationTest, TimestampLoggerCapturesSendRecvPairs) {
   EXPECT_GE(service.timestamps().span("epoch_start", "epoch_complete"), 0);
 }
 
+TEST_F(CoreIntegrationTest, ServiceEventLogIsBounded) {
+  // Every data batch adds a batch_send and a batch_recv event; a service
+  // that runs long enough must keep only the newest kEventLogCapacity of
+  // them and count the rest, not grow without bound.
+  EmlioService service(base_config());
+  service.start();
+  while (auto batch = service.next_batch()) {
+    if (batch->last) break;
+  }
+  service.stop();
+  TimestampLogger& log = service.timestamps();
+  EXPECT_EQ(log.capacity(), EmlioService::kEventLogCapacity);
+  EXPECT_EQ(log.events_with_label("batch_recv").size(), 6u);
+  // Run the log past its bound the way a long run would: batch pairs.
+  for (std::size_t i = 0; i < EmlioService::kEventLogCapacity; ++i) {
+    log.record("batch_send", static_cast<std::int64_t>(i));
+    log.record("batch_recv", static_cast<std::int64_t>(i));
+  }
+  EXPECT_LE(log.size(), EmlioService::kEventLogCapacity);
+  EXPECT_GT(log.dropped_events(), 0u);
+  EXPECT_EQ(log.size() + log.dropped_events(), 2 * EmlioService::kEventLogCapacity + 6 * 2 + 3)
+      << "every recorded event is retained or counted as dropped";
+}
+
 TEST_F(CoreIntegrationTest, PipelineIntegration) {
   EmlioService service(base_config());
   service.start();
@@ -772,9 +796,10 @@ TEST(ReceiverParallelDecode, CloseUnderFullWindowAccountsInHandPayload) {
   rc.decode_threads = 2;  // in-flight window = 4
   Receiver receiver(rc, std::move(source));
 
-  // Wait for the engine to wedge: the window is full, the consumer queue is
-  // full, and ingest sits in the admission wait holding the next payload.
-  // handed plateaus strictly below kPayloads once that happens.
+  // Wait for the engine to wedge: the window, the consumer queue and the
+  // ingest lane are full, and the ingest thread blocks in its push holding
+  // the next payload. handed plateaus strictly below kPayloads once that
+  // happens.
   std::size_t plateau = 0;
   ASSERT_TRUE([&] {
     auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);

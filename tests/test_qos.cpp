@@ -1,15 +1,21 @@
 // QoS-layer integration tests: the cold-sink governor regression the lane
 // refactor fixes, the per-lane stats breakdowns both engines now publish,
-// byte-identical per-lane delivery at every weight, and the StatsStreamer
-// flatten/delta machinery behind --stats-interval. Runs in the TSan CI job.
+// byte-identical per-lane delivery at every weight, rate caps paced at the
+// daemon's send, the receiver's inline weighted-fair admission across
+// source lanes (conservation, order, weight shares, pacing at the ingest
+// push, close), and the StatsStreamer flatten/delta machinery behind
+// --stats-interval. Runs in the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -455,6 +461,355 @@ TEST_F(QosTest, ServiceThreadsQosToBothEngines) {
   EXPECT_EQ(stats.daemon.lanes[0].weight, 5u);
   ASSERT_EQ(stats.receiver.lanes.size(), 1u);
   EXPECT_EQ(stats.receiver.lanes[0].weight, 5u);
+}
+
+// ------------------------------------------------ daemon rate caps at the send
+
+/// One timed epoch for node 0 — `batches` single-record batches over the
+/// first records of `shard`, in batch-id order — into a sim link that a
+/// consumer thread drains.
+struct TimedEpoch {
+  bool ok = false;
+  std::chrono::duration<double> elapsed{};
+  std::uint64_t batches_sent = 0;
+  std::string error;
+};
+
+TimedEpoch serve_single_record_batches(const tfrecord::ShardIndex& shard,
+                                       std::uint32_t batches, const DaemonConfig& dc) {
+  WorkerPlan worker;
+  for (std::uint32_t i = 0; i < batches; ++i) {
+    BatchAssignment a;
+    a.batch_id = i;
+    a.shard_id = shard.shard_id;
+    a.first_record = i;
+    a.count = 1;
+    worker.batches.push_back(a);
+  }
+  EpochPlan plan;
+  plan.nodes.emplace_back().workers.push_back(worker);
+
+  auto ch = net::make_sim_channel({});
+  auto sink = std::shared_ptr<net::MessageSink>(std::move(ch.sink));
+  std::vector<tfrecord::ShardReader> readers;
+  readers.emplace_back(shard);
+  Daemon daemon(dc, std::move(readers), {{0u, sink}});
+  std::thread drain([&] {
+    while (ch.source->recv()) {
+    }
+  });
+  TimedEpoch r;
+  const auto t0 = std::chrono::steady_clock::now();
+  r.ok = daemon.serve_epoch(plan);
+  r.elapsed = std::chrono::steady_clock::now() - t0;
+  sink->close();
+  drain.join();
+  r.batches_sent = daemon.stats().batches_sent;
+  r.error = daemon.last_error();
+  return r;
+}
+
+TEST_F(QosTest, DaemonRateCapPacesTheEpochTail) {
+  // Regression: the cap used to be charged at the lane's pop and skipped
+  // once the lane closed, and the daemon closes a lane as soon as the
+  // epoch's last batch is queued — so at the default prefetch depth a whole
+  // short epoch went out unpaced. Paced at the send, every batch pays.
+  const tfrecord::ShardIndex shard = tfrecord::load_all_indexes(dir_.string())[0];
+  constexpr std::uint32_t kBatches = 16;
+  constexpr std::uint64_t kRate = 40;  // burst: kRate / 20 = 2 batches
+  ASSERT_GE(shard.num_records(), kBatches);
+  DaemonConfig dc;  // prefetch_depth 16: the whole epoch fits in the lane
+  dc.pool_threads = 2;
+  dc.default_lane_qos.rate_per_sec = kRate;
+  const auto r = serve_single_record_batches(shard, kBatches, dc);
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.batches_sent, kBatches);
+  const double paced = (kBatches - kRate / 20.0) / kRate;  // 0.35 s
+  EXPECT_GE(r.elapsed.count(), 0.8 * paced) << "the epoch's batches went out faster than the cap";
+}
+
+TEST_F(QosTest, DaemonFailedLaneStopsPacingAtOnce) {
+  // A lane that fails mid-epoch (here a corrupt record under verify_crc)
+  // drains what it already queued without waiting for tokens: at 2
+  // batches/s, pacing the queued batches would take seconds.
+  const tfrecord::ShardIndex shard = tfrecord::load_all_indexes(dir_.string())[0];
+  constexpr std::uint32_t kBatches = 16, kCorrupt = 8;
+  ASSERT_GE(shard.num_records(), kBatches);
+  {
+    auto original = tfrecord::ShardReader(shard).record(kCorrupt, /*verify=*/true).to_vector();
+    std::fstream f(shard.shard_path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(shard.records[kCorrupt].offset + 12));  // past the header
+    f.put(static_cast<char>(original[0] ^ 0xFF));
+  }
+  DaemonConfig dc;
+  dc.verify_crc = true;
+  dc.pool_threads = 2;
+  dc.default_lane_qos.rate_per_sec = 2;  // burst 1, then one batch per 0.5 s
+  const auto r = serve_single_record_batches(shard, kBatches, dc);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("CRC"), std::string::npos) << r.error;
+  EXPECT_LT(r.elapsed, 1500ms) << "a failed lane kept pacing its queued batches";
+}
+
+// ------------------------------------------- receiver admission across lanes
+
+/// Batch ids carry their source: id = source * kIdStride + sequence number.
+constexpr std::uint64_t kIdStride = 1000000;
+
+/// Scripted source for the receiver admission tests: `count` epoch-0 data
+/// batches, then an epoch-0 sentinel when `sentinel`, then the end of the
+/// stream — or, when `hold_open`, a recv() that blocks until close().
+/// Counts the data payloads it handed out.
+struct CountingSource final : net::MessageSource {
+  CountingSource(std::uint32_t source, std::size_t count, bool sentinel, bool hold)
+      : data_count(count), hold_open(hold) {
+    for (std::size_t i = 0; i < count; ++i) {
+      msgpack::WireBatch b;
+      b.batch_id = source * kIdStride + i;
+      msgpack::WireSample s;
+      s.index = b.batch_id;
+      s.bytes = PayloadView(std::vector<std::uint8_t>(16, static_cast<std::uint8_t>(source)));
+      b.samples.push_back(std::move(s));
+      script.push_back(msgpack::BatchCodec::encode(b));
+    }
+    if (sentinel) {
+      script.push_back(
+          msgpack::BatchCodec::encode(msgpack::BatchCodec::make_sentinel(0, 0, count)));
+    }
+  }
+  std::optional<Payload> recv() override {
+    if (pos < script.size()) {
+      if (pos < data_count) handed.fetch_add(1, std::memory_order_relaxed);
+      return script[pos++];
+    }
+    if (hold_open) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return closed; });
+    }
+    return std::nullopt;
+  }
+  void close() override {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      closed = true;
+    }
+    cv.notify_all();
+  }
+
+  const std::size_t data_count;
+  const bool hold_open;
+  std::vector<Payload> script;
+  std::size_t pos = 0;  ///< the ingest thread's cursor
+  std::atomic<std::size_t> handed{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  bool closed = false;
+};
+
+std::uint64_t source_of(const msgpack::WireBatch& b) { return b.batch_id / kIdStride; }
+
+TEST(ReceiverAdmission, RandomizedConservationAndPerSourceOrder) {
+  // Random source counts, weights, lane depths, pool widths and payload
+  // counts: every payload is delivered exactly once, each source's payloads
+  // in the order the source sent them, whatever the weights.
+  std::mt19937 rng(20250808);
+  for (int round = 0; round < 5; ++round) {
+    const std::size_t nsources = 2 + rng() % 4;
+    ReceiverConfig rc;
+    rc.num_senders = nsources;
+    rc.ingest_lane_depth = 1 + rng() % 16;
+    rc.decode_threads = 1 + rng() % 4;
+    rc.queue_capacity = 1 + rng() % 8;
+    std::vector<std::size_t> counts;
+    std::vector<std::unique_ptr<net::MessageSource>> sources;
+    for (std::size_t i = 0; i < nsources; ++i) {
+      rc.source_qos.push_back(LaneQos{static_cast<std::uint32_t>(1 + rng() % 8), 0});
+      counts.push_back(rng() % 401);  // skewed: some sources send little or nothing
+      sources.push_back(std::make_unique<CountingSource>(static_cast<std::uint32_t>(i), counts[i],
+                                                         /*sentinel=*/true, /*hold_open=*/false));
+    }
+    Receiver receiver(rc, std::move(sources));
+
+    std::vector<std::uint64_t> next_seq(nsources, 0);
+    std::size_t total = 0, markers = 0;
+    while (auto b = receiver.next()) {
+      if (b->last) {
+        ++markers;
+        continue;
+      }
+      const std::uint64_t src = source_of(*b);
+      ASSERT_LT(src, nsources) << "round " << round;
+      EXPECT_EQ(b->batch_id % kIdStride, next_seq[src]++) << "round " << round << " source " << src;
+      ++total;
+    }
+    std::size_t expected = 0;
+    for (std::size_t c : counts) expected += c;
+    EXPECT_EQ(total, expected) << "round " << round;
+    EXPECT_EQ(markers, 1u) << "round " << round;
+    const auto stats = receiver.stats();
+    EXPECT_EQ(stats.batches_received, expected) << "round " << round;
+    EXPECT_EQ(stats.dropped_on_close, 0u) << "round " << round;
+    ASSERT_EQ(stats.lanes.size(), nsources);
+    for (std::size_t i = 0; i < nsources; ++i) {
+      EXPECT_EQ(stats.lanes[i].delivered_items, counts[i] + 1)  // + its sentinel
+          << "round " << round << " source " << i;
+    }
+  }
+}
+
+TEST(ReceiverAdmission, BackloggedSourcesSplitAdmissionsByWeight) {
+  // Decode width 1 and a one-batch consumer queue keep the window tiny.
+  // Nothing is consumed until both source lanes are full, and each lane
+  // holds more than its share of the deliveries, so every admission after
+  // that picks between two backlogs however the ingest threads are
+  // scheduled: weights 4:1 must split the deliveries 0.8 / 0.2.
+  constexpr std::size_t kDepth = 512, kDeliveries = 400, kPerSource = 1000;
+  ReceiverConfig rc;
+  rc.num_senders = 2;
+  rc.decode_threads = 1;
+  rc.queue_capacity = 1;
+  rc.ingest_lane_depth = kDepth;
+  rc.source_qos = {LaneQos{4, 0}, LaneQos{1, 0}};
+  std::vector<std::unique_ptr<net::MessageSource>> sources;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    sources.push_back(
+        std::make_unique<CountingSource>(i, kPerSource, /*sentinel=*/false, /*hold_open=*/true));
+  }
+  Receiver receiver(rc, std::move(sources));
+
+  auto both_full = [&] {
+    const auto lanes = receiver.stats().lanes;
+    return lanes[0].queue_peak_depth == kDepth && lanes[1].queue_peak_depth == kDepth;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!both_full() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(both_full()) << "the source lanes never backed up";
+
+  std::size_t heavy = 0;
+  for (std::size_t i = 0; i < kDeliveries; ++i) {
+    auto b = receiver.next();
+    ASSERT_TRUE(b.has_value());
+    if (source_of(*b) == 0) ++heavy;
+  }
+  EXPECT_NEAR(static_cast<double>(heavy) / kDeliveries, 0.8, 0.05);
+  receiver.close();
+}
+
+TEST(ReceiverAdmission, DecodeStallsCountEachWaitingPayloadOnce) {
+  // No consumer until the engine wedges: the window (4), the consumer queue
+  // (1) and the payload blocked delivering into it admit a handful; every
+  // other payload, the sentinel included, waits in the lane for a window
+  // slot. decode_stalls must count each of those once — no more.
+  constexpr std::size_t kPayloads = 200;
+  ReceiverConfig rc;
+  rc.num_senders = 1;
+  rc.decode_threads = 1;
+  rc.queue_capacity = 1;
+  rc.ingest_lane_depth = 256;  // holds the whole stream
+  std::vector<std::unique_ptr<net::MessageSource>> sources;
+  sources.push_back(
+      std::make_unique<CountingSource>(0, kPayloads, /*sentinel=*/true, /*hold_open=*/false));
+  Receiver receiver(rc, std::move(sources));
+
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (receiver.stats().lanes[0].queue_peak_depth < kPayloads - 8 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_GE(receiver.stats().lanes[0].queue_peak_depth, kPayloads - 8);
+  std::size_t delivered = 0;
+  while (auto b = receiver.next()) {
+    if (!b->last) ++delivered;
+  }
+  EXPECT_EQ(delivered, kPayloads);
+  const auto stalls = receiver.stats().decode_stalls;
+  EXPECT_LE(stalls, kPayloads + 1) << "a payload was counted more than once";
+  EXPECT_GE(stalls, kPayloads - 10) << "payloads waited for a slot uncounted";
+}
+
+/// Two sources that hold their streams open: source 0 capped at 1
+/// payload/s with `capped` payloads, source 1 uncapped with `free`.
+struct ThrottledPair {
+  CountingSource* capped = nullptr;
+  CountingSource* free = nullptr;
+  std::unique_ptr<Receiver> receiver;
+};
+
+ThrottledPair throttled_pair(std::size_t capped, std::size_t free) {
+  ReceiverConfig rc;
+  rc.num_senders = 2;
+  rc.decode_threads = 2;
+  rc.source_qos = {LaneQos{1, 1}, LaneQos{1, 0}};
+  auto src0 = std::make_unique<CountingSource>(0, capped, /*sentinel=*/false, /*hold_open=*/true);
+  auto src1 = std::make_unique<CountingSource>(1, free, /*sentinel=*/false, /*hold_open=*/true);
+  ThrottledPair rig;
+  rig.capped = src0.get();
+  rig.free = src1.get();
+  std::vector<std::unique_ptr<net::MessageSource>> sources;
+  sources.push_back(std::move(src0));
+  sources.push_back(std::move(src1));
+  rig.receiver = std::make_unique<Receiver>(rc, std::move(sources));
+  return rig;
+}
+
+TEST(ReceiverAdmission, RateCappedSourceDoesNotHoldBackOthers) {
+  // The cap is paced on the capped source's own ingest thread, before its
+  // push: nothing throttled ever sits in a lane or the window, so the
+  // uncapped source's 50 payloads arrive at once, not at 1/s.
+  constexpr std::size_t kFree = 50;
+  auto rig = throttled_pair(/*capped=*/10, kFree);
+  const auto t0 = std::chrono::steady_clock::now();
+  std::size_t free_got = 0;
+  while (free_got < kFree) {
+    auto b = rig.receiver->next();
+    ASSERT_TRUE(b.has_value());
+    if (source_of(*b) == 1) ++free_got;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s);
+  rig.receiver->close();
+}
+
+TEST(ReceiverAdmission, CloseDuringThrottleIsPromptAndBalanced) {
+  // The capped source's ingest thread waits on its pacer with a payload in
+  // hand; close() must release it at once (not when the next token
+  // matures, 1 s later) and the payload must be counted as a drop.
+  constexpr std::size_t kFree = 8;
+  auto rig = throttled_pair(/*capped=*/10, kFree);
+  std::size_t delivered = 0;
+  std::size_t free_got = 0, capped_got = 0;
+  while (free_got < kFree || capped_got < 1) {  // the capped source's burst token
+    auto b = rig.receiver->next();
+    ASSERT_TRUE(b.has_value());
+    ++(source_of(*b) == 1 ? free_got : capped_got);
+    ++delivered;
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (rig.capped->handed.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(rig.capped->handed.load(), 2u) << "the capped source is not pacing its second payload";
+
+  const auto t0 = std::chrono::steady_clock::now();
+  rig.receiver->close();
+  while (rig.receiver->next()) ++delivered;
+  // Everything pulled off the wire is delivered or counted as dropped,
+  // including the payload in the paced thread's hand.
+  ReceiverStats stats;
+  std::size_t pulled = 0;
+  do {
+    stats = rig.receiver->stats();
+    pulled = rig.capped->handed.load() + rig.free->handed.load();
+    if (delivered + stats.dropped_on_close == pulled) break;
+    std::this_thread::sleep_for(1ms);
+  } while (std::chrono::steady_clock::now() - t0 < 5s);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 500ms);
+  EXPECT_EQ(delivered + stats.dropped_on_close, pulled)
+      << "delivered=" << delivered << " dropped=" << stats.dropped_on_close;
+  EXPECT_GE(stats.dropped_on_close, 1u);
+  rig.receiver.reset();  // joins the ingest threads
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 500ms);
 }
 
 // ------------------------------------------------------------- StatsStreamer

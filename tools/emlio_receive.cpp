@@ -34,8 +34,9 @@
 // stalls, within [--adaptive-min, --adaptive-max], 0 max = auto);
 // --decode-threads then only sets the starting width.
 // --lane-weight/--lane-rate set the QoS descriptor applied to
-// every source ingest lane (the weighted-fair dispatcher drains source lanes
-// DWRR; rate is an items/sec cap at the dispatch edge). --stats-json dumps
+// every source ingest lane (admission to the decode window picks among the
+// source lanes DWRR; rate is an items/sec cap paced before each push into
+// the lane). --stats-json dumps
 // the final ReceiverStats (throughput + decode-pipeline + per-lane counters)
 // as a JSON file at exit, same contract as emlio_daemon --stats-json;
 // --stats-interval streams per-window ReceiverStats deltas to stdout as tsdb

@@ -23,10 +23,8 @@ int main() {
       cfg.params.batch_size = 32;  // 2 MB records → 64 MB payload batches
       cfg.params.emlio_daemon_threads = 1;  // the Figure-7 configuration
       // The pooled receiver (ReceiverConfig::decode_threads): 4 decode
-      // workers — the width the paper's host deserialize stage already ran —
-      // kept right by the stall-ratio governor instead of hand tuning.
+      // workers — the width the paper's host deserialize stage already ran.
       cfg.params.emlio_decode_threads = 4;
-      cfg.params.emlio_adaptive_pool = true;
       cfg.params.dali_prefetch_streams = 1;  // 2 MB records defeat read-ahead
       eval::FigureRow row;
       row.regime = regime.name;

@@ -22,7 +22,6 @@ int main() {
       cfg.params.batch_size = 32;
       cfg.params.emlio_daemon_threads = 2;  // the Figure-8 configuration
       cfg.params.emlio_decode_threads = 4;  // pooled receiver decode fan-out
-      cfg.params.emlio_adaptive_pool = true;  // governor keeps both pools sized
       cfg.params.dali_prefetch_streams = 1;  // 2 MB records defeat read-ahead
       eval::FigureRow row;
       row.regime = regime.name;

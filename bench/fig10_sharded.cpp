@@ -40,10 +40,8 @@ int main() {
         // ::prefetch_depth).
         cfg.params.emlio_pool_threads = 4;
         cfg.params.emlio_prefetch_depth = 16;
-        // ...and the pooled receiver decoding the 2-daemon fan-in, both
-        // pools held at width by the stall-ratio governor.
+        // ...and the pooled receiver decoding the 2-daemon fan-in.
         cfg.params.emlio_decode_threads = 4;
-        cfg.params.emlio_adaptive_pool = true;
       }
       const PaperCell& cell = kind == eval::LoaderKind::kDali ? kDali[r] : kEmlio[r];
       eval::FigureRow row;
@@ -65,7 +63,6 @@ int main() {
       cfg.params.emlio_pool_threads = 4;
       cfg.params.emlio_prefetch_depth = 16;
       cfg.params.emlio_decode_threads = 4;
-      cfg.params.emlio_adaptive_pool = true;
       cfg.params.emlio_cache_mb = dataset.total_bytes() / (1u << 20) + 1;
       cfg.params.emlio_cache_warm = true;
       eval::FigureRow row;

@@ -161,10 +161,7 @@ template <typename T>
 class Lane {
  public:
   Lane(std::string name, std::size_t capacity, LaneQos qos = {})
-      : name_(std::move(name)),
-        capacity_(capacity ? capacity : 1),
-        qos_(qos),
-        id_(next_id().fetch_add(1, std::memory_order_relaxed)) {
+      : name_(std::move(name)), capacity_(capacity ? capacity : 1), qos_(qos) {
     qos_.weight = std::max<std::uint32_t>(qos_.weight, 1);
   }
 
@@ -173,9 +170,6 @@ class Lane {
 
   const std::string& name() const { return name_; }
   const LaneQos& qos() const { return qos_; }
-  /// Process-unique lane id — stable across the lane's life, usable as a
-  /// registry key by samplers that watch lanes come and go.
-  std::uint64_t id() const { return id_; }
   std::size_t capacity() const { return capacity_; }
 
   /// Blocking push; BoundedQueue contract: true = accepted (item moved out),
@@ -273,16 +267,6 @@ class Lane {
     counters_.delivered_bytes.fetch_add(n, std::memory_order_relaxed);
   }
 
-  std::uint64_t delivered_items() const {
-    return counters_.delivered_items.load(std::memory_order_relaxed);
-  }
-  std::uint64_t enqueue_stalls() const {
-    return counters_.enqueue_stalls.load(std::memory_order_relaxed);
-  }
-  std::uint64_t dequeue_stalls() const {
-    return counters_.dequeue_stalls.load(std::memory_order_relaxed);
-  }
-
   LaneStats stats() const {
     LaneStats s;
     s.name = name_;
@@ -298,11 +282,6 @@ class Lane {
   }
 
  private:
-  static std::atomic<std::uint64_t>& next_id() {
-    static std::atomic<std::uint64_t> counter{1};
-    return counter;
-  }
-
   /// Detach the head (the caller verified it exists) and count the delivery.
   /// Pure under-the-lock helper — the caller notifies not_full_ after the
   /// lock drops.
@@ -316,7 +295,6 @@ class Lane {
   const std::string name_;
   const std::size_t capacity_;
   LaneQos qos_;
-  const std::uint64_t id_;
 
   mutable Mutex mu_;
   CondVar not_full_;

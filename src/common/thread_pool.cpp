@@ -4,27 +4,19 @@ namespace emlio {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
-  MutexLock lock(mutex_);
-  target_ = num_threads;
-  for (std::size_t i = 0; i < num_threads; ++i) spawn_one_locked();
+  workers_.reserve(num_threads);
+  for (std::size_t i = 0; i < num_threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
 }
 
 ThreadPool::~ThreadPool() {
-  // Move every handle out under the lock, then join outside it. Workers never
-  // touch workers_ (they report retirement through retired_, which nothing
-  // reads once stop_ is set), so the swapped-out map is complete: live
-  // workers and parked retirees alike are joined here.
-  std::map<std::uint64_t, std::thread> reap;
   {
     MutexLock lock(mutex_);
     stop_ = true;
-    reap.swap(workers_);
   }
   cv_.notify_all();
-  for (auto& [id, t] : reap) {
-    (void)id;
-    if (t.joinable()) t.join();
-  }
+  for (auto& t : workers_) t.join();
 }
 
 void ThreadPool::post(std::function<void()> task) {
@@ -40,63 +32,13 @@ void ThreadPool::wait_idle() {
   while (!tasks_.empty() || active_ != 0) idle_cv_.wait(mutex_);
 }
 
-void ThreadPool::set_target_threads(std::size_t n) {
-  if (n == 0) n = 1;
-  std::vector<std::thread> reap;
-  {
-    MutexLock lock(mutex_);
-    if (stop_) return;  // destructor owns every join from here on
-    target_ = n;
-    while (live_ < target_) spawn_one_locked();
-    // Reap workers that retired since the last resize: their loops have
-    // returned (they enqueue their id as the loop's final locked act), so
-    // the joins below cannot block on pool work.
-    reap.reserve(retired_.size());
-    for (std::uint64_t id : retired_) {
-      auto it = workers_.find(id);
-      reap.push_back(std::move(it->second));
-      workers_.erase(it);
-    }
-    retired_.clear();
-  }
-  // Shrink: wake parked workers so surplus ones notice and retire.
-  cv_.notify_all();
-  for (auto& t : reap) {
-    if (t.joinable()) t.join();
-  }
-}
-
-std::size_t ThreadPool::target_threads() const {
-  MutexLock lock(mutex_);
-  return target_;
-}
-
-std::size_t ThreadPool::thread_count() const {
-  MutexLock lock(mutex_);
-  return live_;
-}
-
-void ThreadPool::spawn_one_locked() {
-  std::uint64_t id = next_id_++;
-  workers_.emplace(id, std::thread([this, id] { worker_loop(id); }));
-  ++live_;
-}
-
-void ThreadPool::worker_loop(std::uint64_t id) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
       MutexLock lock(mutex_);
-      while (!stop_ && tasks_.empty() && live_ <= target_) cv_.wait(mutex_);
-      if (tasks_.empty()) {
-        if (stop_) return;  // shutdown: the destructor joins everyone
-        // Retire-on-park: the queue is drained and the pool is over target.
-        // Surplus workers leave one at a time (the decrement is serialized
-        // under mutex_), never below target.
-        --live_;
-        retired_.push_back(id);
-        return;
-      }
+      while (!stop_ && tasks_.empty()) cv_.wait(mutex_);
+      if (tasks_.empty()) return;  // stopped and drained
       task = std::move(tasks_.front());
       tasks_.pop_front();
       ++active_;

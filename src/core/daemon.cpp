@@ -64,9 +64,15 @@ Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
     cc.policy = config_.cache_policy;
     cache_ = std::make_shared<cache::SampleCache>(cc);
   }
-  // Build the pool (and governor) NOW, so stats() — a point-in-time snapshot
-  // any thread may take — never races a lazy first-epoch initialization.
-  build_encode_pool();
+  // Build the pool NOW, so stats() — a point-in-time snapshot any thread may
+  // take — never races a lazy first-epoch initialization.
+  encode_pool_ = std::make_unique<ThreadPool>(config_.pool_threads ? config_.pool_threads
+                                                                   : auto_pool_width());
+  // Global in-flight encode budget for DWRR admission: 2× the pool width
+  // keeps every worker fed while staying small enough that the weighted
+  // cycle — not queue luck — decides encode share under contention.
+  MutexLock lock(admit_mutex_);
+  admit_budget_ = std::max<std::size_t>(4, 2 * encode_pool_->thread_count());
 }
 
 std::vector<std::uint32_t> Daemon::shard_ids() const {
@@ -104,15 +110,7 @@ DaemonStats Daemon::stats() const {
     (void)id;
     s.wire_syscalls += sink->data_syscalls();
   }
-  if (governor_) {
-    auto g = governor_->stats();
-    s.pool_resizes = g.resizes;
-    s.pool_threads_current = g.threads_current;
-    s.pool_threads_peak = g.threads_peak;
-  } else {
-    s.pool_threads_current = encode_pool_->target_threads();
-    s.pool_threads_peak = s.pool_threads_current;
-  }
+  s.pool_threads_current = encode_pool_->thread_count();
   if (cache_) s.cache = cache_->stats();
   if (tracer_.enabled()) s.latency = tracer_.summaries();
   return s;
@@ -160,68 +158,6 @@ LaneQos Daemon::lane_qos_for(std::uint32_t node_id) const {
   LaneQos qos = it != config_.node_qos.end() ? it->second : config_.default_lane_qos;
   qos.weight = std::max<std::uint32_t>(qos.weight, 1);
   return qos;
-}
-
-PoolGovernor::Window Daemon::sample_lane_window() {
-  // Per-lane stall evidence for the governor, one control window at a time.
-  // THE COLD-SINK FIX: the old aggregate counters let one wedged sink (full
-  // queue, no consumer) pile up enqueue stalls and shrink the encode pool the
-  // healthy lanes still needed. Here each lane votes separately and a lane is
-  // weighted out of the shrink side unless it actually delivered this window
-  // — a wedged or idle lane's full-queue stalls say nothing about pool width.
-  // Rate-limited lanes are also excluded from shrink: their enqueue stalls
-  // measure the configured throttle, not encode overcapacity. Failed lanes
-  // vote on neither side.
-  PoolGovernor::Window w;
-  MutexLock lock(lanes_mutex_);
-  for (SinkLane* lane : live_lanes_) {
-    LaneBaseline& base = governor_base_[lane];
-    const std::uint64_t enq = lane->lane.enqueue_stalls();
-    const std::uint64_t deq = lane->lane.dequeue_stalls();
-    const std::uint64_t del = lane->lane.delivered_items();
-    const std::uint64_t d_enq = enq - base.enq;
-    const std::uint64_t d_deq = deq - base.deq;
-    const std::uint64_t d_del = del - base.del;
-    base.enq = enq;
-    base.deq = deq;
-    base.del = del;
-    if (lane->failed.load(std::memory_order_acquire)) continue;
-    w.grow += d_deq;  // its sender starved: encode is the bottleneck
-    if (d_del > 0 && lane->lane.qos().rate_per_sec == 0 && !lane->lane.closed()) {
-      w.shrink += d_enq;  // a HEALTHY lane's queue ran full: width is waste
-    }
-  }
-  return w;
-}
-
-void Daemon::build_encode_pool() {
-  std::size_t n = config_.pool_threads ? config_.pool_threads : auto_pool_width();
-  encode_pool_ = std::make_unique<ThreadPool>(n);
-  std::size_t width_cap = n;
-  if (config_.adaptive_pool) {
-    auto gc = PoolGovernorConfig::from_knobs(config_.adaptive_min_threads,
-                                             config_.adaptive_max_threads,
-                                             config_.adaptive_interval_ms);
-    // Growth the admission windows cannot feed is pure waste: each lane
-    // admits at most prefetch_depth in-flight encode jobs and there is at
-    // most one lane per configured sink, so cap the governor at the summed
-    // admission windows instead of letting persistent sender stalls spawn
-    // workers that never run.
-    std::size_t feedable = std::max<std::size_t>(config_.prefetch_depth, 1) *
-                           std::max<std::size_t>(sinks_.size(), 1);
-    gc.max_threads = std::max(gc.min_threads, std::min(gc.max_threads, feedable));
-    // The wire starving (dequeue stalls) grows the encode pool; the pool
-    // outrunning the wire (enqueue stalls) shrinks it — per-lane windows,
-    // with unhealthy lanes weighted out (see sample_lane_window).
-    governor_ = std::make_unique<PoolGovernor>(config_.daemon_id + "/encode", *encode_pool_,
-                                               [this] { return sample_lane_window(); }, gc);
-    width_cap = std::max(width_cap, gc.max_threads);
-  }
-  // Global in-flight encode budget for DWRR admission: ~2× the widest the
-  // pool can be keeps every worker fed while staying small enough that the
-  // weighted cycle — not queue luck — decides encode share under contention.
-  MutexLock lock(admit_mutex_);
-  admit_budget_ = std::max<std::size_t>(4, 2 * width_cap);
 }
 
 msgpack::WireBatch Daemon::build_batch(const BatchAssignment& a) const {
@@ -526,9 +462,8 @@ bool Daemon::pipelined_epoch(const EpochPlan& plan,
     lanes.push_back(std::move(lane));
   }
 
-  // Register the epoch's lanes: with the stats/governor registry (so a
-  // mid-epoch stats() or governor window sees them live) and with the DWRR
-  // admission cycle.
+  // Register the epoch's lanes: with the stats registry (so a mid-epoch
+  // stats() sees them live) and with the DWRR admission cycle.
   {
     MutexLock lock(lanes_mutex_);
     for (auto& lane : lanes) live_lanes_.push_back(lane.get());
@@ -553,7 +488,7 @@ bool Daemon::pipelined_epoch(const EpochPlan& plan,
     // senders — a joinable sender must never be destroyed — wait out
     // straggler encode jobs (they reference the lanes this frame owns), then
     // retire the lanes: fold their counters into the per-node lifetime
-    // totals and drop them from the admission + governor registries.
+    // totals and drop them from the admission + stats registries.
     struct DrainGuard {
       Daemon* daemon;
       std::vector<std::unique_ptr<SinkLane>>& lanes;
@@ -574,7 +509,6 @@ bool Daemon::pipelined_epoch(const EpochPlan& plan,
         MutexLock lock(daemon->lanes_mutex_);
         for (auto& lane : lanes) {
           accumulate(daemon->lane_totals_[lane->node_id], lane->lane.stats());
-          daemon->governor_base_.erase(lane.get());
           auto& live = daemon->live_lanes_;
           live.erase(std::remove(live.begin(), live.end(), lane.get()), live.end());
         }

@@ -40,7 +40,6 @@
 #include "common/clock.h"
 #include "common/lane.h"
 #include "common/mutex.h"
-#include "common/pool_governor.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "common/timestamp_logger.h"
@@ -60,22 +59,12 @@ struct DaemonConfig {
   /// path. With the cache on, that is each miss, once, before its insert;
   /// hits are served unchecked.
   bool verify_crc = false;
-  /// Read+encode pool size. 0 = auto (hardware concurrency, clamped to
-  /// [2, 8]).
+  /// Read+encode pool width, fixed for the daemon's life. 0 = auto
+  /// (auto_pool_width(): hardware concurrency, clamped to [2, 8]).
   std::size_t pool_threads = 0;
   /// Per-sink encoded-batch prefetch queue capacity — the paper's HWM. Also
   /// bounds how many encode jobs may be in flight per sink.
   std::size_t prefetch_depth = 16;
-  /// Adaptive encode-pool sizing: a PoolGovernor grows the pool when
-  /// sender_stalls dominates the stall window (the wire waits on encode) and
-  /// shrinks it when enqueue_stalls does (encode outran the wire), within
-  /// [adaptive_min_threads, adaptive_max_threads]. The pool still starts at
-  /// pool_threads; 0 max = auto (hardware concurrency, clamped to [2, 8]
-  /// like pool_threads' auto).
-  bool adaptive_pool = false;
-  std::size_t adaptive_min_threads = 1;
-  std::size_t adaptive_max_threads = 0;
-  std::uint64_t adaptive_interval_ms = 20;
   /// QoS descriptor applied to every sink lane (weighted-fair share,
   /// optional items/sec rate cap paced before each send). Encode-pool
   /// admission is deficit-weighted round-robin across the sink lanes, so a
@@ -108,7 +97,7 @@ struct DaemonConfig {
 
 // DaemonStats' metrics (obs/metrics.h, which also documents the counter
 // convention). The engine increments the counters sub-list; stats() derives
-// the rest from the lanes, the encode pool, the governor and the sinks.
+// the rest from the lanes, the encode pool and the sinks.
 #define EMLIO_DAEMON_COUNTERS(M)                                                   \
   M(std::uint64_t, batches_sent, kCounter)                                         \
   M(std::uint64_t, samples_sent, kCounter)                                         \
@@ -138,11 +127,9 @@ struct DaemonConfig {
   /* epochs and the live epoch's lanes, so a mid-epoch snapshot includes the */           \
   /* running epoch. */                                                                    \
   M(std::uint64_t, queue_peak_depth, kGauge)                                              \
-  /* Encode-pool sizing. Without the governor, current == peak == the */                  \
-  /* configured width and resizes stays 0. */                                             \
-  M(std::uint64_t, pool_resizes, kCounter)       /* governor grow+shrink steps applied */ \
-  M(std::uint64_t, pool_threads_current, kGauge) /* encode-pool width right now */        \
-  M(std::uint64_t, pool_threads_peak, kGauge)    /* widest the encode pool has been */    \
+  /* Encode-pool width: pool_threads, or auto_pool_width() when that is 0. */             \
+  /* Fixed for the daemon's life. */                                                      \
+  M(std::uint64_t, pool_threads_current, kGauge)                                          \
   /* Byte-moving syscalls the sinks issued on the wire path (summed over */               \
   /* sinks from MessageSink::data_syscalls). The transport audit: the TCP */              \
   /* lane reports ~1 per batch (one scatter-gather sendmsg per frame), the */             \
@@ -236,11 +223,7 @@ class Daemon {
   void sender_loop(SinkLane& lane, std::uint32_t epoch);
   msgpack::WireBatch build_batch(const BatchAssignment& assignment) const;
   void record_error(const std::string& what);
-  void build_encode_pool();
   LaneQos lane_qos_for(std::uint32_t node_id) const;
-  /// One governor control window of per-lane evidence — the cold-sink fix
-  /// lives here (see the .cpp).
-  PoolGovernor::Window sample_lane_window();
 
   DaemonConfig config_;
   /// Stage-latency aggregation (histograms + slow-batch ring). Declared
@@ -274,10 +257,11 @@ class Daemon {
 
   // Encode-pool admission, all guarded by admit_mutex_:
   // one DWRR cycle picks which sink lane gets the next encode job, bounded
-  // by a global running-job budget (≈ 2× the widest pool — enough to keep
-  // every worker fed, small enough that the weighted choice decides encode
-  // share under contention) and a per-lane in-window cap (prefetch_depth:
-  // admitted but not yet queued). NEVER acquired while holding a lane's mu.
+  // by a global running-job budget (2× the pool width, at least 4 — enough
+  // to keep every worker fed, small enough that the weighted choice decides
+  // encode share under contention) and a per-lane in-window cap
+  // (prefetch_depth: admitted but not yet queued). NEVER acquired while
+  // holding a lane's mu.
   Mutex admit_mutex_;
   std::vector<SinkLane*> epoch_lanes_
       EMLIO_GUARDED_BY(admit_mutex_);  ///< live only while an epoch runs
@@ -287,22 +271,12 @@ class Daemon {
   std::size_t admit_window_depth_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
 
   // Lane registry + lifetime accounting, guarded by lanes_mutex_ (cold
-  // paths only: stats(), governor windows, epoch setup/teardown). Live
-  // lanes are registered for the epoch's duration; at teardown their
-  // counters fold into lane_totals_ per destination node.
+  // paths only: stats(), epoch setup/teardown). Live lanes are registered
+  // for the epoch's duration; at teardown their counters fold into
+  // lane_totals_ per destination node.
   mutable Mutex lanes_mutex_;
   std::vector<SinkLane*> live_lanes_ EMLIO_GUARDED_BY(lanes_mutex_);
   std::map<std::uint32_t, LaneStats> lane_totals_ EMLIO_GUARDED_BY(lanes_mutex_);
-  struct LaneBaseline {
-    std::uint64_t enq = 0, deq = 0, del = 0;
-  };
-  std::map<const SinkLane*, LaneBaseline> governor_base_
-      EMLIO_GUARDED_BY(lanes_mutex_);  ///< sampler state
-
-  /// Adaptive sizing controller over encode_pool_ (config_.adaptive_pool).
-  /// Declared last on purpose: it is destroyed first, so its control thread
-  /// stops before the pool and the stall counters it reads go away.
-  std::unique_ptr<PoolGovernor> governor_;
 };
 
 }  // namespace emlio::core

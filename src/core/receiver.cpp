@@ -39,34 +39,13 @@ Receiver::Receiver(ReceiverConfig config, std::vector<std::unique_ptr<net::Messa
 
   // One ingest thread per source feeds that source's QoS lane; admission
   // picks among the lanes weighted-fair, stamps arrival tickets and feeds
-  // the decode pool under a bounded in-flight window (2× the pool: enough
-  // parked results to keep every worker busy across out-of-order
-  // completions, small enough that a stalled consumer stops ingest fast).
-  // Under the governor the window is sized for the widest pool it may grow,
-  // or admission would cap the parallelism the resize just bought.
-  const std::size_t width =
-      config_.decode_threads ? config_.decode_threads : auto_pool_width();
-  decode_pool_ = std::make_unique<ThreadPool>(width);
-  std::size_t window_width = width;
-  if (config_.adaptive_pool) {
-    auto gc = PoolGovernorConfig::from_knobs(config_.adaptive_min_threads,
-                                             config_.adaptive_max_threads,
-                                             config_.adaptive_interval_ms);
-    // A consumer-bound engine also fills the window (workers block in emit,
-    // decode_stalls fire) but extra width cannot help it — cap the governor
-    // at what the consumer queue can absorb, the same "don't grow what
-    // downstream can't feed" rule the daemon applies to its admission
-    // windows.
-    gc.max_threads = std::max(
-        gc.min_threads, std::min(gc.max_threads, std::max<std::size_t>(config_.queue_capacity, 1)));
-    window_width = std::max(window_width, gc.max_threads);
-    // Ingest waiting on decode (decode_stalls) grows the pool; completions
-    // running ahead of ordering (resequence_stalls) shrink it.
-    governor_ = std::make_unique<PoolGovernor>("receiver/decode", *decode_pool_,
-                                               counters_.decode_stalls,
-                                               counters_.resequence_stalls, gc);
-  }
-  window_ = std::max<std::size_t>(window_width * 2, 4);
+  // the decode pool under a bounded in-flight window (2× the pool width, at
+  // least 4: enough parked results to keep every worker busy across
+  // out-of-order completions, small enough that a stalled consumer stops
+  // ingest fast).
+  decode_pool_ = std::make_unique<ThreadPool>(config_.decode_threads ? config_.decode_threads
+                                                                     : auto_pool_width());
+  window_ = std::max<std::size_t>(decode_pool_->thread_count() * 2, 4);
   const std::size_t depth = std::max<std::size_t>(config_.ingest_lane_depth, 1);
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     lanes_.push_back(
@@ -95,12 +74,10 @@ Receiver::~Receiver() {
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
-  // Stop the governor before its pool, then drain straggler decode jobs
-  // (their deliveries count as drops now that the queue is closed) before
-  // any member they touch goes away. Idle the pool before resetting it: a
-  // straggler may still post, through decode_pool_, a payload it admitted
-  // just before close().
-  governor_.reset();
+  // Drain straggler decode jobs (their deliveries count as drops now that
+  // the queue is closed) before any member they touch goes away. Idle the
+  // pool before resetting it: a straggler may still post, through
+  // decode_pool_, a payload it admitted just before close().
   decode_pool_->wait_idle();
   decode_pool_.reset();
 }
@@ -130,15 +107,7 @@ ReceiverStats Receiver::stats() const {
   // The consumer queue tracks its own high-water mark inside push — the old
   // per-delivery size() sample paid a second lock round-trip per batch.
   s.queue_peak_depth = queue_.peak_depth();
-  if (governor_) {
-    auto g = governor_->stats();
-    s.pool_resizes = g.resizes;
-    s.pool_threads_current = g.threads_current;
-    s.pool_threads_peak = g.threads_peak;
-  } else {
-    s.pool_threads_current = decode_pool_->target_threads();
-    s.pool_threads_peak = s.pool_threads_current;
-  }
+  s.pool_threads_current = decode_pool_->thread_count();
   s.lanes.reserve(lanes_.size());
   for (const auto& l : lanes_) s.lanes.push_back(l->lane.stats());
   if (tracer_.enabled()) s.latency = tracer_.summaries();

@@ -44,7 +44,6 @@
 #include "common/bounded_queue.h"
 #include "common/lane.h"
 #include "common/mutex.h"
-#include "common/pool_governor.h"
 #include "common/sequencer.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
@@ -61,20 +60,11 @@ namespace emlio::core {
 struct ReceiverConfig {
   std::size_t num_senders = 1;     ///< daemons pushing to this node
   std::size_t queue_capacity = 16; ///< shared queue depth (receiver HWM)
-  /// Decode pool width: N decode workers behind per-source ingest threads,
-  /// re-sequenced into arrival order. 0 = auto (hardware concurrency,
-  /// clamped to [2, 8] — the same rule as DaemonConfig::pool_threads).
+  /// Decode pool width, fixed for the receiver's life: N decode workers
+  /// behind per-source ingest threads, re-sequenced into arrival order.
+  /// 0 = auto (auto_pool_width(): hardware concurrency, clamped to [2, 8] —
+  /// the same rule as DaemonConfig::pool_threads).
   std::size_t decode_threads = 0;
-  /// Adaptive decode-pool sizing: a PoolGovernor grows the pool when
-  /// decode_stalls dominates the stall window (ingest waits on decode) and
-  /// shrinks it when resequence_stalls does (completions run ahead of
-  /// ordering), within [adaptive_min_threads, adaptive_max_threads]. The
-  /// pool still starts at decode_threads; 0 max = auto (hardware
-  /// concurrency, clamped to [2, 8]).
-  bool adaptive_pool = false;
-  std::size_t adaptive_min_threads = 1;
-  std::size_t adaptive_max_threads = 0;
-  std::uint64_t adaptive_interval_ms = 20;
   /// Per-source ingest lane depth. Raw payloads wait here between a
   /// source's receive thread and admission to the decode window; a full lane
   /// blocks its ingest thread — and through it the transport — without
@@ -148,14 +138,12 @@ struct ReceiverConfig {
   /* pulled = delivered + dropped_on_close + dropped_dead_sender. */                    \
   M(std::uint64_t, dropped_dead_sender, kCounter)
 
-#define EMLIO_RECEIVER_STATS(M)                                                           \
-  EMLIO_RECEIVER_COUNTERS(M)                                                              \
-  M(std::uint64_t, queue_peak_depth, kGauge) /* max consumer-queue occupancy seen */      \
-  /* Decode-pool sizing. Without the governor, current == peak == the */                  \
-  /* configured width and resizes stays 0. */                                             \
-  M(std::uint64_t, pool_resizes, kCounter)       /* governor grow+shrink steps applied */ \
-  M(std::uint64_t, pool_threads_current, kGauge) /* decode-pool width right now */        \
-  M(std::uint64_t, pool_threads_peak, kGauge)    /* widest the decode pool has been */
+#define EMLIO_RECEIVER_STATS(M)                                                      \
+  EMLIO_RECEIVER_COUNTERS(M)                                                         \
+  M(std::uint64_t, queue_peak_depth, kGauge) /* max consumer-queue occupancy seen */ \
+  /* Decode-pool width: decode_threads, or auto_pool_width() when that is */         \
+  /* 0. Fixed for the receiver's life. */                                            \
+  M(std::uint64_t, pool_threads_current, kGauge)
 
 struct ReceiverStats {
   EMLIO_METRICS(EMLIO_RECEIVER_STATS)
@@ -337,9 +325,10 @@ class Receiver {
   BoundedQueue<msgpack::WireBatch> queue_;
   std::atomic<bool> closed_{false};
 
-  // Decode stage. The window caps payloads admitted to the decode stage but
-  // not yet delivered: it bounds decode-stage memory and is the backpressure
-  // coupling between a slow consumer and the ingest threads.
+  // Decode stage. The window (2× the pool width, at least 4) caps payloads
+  // admitted to the decode stage but not yet delivered: it bounds
+  // decode-stage memory and is the backpressure coupling between a slow
+  // consumer and the ingest threads.
   std::unique_ptr<ThreadPool> decode_pool_;
   std::size_t window_ = 0;
 
@@ -392,11 +381,6 @@ class Receiver {
   std::atomic<std::uint64_t> post_receive_drops_{0};
   /// One warn line for the first dead-sender drop, mirroring drop_logged_.
   std::atomic<bool> dead_drop_logged_{false};
-
-  /// Adaptive sizing controller over decode_pool_ (config_.adaptive_pool).
-  /// Declared last on purpose: it is destroyed first, so its control thread
-  /// stops before the pool and the stall counters it reads go away.
-  std::unique_ptr<PoolGovernor> governor_;
 };
 
 }  // namespace emlio::core

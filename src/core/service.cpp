@@ -32,6 +32,10 @@ EmlioService::EmlioService(ServiceConfig config)
     throw std::runtime_error("emlio service: unknown cache policy '" + config_.cache_policy +
                              "' (expected \"clock\" or \"lru\")");
   }
+  if (config_.adaptive_pool) {
+    throw std::runtime_error("emlio service: adaptive_pool is retired; both pools run at "
+                             "their fixed width");
+  }
   PlannerConfig pc;
   pc.batch_size = config_.batch_size;
   pc.epochs = config_.epochs;
@@ -106,10 +110,6 @@ void EmlioService::start() {
   dc.verify_crc = config_.verify_crc;
   dc.pool_threads = config_.pipeline_pool_threads;
   dc.prefetch_depth = config_.prefetch_depth ? config_.prefetch_depth : config_.high_water_mark;
-  dc.adaptive_pool = config_.adaptive_pool;
-  dc.adaptive_min_threads = config_.adaptive_min_threads;
-  dc.adaptive_max_threads = config_.adaptive_max_threads;
-  dc.adaptive_interval_ms = config_.adaptive_interval_ms;
   dc.cache_bytes = config_.cache_bytes;
   dc.cache_policy = *cache::parse_policy(config_.cache_policy);  // validated in ctor
   dc.trace = config_.trace;
@@ -125,10 +125,6 @@ void EmlioService::start() {
   rc.num_senders = 1;
   rc.queue_capacity = config_.receiver_queue;
   rc.decode_threads = config_.decode_threads;
-  rc.adaptive_pool = config_.adaptive_pool;
-  rc.adaptive_min_threads = config_.adaptive_min_threads;
-  rc.adaptive_max_threads = config_.adaptive_max_threads;
-  rc.adaptive_interval_ms = config_.adaptive_interval_ms;
   rc.default_lane_qos = qos;
   rc.trace = config_.trace;
   rc.trace_ring = config_.trace_ring;

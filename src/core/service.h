@@ -38,7 +38,7 @@ struct ServiceConfig {
   std::size_t high_water_mark = 16;   ///< ZMQ-style HWM
   std::size_t num_streams = 2;        ///< parallel TCP streams (kTcp)
   std::size_t receiver_queue = 16;    ///< shared in-memory queue depth
-  /// Daemon pipeline: read+encode pool size (0 = auto) and per-sink
+  /// Daemon pipeline: read+encode pool width (0 = auto) and per-sink
   /// prefetch-queue depth (0 = follow high_water_mark).
   std::size_t pipeline_pool_threads = 0;
   std::size_t prefetch_depth = 0;
@@ -46,17 +46,10 @@ struct ServiceConfig {
   /// the same rule as pipeline_pool_threads). Output is re-sequenced into
   /// arrival order at every width.
   std::size_t decode_threads = 0;
-  /// Shared stall-ratio pool governor, one instance per staged engine: the
-  /// daemon's encode pool grows when sender_stalls dominates (and shrinks on
-  /// enqueue_stalls), the receiver's decode pool grows when decode_stalls
-  /// dominates (and shrinks on resequence_stalls). Bounds and control
-  /// interval are shared by both governors; 0 max = auto (hardware
-  /// concurrency, clamped to [2, 8]). Each pool starts at its configured
-  /// width.
+  /// Retired: both pools run at their fixed width. Kept only so existing
+  /// callers that set it false still build; true makes the constructor
+  /// throw.
   bool adaptive_pool = false;
-  std::size_t adaptive_min_threads = 1;
-  std::size_t adaptive_max_threads = 0;
-  std::uint64_t adaptive_interval_ms = 20;
   /// Daemon-side sample cache: byte budget (0 = off) and eviction policy
   /// ("clock" or "lru" — parsed by cache::parse_policy; anything else makes
   /// start() throw). When the dataset fits the budget, warm epochs are
@@ -114,7 +107,8 @@ struct ServiceStats {
 class EmlioService {
  public:
   /// Loads shard indexes and builds the planner. Throws if the dataset
-  /// directory has no shards.
+  /// directory has no shards, the cache policy is unknown, or
+  /// adaptive_pool is set.
   explicit EmlioService(ServiceConfig config);
 
   /// Destructor stops everything.

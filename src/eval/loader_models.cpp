@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "eval/rig.h"
 #include "sim/engine.h"
 #include "sim/pipe.h"
@@ -371,15 +370,6 @@ ScenarioResult run_emlio(const ScenarioConfig& cfg) {
   std::size_t decode_threads =
       p.emlio_decode_threads ? p.emlio_decode_threads
                              : static_cast<std::size_t>(p.deserialize_threads);
-  // Adaptive pool governor: model the converged steady state. A stage whose
-  // width was tuned explicitly (the figures' T for serialize, an explicit
-  // decode_threads) is modeled as the governor converging to that tuning —
-  // the figures' independent variables stay theirs. Only a stage nobody
-  // sized (emlio_decode_threads == 0, legacy deserialize default) converges
-  // to the hosting node's auto width instead.
-  if (p.emlio_adaptive_pool && p.emlio_decode_threads == 0) {
-    decode_threads = auto_pool_width(cfg.compute_node.cpu_threads);
-  }
   sim::Server serialize_pool(eng, pool_threads, &daemon_host.cpu());
   sim::Server deserialize_pool(eng, decode_threads, &compute.cpu());
   sim::AsyncSemaphore hwm(p.emlio_hwm * p.emlio_streams);

@@ -95,18 +95,6 @@ struct LoaderParams {
   /// pooled receiver: N decode workers drain the wire in parallel before
   /// the re-sequenced batches reach the prefetch queue.
   std::size_t emlio_decode_threads = 0;
-  /// Stall-ratio pool governor (mirrors DaemonConfig/ReceiverConfig::
-  /// adaptive_pool). The model charges the governor's converged steady
-  /// state: an explicitly tuned stage width (the figures' T, a nonzero
-  /// emlio_decode_threads) is what the governor converges to, so those
-  /// scenarios are numerically unchanged — the flag records that the width
-  /// is governor-maintained rather than hand-pinned. A stage nobody sized
-  /// (emlio_decode_threads == 0) converges to the hosting node's auto width
-  /// (cores clamped to [2, 8], the real auto rule) instead of the legacy
-  /// deserialize_threads default. The sub-second ramp from an undersized
-  /// start is noise at epoch scale; delivery semantics are unchanged by
-  /// construction, exactly like the real governor.
-  bool emlio_adaptive_pool = false;
   double loopback_bytes_per_sec = 1.8e9;    ///< local-regime loopback cost
   Nanos emlio_feed_overhead = from_millis(5.2);  ///< external_source dequeue+feed
   double emlio_service_threads = 1.8;       ///< receiver/plugin host threads

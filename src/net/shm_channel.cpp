@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 namespace emlio::net {
 
@@ -14,19 +13,12 @@ namespace {
 // doorbell futex immediately.
 constexpr std::chrono::milliseconds kParkSlice{100};
 
-// Busy-spin pacing: burn a few iterations back-to-back, then yield so a
-// same-core peer (single-CPU hosts, oversubscribed CI) can make progress.
-void spin_pause(std::size_t iteration) {
-  if ((iteration & 63u) == 63u) std::this_thread::yield();
-}
-
 }  // namespace
 
 // --------------------------------------------------------- ShmMessageSink
 
 ShmMessageSink::ShmMessageSink(const std::string& name, const ShmOptions& opts)
-    : seg_(ShmSegment::create(name, ShmSegment::Options{opts.slab_bytes, opts.slab_count})),
-      opts_(opts) {}
+    : seg_(ShmSegment::create(name, ShmSegment::Options{opts.slab_bytes, opts.slab_count})) {}
 
 ShmMessageSink::~ShmMessageSink() { close(); }
 
@@ -40,27 +32,20 @@ bool ShmMessageSink::send_spliced(SplicedPayload message) {
   }
   MutexLock lock(send_mu_);
 
-  // Acquire a free slab: spin briefly (the receiver usually returns one
-  // within the spin budget when it is keeping up), then park on the
-  // free-ring doorbell. Every park timeout re-checks close flags and
-  // receiver liveness so exhaustion backpressure can never deadlock.
+  // Acquire a free slab, parking on the free-ring doorbell while none is
+  // free. Every park timeout re-checks close flags and receiver liveness so
+  // exhaustion backpressure can never deadlock.
   std::optional<std::uint64_t> desc;
-  std::size_t spins = 0;
   while (true) {
     if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
     desc = seg_->free_pop();
     if (desc) break;
-    if (spins < opts_.spin_iterations) {
-      spin_pause(spins++);
-      continue;
-    }
     const std::uint32_t snap = seg_->free_bell_seq();
     desc = seg_->free_pop();  // re-check after snapshot: no lost wake-up
     if (desc) break;
     if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
     const bool moved = seg_->wait_free_bell(snap, kParkSlice);
     if (!moved && !seg_->attacher_alive()) return false;  // receiver crashed
-    spins = 0;
   }
 
   const std::uint32_t index = shm_desc_index(*desc);
@@ -92,17 +77,15 @@ void ShmMessageSink::close() {
 
 // ------------------------------------------------------- ShmMessageSource
 
-ShmMessageSource::ShmMessageSource(const std::string& name, std::size_t spin_iterations)
-    : seg_(ShmSegment::attach(name)), spin_iterations_(spin_iterations) {}
+ShmMessageSource::ShmMessageSource(const std::string& name)
+    : seg_(ShmSegment::attach(name)) {}
 
-ShmMessageSource::ShmMessageSource(std::shared_ptr<ShmSegment> seg, std::size_t spin_iterations)
-    : seg_(std::move(seg)), spin_iterations_(spin_iterations) {}
+ShmMessageSource::ShmMessageSource(std::shared_ptr<ShmSegment> seg) : seg_(std::move(seg)) {}
 
 std::unique_ptr<ShmMessageSource> ShmMessageSource::attach_wait(const std::string& name,
-                                                                std::chrono::milliseconds timeout,
-                                                                std::size_t spin_iterations) {
+                                                                std::chrono::milliseconds timeout) {
   return std::unique_ptr<ShmMessageSource>(
-      new ShmMessageSource(ShmSegment::attach_wait(name, timeout), spin_iterations));
+      new ShmMessageSource(ShmSegment::attach_wait(name, timeout)));
 }
 
 ShmMessageSource::~ShmMessageSource() { close(); }
@@ -126,7 +109,6 @@ std::optional<Payload> ShmMessageSource::wrap_desc(std::uint64_t desc) {
 
 std::optional<Payload> ShmMessageSource::recv() {
   MutexLock lock(recv_mu_);
-  std::size_t spins = 0;
   while (true) {
     if (closed_.load(std::memory_order_relaxed)) return std::nullopt;
     if (auto desc = seg_->data_pop()) return wrap_desc(*desc);
@@ -136,15 +118,10 @@ std::optional<Payload> ShmMessageSource::recv() {
       if (auto desc = seg_->data_pop()) return wrap_desc(*desc);
       return std::nullopt;
     }
-    if (spins < spin_iterations_) {
-      spin_pause(spins++);
-      continue;
-    }
     const std::uint32_t snap = seg_->data_bell_seq();
     if (auto desc = seg_->data_pop()) return wrap_desc(*desc);  // no lost wake-up
     if (closed_.load(std::memory_order_relaxed) || seg_->sink_closed()) continue;
     const bool moved = seg_->wait_data_bell(snap, kParkSlice);
-    spins = 0;
     if (!moved && !seg_->creator_alive()) {
       std::fprintf(stderr,
                    "emlio: shm source %s: daemon (pid %u) died mid-stream; ending stream\n",

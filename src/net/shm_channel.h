@@ -13,11 +13,11 @@
 //
 // Backpressure falls out of the slab pool: slab_count is the in-flight
 // budget (the HWM analogue), and a sender that exhausts it blocks in send()
-// — bounded spin, then futex park on the free-ring doorbell — until the
-// receiver releases a slab. Blocking never hangs on a dead peer: every park
-// has a timeout, and the timeout path checks peer liveness (pid probe) and
-// the close flags, so a crashed receiver fails the send and a crashed daemon
-// ends the source's stream with a warning instead of a deadlock.
+// — parked on the free-ring doorbell's futex — until the receiver releases
+// a slab. Blocking never hangs on a dead peer: every park has a timeout,
+// and the timeout path checks peer liveness (pid probe) and the close
+// flags, so a crashed receiver fails the send and a crashed daemon ends the
+// source's stream with a warning instead of a deadlock.
 //
 // Both endpoints implement the channel.h contracts exactly, so the Daemon
 // and Receiver staged engines run over shared memory with zero changes.
@@ -39,7 +39,6 @@ namespace emlio::net {
 struct ShmOptions {
   std::size_t slab_bytes = 4u << 20;  ///< max message size (one encoded batch)
   std::size_t slab_count = 16;        ///< in-flight budget (HWM analogue)
-  std::size_t spin_iterations = 4096; ///< hot-path spins before futex parking
 };
 
 /// Sender endpoint; owns (creates) the segment and unlinks it on
@@ -74,7 +73,6 @@ class ShmMessageSink final : public MessageSink {
 
  private:
   std::shared_ptr<ShmSegment> seg_;
-  ShmOptions opts_;
   Mutex send_mu_;               // serializes free-pop + slab write + data-push
   std::atomic<bool> closed_{false};
 };
@@ -87,14 +85,13 @@ class ShmMessageSource final : public MessageSource {
  public:
   /// Attach to an existing segment; throws if it does not exist or is stale
   /// (dead creator, closed, or layout-incompatible — see ShmSegment).
-  explicit ShmMessageSource(const std::string& name, std::size_t spin_iterations = 4096);
+  explicit ShmMessageSource(const std::string& name);
 
   /// Attach, waiting up to `timeout` for the daemon to create the segment
   /// (start-order independence, like the TCP connect-retry loop). Stale or
   /// incompatible segments still fail immediately.
   static std::unique_ptr<ShmMessageSource> attach_wait(const std::string& name,
-                                                       std::chrono::milliseconds timeout,
-                                                       std::size_t spin_iterations = 4096);
+                                                       std::chrono::milliseconds timeout);
 
   ~ShmMessageSource() override;
 
@@ -113,11 +110,10 @@ class ShmMessageSource final : public MessageSource {
   SourceEnd end_state() const override { return end_.load(std::memory_order_acquire); }
 
  private:
-  explicit ShmMessageSource(std::shared_ptr<ShmSegment> seg, std::size_t spin_iterations);
+  explicit ShmMessageSource(std::shared_ptr<ShmSegment> seg);
   std::optional<Payload> wrap_desc(std::uint64_t desc);
 
   std::shared_ptr<ShmSegment> seg_;
-  std::size_t spin_iterations_;
   Mutex recv_mu_;               // serializes data-pop ordering
   std::atomic<bool> closed_{false};
   std::atomic<SourceEnd> end_{SourceEnd::kClean};

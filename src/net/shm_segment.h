@@ -21,9 +21,10 @@
 // Doorbells make blocking cheap without per-message syscalls: every push
 // bumps a sequence word (process-shared atomic, no kernel crossing) and
 // issues a FUTEX_WAKE *only when a waiter has registered itself* — i.e. only
-// after an empty→non-empty transition that found the peer parked. Waiters
-// spin briefly, then park in FUTEX_WAIT with a bounded timeout so a crashed
-// peer degrades into a clean liveness check instead of a hang.
+// after an empty→non-empty transition that found the peer parked. A waiter
+// snapshots the sequence, re-checks its ring once, then parks in FUTEX_WAIT
+// with a bounded timeout so a crashed peer degrades into a clean liveness
+// check instead of a hang.
 //
 // Stale-segment handling: the header carries a magic, a layout version, a
 // per-creation epoch stamp and the creator pid. Attach rejects segments that
@@ -53,8 +54,8 @@ struct alignas(64) ShmDoorbell {
 };
 
 /// SPSC ring indices: free-running u32 head/tail, slot = tail & (cap - 1).
-/// Producer and consumer live on separate cache lines so a spinning reader
-/// never bounces the writer's line.
+/// Producer and consumer live on separate cache lines so the reader's
+/// cursor updates never bounce the writer's line.
 struct ShmRingControl {
   alignas(64) std::atomic<std::uint32_t> head;  ///< consumer cursor
   alignas(64) std::atomic<std::uint32_t> tail;  ///< producer cursor

@@ -213,20 +213,16 @@ std::map<std::string, char> ints(std::initializer_list<const char*> keys) {
   return out;
 }
 
-TEST_F(CoreIntegrationTest, AdaptivePoolServiceDeliversCleanlyAndReportsSizing) {
-  // Governors live on both staged engines for a whole multi-epoch run: the
-  // stream must stay exactly-once and the new sizing stats must be wired
+TEST_F(CoreIntegrationTest, FixedWidthServiceDeliversCleanlyAndReportsStats) {
+  // Single-worker pools on both staged engines for a whole multi-epoch run:
+  // the stream must stay exactly-once and each pool's width must be wired
   // through ServiceStats/to_json end to end. Traced, with the cache on, the
   // run also fills every section of the stats JSON, whose schema and gauge
   // sets are pinned below (`--stats-json` and `--stats-interval` emit them).
   auto cfg = base_config();
   cfg.epochs = 2;
-  cfg.pipeline_pool_threads = 1;  // deliberately undersized start
+  cfg.pipeline_pool_threads = 1;
   cfg.decode_threads = 1;
-  cfg.adaptive_pool = true;
-  cfg.adaptive_min_threads = 1;
-  cfg.adaptive_max_threads = 4;
-  cfg.adaptive_interval_ms = 2;
   cfg.trace = true;
   cfg.cache_bytes = 1u << 20;
   EmlioService service(cfg);
@@ -237,32 +233,26 @@ TEST_F(CoreIntegrationTest, AdaptivePoolServiceDeliversCleanlyAndReportsSizing) 
   }
   service.stop();
   auto stats = service.stats();
-  // Whether the governors stepped depends on host speed; the sizing fields
-  // must be live either way, and within the configured bounds.
-  EXPECT_GE(stats.daemon.pool_threads_current, 1u);
-  EXPECT_LE(stats.daemon.pool_threads_current, 4u);
-  EXPECT_GE(stats.daemon.pool_threads_peak, stats.daemon.pool_threads_current);
-  EXPECT_GE(stats.receiver.pool_threads_current, 1u);
-  EXPECT_LE(stats.receiver.pool_threads_current, 4u);
-  EXPECT_GE(stats.receiver.pool_threads_peak, stats.receiver.pool_threads_current);
+  EXPECT_EQ(stats.daemon.pool_threads_current, 1u);
+  EXPECT_EQ(stats.receiver.pool_threads_current, 1u);
   EXPECT_GT(stats.daemon.cache.hits, 0u);
 
   auto daemon_keys = ints({"batches_sent", "bytes_sent", "cache_entries", "cache_evictions",
                            "cache_hits", "cache_inserts", "cache_misses", "cache_pinned_skips",
                            "cache_rejected", "cache_resident_bytes", "cache_resident_bytes_peak",
                            "encode_pool_allocated", "encode_pool_reused", "enqueue_stalls",
-                           "errors", "pool_resizes", "pool_threads_current", "pool_threads_peak",
-                           "queue_peak_depth", "samples_sent", "sender_stalls", "store_reads",
-                           "store_records_read", "wire_syscalls"});
-  ASSERT_EQ(daemon_keys.size(), 24u);
+                           "errors", "pool_threads_current", "queue_peak_depth", "samples_sent",
+                           "sender_stalls", "store_reads", "store_records_read",
+                           "wire_syscalls"});
+  ASSERT_EQ(daemon_keys.size(), 22u);
   daemon_keys["lanes"] = 'a';
   daemon_keys["latency"] = 'o';
   auto receiver_keys =
       ints({"batches_received", "bytes_received", "decode_errors", "decode_ns", "decode_stalls",
             "dropped_dead_sender", "dropped_on_close", "epochs_completed", "epochs_repaired",
-            "pool_resizes", "pool_threads_current", "pool_threads_peak", "queue_peak_depth",
-            "resequence_stalls", "samples_received"});
-  ASSERT_EQ(receiver_keys.size(), 15u);
+            "pool_threads_current", "queue_peak_depth", "resequence_stalls",
+            "samples_received"});
+  ASSERT_EQ(receiver_keys.size(), 13u);
   receiver_keys["lanes"] = 'a';
   receiver_keys["latency"] = 'o';
   auto lane_keys = ints({"delivered_bytes", "delivered_items", "dequeue_stalls", "enqueue_stalls",
@@ -289,11 +279,11 @@ TEST_F(CoreIntegrationTest, AdaptivePoolServiceDeliversCleanlyAndReportsSizing) 
 
   // The leaves `--stats-interval` streams as-is rather than as deltas.
   const std::set<std::string> daemon_gauges{
-      "pool_threads_current", "pool_threads_peak", "queue_peak_depth", "cache_resident_bytes",
+      "pool_threads_current", "queue_peak_depth", "cache_resident_bytes",
       "cache_resident_bytes_peak", "cache_entries", "weight", "rate_per_sec", "closed",
       "p50", "p95", "p99", "max"};
   const std::set<std::string> receiver_gauges{
-      "pool_threads_current", "pool_threads_peak", "queue_peak_depth", "weight", "rate_per_sec",
+      "pool_threads_current", "queue_peak_depth", "weight", "rate_per_sec",
       "closed", "p50", "p95", "p99", "max"};
   EXPECT_EQ(gauges(stats.daemon), daemon_gauges);
   EXPECT_EQ(gauges(stats.receiver), receiver_gauges);
@@ -383,6 +373,14 @@ TEST_F(CoreIntegrationTest, ServiceRejectsEmptyDirectory) {
   fs::create_directories(empty);
   ServiceConfig cfg;
   cfg.dataset_dir = empty.string();
+  EXPECT_THROW(EmlioService{cfg}, std::runtime_error);
+}
+
+TEST_F(CoreIntegrationTest, ServiceRejectsRetiredAdaptivePool) {
+  // The pools are fixed-width; a caller still asking for adaptive sizing
+  // must hear so at construction rather than be silently ignored.
+  auto cfg = base_config();
+  cfg.adaptive_pool = true;
   EXPECT_THROW(EmlioService{cfg}, std::runtime_error);
 }
 
@@ -1282,7 +1280,6 @@ struct E2eParams {
   Transport transport;
   std::size_t pool_threads = 0;    ///< daemon encode pool width, 0 = auto
   std::size_t decode_threads = 0;  ///< receiver decode pool width, 0 = auto
-  bool adaptive = false;  ///< stall-ratio governors on both pooled stages
 };
 
 class EndToEndSweep : public ::testing::TestWithParam<E2eParams> {};
@@ -1306,8 +1303,6 @@ TEST_P(EndToEndSweep, EpochAlwaysCleanAcrossConfigs) {
   cfg.transport = p.transport;
   cfg.pipeline_pool_threads = p.pool_threads;
   cfg.decode_threads = p.decode_threads;
-  cfg.adaptive_pool = p.adaptive;
-  cfg.adaptive_interval_ms = 2;  // plenty of control windows per epoch
   EmlioService service(cfg);
   service.start();
 
@@ -1348,18 +1343,17 @@ INSTANTIATE_TEST_SUITE_P(
                       E2eParams{4, 7, 2, 3, Transport::kTcp, 0, /*decode=*/2},
                       // ...and a wide decode pool behind a width-1 daemon:
                       E2eParams{2, 9, 2, 1, Transport::kInProcess, /*pool=*/1, /*decode=*/3},
-                      // Governed pools on both ends (adaptive sizing live
-                      // during the epoch must not change delivery):
-                      E2eParams{3, 8, 2, 1, Transport::kInProcess, 0, 2, /*adaptive=*/true},
-                      E2eParams{4, 7, 2, 2, Transport::kTcp, 0, 1, /*adaptive=*/true},
-                      // Shared-memory lane: auto widths, width 1, explicit
-                      // decode width, and fully governed — identical
-                      // guarantees expected.
+                      // Auto daemon width beside a narrow decode pool:
+                      E2eParams{3, 8, 2, 1, Transport::kInProcess, 0, /*decode=*/2},
+                      E2eParams{4, 7, 2, 2, Transport::kTcp, 0, /*decode=*/1},
+                      // Shared-memory lane: auto widths, width 1 and
+                      // explicit decode widths — identical guarantees
+                      // expected.
                       E2eParams{2, 8, 2, 1, Transport::kShm},
                       E2eParams{3, 5, 3, 1, Transport::kShm},
                       E2eParams{4, 7, 3, 1, Transport::kShm, /*pool=*/1, /*decode=*/1},
                       E2eParams{4, 7, 2, 1, Transport::kShm, 0, /*decode=*/2},
-                      E2eParams{3, 8, 2, 1, Transport::kShm, 0, 2, /*adaptive=*/true}));
+                      E2eParams{3, 8, 2, 1, Transport::kShm, 0, /*decode=*/2}));
 
 }  // namespace
 }  // namespace emlio::core

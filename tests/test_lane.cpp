@@ -51,7 +51,7 @@ TEST(Lane, FullLaneStallsProducerAndCountsOnce) {
   EXPECT_EQ(lane.pop().value(), 1);
   producer.join();
   EXPECT_EQ(lane.pop().value(), 2);
-  EXPECT_EQ(lane.enqueue_stalls(), 1u);
+  EXPECT_EQ(lane.stats().enqueue_stalls, 1u);
 }
 
 TEST(Lane, RejectedPushLeavesItemWithCaller) {
@@ -70,7 +70,7 @@ TEST(Lane, EmptyPopCountsDequeueStall) {
   std::this_thread::sleep_for(20ms);
   lane.close();
   consumer.join();
-  EXPECT_EQ(lane.dequeue_stalls(), 1u);
+  EXPECT_EQ(lane.stats().dequeue_stalls, 1u);
 }
 
 // ---------------------------------------------------------------- RatePacer
@@ -120,8 +120,8 @@ TEST(Lane, TryPopTakesTheHeadWithoutBlocking) {
   EXPECT_EQ(lane.try_pop().value(), 1);  // a closed lane still drains
   EXPECT_EQ(lane.try_pop().value(), 2);
   EXPECT_FALSE(lane.try_pop().has_value());
-  EXPECT_EQ(lane.delivered_items(), 2u);
-  EXPECT_EQ(lane.dequeue_stalls(), 0u);
+  EXPECT_EQ(lane.stats().delivered_items, 2u);
+  EXPECT_EQ(lane.stats().dequeue_stalls, 0u);
 }
 
 // ------------------------------------------------------------ WeightedCycle

@@ -1,5 +1,5 @@
-// QoS-layer integration tests: the cold-sink governor regression the lane
-// refactor fixes, the per-lane stats breakdowns both engines now publish,
+// QoS-layer integration tests: a wedged sink that fills only its own lane,
+// the per-lane stats breakdowns both engines now publish,
 // byte-identical per-lane delivery at every weight, rate caps paced at the
 // daemon's send, the receiver's inline weighted-fair admission across
 // source lanes (conservation, order, weight shares, pacing at the ingest
@@ -59,7 +59,7 @@ class QosTest : public ::testing::Test {
   tfrecord::BuiltDataset built_;
 };
 
-// --------------------------------------------- cold-sink governor regression
+// ---------------------------------------------------------- wedged sink lane
 
 /// A sink whose send() parks every caller until release() — the sharpest
 /// possible cold destination: the lane's sender thread pops exactly one
@@ -88,17 +88,12 @@ struct WedgedSink final : net::MessageSink {
   bool open = false;
 };
 
-TEST_F(QosTest, GovernorIgnoresColdSinkLane) {
+TEST_F(QosTest, WedgedSinkFillsOnlyItsOwnLane) {
   // One destination is wedged — its sender parks on the first send, so the
-  // lane fills and then delivers zero for the whole wedge phase — while the
-  // other node drains. The wedged lane's enqueue stalls must NOT count as
-  // shrink evidence (a zero-delivery lane is weighted out of the window), so
-  // the encode pool never drops below its starting width while the healthy
-  // lane still needs it. Before the per-lane window fix, a cold sink's
-  // stalls read as "encode outran the wire" and shrank the pool under
-  // everyone. The healthy lane carries a (non-binding) rate cap: rate-capped
-  // lanes are excluded from shrink evidence by design, so the only rate-0
-  // lane in the run is the wedged one — the test isolates exactly its votes.
+  // lane fills and then delivers nothing more for the whole wedge phase —
+  // while the other node drains completely. The per-lane breakdown must
+  // show the wedge on the wedged lane alone, and both streams must complete
+  // once the sink is released.
   auto indexes = tfrecord::load_all_indexes(dir_.string());
   PlannerConfig pc;
   pc.batch_size = 4;
@@ -120,11 +115,6 @@ TEST_F(QosTest, GovernorIgnoresColdSinkLane) {
   DaemonConfig dc;
   dc.pool_threads = 2;
   dc.prefetch_depth = 2;
-  dc.adaptive_pool = true;
-  dc.adaptive_min_threads = 1;
-  dc.adaptive_max_threads = 4;
-  dc.adaptive_interval_ms = 1;  // many control windows inside the test
-  dc.node_qos[1] = LaneQos{1, 1000000};  // cap >> rate
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, wedged},
                                                                    {1u, sink1}};
   Daemon daemon(dc, readers(), sinks);
@@ -135,31 +125,28 @@ TEST_F(QosTest, GovernorIgnoresColdSinkLane) {
     sink1->close();
   });
 
-  // Drain the healthy node completely while node 0 stays wedged, then hold
-  // the wedge across plenty of governor windows.
+  // Drain the healthy node completely while node 0 stays wedged.
   std::uint64_t want1 = 0;
   for (const auto& node : plan.nodes) {
     if (node.node_id == 1) want1 = node.total_samples();
   }
   ASSERT_GT(want1, 0u);
   std::uint64_t got1 = 0;
-  std::uint64_t min_width_seen = dc.pool_threads;
   while (got1 < want1) {
     auto batch = r1.next();
     ASSERT_TRUE(batch.has_value());
     ASSERT_FALSE(batch->last);
     got1 += batch->samples.size();
-    min_width_seen = std::min(min_width_seen, daemon.stats().pool_threads_current);
   }
-  for (int i = 0; i < 100; ++i) {
+  // Give the wedged lane's queue time to fill behind its parked sender.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (daemon.stats().lanes.at(0).queue_peak_depth < dc.prefetch_depth &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
-    min_width_seen = std::min(min_width_seen, daemon.stats().pool_threads_current);
   }
-  EXPECT_GE(min_width_seen, dc.pool_threads)
-      << "cold sink shrank the encode pool under the healthy lane";
 
-  // The breakdown shows why: the wedged lane delivered exactly the one
-  // payload its parked sender holds, while the healthy lane moved data.
+  // The wedged lane delivered exactly the one payload its parked sender
+  // holds, while the healthy lane moved data.
   {
     auto stats = daemon.stats();
     const auto& lanes = stats.lanes;

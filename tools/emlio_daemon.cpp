@@ -9,7 +9,6 @@
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-slab-mb 4]
 //       [--batch 128] [--epochs 1] [--threads 2] [--streams 2] [--hwm 16]
 //       [--pool 0] [--prefetch 16] [--seed 1234]
-//       [--adaptive-pool] [--adaptive-min 1] [--adaptive-max 0]
 //       [--lane-weight 1] [--lane-rate 0]
 //       [--cache-mb 0] [--cache-policy clock|lru]
 //       [--retry-max 1] [--retry-deadline 0]
@@ -31,14 +30,11 @@
 // the encoded batch size and --hwm doubles as the slab count (the in-flight
 // budget).
 //
-// --pool sizes the shared read+encode thread pool (0 = auto), --prefetch the
-// per-sink encoded-batch queue (the HWM of the storage-side pipeline).
-// --threads sets T, the number of plan partitions per node; the daemon
-// merges them back into one batch-id-ordered stream per sink.
-// --adaptive-pool hands the pool's sizing to the stall-ratio governor: it
-// grows the pool when sender stalls dominate (the wire waits on encode) and
-// shrinks it when enqueue stalls do, within [--adaptive-min, --adaptive-max]
-// (0 max = auto); --pool then only sets the starting width.
+// --pool sets the width of the shared read+encode thread pool, fixed for the
+// run (0 = auto), --prefetch the per-sink encoded-batch queue (the HWM of
+// the storage-side pipeline). --threads sets T, the number of plan
+// partitions per node; the daemon merges them back into one batch-id-ordered
+// stream per sink.
 // --cache-mb gives the sample cache a byte budget (0 = off): record payloads
 // stay resident across epochs so warm epochs skip shard reads entirely;
 // --cache-policy picks its eviction policy. --seed sets the planner's
@@ -79,10 +75,8 @@ int main(int argc, char** argv) {
   std::string cache_policy = "clock", stats_json;
   std::size_t batch = 128, threads = 2, streams = 2, hwm = 16;
   std::size_t pool = 0, prefetch = 16, cache_mb = 0;
-  std::size_t adaptive_min = 1, adaptive_max = 0;
   std::size_t retry_max = 1;
   std::uint64_t retry_deadline_ms = 0;
-  bool adaptive = false;
   std::uint32_t epochs = 1;
   std::uint64_t seed = 1234;
   std::size_t lane_weight = 1;
@@ -108,9 +102,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--hwm")) hwm = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--pool")) pool = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--prefetch")) prefetch = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--adaptive-pool")) adaptive = true;
-    else if (!std::strcmp(argv[i], "--adaptive-min")) adaptive_min = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--adaptive-max")) adaptive_max = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--seed")) seed = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--lane-weight")) lane_weight = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--lane-rate")) lane_rate = std::strtoull(next(), nullptr, 10);
@@ -128,8 +119,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "usage: emlio_daemon --data DIR --connect HOST:PORT "
                            "[--transport tcp|shm] [--shm-name NAME] [--shm-slab-mb MB] "
                            "[--batch B] [--epochs E] [--threads T] [--streams S] [--hwm H] "
-                           "[--pool N] [--prefetch D] [--seed N] "
-                           "[--adaptive-pool] [--adaptive-min N] [--adaptive-max N] "
+                           "[--pool WIDTH] [--prefetch D] [--seed N] "
                            "[--lane-weight W] [--lane-rate N] "
                            "[--cache-mb MB] [--cache-policy clock|lru] "
                            "[--retry-max N] [--retry-deadline MS] "
@@ -149,7 +139,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "emlio_daemon: --data is required\n");
     return 2;
   }
-  if (adaptive_min == 0) adaptive_min = 1;  // same clamp the library applies
   const bool use_shm = transport == "shm";
   if (!use_shm && transport != "tcp") {
     std::fprintf(stderr, "emlio_daemon: unknown --transport '%s' (expected tcp or shm)\n",
@@ -208,9 +197,6 @@ int main(int argc, char** argv) {
     dc.daemon_id = "daemon0";
     dc.pool_threads = pool;
     dc.prefetch_depth = prefetch;
-    dc.adaptive_pool = adaptive;
-    dc.adaptive_min_threads = adaptive_min;
-    dc.adaptive_max_threads = adaptive_max;
     dc.cache_bytes = cache_mb << 20;
     dc.cache_policy = *policy;
     dc.default_lane_qos.weight = static_cast<std::uint32_t>(lane_weight);
@@ -253,13 +239,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.enqueue_stalls),
                 static_cast<unsigned long long>(stats.sender_stalls),
                 static_cast<unsigned long long>(stats.queue_peak_depth));
-    if (adaptive) {
-      std::printf("emlio_daemon: governor — %llu resizes, encode pool now %llu threads "
-                  "(peak %llu)\n",
-                  static_cast<unsigned long long>(stats.pool_resizes),
-                  static_cast<unsigned long long>(stats.pool_threads_current),
-                  static_cast<unsigned long long>(stats.pool_threads_peak));
-    }
     if (cache_mb > 0) {
       std::printf("emlio_daemon: cache (%s, %zu MB) — %llu hits / %llu misses, "
                   "%llu evictions (%llu pinned skips), peak resident %.1f MB\n",

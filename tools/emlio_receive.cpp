@@ -5,7 +5,6 @@
 //   emlio_receive --port 5555 [--senders 1] [--epochs 1] [--expected N]
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-wait-ms 10000]
 //       [--decode-threads 0]
-//       [--adaptive-pool] [--adaptive-min 1] [--adaptive-max 0]
 //       [--lane-weight 1] [--lane-rate 0]
 //       [--retry-max 1] [--retry-deadline 0]
 //       [--stats-json PATH] [--stats-interval SECS]
@@ -28,11 +27,8 @@
 // attach-waits up to --shm-wait-ms, so it may be started before the daemon.
 // shm carries exactly one sender — --senders and --port are then unused.
 //
-// --decode-threads sizes the receiver's decode pool (0 = auto, the same rule
-// as emlio_daemon --pool). --adaptive-pool hands the decode pool's sizing to
-// the stall-ratio governor (grow on decode stalls, shrink on resequence
-// stalls, within [--adaptive-min, --adaptive-max], 0 max = auto);
-// --decode-threads then only sets the starting width.
+// --decode-threads sets the width of the receiver's decode pool, fixed for
+// the run (0 = auto, the same rule as emlio_daemon --pool).
 // --lane-weight/--lane-rate set the QoS descriptor applied to
 // every source ingest lane (admission to the decode window picks among the
 // source lanes DWRR; rate is an items/sec cap paced before each push into
@@ -73,10 +69,8 @@ int main(int argc, char** argv) {
   std::uint32_t epochs = 1;
   std::uint64_t expected = 0;
   std::size_t decode_threads = 0;
-  std::size_t adaptive_min = 1, adaptive_max = 0;
   std::size_t retry_max = 1;
   std::uint64_t retry_deadline_ms = 0;
-  bool adaptive = false;
   std::string stats_json;
   std::size_t lane_weight = 1;
   std::uint64_t lane_rate = 0;
@@ -97,9 +91,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--epochs")) epochs = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--expected")) expected = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--decode-threads")) decode_threads = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--adaptive-pool")) adaptive = true;
-    else if (!std::strcmp(argv[i], "--adaptive-min")) adaptive_min = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--adaptive-max")) adaptive_max = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--stats-json")) stats_json = next();
     else if (!std::strcmp(argv[i], "--lane-weight")) lane_weight = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--lane-rate")) lane_rate = std::strtoull(next(), nullptr, 10);
@@ -113,8 +104,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: emlio_receive --port P [--senders N] [--epochs E] [--expected N] "
                    "[--transport tcp|shm] [--shm-name NAME] [--shm-wait-ms MS] "
-                   "[--decode-threads N] "
-                   "[--adaptive-pool] [--adaptive-min N] [--adaptive-max N] "
+                   "[--decode-threads WIDTH] "
                    "[--lane-weight W] [--lane-rate N] "
                    "[--retry-max N] [--retry-deadline MS] "
                    "[--stats-json PATH] [--stats-interval SECS] "
@@ -123,7 +113,6 @@ int main(int argc, char** argv) {
     }
   }
   if (lane_weight == 0) lane_weight = 1;  // same clamp the library applies
-  if (adaptive_min == 0) adaptive_min = 1;  // same clamp the library applies
 
   const bool use_shm = transport == "shm";
   if (!use_shm && transport != "tcp") {
@@ -206,9 +195,6 @@ int main(int argc, char** argv) {
     core::ReceiverConfig rc;
     rc.num_senders = senders;
     rc.decode_threads = decode_threads;
-    rc.adaptive_pool = adaptive;
-    rc.adaptive_min_threads = adaptive_min;
-    rc.adaptive_max_threads = adaptive_max;
     rc.default_lane_qos.weight = static_cast<std::uint32_t>(lane_weight);
     rc.default_lane_qos.rate_per_sec = lane_rate;
     if (!trace_dump.empty()) trace = true;  // a dump without tracing is empty
@@ -271,13 +257,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(stats.epochs_repaired),
                   static_cast<unsigned long long>(stats.dropped_dead_sender),
                   static_cast<unsigned long long>(reconnector ? reconnector->reconnects() : 0));
-    }
-    if (adaptive) {
-      std::printf("emlio_receive: governor — %llu resizes, decode pool now %llu threads "
-                  "(peak %llu)\n",
-                  static_cast<unsigned long long>(stats.pool_resizes),
-                  static_cast<unsigned long long>(stats.pool_threads_current),
-                  static_cast<unsigned long long>(stats.pool_threads_peak));
     }
     if (trace) {
       for (const auto& row : stats.latency) {

@@ -390,20 +390,12 @@ bool scenario_join_late(const std::vector<tfrecord::ShardIndex>& indexes,
   });
 
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  net::PullSocket pull(port, /*queue_capacity=*/64, /*expected_senders=*/1);
-  struct PullSource final : net::MessageSource {
-    explicit PullSource(net::PullSocket* socket) : socket_(socket) {}
-    std::optional<Payload> recv() override { return socket_->recv(); }
-    void close() override { socket_->close(); }
-    net::SourceEnd end_state() const override { return socket_->end_state(); }
-    net::PullSocket* socket_;
-  };
-
   core::ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = 64;
   rc.decode_threads = 2;
-  core::Receiver receiver(rc, std::make_unique<PullSource>(&pull));
+  core::Receiver receiver(rc, std::make_unique<net::PullSocket>(port, /*queue_capacity=*/64,
+                                                                /*expected_senders=*/1));
 
   std::size_t data = 0;
   std::uint64_t markers = 0;

@@ -64,20 +64,12 @@ Lane make_shm_lane(const char* tag, std::size_t slab_bytes, std::size_t slab_cou
   return {.source = std::move(source), .sink = std::move(sink)};
 }
 
-Lane make_tcp_lane(std::size_t hwm) {
-  struct OwningPullSource final : net::MessageSource {
-    explicit OwningPullSource(std::unique_ptr<net::PullSocket> s) : socket(std::move(s)) {}
-    std::optional<Payload> recv() override { return socket->recv(); }
-    void close() override { socket->close(); }
-    std::unique_ptr<net::PullSocket> socket;
-  };
-  auto pull = std::make_unique<net::PullSocket>(0, /*queue_capacity=*/hwm,
-                                                /*expected_senders=*/1);
+Lane make_tcp_lane(std::size_t queue_capacity) {
+  auto pull = std::make_unique<net::PullSocket>(0, queue_capacity, /*expected_senders=*/1);
   net::PushPullOptions opts;
-  opts.high_water_mark = hwm;
   opts.num_streams = 1;
   auto push = std::make_shared<net::PushSocket>("127.0.0.1", pull->port(), opts);
-  return {.source = std::make_unique<OwningPullSource>(std::move(pull)), .sink = std::move(push)};
+  return {.source = std::move(pull), .sink = std::move(push)};
 }
 
 // ------------------------------------------------- phase 1: transport contract
@@ -129,7 +121,7 @@ bool run_contract_phase() {
     return false;
   }
 
-  auto tcp = make_tcp_lane(/*hwm=*/8);
+  auto tcp = make_tcp_lane(/*queue_capacity=*/8);
   std::int64_t tcp_syscalls = run_lane(tcp, "tcp");
   if (tcp_syscalls < 0) return false;
   double per_frame = static_cast<double>(tcp_syscalls) / static_cast<double>(script.size());
@@ -220,7 +212,7 @@ int main() {
 
   constexpr std::size_t kBatches = 1500;
   constexpr std::size_t kBatchBytes = 256 * 1024;  // one encoded mid-size batch
-  constexpr std::size_t kHwm = 16;                 // slab count == TCP HWM budget
+  constexpr std::size_t kHwm = 16;                 // slab count == TCP pull-queue depth
   std::printf("micro_shm: A/B — %zu batches x %zu KiB, in-flight budget %zu, %u cores\n",
               kBatches, kBatchBytes / 1024, kHwm, cores);
 

@@ -3,7 +3,7 @@
 //
 // The paper relies on ZeroMQ's high-water mark (HWM=16) to make storage-side
 // workers "naturally back off when compute-side queues are full" (§4.5).
-// The TCP transport's stream queues, the receiver's consumer queue and the
+// The TCP pull socket's shared queue, the receiver's consumer queue and the
 // DALI-style pipeline's prefetch buffer are instances of this class, and
 // the engines' per-sink and per-source lanes (common/lane.h) keep its
 // blocking contract, so backpressure propagates from the GPU all the way to

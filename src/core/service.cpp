@@ -10,16 +10,6 @@
 
 namespace emlio::core {
 
-namespace {
-
-/// Adapter giving PushSocket shared-ptr MessageSink semantics with
-/// close-on-last-owner.
-std::shared_ptr<net::MessageSink> wrap_push(std::unique_ptr<net::PushSocket> push) {
-  return std::shared_ptr<net::MessageSink>(std::move(push));
-}
-
-}  // namespace
-
 EmlioService::EmlioService(ServiceConfig config)
     : config_(std::move(config)), timestamps_(SteadyClock::instance(), kEventLogCapacity) {
   indexes_ = tfrecord::load_all_indexes(config_.dataset_dir);
@@ -71,23 +61,13 @@ void EmlioService::start() {
     sink = std::make_shared<net::ShmMessageSink>(name, so);
     source = std::make_unique<net::ShmMessageSource>(name);
   } else if (config_.transport == Transport::kTcp) {
-    pull_ = std::make_unique<net::PullSocket>(/*port=*/0, config_.receiver_queue);
+    auto pull = std::make_unique<net::PullSocket>(/*port=*/0, config_.receiver_queue);
     net::PushPullOptions opts;
-    opts.high_water_mark = config_.high_water_mark;
     opts.num_streams = config_.num_streams;
     opts.connect_retry.max_attempts = config_.retry_max;
     opts.connect_retry.deadline = std::chrono::milliseconds(config_.retry_deadline_ms);
-    auto push = std::make_unique<net::PushSocket>("127.0.0.1", pull_->port(), opts);
-    sink = wrap_push(std::move(push));
-    // The receiver owns a thin forwarder over the pull socket.
-    struct PullSource final : net::MessageSource {
-      explicit PullSource(net::PullSocket* socket) : socket_(socket) {}
-      std::optional<Payload> recv() override { return socket_->recv(); }
-      void close() override { socket_->close(); }
-      net::SourceEnd end_state() const override { return socket_->end_state(); }
-      net::PullSocket* socket_;
-    };
-    source = std::make_unique<PullSource>(pull_.get());
+    sink = std::make_shared<net::PushSocket>("127.0.0.1", pull->port(), opts);
+    source = std::move(pull);
   } else {
     net::SimLinkConfig link = config_.link;
     link.high_water_mark = config_.high_water_mark;
@@ -161,11 +141,11 @@ std::optional<msgpack::WireBatch> EmlioService::next_batch() {
 
 void EmlioService::stop() {
   if (!started_) return;
-  // Order matters for abnormal shutdown: closing the pull socket first makes
-  // any in-flight daemon send fail fast instead of blocking on a TCP window
-  // that will never reopen.
+  // Order matters for abnormal shutdown: closing the receiver first closes
+  // its source (on TCP the pull socket, which shuts its connections down),
+  // so any in-flight daemon send fails fast instead of blocking on a TCP
+  // window that will never reopen.
   if (receiver_) receiver_->close();
-  if (pull_) pull_->close();
   if (daemon_thread_.joinable()) daemon_thread_.join();
   started_ = false;
 }

@@ -35,7 +35,11 @@ struct ServiceConfig {
   /// daemon flattens a node's WorkerPlans back into one batch-id-ordered
   /// lane, so T shapes the plan, not the daemon's thread count.
   std::uint32_t threads_per_node = 2;
-  std::size_t high_water_mark = 16;   ///< ZMQ-style HWM
+  /// ZMQ-style HWM: the daemon's prefetch depth (unless prefetch_depth is
+  /// set), the sim link's in-flight cap and the shm slab count. It does not
+  /// reach the TCP sockets: a TCP send queues nothing of its own and blocks
+  /// in the kernel, behind the prefetch lane.
+  std::size_t high_water_mark = 16;
   std::size_t num_streams = 2;        ///< parallel TCP streams (kTcp)
   std::size_t receiver_queue = 16;    ///< shared in-memory queue depth
   /// Daemon pipeline: read+encode pool width (0 = auto) and per-sink
@@ -147,7 +151,6 @@ class EmlioService {
   std::unique_ptr<Planner> planner_;
   std::vector<tfrecord::ShardIndex> indexes_;
 
-  std::unique_ptr<net::PullSocket> pull_;    // kTcp
   std::shared_ptr<net::SimLinkControl> link_control_;  // kInProcess
   std::unique_ptr<Daemon> daemon_;
   std::unique_ptr<Receiver> receiver_;

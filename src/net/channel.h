@@ -9,10 +9,10 @@
 //
 // Messages are ref-counted Payloads, and the interfaces are move-only on the
 // message: a send() transfers the handle into the transport and a recv()
-// transfers it out, so a payload crosses every in-process hop (send queue,
-// HWM queue, receiver queue) without its bytes ever being copied. The only
-// copy a transport may make is at its boundary (kernel write/read, the shm
-// slab).
+// transfers it out, so a payload crosses every in-process hop (the daemon's
+// prefetch lane, the sim link's in-flight queue, the TCP pull socket's
+// shared queue) without its bytes ever being copied. The only copy a
+// transport may make is at its boundary (kernel write/read, the shm slab).
 //
 // Into a sink that gathers, the daemon sends SplicedPayloads: a pooled
 // msgpack head with its large samples spliced in by reference, so those

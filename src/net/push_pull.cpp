@@ -1,11 +1,18 @@
 #include "net/push_pull.h"
 
+#include <stdexcept>
+
 #include "common/log.h"
 #include "net/framing.h"
 
 namespace emlio::net {
 
 PushSocket::PushSocket(const std::string& host, std::uint16_t port, PushPullOptions options) {
+  if (options.high_water_mark != PushPullOptions{}.high_water_mark) {
+    throw std::invalid_argument(
+        "push socket: high_water_mark is retired (sends block in the kernel; the daemon's "
+        "prefetch lane is the HWM)");
+  }
   std::size_t n = options.num_streams ? options.num_streams : 1;
   streams_.reserve(n);
   // One retry window covers all streams: a receiver that is down is down for
@@ -13,10 +20,10 @@ PushSocket::PushSocket(const std::string& host, std::uint16_t port, PushPullOpti
   // the deadline by num_streams.
   RetryPolicy policy(options.connect_retry);
   for (std::size_t i = 0; i < n; ++i) {
-    Stream s;
+    TcpStream tcp;
     for (;;) {
       try {
-        s.tcp = TcpStream::connect(host, port);
+        tcp = TcpStream::connect(host, port);
         break;
       } catch (const std::exception& e) {
         auto delay = policy.next_delay();
@@ -26,13 +33,7 @@ PushSocket::PushSocket(const std::string& host, std::uint16_t port, PushPullOpti
         std::this_thread::sleep_for(*delay);
       }
     }
-    s.queue = std::make_unique<BoundedQueue<SplicedPayload>>(options.high_water_mark);
-    streams_.push_back(std::move(s));
-  }
-  // Start senders only after every connect succeeded, so a failed constructor
-  // leaves no running threads.
-  for (auto& s : streams_) {
-    s.sender = std::thread([this, &s] { sender_loop(s); });
+    streams_.push_back(std::make_unique<Stream>(std::move(tcp)));
   }
 }
 
@@ -43,31 +44,26 @@ bool PushSocket::send(Payload message) { return send_spliced(std::move(message))
 bool PushSocket::send_spliced(SplicedPayload message) {
   if (closed_.load(std::memory_order_acquire)) return false;
   std::size_t idx = next_stream_.fetch_add(1, std::memory_order_relaxed) % streams_.size();
-  if (!streams_[idx].queue->push(std::move(message))) return false;
+  Stream& stream = *streams_[idx];
+  MutexLock lock(stream.mu);
+  // Re-checked under the lock: close() half-closes each stream under it.
+  if (stream.failed || closed_.load(std::memory_order_acquire)) return false;
+  try {
+    syscalls_.fetch_add(send_frame(stream.tcp, message, stream.iov), std::memory_order_relaxed);
+  } catch (const std::exception& e) {
+    log::error("push stream ", idx, ": ", e.what());
+    stream.failed = true;
+    return false;
+  }
   sent_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void PushSocket::close() {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-  for (auto& s : streams_) s.queue->close();
   for (auto& s : streams_) {
-    if (s.sender.joinable()) s.sender.join();
-    s.tcp.shutdown_send();
-  }
-}
-
-void PushSocket::sender_loop(Stream& stream) {
-  for (;;) {
-    auto msg = stream.queue->pop();
-    if (!msg) return;  // closed and drained
-    try {
-      syscalls_.fetch_add(send_frame(stream.tcp, *msg, stream.iov), std::memory_order_relaxed);
-    } catch (const std::exception& e) {
-      log::error("push sender: ", e.what());
-      stream.queue->close();
-      return;
-    }
+    MutexLock lock(s->mu);  // waits out a send in flight on this stream
+    s->tcp.shutdown_send();
   }
 }
 
@@ -95,25 +91,27 @@ void PullSocket::close() {
   listener_.close();
   queue_.close();
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> readers;
+  std::vector<std::unique_ptr<Reader>> readers;
   {
-    std::lock_guard<std::mutex> lock(readers_mutex_);
+    MutexLock lock(readers_mutex_);
     readers.swap(readers_);
   }
-  for (auto& r : readers) {
-    if (r.joinable()) r.join();
-  }
+  // A reader parked in recv on an idle peer wakes only when its stream is
+  // shut down. Every stream is still open here: each is released only after
+  // its reader has been joined.
+  for (auto& r : readers) r->stream.shutdown();
+  for (auto& r : readers) r->thread.join();
 }
 
 void PullSocket::set_peer_callback(std::function<void(bool connected)> cb) {
-  std::lock_guard<std::mutex> lock(peer_cb_mutex_);
+  MutexLock lock(peer_cb_mutex_);
   peer_cb_ = std::move(cb);
 }
 
 void PullSocket::notify_peer(bool connected) {
   std::function<void(bool)> cb;
   {
-    std::lock_guard<std::mutex> lock(peer_cb_mutex_);
+    MutexLock lock(peer_cb_mutex_);
     cb = peer_cb_;
   }
   if (cb) cb(connected);
@@ -123,14 +121,25 @@ void PullSocket::accept_loop() {
   for (;;) {
     auto stream = listener_.accept();
     if (!stream) return;  // listener closed
-    std::lock_guard<std::mutex> lock(readers_mutex_);
+    MutexLock lock(readers_mutex_);
     if (closed_.load(std::memory_order_acquire)) return;
+    // Join the readers whose peers have gone, so a socket that accepts
+    // reconnects forever holds no dead threads or descriptors.
+    std::erase_if(readers_, [](const std::unique_ptr<Reader>& r) {
+      if (!r->finished.load(std::memory_order_acquire)) return false;
+      r->thread.join();
+      return true;
+    });
     notify_peer(true);
-    readers_.emplace_back([this, s = std::move(*stream)]() mutable { reader_loop(std::move(s)); });
+    Reader& r = *readers_.emplace_back(std::make_unique<Reader>(std::move(*stream)));
+    r.thread = std::thread([this, &r] {
+      reader_loop(r.stream);
+      r.finished.store(true, std::memory_order_release);
+    });
   }
 }
 
-void PullSocket::reader_loop(TcpStream stream) {
+void PullSocket::reader_loop(TcpStream& stream) {
   try {
     for (;;) {
       auto frame = recv_frame(stream, pool_.get());

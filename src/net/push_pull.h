@@ -2,7 +2,7 @@
 //
 // Reproduces the transport semantics EMLIO needs from ZMQ (§4.5):
 //   * PUSH fan-out over multiple parallel TCP streams,
-//   * a per-stream high-water mark (default 16) with *blocking* send, so
+//   * send blocks in the kernel; the daemon's prefetch lane is the HWM, so
 //     "storage-side workers naturally back off when compute-side queues are
 //     full",
 //   * PULL fair-merges all inbound connections into one shared queue.
@@ -18,12 +18,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/bounded_queue.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "net/channel.h"
 #include "net/retry.h"
 #include "net/socket.h"
@@ -32,8 +33,12 @@ namespace emlio::net {
 
 /// Configuration shared by both ends.
 struct PushPullOptions {
-  std::size_t high_water_mark = 16;  ///< per-stream queued-message cap (ZMQ HWM)
-  std::size_t num_streams = 1;       ///< parallel TCP connections per PUSH socket
+  /// Retired: a PushSocket queues nothing of its own. Its send blocks in the
+  /// kernel, and the daemon's prefetch lane is the HWM. Kept so callers that
+  /// set the default still build; any other value makes PushSocket's
+  /// constructor throw std::invalid_argument.
+  std::size_t high_water_mark = 16;
+  std::size_t num_streams = 1;  ///< parallel TCP connections per PUSH socket
   /// Connect-retry window per stream. The default (max_attempts = 1) keeps
   /// the historical fail-fast semantics; callers that tolerate a
   /// not-yet-listening peer raise max_attempts / set a deadline.
@@ -41,8 +46,10 @@ struct PushPullOptions {
 };
 
 /// PUSH end: connects `num_streams` TCP streams to a PULL endpoint and
-/// round-robins messages across them. send() blocks when the selected
-/// stream's queue is at the HWM (infinite-blocking semantics, §4.5).
+/// round-robins messages across them. A send writes its frame on the
+/// calling thread (the daemon's sender thread) and blocks while the
+/// kernel's socket buffers are full — the infinite-blocking semantics of
+/// §4.5. The socket owns no thread and no queue.
 class PushSocket final : public MessageSink {
  public:
   PushSocket(const std::string& host, std::uint16_t port, PushPullOptions options = {});
@@ -51,13 +58,16 @@ class PushSocket final : public MessageSink {
   /// send_spliced's no-splice case.
   bool send(Payload message) override;
 
-  /// Moves the message into the selected stream's queue; bytes are not
-  /// copied until the sender thread gathers the frame header, head pieces
-  /// and splices into one sendmsg to the kernel.
+  /// Gathers the frame header, head pieces and splices into one sendmsg
+  /// under the chosen stream's lock, and returns once the kernel has taken
+  /// the whole frame; bytes are not copied before that. A socket error logs
+  /// one line, marks the stream failed and returns false, as does every
+  /// later send that picks that stream.
   bool send_spliced(SplicedPayload message) override;
   bool gathers() const override { return true; }
 
-  /// Drain queues, flush streams, close connections, join sender threads.
+  /// Waits out in-flight sends, then half-closes every stream so the peer
+  /// reads what was sent and then EOF. Further sends fail.
   void close() override;
 
   /// Byte-moving syscalls issued so far: one sendmsg per framed message
@@ -73,14 +83,14 @@ class PushSocket final : public MessageSink {
 
  private:
   struct Stream {
-    TcpStream tcp;
-    std::unique_ptr<BoundedQueue<SplicedPayload>> queue;
-    std::vector<iovec> iov;  ///< send_frame's gather-list scratch
-    std::thread sender;
+    explicit Stream(TcpStream connected) : tcp(std::move(connected)) {}
+    Mutex mu;  // serializes the frames of concurrent senders on this stream
+    TcpStream tcp EMLIO_GUARDED_BY(mu);
+    std::vector<iovec> iov EMLIO_GUARDED_BY(mu);  ///< send_frame's gather-list scratch
+    bool failed EMLIO_GUARDED_BY(mu) = false;
   };
-  void sender_loop(Stream& stream);
 
-  std::vector<Stream> streams_;
+  std::vector<std::unique_ptr<Stream>> streams_;
   std::atomic<std::size_t> next_stream_{0};
   std::atomic<std::size_t> sent_{0};
   std::atomic<std::uint64_t> syscalls_{0};
@@ -111,6 +121,9 @@ class PullSocket final : public MessageSource {
   /// decoded sample views) drop it.
   std::optional<Payload> recv() override;
 
+  /// Stops accepting, shuts every accepted connection down (so a reader
+  /// parked on an idle peer wakes, and that peer's next sends fail) and
+  /// joins the reader threads.
   void close() override;
 
   /// kDeadPeer when at least one inbound connection ended with a transport
@@ -150,8 +163,18 @@ class PullSocket final : public MessageSource {
   BufferPool::Stats pool_stats() const { return pool_->stats(); }
 
  private:
+  /// One accepted connection. The socket owns the stream until its reader
+  /// is joined, so close() can shut it down without ever touching a
+  /// descriptor number the kernel has handed out again.
+  struct Reader {
+    explicit Reader(TcpStream accepted) : stream(std::move(accepted)) {}
+    TcpStream stream;
+    std::thread thread;
+    std::atomic<bool> finished{false};  ///< set last by the thread: join is immediate
+  };
+
   void accept_loop();
-  void reader_loop(TcpStream stream);
+  void reader_loop(TcpStream& stream);
   void notify_peer(bool connected);
 
   TcpListener listener_;
@@ -160,10 +183,10 @@ class PullSocket final : public MessageSource {
   std::size_t expected_senders_;
   std::atomic<std::size_t> finished_senders_{0};
   std::thread acceptor_;
-  std::mutex readers_mutex_;
-  std::vector<std::thread> readers_;
-  std::mutex peer_cb_mutex_;
-  std::function<void(bool)> peer_cb_;
+  Mutex readers_mutex_;
+  std::vector<std::unique_ptr<Reader>> readers_ EMLIO_GUARDED_BY(readers_mutex_);
+  Mutex peer_cb_mutex_;
+  std::function<void(bool)> peer_cb_ EMLIO_GUARDED_BY(peer_cb_mutex_);
   std::atomic<std::size_t> peer_errors_{0};
   std::atomic<std::size_t> received_{0};
   std::atomic<bool> closed_{false};

@@ -146,6 +146,10 @@ void TcpStream::shutdown_send() noexcept {
   if (fd_.valid()) ::shutdown(fd_.get(), SHUT_WR);
 }
 
+void TcpStream::shutdown() noexcept {
+  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
+}
+
 TcpListener::TcpListener(std::uint16_t port, int backlog) {
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) throw_errno("socket");

@@ -67,6 +67,12 @@ class TcpStream {
   /// Half-close the write side so the peer sees EOF after draining.
   void shutdown_send() noexcept;
 
+  /// Shut both directions down without releasing the descriptor: a recv
+  /// blocked on another thread returns EOF, and the peer sees EOF too.
+  /// Safe while another thread uses the stream; the owner closes the
+  /// descriptor once that thread is done.
+  void shutdown() noexcept;
+
   bool valid() const noexcept { return fd_.valid(); }
   int native_handle() const noexcept { return fd_.get(); }
 

@@ -1,8 +1,9 @@
 // Unit tests for src/common: byte buffers, CRC32C, RNG, queues, pools,
-// barrier, stats, clocks and the timestamp logger.
+// barrier, clocks and the timestamp logger.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <set>
 #include <thread>
 
@@ -12,7 +13,6 @@
 #include "common/clock.h"
 #include "common/crc32c.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/timestamp_logger.h"
 
@@ -214,17 +214,24 @@ TEST(Rng, Uniform01InRange) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(11);
-  RunningStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(rng.normal(5.0, 2.0));
-  EXPECT_NEAR(stats.mean(), 5.0, 0.05);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
+  constexpr int kN = 50000;
+  double sum = 0, sum_sq = 0;
+  for (int i = 0; i < kN; ++i) {
+    const double x = rng.normal(5.0, 2.0);
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / kN;
+  EXPECT_NEAR(mean, 5.0, 0.05);
+  EXPECT_NEAR(std::sqrt((sum_sq - kN * mean * mean) / (kN - 1)), 2.0, 0.05);  // sample stddev
 }
 
 TEST(Rng, ExponentialMean) {
   Rng rng(13);
-  RunningStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(rng.exponential(2.0));
-  EXPECT_NEAR(stats.mean(), 0.5, 0.02);
+  constexpr int kN = 50000;
+  double sum = 0;
+  for (int i = 0; i < kN; ++i) sum += rng.exponential(2.0);
+  EXPECT_NEAR(sum / kN, 0.5, 0.02);
 }
 
 TEST(Rng, ShufflePermutes) {
@@ -439,59 +446,6 @@ TEST(CyclicBarrier, SinglePartyNeverBlocks) {
 TEST(CyclicBarrier, TimeoutWhenPeerAbsent) {
   CyclicBarrier barrier(2);
   EXPECT_FALSE(barrier.arrive_and_wait_for(std::chrono::milliseconds(20)));
-}
-
-// ---------------------------------------------------------------- stats
-
-TEST(RunningStats, MeanVarianceMinMax) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats a, b, all;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    double v = rng.normal(10, 3);
-    (i % 2 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Histogram, QuantilesApproximate) {
-  Histogram h(1e-3, 1.1, 256);
-  Rng rng(9);
-  for (int i = 0; i < 100000; ++i) h.add(rng.uniform_real(0.0, 1.0));
-  EXPECT_NEAR(h.p50(), 0.5, 0.08);
-  EXPECT_NEAR(h.p95(), 0.95, 0.08);
-  EXPECT_EQ(h.count(), 100000u);
-}
-
-TEST(Histogram, SummaryContainsFields) {
-  Histogram h;
-  h.add(0.5);
-  auto s = h.summary();
-  EXPECT_NE(s.find("n=1"), std::string::npos);
-  EXPECT_NE(s.find("p99"), std::string::npos);
 }
 
 // ---------------------------------------------------------------- clocks

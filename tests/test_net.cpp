@@ -1,4 +1,4 @@
-// Tests for the transport layer: framing, TCP push/pull with HWM
+// Tests for the transport layer: framing, TCP push/pull with kernel
 // backpressure, the latency-injected in-process channel, and the
 // shared-memory slab-ring transport — plus one conformance suite that runs
 // the MessageSink/MessageSource contract against all three backends.
@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <filesystem>
+#include <future>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -313,10 +315,11 @@ TEST(PushPull, ReceiveBuffersRecycleThroughPool) {
   push.close();
   auto stats = pull.pool_stats();
   EXPECT_EQ(stats.reused + stats.allocated, static_cast<std::uint64_t>(kCount));
-  // The queue bounds how many buffers can be in flight, so most receives
-  // must have reused recycled storage instead of allocating.
+  // The pull queue bounds how many buffers can be in flight (the push side
+  // queues nothing, and the kernel holds bytes, not buffers), so most
+  // receives must have reused recycled storage instead of allocating.
   EXPECT_GT(stats.reused, 0u);
-  EXPECT_LE(stats.allocated, 8u + 8u + 1u);  // ≤ queue depth + pool slack
+  EXPECT_LE(stats.allocated, 8u + 8u + 1u);  // ≤ pull-queue depth + pool slack + the reader's
 }
 
 TEST(PushPull, DataSyscallAuditCountsOneWritePerFrame) {
@@ -332,6 +335,9 @@ TEST(PushPull, DataSyscallAuditCountsOneWritePerFrame) {
   for (std::uint64_t i = 0; i < kCount; ++i) {
     ASSERT_TRUE(push.send(msg({static_cast<std::uint8_t>(i)})));
   }
+  // A send returns after its write, so both counts are final already.
+  EXPECT_EQ(push.messages_sent(), kCount);
+  EXPECT_EQ(push.data_syscalls(), kCount);
   for (std::uint64_t i = 0; i < kCount; ++i) ASSERT_TRUE(pull.recv().has_value());
   push.close();
   EXPECT_EQ(push.messages_sent(), kCount);
@@ -360,8 +366,89 @@ TEST(PushPull, SplicedFrameBeyondIovMaxArrivesIntact) {
   auto m = pull.recv();
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(*m, contiguous.view());
-  push.close();  // joins the sender, so its syscall count is final
+  push.close();  // the send wrote on this thread, so its syscall count is final
   EXPECT_GE(push.data_syscalls(), 2u);
+}
+
+TEST(PushPull, PushSocketOwnsNoThread) {
+  // A send writes on its caller's thread: connecting four streams to a bare
+  // listener (no acceptor thread) must not start a thread.
+  auto thread_count = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                         std::filesystem::directory_iterator{});
+  };
+  TcpListener listener(0);
+  const auto before = thread_count();
+  PushPullOptions opts;
+  opts.num_streams = 4;
+  PushSocket push("127.0.0.1", listener.port(), opts);
+  EXPECT_EQ(push.num_streams(), 4u);
+  EXPECT_EQ(thread_count(), before);
+}
+
+TEST(PushPull, RetiredHighWaterMarkOnlyAcceptsItsDefault) {
+  TcpListener listener(0);
+  PushPullOptions opts;
+  opts.high_water_mark = 16;
+  EXPECT_NO_THROW(PushSocket("127.0.0.1", listener.port(), opts));
+  opts.high_water_mark = 4;
+  EXPECT_THROW(PushSocket("127.0.0.1", listener.port(), opts), std::invalid_argument);
+}
+
+TEST(PushPull, FinishedConnectionsReleaseTheirDescriptors) {
+  // The pull socket owns each accepted stream until its reader is joined;
+  // the next accept joins the readers whose peers hung up, so a socket that
+  // accepts reconnects forever does not pile up descriptors.
+  auto open_fds = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                         std::filesystem::directory_iterator{});
+  };
+  PullSocket pull(0, 4);
+  const auto before = open_fds();
+  for (int i = 0; i < 8; ++i) {
+    PushSocket push("127.0.0.1", pull.port());
+    ASSERT_TRUE(push.send(msg({static_cast<std::uint8_t>(i)})));
+    push.close();
+    ASSERT_TRUE(pull.recv().has_value());
+  }
+  // The last reader, and one that finished just after the last accept, may
+  // still hold theirs.
+  EXPECT_LE(open_fds(), before + 2);
+}
+
+TEST(PushPull, PullCloseReturnsWhileConnectedPeerIsIdle) {
+  // A reader parked in recv on a connected peer that sends nothing must not
+  // hold close() until that peer hangs up.
+  PullSocket pull(0, 4);
+  std::atomic<bool> accepted{false};
+  pull.set_peer_callback([&](bool connected) {
+    if (connected) accepted = true;
+  });
+  PushSocket push("127.0.0.1", pull.port());
+  for (int i = 0; i < 200 && !accepted.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(accepted.load());
+
+  std::promise<void> closed;
+  auto close_returned = closed.get_future();
+  std::thread closer([&] {
+    pull.close();
+    closed.set_value();
+  });
+  const bool returned =
+      close_returned.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  if (!returned) push.close();  // the hung close() returns once the peer hangs up
+  closer.join();
+  ASSERT_TRUE(returned) << "PullSocket::close() blocked on an idle connected peer";
+
+  // The connection is gone, so the peer's sends now fail instead of blocking.
+  bool failed = false;
+  for (int i = 0; i < 200 && !failed; ++i) {
+    failed = !push.send(msg({1}));
+    if (!failed) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(failed);
 }
 
 // ---------------------------------------------------------------- sim link
@@ -644,18 +731,13 @@ struct TransportParam {
 TransportPair make_tcp_pair(std::size_t hwm, std::size_t /*max_message*/) {
   // One sender, known to the receiver up front (expected_senders) — sender
   // close then ends the pull stream after drain, same as the other lanes.
-  struct OwningPullSource final : MessageSource {
-    explicit OwningPullSource(std::unique_ptr<PullSocket> s) : socket(std::move(s)) {}
-    std::optional<Payload> recv() override { return socket->recv(); }
-    void close() override { socket->close(); }
-    std::unique_ptr<PullSocket> socket;
-  };
+  // The push side queues nothing, so the in-flight budget is the pull
+  // queue plus the kernel's socket buffers.
   auto pull = std::make_unique<PullSocket>(0, /*queue_capacity=*/hwm, /*expected_senders=*/1);
   PushPullOptions opts;
-  opts.high_water_mark = hwm;
   opts.num_streams = 1;  // order-preserving configuration
   auto push = std::make_shared<PushSocket>("127.0.0.1", pull->port(), opts);
-  return {.source = std::make_unique<OwningPullSource>(std::move(pull)), .sink = std::move(push)};
+  return {.source = std::move(pull), .sink = std::move(push)};
 }
 
 TransportPair make_sim_pair(std::size_t hwm, std::size_t /*max_message*/) {

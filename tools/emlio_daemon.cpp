@@ -27,8 +27,9 @@
 // Start order flips versus TCP: the daemon creates the segment, and
 // emlio_receive --transport shm attach-waits for it — so either side may be
 // started first. --shm-name must match on both sides; --shm-slab-mb caps
-// the encoded batch size and --hwm doubles as the slab count (the in-flight
-// budget).
+// the encoded batch size and --hwm is the slab count (the in-flight
+// budget). --hwm sizes nothing else: a TCP send blocks in the kernel behind
+// the --prefetch queue, so under --transport tcp any --hwm but 16 exits 2.
 //
 // --pool sets the width of the shared read+encode thread pool, fixed for the
 // run (0 = auto), --prefetch the per-sink encoded-batch queue (the HWM of
@@ -118,7 +119,8 @@ int main(int argc, char** argv) {
     else {
       std::fprintf(stderr, "usage: emlio_daemon --data DIR --connect HOST:PORT "
                            "[--transport tcp|shm] [--shm-name NAME] [--shm-slab-mb MB] "
-                           "[--batch B] [--epochs E] [--threads T] [--streams S] [--hwm H] "
+                           "[--batch B] [--epochs E] [--threads T] [--streams S] "
+                           "[--hwm SLABS (shm only)] "
                            "[--pool WIDTH] [--prefetch D] [--seed N] "
                            "[--lane-weight W] [--lane-rate N] "
                            "[--cache-mb MB] [--cache-policy clock|lru] "
@@ -143,6 +145,11 @@ int main(int argc, char** argv) {
   if (!use_shm && transport != "tcp") {
     std::fprintf(stderr, "emlio_daemon: unknown --transport '%s' (expected tcp or shm)\n",
                  transport.c_str());
+    return 2;
+  }
+  if (!use_shm && hwm != 16) {
+    std::fprintf(stderr, "emlio_daemon: --hwm sets the shm slab count; a tcp send blocks in the "
+                         "kernel behind --prefetch, so --hwm must stay 16\n");
     return 2;
   }
   std::string host;
@@ -183,7 +190,6 @@ int main(int argc, char** argv) {
                   shm_name.c_str(), hwm, shm_slab_mb);
     } else {
       net::PushPullOptions opts;
-      opts.high_water_mark = hwm;
       opts.num_streams = streams;
       opts.connect_retry.max_attempts = retry_max;
       opts.connect_retry.deadline = std::chrono::milliseconds(retry_deadline_ms);

@@ -129,7 +129,6 @@ int main(int argc, char** argv) {
       decode_threads ? std::to_string(decode_threads) + " threads" : "auto width";
 
   try {
-    std::unique_ptr<net::PullSocket> pull;
     std::unique_ptr<net::MessageSource> source;
     // Set once the receiver exists; the reconnect callbacks fire from the
     // receiver's own ingest thread, which cannot run before then.
@@ -170,7 +169,7 @@ int main(int argc, char** argv) {
         source = std::move(inner);
       }
     } else {
-      pull = std::make_unique<net::PullSocket>(port, /*queue_capacity=*/64);
+      auto pull = std::make_unique<net::PullSocket>(port, /*queue_capacity=*/64);
       std::printf("emlio_receive: listening on 127.0.0.1:%u (%zu sender(s), %u epoch(s), "
                   "decode %s)\n",
                   pull->port(), senders, epochs, decode_width.c_str());
@@ -182,15 +181,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "emlio_receive: peer %s\n",
                      connected ? "connected" : "disconnected");
       });
-
-      struct PullSource final : net::MessageSource {
-        explicit PullSource(net::PullSocket* s) : socket(s) {}
-        std::optional<Payload> recv() override { return socket->recv(); }
-        void close() override { socket->close(); }
-        net::SourceEnd end_state() const override { return socket->end_state(); }
-        net::PullSocket* socket;
-      };
-      source = std::make_unique<PullSource>(pull.get());
+      source = std::move(pull);
     }
     core::ReceiverConfig rc;
     rc.num_senders = senders;
@@ -236,8 +227,7 @@ int main(int argc, char** argv) {
       trainer.train_step(*batch);
     }
     streamer.reset();  // final tail-window line, then stop streaming
-    receiver.close();  // closes its source (shm or the pull forwarder)
-    if (pull) pull->close();
+    receiver.close();  // closes its source (the shm segment or the pull socket)
     auto stats = receiver.stats();
     std::printf("emlio_receive: done — %llu batches, %.1f MB, %llu decode errors\n",
                 static_cast<unsigned long long>(stats.batches_received),

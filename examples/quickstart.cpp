@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   cfg.dataset_dir = dir.string();
   cfg.batch_size = 32;
   cfg.epochs = 2;
-  cfg.threads_per_node = 2;   // T SendWorker threads in the daemon
+  cfg.threads_per_node = 2;   // T plan partitions (the daemon merges them)
   cfg.num_streams = 2;        // parallel TCP streams
   cfg.high_water_mark = 16;   // the paper's ZMQ HWM
   cfg.transport = core::Transport::kTcp;

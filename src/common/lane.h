@@ -54,8 +54,8 @@
 namespace emlio {
 
 /// Per-lane QoS descriptor, threaded from the config layers down to the
-/// queues (DaemonConfig/ReceiverConfig → ServiceConfig → --lane-weight /
-/// --lane-rate on the tools).
+/// queues (DaemonConfig/ReceiverConfig, set by --lane-weight / --lane-rate
+/// on the tools).
 struct LaneQos {
   /// Weighted-fair share. Clamped to >= 1 wherever it is consumed; a lane
   /// with weight W gets W / Σ weights of the contended resource.

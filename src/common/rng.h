@@ -1,7 +1,7 @@
 // Deterministic random number generation.
 //
 // All randomness in the library (epoch shuffles, synthetic payloads, the
-// simulator's jitter, loss-curve noise) flows through seeded xoshiro256**
+// sim link's drops, loss-curve noise) flows through seeded xoshiro256**
 // instances so that every test, example and benchmark run is reproducible.
 #pragma once
 

@@ -51,7 +51,6 @@
 #include "json/json.h"
 #include "msgpack/batch_codec.h"
 #include "net/channel.h"
-#include "net/retry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -91,13 +90,6 @@ struct ReceiverConfig {
   /// Off by default; the tracing-off path takes no clocks.
   bool trace = false;
   std::size_t trace_ring = 16;
-  /// Reconnect window for sources that die mid-stream. The Receiver itself
-  /// consumes whatever MessageSources it is handed; this carries the policy
-  /// (ServiceConfig / --retry-max / --retry-deadline) to whoever builds
-  /// those sources, typically as a net::ReconnectingSource wired to
-  /// note_sender_dead / note_sender_revived. Default: fail fast, no
-  /// reconnect — a dead source repairs its epoch and stays dead.
-  net::RetryOptions reconnect;
 };
 
 // ReceiverStats' metrics (obs/metrics.h, which also documents the counter

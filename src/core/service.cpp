@@ -45,17 +45,14 @@ void EmlioService::start() {
   std::unique_ptr<net::MessageSource> source;
 
   if (config_.transport == Transport::kShm) {
-    std::string name = config_.shm_name;
-    if (name.empty()) {
-      // Unique per (process, service instance): parallel test services and
-      // leftover names from unrelated runs cannot collide.
-      static std::atomic<std::uint64_t> seq{0};
-      name = "emlio." + std::to_string(static_cast<unsigned long>(::getpid())) + "." +
-             std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
-    }
+    // Unique per (process, service instance): parallel test services and
+    // leftover names from unrelated runs cannot collide.
+    static std::atomic<std::uint64_t> seq{0};
+    const std::string name = "emlio." + std::to_string(static_cast<unsigned long>(::getpid())) +
+                             "." + std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
     net::ShmOptions so;
     so.slab_bytes = config_.shm_slab_bytes;
-    so.slab_count = config_.shm_slab_count ? config_.shm_slab_count : config_.high_water_mark;
+    so.slab_count = config_.high_water_mark;
     // Sink first (it creates the segment), then attach the source — the
     // same order the two-process tools use, minus the attach-wait.
     sink = std::make_shared<net::ShmMessageSink>(name, so);
@@ -64,8 +61,8 @@ void EmlioService::start() {
     auto pull = std::make_unique<net::PullSocket>(/*port=*/0, config_.receiver_queue);
     net::PushPullOptions opts;
     opts.num_streams = config_.num_streams;
-    opts.connect_retry.max_attempts = config_.retry_max;
-    opts.connect_retry.deadline = std::chrono::milliseconds(config_.retry_deadline_ms);
+    // The pull socket is bound before this connects, so the connect keeps
+    // the fail-fast RetryOptions{}.
     sink = std::make_shared<net::PushSocket>("127.0.0.1", pull->port(), opts);
     source = std::move(pull);
   } else {
@@ -89,27 +86,18 @@ void EmlioService::start() {
   dc.daemon_id = "daemon0";
   dc.verify_crc = config_.verify_crc;
   dc.pool_threads = config_.pipeline_pool_threads;
-  dc.prefetch_depth = config_.prefetch_depth ? config_.prefetch_depth : config_.high_water_mark;
+  dc.prefetch_depth = config_.high_water_mark;
   dc.cache_bytes = config_.cache_bytes;
   dc.cache_policy = *cache::parse_policy(config_.cache_policy);  // validated in ctor
   dc.trace = config_.trace;
-  dc.trace_ring = config_.trace_ring;
   dc.trace_wire = config_.trace_wire;
-  LaneQos qos;
-  qos.weight = std::max<std::uint32_t>(config_.lane_weight, 1);
-  qos.rate_per_sec = config_.lane_rate;
-  dc.default_lane_qos = qos;
   daemon_ = std::make_unique<Daemon>(dc, std::move(readers), std::move(sinks), &timestamps_);
 
   ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = config_.receiver_queue;
   rc.decode_threads = config_.decode_threads;
-  rc.default_lane_qos = qos;
   rc.trace = config_.trace;
-  rc.trace_ring = config_.trace_ring;
-  rc.reconnect.max_attempts = config_.retry_max;
-  rc.reconnect.deadline = std::chrono::milliseconds(config_.retry_deadline_ms);
   receiver_ = std::make_unique<Receiver>(rc, std::move(source), &timestamps_);
 
   daemon_thread_ = std::thread([this, sink] {

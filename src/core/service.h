@@ -35,17 +35,15 @@ struct ServiceConfig {
   /// daemon flattens a node's WorkerPlans back into one batch-id-ordered
   /// lane, so T shapes the plan, not the daemon's thread count.
   std::uint32_t threads_per_node = 2;
-  /// ZMQ-style HWM: the daemon's prefetch depth (unless prefetch_depth is
-  /// set), the sim link's in-flight cap and the shm slab count. It does not
-  /// reach the TCP sockets: a TCP send queues nothing of its own and blocks
-  /// in the kernel, behind the prefetch lane.
+  /// ZMQ-style HWM: the daemon's prefetch depth, the sim link's in-flight
+  /// cap and the shm slab count. It does not reach the TCP sockets: a TCP
+  /// send queues nothing of its own and blocks in the kernel, behind the
+  /// prefetch lane.
   std::size_t high_water_mark = 16;
   std::size_t num_streams = 2;        ///< parallel TCP streams (kTcp)
   std::size_t receiver_queue = 16;    ///< shared in-memory queue depth
-  /// Daemon pipeline: read+encode pool width (0 = auto) and per-sink
-  /// prefetch-queue depth (0 = follow high_water_mark).
+  /// Daemon pipeline: read+encode pool width (0 = auto).
   std::size_t pipeline_pool_threads = 0;
-  std::size_t prefetch_depth = 0;
   /// Receiver decode pool width (ReceiverConfig::decode_threads; 0 = auto,
   /// the same rule as pipeline_pool_threads). Output is re-sequenced into
   /// arrival order at every width.
@@ -60,46 +58,24 @@ struct ServiceConfig {
   /// served entirely from memory (DaemonStats::store_reads stops growing).
   std::size_t cache_bytes = 0;
   std::string cache_policy = "clock";
-  /// QoS lane descriptor applied to the daemon's sink lane and the
-  /// receiver's source lane (weight clamped to >= 1; lane_rate is an
-  /// items/sec token-bucket cap paced at each engine's edge, 0 = none). A
-  /// single-node service has one lane on each side, so the knobs mostly
-  /// matter for stats labelling and rate capping here; multi-lane fairness
-  /// lives in DaemonConfig::node_qos / ReceiverConfig::source_qos, which
-  /// multi-node deployments set directly.
-  std::uint32_t lane_weight = 1;
-  std::uint64_t lane_rate = 0;
   /// Per-batch stage tracing on BOTH engines (src/obs): stage + end-to-end
   /// latency histograms in stats().daemon.latency / .receiver.latency and
-  /// slow-batch rings behind Daemon/Receiver::trace_json. trace_wire also
+  /// rings of each engine's 16 slowest batches (the engines' default ring
+  /// size) behind Daemon/Receiver::trace_json. trace_wire also
   /// stamps the daemon's send origin into the wire bytes (optional "t0"
   /// codec key) so the receiver's trace covers queue+transit; leave it off
   /// to keep the wire byte-identical to an untraced run.
   bool trace = false;
-  std::size_t trace_ring = 16;
   bool trace_wire = false;
-  /// Retry/backoff window shared by the fault-tolerant edges (net::RetryPolicy
-  /// schedule): the daemon's TCP sink connect path (a daemon may start before
-  /// its receiver is listening) and the receiver's reconnect window
-  /// (ReceiverConfig::reconnect, consumed by tools that wrap their source in
-  /// net::ReconnectingSource). retry_max counts TOTAL attempts including the
-  /// first — 1 keeps the historical fail-fast behavior, 0 = unlimited until
-  /// the deadline. retry_deadline_ms bounds the whole window (0 = none).
-  std::size_t retry_max = 1;
-  std::uint64_t retry_deadline_ms = 0;
   std::uint64_t seed = 1234;
   bool shuffle = true;
   bool verify_crc = false;
   Transport transport = Transport::kInProcess;
   net::SimLinkConfig link;            ///< kInProcess latency/bandwidth model
-  /// kShm knobs. shm_name "" auto-generates a per-process unique name (the
-  /// segment is created by the daemon side and unlinked at teardown, so
-  /// auto-named in-process services never collide or leak). shm_slab_bytes
-  /// caps the encoded batch size; shm_slab_count is the in-flight budget
-  /// (the HWM analogue — 0 = follow high_water_mark).
-  std::string shm_name;
+  /// kShm: the cap on one encoded batch. The service owns both ends, so the
+  /// segment gets a per-process unique name (created by the daemon side,
+  /// unlinked at teardown) and high_water_mark slabs, the in-flight budget.
   std::size_t shm_slab_bytes = 4u << 20;
-  std::size_t shm_slab_count = 0;
 };
 
 /// Aggregated run statistics.

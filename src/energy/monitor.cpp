@@ -126,9 +126,10 @@ void EnergyMonitor::accumulator() {
     // A round overrun shows up as a jump in the round index. The energy
     // sources integrate since their previous read, so the current reading
     // covers the whole gap: spread it across the missing ticks to keep the
-    // series gapless and energy-conserving.
-    std::uint64_t gap =
-        last_round >= 0 ? merged.round - static_cast<std::uint64_t>(last_round) : 1;
+    // series gapless and energy-conserving. The first reading is no
+    // exception: samplers that start late begin at round r0 > 0, and that
+    // reading spreads over ticks 0..r0 (last_round starts at -1).
+    std::uint64_t gap = merged.round - static_cast<std::uint64_t>(last_round);
     if (gap == 0) gap = 1;
     auto scale = 1.0 / static_cast<double>(gap);
     for (std::uint64_t k = 1; k <= gap; ++k) {

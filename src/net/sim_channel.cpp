@@ -45,9 +45,6 @@ class LinkState : public SimLinkControl {
       one_way_ms += spike_ms_;  // one-shot: exactly this message pays it
       spike_ms_ = 0.0;
     }
-    if (config_.jitter_stddev_ms > 0.0) {
-      one_way_ms = std::max(0.0, one_way_ms + rng_.normal(0.0, config_.jitter_stddev_ms));
-    }
     Nanos ready = link_free_at_ + from_millis(one_way_ms);
     bytes_sent_.fetch_add(message.size(), std::memory_order_relaxed);
     in_flight_.push_back(Message{ready, std::move(message)});

@@ -2,8 +2,8 @@
 //
 // Stand-in for the paper's tc/qdisc network emulation: messages become
 // visible to the receiver only after one-way latency (RTT/2) plus
-// serialization time (bytes / bandwidth), with optional Gaussian jitter and
-// injectable latency spikes. The link enforces the same HWM blocking-send
+// serialization time (bytes / bandwidth), with injectable latency spikes
+// and seeded drops. The link enforces the same HWM blocking-send
 // semantics as the TCP transport, so the EMLIO daemon behaves identically
 // over both. Time here is *real* (the channel sleeps), so tests use
 // millisecond-scale latencies; the discrete-event simulator in src/sim
@@ -23,8 +23,7 @@ struct SimLinkConfig {
   double rtt_ms = 0.0;                     ///< round-trip time; one-way = rtt/2
   double bandwidth_bytes_per_sec = 1.25e9; ///< 10 Gbps default
   std::size_t high_water_mark = 16;        ///< in-flight message cap (HWM)
-  double jitter_stddev_ms = 0.0;           ///< Gaussian jitter on one-way latency
-  std::uint64_t seed = 42;                 ///< jitter RNG seed
+  std::uint64_t seed = 42;                 ///< set_drop_probability's RNG seed
 };
 
 /// Handle for fault injection while a channel is live. All methods are safe

@@ -68,6 +68,7 @@ PreprocessedBatch Pipeline::preprocess(msgpack::WireBatch batch) {
 
   static constexpr std::array<float, 3> kMean = {128.0f, 128.0f, 128.0f};
   static constexpr std::array<float, 3> kStd = {64.0f, 64.0f, 64.0f};
+  static constexpr std::uint64_t kAugmentSeed = 99;  // random crop + flip stream
 
   out.samples.reserve(batch.samples.size());
   std::uint64_t failures = 0;
@@ -78,7 +79,7 @@ PreprocessedBatch Pipeline::preprocess(msgpack::WireBatch batch) {
 
     // Deterministic per-sample augmentation stream (same sample, same epoch
     // → same augmentation; different epochs reshuffle via the seed mix).
-    Rng rng(config_.augment_seed ^ (s.index * 0x9E3779B97F4A7C15ull) ^ batch.epoch);
+    Rng rng(kAugmentSeed ^ (s.index * 0x9E3779B97F4A7C15ull) ^ batch.epoch);
     if (config_.crop > 0 && config_.crop <= d.image.height && config_.crop <= d.image.width) {
       auto max_y = d.image.height - config_.crop;
       auto max_x = d.image.width - config_.crop;
@@ -86,9 +87,7 @@ PreprocessedBatch Pipeline::preprocess(msgpack::WireBatch batch) {
       auto x0 = static_cast<std::uint32_t>(rng.uniform(max_x + 1));
       d.image = crop(d.image, y0, x0, config_.crop, config_.crop);
     }
-    if (config_.train_mirror) {
-      d.image = mirror(d.image, rng.uniform01() < 0.5);
-    }
+    d.image = mirror(d.image, rng.uniform01() < 0.5);
     d.image = normalize(d.image, kMean, kStd);
     out.samples.push_back(std::move(d));
   }

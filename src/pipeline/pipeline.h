@@ -25,11 +25,6 @@
 
 namespace emlio::pipeline {
 
-/// Where preprocessing nominally executes. The real-thread build always runs
-/// on host cores; the tag flows into stats/energy attribution (DALI's value
-/// is exactly this offload, which the simulator models with GPU time).
-enum class Device { kCpu, kGpu };
-
 /// Callback supplying the next wire batch; nullopt ends the stream.
 /// A batch with last=true is passed through as an epoch marker.
 using ExternalSource = std::function<std::optional<msgpack::WireBatch>()>;
@@ -37,12 +32,9 @@ using ExternalSource = std::function<std::optional<msgpack::WireBatch>()>;
 struct PipelineConfig {
   std::size_t prefetch_depth = 4;   ///< Q — prefetched preprocessed batches
   std::size_t num_threads = 2;     ///< decode worker threads
-  Device device = Device::kGpu;
   std::uint32_t decode_height = 32;
   std::uint32_t decode_width = 32;
   std::uint32_t crop = 28;          ///< random-crop output size (0 = off)
-  bool train_mirror = true;         ///< random horizontal flip
-  std::uint64_t augment_seed = 99;
 };
 
 /// One preprocessed batch.

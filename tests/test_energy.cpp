@@ -1,6 +1,7 @@
 // Tests for power models/sources, the Algorithm-1 EnergyMonitor, and reports.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "energy/monitor.h"
@@ -216,6 +217,51 @@ TEST(EnergyMonitor, InterpolatesMissedIntervals) {
   q.measurement = "energy";
   auto rows = db.select(q);
   ASSERT_GE(rows.size(), 10u);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].timestamp - rows[i - 1].timestamp, opt.interval) << i;
+  }
+}
+
+namespace {
+
+/// Reads the steady clock on time once — start()'s read of t_0 — and `lag`
+/// late ever after, as if the samplers had started `lag` after start().
+class LateAfterFirstReadClock final : public Clock {
+ public:
+  explicit LateAfterFirstReadClock(Nanos lag) : lag_(lag) {}
+  Nanos now() const override {
+    const Nanos t = SteadyClock::instance().now();
+    return first_read_.exchange(false, std::memory_order_acq_rel) ? t : t + lag_;
+  }
+
+ private:
+  Nanos lag_;
+  mutable std::atomic<bool> first_read_{true};
+};
+
+}  // namespace
+
+TEST(EnergyMonitor, LateFirstRoundSpreadsOverTheTicksBeforeIt) {
+  // The samplers' first round lands at tick 3, not 0. Its reading covers
+  // ticks 0..3, so the series must still start on the grid with no hole:
+  // ticks 0..2 are interpolated, as for any later overrun.
+  tsdb::Database db;
+  MonitorOptions opt;
+  opt.interval = from_millis(5);
+  LateAfterFirstReadClock clock(3 * opt.interval);
+  const auto& steady = SteadyClock::instance();
+  auto cpu = std::make_shared<SyntheticPowerSource>("cpu", steady, 50.0);
+  auto dram = std::make_shared<SyntheticPowerSource>("memory", steady, 5.0);
+  EnergyMonitor monitor(opt, clock, db, cpu, dram);
+  monitor.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  monitor.stop();
+
+  EXPECT_GE(monitor.stats().interpolated, 3u);
+  tsdb::Query q;
+  q.measurement = "energy";
+  auto rows = db.select(q);
+  ASSERT_GE(rows.size(), 4u);
   for (std::size_t i = 1; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].timestamp - rows[i - 1].timestamp, opt.interval) << i;
   }

@@ -451,6 +451,45 @@ TEST(PushPull, PullCloseReturnsWhileConnectedPeerIsIdle) {
   EXPECT_TRUE(failed);
 }
 
+TEST(PushPull, CloseResetsPeerBlockedOnFullWindow) {
+  // A sender blocked on a zero receive window learns of close() only from a
+  // reset: a shutdown alone leaves it parked in sendmsg for good. close()
+  // must release each accepted descriptor with its unread bytes.
+  PullSocket pull(0, /*queue_capacity=*/1);
+  TcpStream client = TcpStream::connect("127.0.0.1", pull.port());
+  send_frame(client, msg({7}));
+  ASSERT_TRUE(pull.recv().has_value());  // accepted and read, whatever the design
+
+  std::atomic<int> sent{0};
+  std::promise<void> failed;
+  auto send_failed = failed.get_future();
+  std::thread sender([&] {
+    const std::vector<std::uint8_t> frame(1024 * 1024, 0x42);
+    try {
+      for (;;) {
+        send_frame(client, frame);
+        ++sent;
+      }
+    } catch (const std::exception&) {
+      failed.set_value();
+    }
+  });
+  // Nothing drains past the one-deep queue: wait for two quiet samples.
+  int prev = -1;
+  for (int spins = 0; spins < 500; ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int now = sent.load();
+    if (now == prev) break;
+    prev = now;
+  }
+  pull.close();
+  const bool reset =
+      send_failed.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  if (!reset) client.shutdown();  // fails the blocked send so the sender can be joined
+  sender.join();
+  EXPECT_TRUE(reset) << "a sender blocked on a full window survived PullSocket::close()";
+}
+
 // ---------------------------------------------------------------- sim link
 
 TEST(SimChannel, ZeroCopyHandoff) {

@@ -23,7 +23,6 @@
 #include "core/daemon.h"
 #include "core/planner.h"
 #include "core/receiver.h"
-#include "core/service.h"
 #include "core/stats_stream.h"
 #include "net/sim_channel.h"
 #include "workload/materialize.h"
@@ -427,27 +426,6 @@ TEST_F(QosTest, WeightsNeverChangePerLaneStreamContent) {
   EXPECT_EQ(a.second, b.second);
   EXPECT_EQ(a.first, c.first);
   EXPECT_EQ(a.second, c.second);
-}
-
-// ----------------------------------------------------- service-level plumbing
-
-TEST_F(QosTest, ServiceThreadsQosToBothEngines) {
-  ServiceConfig cfg;
-  cfg.dataset_dir = dir_.string();
-  cfg.batch_size = 8;
-  cfg.epochs = 1;
-  cfg.lane_weight = 5;
-  EmlioService service(cfg);
-  service.start();
-  while (auto batch = service.next_batch()) {
-    if (batch->last) break;
-  }
-  service.stop();
-  auto stats = service.stats();
-  ASSERT_EQ(stats.daemon.lanes.size(), 1u);
-  EXPECT_EQ(stats.daemon.lanes[0].weight, 5u);
-  ASSERT_EQ(stats.receiver.lanes.size(), 1u);
-  EXPECT_EQ(stats.receiver.lanes[0].weight, 5u);
 }
 
 // ------------------------------------------------ daemon rate caps at the send

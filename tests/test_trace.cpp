@@ -442,7 +442,6 @@ TEST_F(TracedServiceTest, TracedRunProducesQuantilesAndForensics) {
   cfg.decode_threads = 2;
   cfg.trace = true;
   cfg.trace_wire = true;
-  cfg.trace_ring = 4;
   core::EmlioService service(cfg);
   service.start();
   std::size_t batches = 0;

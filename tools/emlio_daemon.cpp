@@ -7,7 +7,7 @@
 //   emlio_receive --port 5555 &            # start the compute side first
 //   emlio_daemon --data DIR --connect localhost:5555
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-slab-mb 4]
-//       [--batch 128] [--epochs 1] [--threads 2] [--streams 2] [--hwm 16]
+//       [--batch 128] [--epochs 1] [--streams 2] [--hwm 16]
 //       [--pool 0] [--prefetch 16] [--seed 1234]
 //       [--lane-weight 1] [--lane-rate 0]
 //       [--cache-mb 0] [--cache-policy clock|lru]
@@ -33,9 +33,10 @@
 //
 // --pool sets the width of the shared read+encode thread pool, fixed for the
 // run (0 = auto), --prefetch the per-sink encoded-batch queue (the HWM of
-// the storage-side pipeline). --threads sets T, the number of plan
-// partitions per node; the daemon merges them back into one batch-id-ordered
-// stream per sink.
+// the storage-side pipeline). The planner's T (PlannerConfig::
+// threads_per_node) keeps its default: T only splits a plan that the daemon
+// merges back into one batch-id-ordered stream per sink, so no value of it
+// changes a byte on the wire.
 // --cache-mb gives the sample cache a byte budget (0 = off): record payloads
 // stay resident across epochs so warm epochs skip shard reads entirely;
 // --cache-policy picks its eviction policy. --seed sets the planner's
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
   std::string transport = "tcp", shm_name = "emlio0";
   std::size_t shm_slab_mb = 4;
   std::string cache_policy = "clock", stats_json;
-  std::size_t batch = 128, threads = 2, streams = 2, hwm = 16;
+  std::size_t batch = 128, streams = 2, hwm = 16;
   std::size_t pool = 0, prefetch = 16, cache_mb = 0;
   std::size_t retry_max = 1;
   std::uint64_t retry_deadline_ms = 0;
@@ -98,7 +99,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--shm-slab-mb")) shm_slab_mb = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--batch")) batch = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--epochs")) epochs = std::strtoul(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--threads")) threads = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--streams")) streams = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--hwm")) hwm = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--pool")) pool = std::strtoul(next(), nullptr, 10);
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
     else {
       std::fprintf(stderr, "usage: emlio_daemon --data DIR --connect HOST:PORT "
                            "[--transport tcp|shm] [--shm-name NAME] [--shm-slab-mb MB] "
-                           "[--batch B] [--epochs E] [--threads T] [--streams S] "
+                           "[--batch B] [--epochs E] [--streams S] "
                            "[--hwm SLABS (shm only)] "
                            "[--pool WIDTH] [--prefetch D] [--seed N] "
                            "[--lane-weight W] [--lane-rate N] "
@@ -173,12 +173,11 @@ int main(int argc, char** argv) {
     core::PlannerConfig pc;
     pc.batch_size = batch;
     pc.epochs = epochs;
-    pc.threads_per_node = static_cast<std::uint32_t>(threads);
     pc.seed = seed;
     core::Planner planner(indexes, pc);
-    std::printf("emlio_daemon: %zu shards, %llu samples, B=%zu E=%u T=%zu -> %s\n",
+    std::printf("emlio_daemon: %zu shards, %llu samples, B=%zu E=%u -> %s\n",
                 indexes.size(), static_cast<unsigned long long>(planner.dataset_size()), batch,
-                epochs, threads, use_shm ? ("shm:" + shm_name).c_str() : connect_to.c_str());
+                epochs, use_shm ? ("shm:" + shm_name).c_str() : connect_to.c_str());
 
     std::shared_ptr<net::MessageSink> sink;
     if (use_shm) {

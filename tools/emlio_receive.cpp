@@ -191,8 +191,6 @@ int main(int argc, char** argv) {
     if (!trace_dump.empty()) trace = true;  // a dump without tracing is empty
     rc.trace = trace;
     rc.trace_ring = trace_ring;
-    rc.reconnect.max_attempts = retry_max;
-    rc.reconnect.deadline = std::chrono::milliseconds(retry_deadline_ms);
     core::Receiver receiver(rc, std::move(source));
     receiver_ptr = &receiver;
     std::optional<core::StatsStreamer> streamer;

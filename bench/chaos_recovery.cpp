@@ -201,7 +201,7 @@ ClusterRun run_cluster(const std::vector<tfrecord::ShardIndex>& indexes,
     dc.daemon_id = id;
     dc.pool_threads = 1;
     dc.prefetch_depth = 8;
-    dc.default_lane_qos.rate_per_sec = kLaneRate;
+    dc.lane_rate = kLaneRate;
     std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, sink}};
     return std::make_unique<core::Daemon>(dc, std::move(readers), sinks);
   };

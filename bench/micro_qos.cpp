@@ -1,25 +1,25 @@
-// QoS isolation microbench for the shared lane layer: weighted-fair encode
-// admission plus per-lane windows must keep a high-priority destination fast
-// while a low-priority sibling is deliberately stalled.
+// Lane isolation microbench for the shared lane layer: round-robin encode
+// admission plus per-lane admission windows must keep a destination fast
+// while its sibling is deliberately stalled.
 //
 // Two phases:
 //
-//   1. Delivery contract (always runs): the same 2-node plan is served under
-//      radically different QoS splits — weight {4,1}, weight {1,4}, and a
-//      rate-capped low lane. Each node's delivered stream must be
-//      byte-identical and identically ordered across every configuration:
-//      weights move WHEN a lane is served, never WHAT it carries. Exit 1 on
-//      any divergence.
+//   1. Delivery contract (always runs): the same 2-node plan is served
+//      uncapped and under a daemon-wide lane_rate that really paces (100
+//      batches/s, a burst of 5, against 24 batches per lane per epoch).
+//      Each node's delivered stream must be byte-identical and identically
+//      ordered across both: a cap moves WHEN a lane is served, never WHAT it
+//      carries. Exit 1 on any divergence, or if the capped run finished
+//      faster than its cap allows.
 //
-//   2. Isolation (needs ≥4 cores): a weight-4 node runs ISOLATED
-//      (baseline: the encode pool works for it alone) and CONTENDED with a
-//      weight-1 sibling whose consumer is deliberately parked until the fast
-//      node finishes, over 7 alternating rounds. DWRR admission caps the
-//      stalled lane at its in-flight window, so the weight-4 node must
-//      complete its full stream at a median ≥80 % of its isolated
-//      throughput (per-round ratios). The pre-lane engine fails this: pool
-//      threads pile up against the stalled lane's full queue and the fast
-//      node starves. FAILS (exit 1) below the 80 % floor.
+//   2. Isolation (needs ≥4 cores): node A runs ISOLATED (baseline: the
+//      encode pool works for it alone) and CONTENDED with a sibling whose
+//      consumer is deliberately parked until A finishes, over 7 alternating
+//      rounds. The stalled lane's admission window caps what it holds of
+//      the pool, so node A must complete its full stream at a median ≥80 %
+//      of its isolated throughput (per-round ratios). The pre-lane engine
+//      fails this: pool threads pile up against the stalled lane's full
+//      queue and node A starves. FAILS (exit 1) below the 80 % floor.
 //
 // Below 4 cores phase 2 is meaningless (the pool, both senders and both
 // consumers share a core or two), so the bench prints an explicit SKIP,
@@ -57,15 +57,16 @@ struct QosRun {
 };
 
 /// Serve `epochs` full-dataset epochs through the pipelined engine with CRC
-/// on (encode is the narrow stage over a fast wire). Node A (id 0) always
-/// drains at full speed and is timed to its last data sample. When
-/// `with_b`, node B (id 1) exists; with `stall_b` its consumer is parked
-/// until A finishes — receiver buffers, wire HWM and B's sink lane all fill
-/// and B's admission window saturates, the deliberately stalled
-/// low-priority tenant — then it drains fast so the run can finish.
+/// on (encode is the narrow stage over a fast wire), every sink lane capped
+/// at `lane_rate` batches/s (0 = none). Node A (id 0) always drains at full
+/// speed and is timed to its last data sample. When `with_b`, node B (id 1)
+/// exists; with `stall_b` its consumer is parked until A finishes —
+/// receiver buffers, wire HWM and B's sink lane all fill and B's admission
+/// window saturates, the deliberately stalled tenant — then it drains fast
+/// so the run can finish.
 QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes, const core::Planner& planner,
                std::uint32_t epochs, std::uint64_t samples_per_epoch, bool with_b,
-               LaneQos qos_a, LaneQos qos_b, bool stall_b) {
+               std::uint64_t lane_rate, bool stall_b) {
   net::SimLinkConfig link;
   link.rtt_ms = 0.0;
   link.bandwidth_bytes_per_sec = 5e9;  // fast wire: encode is the narrow stage
@@ -88,8 +89,7 @@ QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes, const core::Pla
   dc.verify_crc = true;  // real encode-side CPU cost per record
   dc.pool_threads = 4;
   dc.prefetch_depth = 8;
-  dc.node_qos[0] = qos_a;
-  if (with_b) dc.node_qos[1] = qos_b;
+  dc.lane_rate = lane_rate;
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> dsinks{{0u, sinks[0]}};
   if (with_b) dsinks[1] = sinks[1];
   core::Daemon daemon(dc, std::move(readers), dsinks);
@@ -150,28 +150,39 @@ bool run_contract_phase() {
   pc.full_dataset_per_node = true;
   core::Planner planner(indexes, pc);
 
-  auto run = [&](LaneQos qa, LaneQos qb) {
-    return run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/true, qa, qb,
+  // 100 batches/s with a burst of 5 (RatePacer: rate/20) against 24
+  // batches per lane per epoch: all but the burst wait for a token.
+  constexpr std::uint64_t kRate = 100;
+  const std::uint64_t lane_batches = (spec.num_samples + pc.batch_size - 1) / pc.batch_size;
+  const double min_paced_s = pc.epochs * (lane_batches - kRate / 20.0) / kRate;
+  auto run = [&](std::uint64_t lane_rate) {
+    return run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/true, lane_rate,
                    /*stall_b=*/false);
   };
-  auto a = run(LaneQos{4, 0}, LaneQos{1, 0});
-  auto b = run(LaneQos{1, 0}, LaneQos{4, 0});
-  auto c = run(LaneQos{4, 0},
-               LaneQos{1, 2000});  // rate-capped low lane
+  auto uncapped = run(0);
+  auto capped = run(kRate);
   fs::remove_all(dir);
   for (int n = 0; n < 2; ++n) {
-    if (a.streams[n] != b.streams[n] || a.streams[n] != c.streams[n]) {
+    if (uncapped.streams[n] != capped.streams[n]) {
       std::fprintf(stderr,
-                   "micro_qos: DELIVERY CONTRACT VIOLATED — node %d stream differs across "
-                   "QoS configurations (%zu vs %zu vs %zu batches)\n",
-                   n, a.streams[n].size(), b.streams[n].size(), c.streams[n].size());
+                   "micro_qos: DELIVERY CONTRACT VIOLATED — node %d stream differs between the "
+                   "uncapped and the capped run (%zu vs %zu batches)\n",
+                   n, uncapped.streams[n].size(), capped.streams[n].size());
       return false;
     }
   }
-  std::printf("micro_qos: contract — per-lane streams byte-identical and ordered across "
-              "weight splits 4:1, 1:4 and a rate-capped lane (%zu + %zu batches incl. "
-              "epoch markers)\n",
-              a.streams[0].size(), a.streams[1].size());
+  if (capped.a_seconds < 0.8 * min_paced_s) {
+    std::fprintf(stderr,
+                 "micro_qos: FAIL — the %llu batches/s run took %.3f s, under the %.3f s its "
+                 "cap allows: it did not pace\n",
+                 static_cast<unsigned long long>(kRate), capped.a_seconds, min_paced_s);
+    return false;
+  }
+  std::printf("micro_qos: contract — per-lane streams byte-identical and ordered uncapped "
+              "(%.3f s) and at lane_rate %llu (%.3f s, paced minimum %.3f s) (%zu + %zu "
+              "batches incl. epoch markers)\n",
+              uncapped.a_seconds, static_cast<unsigned long long>(kRate), capped.a_seconds,
+              min_paced_s, uncapped.streams[0].size(), uncapped.streams[1].size());
   return true;
 }
 
@@ -227,8 +238,6 @@ int main() {
   // Warm the page cache so both runs read from memory.
   for (const auto& idx : indexes) tfrecord::ShardReader(idx).verify_all();
 
-  const LaneQos fast{4, 0};
-  const LaneQos slow{1, 0};
   std::printf("micro_qos: isolation phase — %zu shards, %llu samples x %u epochs, B=%zu, "
               "CRC on, pool=4, %u cores\n",
               indexes.size(), static_cast<unsigned long long>(planner.dataset_size()),
@@ -242,12 +251,12 @@ int main() {
   QosRun isolated, contended;
   for (int round = 0; round < kRounds; ++round) {
     auto run_isolated = [&] {
-      isolated = run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/false, fast,
-                         slow, /*stall_b=*/false);
+      isolated = run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/false,
+                         /*lane_rate=*/0, /*stall_b=*/false);
     };
     auto run_contended = [&] {
-      contended = run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/true, fast,
-                          slow, /*stall_b=*/true);
+      contended = run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/true,
+                          /*lane_rate=*/0, /*stall_b=*/true);
     };
     bench::run_pair(round, run_isolated, run_contended);
     // Contract inside the measured phase too: A's stream must not change
@@ -269,23 +278,22 @@ int main() {
   const auto ratio = bench::spread(ratios);
   std::printf("  isolated  : median %.3f s (min %.3f, max %.3f) to node A's last sample\n",
               iso.median, iso.min, iso.max);
-  std::printf("  contended : median %.3f s (min %.3f, max %.3f) with a stalled weight-1 sibling\n",
+  std::printf("  contended : median %.3f s (min %.3f, max %.3f) with a stalled sibling\n",
               con.median, con.min, con.max);
   std::printf("  throughput vs isolated over %d alternating rounds: median %.0f%% (min %.0f%%, "
               "max %.0f%%)\n",
               kRounds, ratio.median * 100.0, ratio.min * 100.0, ratio.max * 100.0);
   for (const auto& lane : contended.stats.lanes) {
-    std::printf("    lane %s: weight %u, %llu delivered, %llu enqueue stalls (last round)\n",
-                lane.name.c_str(), lane.weight,
-                static_cast<unsigned long long>(lane.delivered_items),
+    std::printf("    lane %s: %llu delivered, %llu enqueue stalls (last round)\n",
+                lane.name.c_str(), static_cast<unsigned long long>(lane.delivered_items),
                 static_cast<unsigned long long>(lane.enqueue_stalls));
   }
   bench::append_json_line(qos_row("isolated", isolated, iso, 1.0));
   bench::append_json_line(qos_row("contended", contended, con, ratio.median));
   if (assert_ratio && ratio.median < 0.8) {
     std::fprintf(stderr,
-                 "micro_qos: FAIL — stalled weight-1 lane dragged the weight-4 node to a median "
-                 "%.0f%% of isolated throughput (< 80%%) on a %u-core host\n",
+                 "micro_qos: FAIL — a stalled sibling lane dragged node A to a median %.0f%% of "
+                 "isolated throughput (< 80%%) on a %u-core host\n",
                  ratio.median * 100.0, cores);
     return 1;
   }

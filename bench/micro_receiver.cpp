@@ -1,5 +1,5 @@
 // Microbench for the compute-side receiver (per-source ingest threads →
-// weighted-fair inline admission → shared decode ThreadPool →
+// round-robin inline admission → shared decode ThreadPool →
 // Sequencer-ordered delivery). Two phases:
 //
 //   1. Ordered-delivery contract (hard failure): a deterministic

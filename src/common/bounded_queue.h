@@ -3,14 +3,21 @@
 //
 // The paper relies on ZeroMQ's high-water mark (HWM=16) to make storage-side
 // workers "naturally back off when compute-side queues are full" (§4.5).
-// The TCP pull socket's shared queue, the receiver's consumer queue and the
-// DALI-style pipeline's prefetch buffer are instances of this class, and
-// the engines' per-sink and per-source lanes (common/lane.h) keep its
-// blocking contract, so backpressure propagates from the GPU all the way to
-// the disk.
+// The TCP pull socket's shared queue, the receiver's consumer queue, the
+// DALI-style pipeline's prefetch buffer and the engines' per-sink and
+// per-source lanes (common/lane.h, a named BoundedQueue) are instances of
+// this class, so backpressure propagates from the GPU all the way to the
+// disk.
+//
+// The queue counts what its lanes report — pops, blocking pushes that found
+// it full, blocking pops that found it empty, peak occupancy — as plain
+// fields inside the critical sections push and pop already take; counts()
+// reads them under the same lock. try_push/try_pop never wait, so they count
+// no stall.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <optional>
 
@@ -22,6 +29,15 @@ namespace emlio {
 template <typename T>
 class BoundedQueue {
  public:
+  /// What the queue counted, read under one lock (see the header comment).
+  struct Counts {
+    std::uint64_t pops = 0;            ///< items taken by pop or try_pop
+    std::uint64_t enqueue_stalls = 0;  ///< blocking pushes that found it full
+    std::uint64_t dequeue_stalls = 0;  ///< blocking pops that found it empty
+    std::size_t peak_depth = 0;        ///< max occupancy, tracked inside push
+    bool closed = false;
+  };
+
   /// capacity == the high-water mark; push blocks once `capacity` items wait.
   explicit BoundedQueue(std::size_t capacity) : capacity_(capacity ? capacity : 1) {}
 
@@ -31,15 +47,15 @@ class BoundedQueue {
   /// Blocking push. Returns true when the item was accepted (and moved out
   /// of `item`). Returns false if the queue was closed before space appeared
   /// — in that case `item` is NOT consumed: the caller's object still holds
-  /// the value, so a producer that must not lose work can recover it. (The
-  /// old contract silently destroyed items rejected by a mid-wait close.)
+  /// the value, so a producer that must not lose work can recover it. A full
+  /// queue at entry counts one enqueue stall.
   bool push(T& item) {
     {
       MutexLock lock(mutex_);
+      if (items_.size() >= capacity_ && !closed_) ++enqueue_stalls_;
       while (items_.size() >= capacity_ && !closed_) not_full_.wait(mutex_);
       if (closed_) return false;  // item untouched, recoverable by the caller
-      items_.push_back(std::move(item));
-      if (items_.size() > peak_) peak_ = items_.size();
+      push_locked(item);
     }
     not_empty_.notify_one();
     return true;
@@ -50,13 +66,12 @@ class BoundedQueue {
   bool push(T&& item) { return push(static_cast<T&>(item)); }
 
   /// Non-blocking push. Returns false when full or closed; `item` keeps its
-  /// value on rejection (same recovery contract as push).
+  /// value on rejection (same recovery contract as push). Counts no stall.
   bool try_push(T& item) {
     {
       MutexLock lock(mutex_);
       if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-      if (items_.size() > peak_) peak_ = items_.size();
+      push_locked(item);
     }
     not_empty_.notify_one();
     return true;
@@ -65,27 +80,28 @@ class BoundedQueue {
   bool try_push(T&& item) { return try_push(static_cast<T&>(item)); }
 
   /// Blocking pop. Empty optional means the queue was closed and drained.
+  /// An empty queue at entry counts one dequeue stall.
   std::optional<T> pop() {
     std::optional<T> item;
     {
       MutexLock lock(mutex_);
+      if (items_.empty() && !closed_) ++dequeue_stalls_;
       while (items_.empty() && !closed_) not_empty_.wait(mutex_);
       if (items_.empty()) return std::nullopt;
-      item.emplace(std::move(items_.front()));
-      items_.pop_front();
+      item.emplace(pop_locked());
     }
     not_full_.notify_one();
     return item;
   }
 
-  /// Non-blocking pop.
+  /// Non-blocking pop: the head, or nullopt when the queue is empty. Counts
+  /// no stall.
   std::optional<T> try_pop() {
     std::optional<T> item;
     {
       MutexLock lock(mutex_);
       if (items_.empty()) return std::nullopt;
-      item.emplace(std::move(items_.front()));
-      items_.pop_front();
+      item.emplace(pop_locked());
     }
     not_full_.notify_one();
     return item;
@@ -112,17 +128,26 @@ class BoundedQueue {
     return items_.size();
   }
 
-  /// High-water mark of occupancy, maintained inside push under the lock it
-  /// already holds — producers that used to re-lock the queue after every
-  /// push just to sample size() read this once, on the cold stats path.
-  std::size_t peak_depth() const {
+  Counts counts() const {
     MutexLock lock(mutex_);
-    return peak_;
+    return Counts{pops_, enqueue_stalls_, dequeue_stalls_, peak_, closed_};
   }
 
   std::size_t capacity() const noexcept { return capacity_; }
 
  private:
+  void push_locked(T& item) EMLIO_REQUIRES(mutex_) {
+    items_.push_back(std::move(item));
+    if (items_.size() > peak_) peak_ = items_.size();
+  }
+
+  T pop_locked() EMLIO_REQUIRES(mutex_) {
+    T item = std::move(items_.front());
+    items_.pop_front();
+    ++pops_;
+    return item;
+  }
+
   const std::size_t capacity_;
   mutable Mutex mutex_;
   CondVar not_full_;
@@ -130,6 +155,9 @@ class BoundedQueue {
   std::deque<T> items_ EMLIO_GUARDED_BY(mutex_);
   std::size_t peak_ EMLIO_GUARDED_BY(mutex_) = 0;
   bool closed_ EMLIO_GUARDED_BY(mutex_) = false;
+  std::uint64_t pops_ EMLIO_GUARDED_BY(mutex_) = 0;
+  std::uint64_t enqueue_stalls_ EMLIO_GUARDED_BY(mutex_) = 0;
+  std::uint64_t dequeue_stalls_ EMLIO_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace emlio

@@ -16,16 +16,15 @@ namespace emlio::core {
 /// The queue/stall/peak machinery that used to live here IS the common
 /// Lane<T> now; what remains is the daemon-specific glue around it.
 struct Daemon::SinkLane {
-  SinkLane(std::string name, std::size_t depth, LaneQos qos)
-      : lane(std::move(name), depth, qos), pacer(qos.rate_per_sec) {}
+  SinkLane(std::string name, std::size_t depth, std::uint64_t rate)
+      : lane(std::move(name), depth), pacer(rate) {}
 
   std::uint32_t node_id = 0;
   net::MessageSink* sink = nullptr;
   std::vector<BatchAssignment> jobs;  ///< sorted by batch_id; read-only
-  /// Bounded prefetch queue + per-lane counters + QoS (weight feeds the DWRR
-  /// admission cycle).
+  /// Bounded prefetch queue + per-lane counters.
   Lane<OutboundBatch> lane;
-  /// The lane's rate cap, paced on the sender thread before each send;
+  /// The lane_rate cap, paced on the sender thread before each send;
   /// stopped when the lane fails so what is queued drains at once.
   RatePacer pacer;
   std::atomic<bool> failed{false};
@@ -44,7 +43,6 @@ struct Daemon::SinkLane {
   // Admission bookkeeping, guarded by Daemon::admit_mutex_ (NOT mu):
   std::size_t next_submit = 0;  ///< next jobs[] index to hand to the pool
   std::size_t in_window = 0;    ///< admitted but not yet queued (≤ window)
-  std::size_t cycle_slot = 0;   ///< this lane's index in admit_cycle_
 };
 
 Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
@@ -68,9 +66,9 @@ Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
   // take — never races a lazy first-epoch initialization.
   encode_pool_ = std::make_unique<ThreadPool>(config_.pool_threads ? config_.pool_threads
                                                                    : auto_pool_width());
-  // Global in-flight encode budget for DWRR admission: 2× the pool width
-  // keeps every worker fed while staying small enough that the weighted
-  // cycle — not queue luck — decides encode share under contention.
+  // Global in-flight encode budget for admission: 2× the pool width keeps
+  // every worker fed while staying small enough that a stalled lane, its
+  // window saturated, leaves the pool to the healthy lanes.
   MutexLock lock(admit_mutex_);
   admit_budget_ = std::max<std::size_t>(4, 2 * encode_pool_->thread_count());
 }
@@ -151,13 +149,6 @@ void Daemon::record_error(const std::string& what) {
   log::error("daemon ", config_.daemon_id, ": ", what);
   MutexLock lock(error_mutex_);
   if (last_error_.empty()) last_error_ = what;
-}
-
-LaneQos Daemon::lane_qos_for(std::uint32_t node_id) const {
-  auto it = config_.node_qos.find(node_id);
-  LaneQos qos = it != config_.node_qos.end() ? it->second : config_.default_lane_qos;
-  qos.weight = std::max<std::uint32_t>(qos.weight, 1);
-  return qos;
 }
 
 msgpack::WireBatch Daemon::build_batch(const BatchAssignment& a) const {
@@ -313,7 +304,7 @@ void Daemon::encode_job(SinkLane& lane, std::size_t seq) {
     MutexLock lock(admit_mutex_);
     --admit_running_;
   }
-  admit_more();  // the freed budget slot goes to whichever lane DWRR picks
+  admit_more();  // the freed budget slot goes to the next admittable lane
 }
 
 void Daemon::pump(SinkLane& lane) {
@@ -364,13 +355,11 @@ void Daemon::pump(SinkLane& lane) {
 }
 
 void Daemon::admit_more() {
-  // Hand out encode jobs deficit-weighted round-robin across the epoch's
-  // lanes, up to the global in-flight budget. A lane is admittable while it
-  // has unsubmitted jobs, a healthy sink, and room in its window
-  // (prefetch_depth admitted-but-not-yet-queued results) — a wedged sink's
-  // window saturates and its whole encode share flows to the healthy lanes.
-  // This replaces the old one-for-one per-lane admission: under a contended
-  // pool each lane's encode share now converges to weight / Σ weights.
+  // Hand out encode jobs round-robin across the epoch's lanes, up to the
+  // global in-flight budget. A lane is admittable while it has unsubmitted
+  // jobs, a healthy sink, and room in its window (prefetch_depth
+  // admitted-but-not-yet-queued results) — a wedged sink's window saturates
+  // and its whole encode share flows to the healthy lanes.
   std::vector<std::pair<SinkLane*, std::size_t>> grants;
   {
     MutexLock lock(admit_mutex_);
@@ -385,8 +374,8 @@ void Daemon::admit_more() {
              l->next_submit < l->jobs.size() && l->in_window < window_depth;
     };
     while (admit_running_ < admit_budget_) {
-      std::size_t slot = admit_cycle_.pick(admittable);
-      if (slot == WeightedCycle::npos) break;
+      std::size_t slot = admit_cycle_.pick(epoch_lanes.size(), admittable);
+      if (slot == RoundRobin::npos) break;
       SinkLane* l = epoch_lanes_[slot];
       grants.emplace_back(l, l->next_submit++);
       ++l->in_window;
@@ -406,7 +395,7 @@ void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
     if (!msg) return;  // closed and drained
     pump(lane);       // space just freed: refill while we spend time on the wire
     admit_more();
-    // The lane's rate cap, paid here by every batch, the epoch's tail too.
+    // The lane_rate cap, paid here by every batch, the epoch's tail too.
     lane.pacer.pace();
     std::uint64_t nbytes = msg->message.size();
     obs::BatchTrace* tp = msg->trace.active() ? &msg->trace : nullptr;
@@ -449,12 +438,12 @@ bool Daemon::pipelined_epoch(const EpochPlan& plan,
   const std::size_t depth = std::max<std::size_t>(1, config_.prefetch_depth);
 
   // One lane per destination node with locally-owned batches (already in
-  // batch-id order — the deterministic wire order), carrying that node's QoS.
+  // batch-id order — the deterministic wire order).
   std::vector<std::unique_ptr<SinkLane>> lanes;
   for (auto& [node_id, batches] : local) {
     if (batches.empty()) continue;
     auto lane = std::make_unique<SinkLane>("node" + std::to_string(node_id), depth,
-                                           lane_qos_for(node_id));
+                                           config_.lane_rate);
     lane->node_id = node_id;
     lane->sink = sinks_.at(node_id).get();
     lane->jobs = std::move(batches);
@@ -463,7 +452,7 @@ bool Daemon::pipelined_epoch(const EpochPlan& plan,
   }
 
   // Register the epoch's lanes: with the stats registry (so a mid-epoch
-  // stats() sees them live) and with the DWRR admission cycle.
+  // stats() sees them live) and with admission.
   {
     MutexLock lock(lanes_mutex_);
     for (auto& lane : lanes) live_lanes_.push_back(lane.get());
@@ -471,14 +460,10 @@ bool Daemon::pipelined_epoch(const EpochPlan& plan,
   {
     MutexLock lock(admit_mutex_);
     epoch_lanes_.clear();
-    admit_cycle_ = WeightedCycle{};
+    admit_cycle_ = RoundRobin{};
     admit_running_ = 0;
     admit_window_depth_ = depth;
-    for (auto& lane : lanes) {
-      lane->cycle_slot = epoch_lanes_.size();
-      epoch_lanes_.push_back(lane.get());
-      admit_cycle_.add(lane->lane.qos().weight);
-    }
+    for (auto& lane : lanes) epoch_lanes_.push_back(lane.get());
   }
 
   {
@@ -520,9 +505,9 @@ bool Daemon::pipelined_epoch(const EpochPlan& plan,
       senders.emplace_back(
           [this, lane = lane.get(), epoch = plan.epoch] { sender_loop(*lane, epoch); });
     }
-    // Prime the pipeline: DWRR hands out the first budget's worth of encode
-    // jobs; every completion and every queued batch re-admits through the
-    // same weighted cycle.
+    // Prime the pipeline: admission hands out the first budget's worth of
+    // encode jobs; every completion and every queued batch re-admits through
+    // the same round-robin pick.
     admit_more();
     // Normal completion: each lane's flush closes its queue after the last
     // batch, and its sender exits once drained. (The guard re-joins, closes

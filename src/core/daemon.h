@@ -14,7 +14,7 @@
 // when the sink gathers (MessageSink::gathers). Finished messages are
 // re-sequenced into batch-id order and flow through the sink's bounded
 // prefetch lane; a dedicated sender thread drains the lane, paces the
-// lane's rate cap (if any) and PUSHes to the destination node's
+// lane_rate cap (if any) and PUSHes to the destination node's
 // MessageSink, which copies the spliced bytes only at its boundary.
 // Disk/encode and network are therefore concurrently busy — design
 // principle (1) — while the bounded lane plus the sink's high-water mark
@@ -65,16 +65,10 @@ struct DaemonConfig {
   /// Per-sink encoded-batch prefetch queue capacity — the paper's HWM. Also
   /// bounds how many encode jobs may be in flight per sink.
   std::size_t prefetch_depth = 16;
-  /// QoS descriptor applied to every sink lane (weighted-fair share,
-  /// optional items/sec rate cap paced before each send). Encode-pool
-  /// admission is deficit-weighted round-robin across the sink lanes, so a
-  /// node with weight W is guaranteed W / Σ weights of a contended encode
-  /// pool — and a stalled lane (full queue, no consumer) stops admitting
-  /// entirely, leaving its whole share to the healthy lanes. Per-lane wire
-  /// streams stay byte-identical and batch-id-ordered at every weight.
-  LaneQos default_lane_qos;
-  /// Per-destination-node overrides of default_lane_qos.
-  std::map<std::uint32_t, LaneQos> node_qos;
+  /// Rate cap of every sink lane in batches/sec, paced on its sender thread
+  /// before each send (common/lane.h RatePacer); 0 = none. Per-lane wire
+  /// streams stay byte-identical and batch-id-ordered at any cap.
+  std::uint64_t lane_rate = 0;
   /// Sample-cache byte budget. 0 (default) disables the cache; otherwise
   /// record payloads are kept in memory keyed by (shard, sample index), so
   /// warm epochs skip the shard read — and CRC verification — entirely
@@ -223,7 +217,6 @@ class Daemon {
   void sender_loop(SinkLane& lane, std::uint32_t epoch);
   msgpack::WireBatch build_batch(const BatchAssignment& assignment) const;
   void record_error(const std::string& what);
-  LaneQos lane_qos_for(std::uint32_t node_id) const;
 
   DaemonConfig config_;
   /// Stage-latency aggregation (histograms + slow-batch ring). Declared
@@ -256,16 +249,16 @@ class Daemon {
   std::string last_error_ EMLIO_GUARDED_BY(error_mutex_);
 
   // Encode-pool admission, all guarded by admit_mutex_:
-  // one DWRR cycle picks which sink lane gets the next encode job, bounded
-  // by a global running-job budget (2× the pool width, at least 4 — enough
-  // to keep every worker fed, small enough that the weighted choice decides
-  // encode share under contention) and a per-lane in-window cap
-  // (prefetch_depth: admitted but not yet queued). NEVER acquired while
-  // holding a lane's mu.
+  // a round-robin pick over the sink lanes hands out the next encode job,
+  // bounded by a global running-job budget (2× the pool width, at least 4 —
+  // enough to keep every worker fed, small enough that a stalled lane's
+  // saturated window leaves the pool to the others) and a per-lane
+  // in-window cap (prefetch_depth: admitted but not yet queued). NEVER
+  // acquired while holding a lane's mu.
   Mutex admit_mutex_;
   std::vector<SinkLane*> epoch_lanes_
       EMLIO_GUARDED_BY(admit_mutex_);  ///< live only while an epoch runs
-  WeightedCycle admit_cycle_ EMLIO_GUARDED_BY(admit_mutex_);
+  RoundRobin admit_cycle_ EMLIO_GUARDED_BY(admit_mutex_);
   std::size_t admit_budget_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
   std::size_t admit_running_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
   std::size_t admit_window_depth_ EMLIO_GUARDED_BY(admit_mutex_) = 0;

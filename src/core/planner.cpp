@@ -6,6 +6,17 @@
 
 namespace emlio::core {
 
+namespace {
+
+void check_config(const PlannerConfig& config) {
+  if (config.batch_size == 0) throw std::invalid_argument("planner: batch_size must be > 0");
+  if (config.threads_per_node == 0) {
+    throw std::invalid_argument("planner: threads_per_node must be > 0");
+  }
+}
+
+}  // namespace
+
 std::size_t NodePlan::total_batches() const {
   std::size_t n = 0;
   for (const auto& w : workers) n += w.batches.size();
@@ -39,13 +50,13 @@ Planner::Planner(const std::vector<tfrecord::ShardIndex>& shards, PlannerConfig 
     dataset_size_ += s.num_records();
     for (const auto& r : s.records) labels_[r.sample_index] = r.label;  // line 2
   }
-  if (config_.batch_size == 0) throw std::invalid_argument("planner: batch_size must be > 0");
+  check_config(config_);
 }
 
 Planner::Planner(std::vector<ShardMeta> shards, PlannerConfig config)
     : shards_(std::move(shards)), config_(config) {
   for (const auto& s : shards_) dataset_size_ += s.num_records;
-  if (config_.batch_size == 0) throw std::invalid_argument("planner: batch_size must be > 0");
+  check_config(config_);
 }
 
 EpochPlan Planner::plan_epoch(std::uint32_t epoch, std::size_t num_nodes) const {

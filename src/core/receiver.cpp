@@ -37,8 +37,8 @@ Receiver::Receiver(ReceiverConfig config, std::vector<std::unique_ptr<net::Messa
     if (!s) throw std::invalid_argument("receiver: null message source");
   }
 
-  // One ingest thread per source feeds that source's QoS lane; admission
-  // picks among the lanes weighted-fair, stamps arrival tickets and feeds
+  // One ingest thread per source feeds that source's lane; admission picks
+  // among the lanes round-robin, stamps arrival tickets and feeds
   // the decode pool under a bounded in-flight window (2× the pool width, at
   // least 4: enough parked results to keep every worker busy across
   // out-of-order completions, small enough that a stalled consumer stops
@@ -49,24 +49,16 @@ Receiver::Receiver(ReceiverConfig config, std::vector<std::unique_ptr<net::Messa
   const std::size_t depth = std::max<std::size_t>(config_.ingest_lane_depth, 1);
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     lanes_.push_back(
-        std::make_unique<SourceLane>("src" + std::to_string(i), depth, lane_qos_for_source(i)));
+        std::make_unique<SourceLane>("src" + std::to_string(i), depth, config_.lane_rate));
   }
   {
     MutexLock lock(window_mutex_);
-    for (const auto& l : lanes_) cycle_.add(l->lane.qos().weight);
     queued_.assign(lanes_.size(), 0);
     feeders_ = lanes_.size();
   }
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     threads_.emplace_back([this, src = sources_[i].get(), i] { ingest_loop(*src, i); });
   }
-}
-
-LaneQos Receiver::lane_qos_for_source(std::size_t index) const {
-  LaneQos qos = index < config_.source_qos.size() ? config_.source_qos[index]
-                                                  : config_.default_lane_qos;
-  qos.weight = std::max<std::uint32_t>(qos.weight, 1);
-  return qos;
 }
 
 Receiver::~Receiver() {
@@ -106,7 +98,7 @@ ReceiverStats Receiver::stats() const {
   counters_.load_into(s);
   // The consumer queue tracks its own high-water mark inside push — the old
   // per-delivery size() sample paid a second lock round-trip per batch.
-  s.queue_peak_depth = queue_.peak_depth();
+  s.queue_peak_depth = queue_.counts().peak_depth;
   s.pool_threads_current = decode_pool_->thread_count();
   s.lanes.reserve(lanes_.size());
   for (const auto& l : lanes_) s.lanes.push_back(l->lane.stats());
@@ -352,7 +344,7 @@ void adopt_batch_identity(obs::BatchTrace& trace, const msgpack::WireBatch& batc
 // ------------------------------------------------- ingest, admission, decode
 
 void Receiver::ingest_loop(net::MessageSource& source, std::size_t source_index) {
-  // Pull raw payloads off one source into its QoS lane. A full lane blocks
+  // Pull raw payloads off one source into its lane. A full lane blocks
   // here (Lane::push counts the per-lane enqueue stall), which blocks the
   // transport, which blocks that daemon — per-source backpressure that never
   // touches the other lanes.
@@ -366,7 +358,7 @@ void Receiver::ingest_loop(net::MessageSource& source, std::size_t source_index)
     // lane residency and any wait for a decode slot accrue to the "ingest"
     // stage, which ends at admission.
     if (tracer_.enabled()) in.trace.begin(obs::now_ns());
-    lane.pacer.pace();  // the source's rate cap; close() stops it
+    lane.pacer.pace();  // the lane_rate cap; close() stops it
     if (!push_and_admit(source_index, in)) {
       // Shutting down: the lane rejected a payload this thread already
       // pulled off the wire — without the count it would simply vanish
@@ -411,12 +403,11 @@ void Receiver::retire_feeder() {
 bool Receiver::admit_more(Retire retire, std::size_t pushed) {
   // Admission runs inline on whichever thread just changed its inputs: an
   // ingest thread that pushed, a decode completion that freed a slot, a
-  // feeder that left. Under window_mutex_ a WeightedCycle picks the next
-  // lane with a queued head — deficit-weighted round-robin, the pattern of
-  // Daemon::admit_more — pops it and stamps its arrival ticket while the
-  // window has room, one payload per pass. The ticket order IS the delivery
-  // order, so per-lane streams stay in arrival order at every weight; the
-  // cycle only decides how lanes interleave.
+  // feeder that left. Under window_mutex_ a RoundRobin picks the next lane
+  // with a queued head — the pattern of Daemon::admit_more — pops it and
+  // stamps its arrival ticket while the window has room, one payload per
+  // pass. The ticket order IS the delivery order, so per-lane streams stay
+  // in arrival order; the pick only decides how lanes interleave.
   bool apply = true;
   for (;;) {
     std::optional<Inbound> admitted;
@@ -447,7 +438,7 @@ bool Receiver::admit_more(Retire retire, std::size_t pushed) {
         // Local alias: pick() runs the predicate synchronously, under the
         // lock, but a lambda body is analyzed as a separate function.
         const auto& queued = queued_;
-        lane = cycle_.pick([&](std::size_t i) { return queued[i] > 0; });
+        lane = cycle_.pick(queued.size(), [&](std::size_t i) { return queued[i] > 0; });
         if (lane != kNoLane) {
           admitted = lanes_[lane]->lane.try_pop();
           EMLIO_DCHECK(admitted.has_value());

@@ -5,26 +5,26 @@
 // fan-in:
 //
 //   ingest threads           per-source         admission          decode workers
-//   (one per MessageSource)  QoS lanes          (inline: DWRR      (shared pool) ->
-//   pull raw payloads    --> (common/lane.h) -> over the lanes, -> Sequencer ->
-//                                               stamps tickets)    epoch reassembly
-//                                                                  -> BoundedQueue
+//   (one per MessageSource)  lanes              (inline: round-    (shared pool) ->
+//   pull raw payloads    --> (common/lane.h) -> robin over the  -> Sequencer ->
+//                                               lanes, stamps      epoch reassembly
+//                                               tickets)           -> BoundedQueue
 //
 // Each ingest thread pulls raw msgpack payloads off its own source — true
 // N-daemon fan-in runs N sources, not N streams muxed into one — paces the
-// source's rate cap (if any) and pushes each payload into that source's
-// bounded QoS lane. No thread sits between the lanes and the decode pool:
-// admission runs inline, the way the daemon admits encode jobs. After every
-// push and every decode completion, a WeightedCycle picks the next lane with
-// a queued head (deficit-weighted round-robin), pops it and stamps it with a
-// global arrival ticket while the in-flight decode window has room
+// lane_rate cap (if any) and pushes each payload into that source's bounded
+// lane. No thread sits between the lanes and the decode pool: admission
+// runs inline, the way the daemon admits encode jobs. After every push and
+// every decode completion, a RoundRobin picks the next lane with a queued
+// head, pops it and stamps it with a global arrival ticket while the
+// in-flight decode window has room
 // (backpressure: a slow decode stage fills the window, then the lanes, which
 // stops the ingest threads, the transport, and the daemons). Decode workers
 // deserialize out of order; a common::Sequencer restores ticket order and a
 // common::EpochSequencer applies the multi-sender end-of-epoch algebra
 // (sentinel/pending bookkeeping) before batches land in the bounded consumer
 // queue — delivery follows the admission order exactly at every pool width,
-// and per-lane delivery stays in arrival order at every weight. next() hands
+// and per-lane delivery stays in arrival order. next() hands
 // batches to the DALI-style pipeline's external_source.
 //
 // End-of-epoch detection: each serving daemon sends one sentinel per epoch;
@@ -69,17 +69,10 @@ struct ReceiverConfig {
   /// blocks its ingest thread — and through it the transport — without
   /// touching the other sources.
   std::size_t ingest_lane_depth = 8;
-  /// QoS applied to every source lane. Admission to the decode window picks
-  /// among the lanes deficit-weighted round-robin, so under fan-in
-  /// contention source i gets weight_i / Σ weights of the decode admissions
-  /// — a stalled or slow low-weight source cannot crowd out a high-weight
-  /// one beyond its share. A rate cap is paced on the source's ingest thread
-  /// before each push. Per-lane delivery stays in-arrival-order and
-  /// byte-identical at every weight.
-  LaneQos default_lane_qos;
-  /// Per-source overrides of default_lane_qos, indexed like `sources`.
-  /// Shorter than `sources` is fine: missing entries use the default.
-  std::vector<LaneQos> source_qos;
+  /// Rate cap of every source lane in payloads/sec, paced on the source's
+  /// ingest thread before each push (common/lane.h RatePacer); 0 = none.
+  /// Per-lane delivery stays in arrival order and byte-identical at any cap.
+  std::uint64_t lane_rate = 0;
   /// Per-batch stage tracing (src/obs): each received payload carries a
   /// stamp sheet through ingest → decode-wait → decode → resequence →
   /// deliver, folded into per-stage + end-to-end latency histograms
@@ -239,15 +232,15 @@ class Receiver {
 
   /// One source's ingest lane and the pacer that caps its rate at the push.
   struct SourceLane {
-    SourceLane(std::string name, std::size_t depth, LaneQos qos)
-        : lane(std::move(name), depth, qos), pacer(qos.rate_per_sec) {}
+    SourceLane(std::string name, std::size_t depth, std::uint64_t rate)
+        : lane(std::move(name), depth), pacer(rate) {}
     Lane<Inbound> lane;
     RatePacer pacer;
   };
   /// What an admit_more() call ends besides admitting: nothing, one feeder
   /// (an ingest thread or a note poster), or one admitted payload.
   enum class Retire : std::uint8_t { kNone, kFeeder, kDecode };
-  static constexpr std::size_t kNoLane = WeightedCycle::npos;
+  static constexpr std::size_t kNoLane = RoundRobin::npos;
 
   void ingest_loop(net::MessageSource& source, std::size_t source_index);
   /// Push `in` into source lane `source_index` and admit. false = the lane
@@ -263,7 +256,6 @@ class Receiver {
   /// A feeder's exit: retire it, and end the stream if it was the last
   /// thing the stream waited for.
   void retire_feeder();
-  LaneQos lane_qos_for_source(std::size_t index) const;
   void decode_job(std::uint64_t ticket, Inbound in);
   msgpack::WireBatch decode_payload(const Payload& payload, bool& error);
   void pump_delivery();
@@ -328,10 +320,10 @@ class Receiver {
   std::vector<std::unique_ptr<SourceLane>> lanes_;
 
   // Admission, all guarded by window_mutex_ (taken before a lane's own
-  // lock, never under it): one DWRR cycle over the source lanes, the
+  // lock, never under it): one round-robin pick over the source lanes, the
   // in-flight window, and the counts that tell when the stream is over.
   Mutex window_mutex_;
-  WeightedCycle cycle_ EMLIO_GUARDED_BY(window_mutex_);
+  RoundRobin cycle_ EMLIO_GUARDED_BY(window_mutex_);
   /// Per lane: items pushed and announced to admission, not yet popped
   /// (the lane may briefly hold more — a pusher between push and announce).
   std::vector<std::size_t> queued_ EMLIO_GUARDED_BY(window_mutex_);

@@ -98,8 +98,14 @@ void PullSocket::close() {
   }
   // A reader parked in recv on an idle peer wakes only when its stream is
   // shut down. Every stream is still open here: each is released only after
-  // its reader has been joined.
-  for (auto& r : readers) r->stream.shutdown();
+  // its reader has been joined, and released with a reset. A FIN is not
+  // enough: a reader caught mid-frame drains what is queued after the
+  // shutdown, no window update follows it, and a peer blocked on a zero
+  // window learns of the close only from a reset.
+  for (auto& r : readers) {
+    r->stream.reset_on_release();
+    r->stream.shutdown();
+  }
   for (auto& r : readers) r->thread.join();
 }
 

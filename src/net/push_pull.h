@@ -122,8 +122,8 @@ class PullSocket final : public MessageSource {
   std::optional<Payload> recv() override;
 
   /// Stops accepting, shuts every accepted connection down (so a reader
-  /// parked on an idle peer wakes, and that peer's next sends fail) and
-  /// joins the reader threads.
+  /// parked on an idle peer wakes), joins the reader threads and releases
+  /// each connection with a reset, so a peer blocked in send fails at once.
   void close() override;
 
   /// kDeadPeer when at least one inbound connection ended with a transport

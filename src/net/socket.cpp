@@ -150,6 +150,11 @@ void TcpStream::shutdown() noexcept {
   if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
 }
 
+void TcpStream::reset_on_release() noexcept {
+  const linger reset{1, 0};
+  if (fd_.valid()) ::setsockopt(fd_.get(), SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+}
+
 TcpListener::TcpListener(std::uint16_t port, int backlog) {
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) throw_errno("socket");

@@ -73,6 +73,10 @@ class TcpStream {
   /// descriptor once that thread is done.
   void shutdown() noexcept;
 
+  /// Make releasing the descriptor reset the connection (SO_LINGER {1, 0})
+  /// instead of closing it with a FIN, whatever is left unread or unsent.
+  void reset_on_release() noexcept;
+
   bool valid() const noexcept { return fd_.valid(); }
   int native_handle() const noexcept { return fd_.get(); }
 

@@ -385,6 +385,64 @@ TEST(BoundedQueue, ManyProducersManyConsumers) {
   EXPECT_EQ(sum.load(), static_cast<long>(n) * (n - 1) / 2);
 }
 
+/// Spin until `done()` or 5 s pass; the caller asserts on the result.
+template <typename Pred>
+void wait_until(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(BoundedQueue, TryCallsCountNoStall) {
+  BoundedQueue<int> q(1);
+  EXPECT_FALSE(q.try_pop().has_value());  // empty
+  EXPECT_TRUE(q.try_push(1));
+  EXPECT_FALSE(q.try_push(2));  // full
+  const auto c = q.counts();
+  EXPECT_EQ(c.enqueue_stalls, 0u);
+  EXPECT_EQ(c.dequeue_stalls, 0u);
+}
+
+TEST(BoundedQueue, BlockingCallsThatWaitCountOneStallEach) {
+  BoundedQueue<int> q(1);
+  ASSERT_TRUE(q.push(1));  // room: no stall
+  // A push that finds the queue full waits: one enqueue stall.
+  std::thread producer([&] { EXPECT_TRUE(q.push(2)); });
+  wait_until([&] { return q.counts().enqueue_stalls == 1; });
+  ASSERT_EQ(q.counts().enqueue_stalls, 1u);
+  EXPECT_EQ(q.pop().value(), 1);  // not empty: no stall
+  producer.join();
+  EXPECT_EQ(q.pop().value(), 2);
+  // A pop that finds the queue empty waits: one dequeue stall.
+  std::thread consumer([&] { EXPECT_EQ(q.pop().value(), 3); });
+  wait_until([&] { return q.counts().dequeue_stalls == 1; });
+  ASSERT_EQ(q.counts().dequeue_stalls, 1u);
+  ASSERT_TRUE(q.push(3));
+  consumer.join();
+  // Calls that return at once on a closed queue never wait.
+  q.close();
+  EXPECT_FALSE(q.push(4));
+  EXPECT_FALSE(q.pop().has_value());
+  const auto c = q.counts();
+  EXPECT_EQ(c.enqueue_stalls, 1u);
+  EXPECT_EQ(c.dequeue_stalls, 1u);
+  EXPECT_EQ(c.peak_depth, 1u);
+  EXPECT_TRUE(c.closed);
+}
+
+TEST(BoundedQueue, PopAndTryPopBothCountPops) {
+  BoundedQueue<int> q(4);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.push(i));
+  EXPECT_EQ(q.pop().value(), 0);
+  EXPECT_EQ(q.try_pop().value(), 1);
+  EXPECT_EQ(q.counts().pops, 2u);
+  q.close();
+  EXPECT_EQ(q.pop().value(), 2);  // a closed queue still drains, and counts
+  EXPECT_FALSE(q.try_pop().has_value());
+  EXPECT_EQ(q.counts().pops, 3u);
+}
+
 // ---------------------------------------------------------------- pool
 
 TEST(ThreadPool, ExecutesAllTasks) {

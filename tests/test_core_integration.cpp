@@ -256,10 +256,10 @@ TEST_F(CoreIntegrationTest, FixedWidthServiceDeliversCleanlyAndReportsStats) {
   receiver_keys["lanes"] = 'a';
   receiver_keys["latency"] = 'o';
   auto lane_keys = ints({"delivered_bytes", "delivered_items", "dequeue_stalls", "enqueue_stalls",
-                         "queue_peak_depth", "rate_per_sec", "weight"});
+                         "queue_peak_depth"});
   lane_keys["name"] = 's';
   lane_keys["closed"] = 'b';
-  ASSERT_EQ(lane_keys.size(), 9u);
+  ASSERT_EQ(lane_keys.size(), 7u);
   const std::map<std::string, char> stage_keys{
       {"count", 'i'}, {"p50", 'd'}, {"p95", 'd'}, {"p99", 'd'}, {"max", 'd'}};
 
@@ -280,11 +280,9 @@ TEST_F(CoreIntegrationTest, FixedWidthServiceDeliversCleanlyAndReportsStats) {
   // The leaves `--stats-interval` streams as-is rather than as deltas.
   const std::set<std::string> daemon_gauges{
       "pool_threads_current", "queue_peak_depth", "cache_resident_bytes",
-      "cache_resident_bytes_peak", "cache_entries", "weight", "rate_per_sec", "closed",
-      "p50", "p95", "p99", "max"};
+      "cache_resident_bytes_peak", "cache_entries", "closed", "p50", "p95", "p99", "max"};
   const std::set<std::string> receiver_gauges{
-      "pool_threads_current", "queue_peak_depth", "weight", "rate_per_sec",
-      "closed", "p50", "p95", "p99", "max"};
+      "pool_threads_current", "queue_peak_depth", "closed", "p50", "p95", "p99", "max"};
   EXPECT_EQ(gauges(stats.daemon), daemon_gauges);
   EXPECT_EQ(gauges(stats.receiver), receiver_gauges);
 }

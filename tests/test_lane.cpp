@@ -1,14 +1,12 @@
-// Tests for the shared QoS lane layer (common/lane.h): Lane queue/counter
-// semantics, the RatePacer token bucket, and the WeightedCycle DWRR core.
-// Weighted-fair admission across lanes is tested where it runs, at the
-// receiver (test_qos: the Receiver* admission tests). Runs in the TSan CI
-// job.
+// Tests for the shared lane layer (common/lane.h): Lane queue/counter
+// semantics, the RatePacer token bucket, and the RoundRobin admission
+// arbiter. Admission across lanes is tested where it runs, at the receiver
+// (test_qos: the Receiver* admission tests). Runs in the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <thread>
 #include <vector>
 
@@ -124,45 +122,32 @@ TEST(Lane, TryPopTakesTheHeadWithoutBlocking) {
   EXPECT_EQ(lane.stats().dequeue_stalls, 0u);
 }
 
-// ------------------------------------------------------------ WeightedCycle
+// --------------------------------------------------------------- RoundRobin
 
-TEST(WeightedCycle, BackloggedSharesFollowWeights) {
-  WeightedCycle cycle;
-  cycle.add(1);
-  cycle.add(4);
-  cycle.add(2);
-  std::map<std::size_t, int> served;
-  for (int i = 0; i < 7000; ++i) {
-    std::size_t s = cycle.pick([](std::size_t) { return true; });  // all backlogged
-    ASSERT_NE(s, WeightedCycle::npos);
-    ++served[s];
+TEST(RoundRobin, ServesEachReadySlotOncePerTurnAndSkipsTheRest) {
+  RoundRobin rr;
+  // All ready: 0, 1, 2, 0, 1, 2 — one pick per slot per turn.
+  std::vector<std::size_t> order;
+  for (int i = 0; i < 6; ++i) order.push_back(rr.pick(3, [](std::size_t) { return true; }));
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 0, 1, 2}));
+  // Slot 1 not ready: the turn skips it, without serving its neighbours
+  // twice in its place.
+  order.clear();
+  for (int i = 0; i < 4; ++i) {
+    order.push_back(rr.pick(3, [](std::size_t slot) { return slot != 1; }));
   }
-  // Shares converge to 1/7, 4/7, 2/7 — allow 5% absolute tolerance.
-  EXPECT_NEAR(served[0] / 7000.0, 1.0 / 7.0, 0.05);
-  EXPECT_NEAR(served[1] / 7000.0, 4.0 / 7.0, 0.05);
-  EXPECT_NEAR(served[2] / 7000.0, 2.0 / 7.0, 0.05);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 0, 2}));
+  // Slot 1 ready again: the next turn serves it.
+  EXPECT_EQ(rr.pick(3, [](std::size_t) { return true; }), 0u);
+  EXPECT_EQ(rr.pick(3, [](std::size_t) { return true; }), 1u);
 }
 
-TEST(WeightedCycle, IdleSlotForfeitsItsDeficit) {
-  WeightedCycle cycle;
-  cycle.add(8);
-  cycle.add(1);
-  // Slot 0 idles for a long stretch: slot 1 gets every pick.
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(cycle.pick([](std::size_t slot) { return slot == 1; }), 1u);
-  }
-  // Slot 0 returns: it must NOT have banked 100 picks worth of credit —
-  // its burst is bounded by ~2× its weight before slot 1 is served again.
-  int consecutive = 0;
-  while (cycle.pick([](std::size_t) { return true; }) == 0u) ++consecutive;
-  EXPECT_LE(consecutive, 16);
-}
-
-TEST(WeightedCycle, NothingReadyReturnsNpos) {
-  WeightedCycle cycle;
-  cycle.add(1);
-  cycle.add(1);
-  EXPECT_EQ(cycle.pick([](std::size_t) { return false; }), WeightedCycle::npos);
+TEST(RoundRobin, NothingReadyReturnsNpos) {
+  RoundRobin rr;
+  EXPECT_EQ(rr.pick(2, [](std::size_t) { return false; }), RoundRobin::npos);
+  EXPECT_EQ(rr.pick(0, [](std::size_t) { return true; }), RoundRobin::npos);
+  // A miss leaves the cursor where it was.
+  EXPECT_EQ(rr.pick(2, [](std::size_t) { return true; }), 0u);
 }
 
 }  // namespace

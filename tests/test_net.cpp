@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <pthread.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <numeric>
@@ -451,43 +454,88 @@ TEST(PushPull, PullCloseReturnsWhileConnectedPeerIsIdle) {
   EXPECT_TRUE(failed);
 }
 
+/// The kernel's state of `stream`'s connection (TCP_ESTABLISHED, TCP_CLOSE...).
+int tcp_state(const TcpStream& stream) {
+  tcp_info info{};
+  socklen_t len = sizeof info;
+  if (::getsockopt(stream.native_handle(), IPPROTO_TCP, TCP_INFO, &info, &len) != 0) return -1;
+  return info.tcpi_state;
+}
+
 TEST(PushPull, CloseResetsPeerBlockedOnFullWindow) {
   // A sender blocked on a zero receive window learns of close() only from a
-  // reset: a shutdown alone leaves it parked in sendmsg for good. close()
-  // must release each accepted descriptor with its unread bytes.
-  PullSocket pull(0, /*queue_capacity=*/1);
-  TcpStream client = TcpStream::connect("127.0.0.1", pull.port());
-  send_frame(client, msg({7}));
-  ASSERT_TRUE(pull.recv().has_value());  // accepted and read, whatever the design
+  // reset: a shutdown alone leaves it parked in sendmsg until the
+  // half-closed end times out. close() must reset every accepted stream,
+  // whatever its reader is doing.
+  //
+  // The reader is parked on the full queue, so bytes stay unread: the
+  // blocked send must fail.
+  {
+    PullSocket pull(0, /*queue_capacity=*/1);
+    TcpStream client = TcpStream::connect("127.0.0.1", pull.port());
+    send_frame(client, msg({7}));
+    ASSERT_TRUE(pull.recv().has_value());  // accepted and read, whatever the design
 
-  std::atomic<int> sent{0};
-  std::promise<void> failed;
-  auto send_failed = failed.get_future();
-  std::thread sender([&] {
-    const std::vector<std::uint8_t> frame(1024 * 1024, 0x42);
-    try {
-      for (;;) {
-        send_frame(client, frame);
-        ++sent;
+    std::atomic<int> sent{0};
+    std::promise<void> failed;
+    auto send_failed = failed.get_future();
+    std::thread sender([&] {
+      const std::vector<std::uint8_t> frame(1024 * 1024, 0x42);
+      try {
+        for (;;) {
+          send_frame(client, frame);
+          ++sent;
+        }
+      } catch (const std::exception&) {
+        failed.set_value();
       }
-    } catch (const std::exception&) {
-      failed.set_value();
+    });
+    // Nothing drains past the one-deep queue: wait for two quiet samples.
+    int prev = -1;
+    for (int spins = 0; spins < 500; ++spins) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      const int now = sent.load();
+      if (now == prev) break;
+      prev = now;
     }
-  });
-  // Nothing drains past the one-deep queue: wait for two quiet samples.
-  int prev = -1;
-  for (int spins = 0; spins < 500; ++spins) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const int now = sent.load();
-    if (now == prev) break;
-    prev = now;
+    pull.close();
+    const bool reset =
+        send_failed.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+    if (!reset) client.shutdown();  // fails the blocked send so the sender can be joined
+    sender.join();
+    EXPECT_TRUE(reset) << "a sender blocked on a full window survived PullSocket::close()";
   }
-  pull.close();
-  const bool reset =
-      send_failed.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
-  if (!reset) client.shutdown();  // fails the blocked send so the sender can be joined
-  sender.join();
-  EXPECT_TRUE(reset) << "a sender blocked on a full window survived PullSocket::close()";
+  // The reader is mid-frame: after close()'s shutdown it reads what is
+  // queued until EOF, so its stream is released with nothing unread, and a
+  // plain release sends no reset. The window the shutdown's FIN advertised
+  // then stays as it was (no window update follows a shutdown), so a peer
+  // that was blocked on a zero window stays parked. A peer that stops
+  // mid-frame makes the case deterministic: its connection must end reset
+  // (TCP_CLOSE), not merely half-closed (TCP_CLOSE_WAIT).
+  {
+    PullSocket pull(0, /*queue_capacity=*/1);
+    TcpStream client = TcpStream::connect("127.0.0.1", pull.port());
+    send_frame(client, msg({7}));
+    ASSERT_TRUE(pull.recv().has_value());
+
+    // Announce a 1 MiB frame and send half of its body.
+    std::vector<std::uint8_t> partial(kFrameHeaderBytes + 512 * 1024, 0x42);
+    const std::uint32_t magic = kFrameMagic;
+    const std::uint32_t length = 1024 * 1024;
+    std::memcpy(partial.data(), &magic, 4);
+    std::memcpy(partial.data() + 4, &length, 4);
+    client.send_all(partial);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // the reader takes it
+    pull.close();
+    int state = tcp_state(client);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (state != TCP_CLOSE && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      state = tcp_state(client);
+    }
+    EXPECT_EQ(state, TCP_CLOSE) << "a mid-frame reader's peer was not reset by close() (state "
+                                << state << "; " << TCP_CLOSE_WAIT << " = half-closed)";
+  }
 }
 
 // ---------------------------------------------------------------- sim link

@@ -161,6 +161,10 @@ TEST(Planner, RejectsInvalidConfig) {
   PlannerConfig cfg;
   cfg.batch_size = 0;
   EXPECT_THROW(Planner(shards({10}), cfg), std::invalid_argument);
+  PlannerConfig no_threads;
+  no_threads.threads_per_node = 0;  // plan_epoch would divide by it
+  EXPECT_THROW(Planner(shards({10}), no_threads), std::invalid_argument);
+  EXPECT_THROW(Planner(std::vector<tfrecord::ShardIndex>{}, no_threads), std::invalid_argument);
   PlannerConfig ok;
   Planner planner(shards({10}), ok);
   EXPECT_THROW(planner.plan_epoch(0, 0), std::invalid_argument);

@@ -1,9 +1,9 @@
-// QoS-layer integration tests: a wedged sink that fills only its own lane,
-// the per-lane stats breakdowns both engines now publish,
-// byte-identical per-lane delivery at every weight, rate caps paced at the
-// daemon's send, the receiver's inline weighted-fair admission across
-// source lanes (conservation, order, weight shares, pacing at the ingest
-// push, close), and the StatsStreamer flatten/delta machinery behind
+// Lane-layer integration tests: a wedged sink that fills only its own lane,
+// the per-lane stats breakdowns both engines publish, byte-identical
+// per-lane delivery with and without a rate cap, rate caps paced at the
+// daemon's send, the receiver's inline round-robin admission across source
+// lanes (conservation, order, stall counting, close while paced at the
+// ingest push), and the StatsStreamer flatten/delta machinery behind
 // --stats-interval. Runs in the TSan CI job.
 #include <gtest/gtest.h>
 
@@ -137,10 +137,15 @@ TEST_F(QosTest, WedgedSinkFillsOnlyItsOwnLane) {
     ASSERT_FALSE(batch->last);
     got1 += batch->samples.size();
   }
-  // Give the wedged lane's queue time to fill behind its parked sender.
+  // Give the wedged lane's queue time to fill behind its parked sender. Its
+  // first two batches may reach the queue before the sender pops either, so
+  // wait for the pop too.
   const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (daemon.stats().lanes.at(0).queue_peak_depth < dc.prefetch_depth &&
-         std::chrono::steady_clock::now() < deadline) {
+  auto parked = [&] {
+    const LaneStats lane = daemon.stats().lanes.at(0);
+    return lane.queue_peak_depth >= dc.prefetch_depth && lane.delivered_items >= 1;
+  };
+  while (!parked() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
   }
 
@@ -177,7 +182,7 @@ TEST_F(QosTest, WedgedSinkFillsOnlyItsOwnLane) {
 
 // ------------------------------------------------- per-lane stats breakdowns
 
-TEST_F(QosTest, DaemonLaneBreakdownCarriesQosAndAggregates) {
+TEST_F(QosTest, DaemonLaneBreakdownAggregates) {
   auto indexes = tfrecord::load_all_indexes(dir_.string());
   PlannerConfig pc;
   pc.batch_size = 8;
@@ -197,7 +202,6 @@ TEST_F(QosTest, DaemonLaneBreakdownCarriesQosAndAggregates) {
   DaemonConfig dc;
   dc.pool_threads = 2;
   dc.prefetch_depth = 2;  // small queue: force some enqueue stalls
-  dc.node_qos[1] = LaneQos{3, 0};
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, sink0}, {1u, sink1}};
   Daemon daemon(dc, readers(), sinks);
 
@@ -222,9 +226,6 @@ TEST_F(QosTest, DaemonLaneBreakdownCarriesQosAndAggregates) {
   ASSERT_EQ(stats.lanes.size(), 2u);
   EXPECT_EQ(stats.lanes[0].name, "node0");
   EXPECT_EQ(stats.lanes[1].name, "node1");
-  // QoS identity rides into the breakdown: default for node 0, override for 1.
-  EXPECT_EQ(stats.lanes[0].weight, 1u);
-  EXPECT_EQ(stats.lanes[1].weight, 3u);
   // Both lanes moved data (items and attributed wire bytes).
   std::uint64_t items = 0, enq = 0, deq = 0, peak = 0;
   for (const auto& lane : stats.lanes) {
@@ -247,14 +248,14 @@ TEST_F(QosTest, DaemonLaneBreakdownCarriesQosAndAggregates) {
   auto j = to_json(stats);
   ASSERT_TRUE(j.contains("lanes"));
   ASSERT_EQ(j.at("lanes").as_array().size(), 2u);
-  EXPECT_EQ(j.at("lanes").as_array()[1].at("weight").as_int(), 3);
+  EXPECT_EQ(j.at("lanes").as_array()[1].at("name").as_string(), "node1");
   r0.close();
   r1.close();
 }
 
 TEST_F(QosTest, ReceiverPerSourceLaneBreakdown) {
-  // Two daemons fan into one receiver; each source gets its own lane with
-  // its own QoS, and the breakdown reports per-source delivery.
+  // Two daemons fan into one receiver; each source gets its own lane, and
+  // the breakdown reports per-source delivery.
   auto indexes = tfrecord::load_all_indexes(dir_.string());
   ASSERT_EQ(indexes.size(), 3u);
   PlannerConfig pc;
@@ -270,8 +271,6 @@ TEST_F(QosTest, ReceiverPerSourceLaneBreakdown) {
   ReceiverConfig rc;
   rc.num_senders = 2;
   rc.decode_threads = 2;
-  rc.source_qos = {LaneQos{4, 0},
-                   LaneQos{1, 0}};
   std::vector<std::unique_ptr<net::MessageSource>> ins;
   ins.push_back(std::move(ch0.source));
   ins.push_back(std::move(ch1.source));
@@ -320,8 +319,6 @@ TEST_F(QosTest, ReceiverPerSourceLaneBreakdown) {
   ASSERT_EQ(stats.lanes.size(), 2u);
   EXPECT_EQ(stats.lanes[0].name, "src0");
   EXPECT_EQ(stats.lanes[1].name, "src1");
-  EXPECT_EQ(stats.lanes[0].weight, 4u);
-  EXPECT_EQ(stats.lanes[1].weight, 1u);
   std::uint64_t lane_items = 0;
   for (const auto& lane : stats.lanes) {
     EXPECT_GT(lane.delivered_items, 0u) << lane.name;
@@ -350,15 +347,15 @@ TEST_F(QosTest, SingleSourceReceiverHasOneLane) {
   receiver.close();
 }
 
-// --------------------------------------- byte-identical delivery at any QoS
+// ---------------------------------------- byte-identical delivery at any cap
 
-TEST_F(QosTest, WeightsNeverChangePerLaneStreamContent) {
-  // Same plan, same seed, radically different QoS splits: each node's
-  // decoded stream must be byte-for-byte identical across configurations —
-  // weights shift WHEN a lane is served, never WHAT it carries or in what
-  // order. (The per-sink resequencer pins batch-id order; the receivers'
-  // resequencer restores arrival order after the decode pool.)
-  auto capture = [&](LaneQos q0, LaneQos q1) {
+TEST_F(QosTest, RateCapNeverChangesPerLaneStreamContent) {
+  // Same plan, same seed, uncapped and rate-capped: each node's decoded
+  // stream must be byte-for-byte identical across both — a cap shifts WHEN
+  // a lane is served, never WHAT it carries or in what order. (The per-sink
+  // resequencer pins batch-id order; the receivers' resequencer restores
+  // arrival order after the decode pool.)
+  auto capture = [&](std::uint64_t lane_rate) {
     auto indexes = tfrecord::load_all_indexes(dir_.string());
     PlannerConfig pc;
     pc.batch_size = 4;
@@ -378,8 +375,7 @@ TEST_F(QosTest, WeightsNeverChangePerLaneStreamContent) {
     DaemonConfig dc;
     dc.pool_threads = 3;    // pooled encode: order must still be pinned
     dc.prefetch_depth = 2;  // and backpressure exercised
-    dc.node_qos[0] = q0;
-    dc.node_qos[1] = q1;
+    dc.lane_rate = lane_rate;
     std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks{{0u, sink0}, {1u, sink1}};
     Daemon daemon(dc, readers(), sinks);
     std::thread serve([&] {
@@ -416,16 +412,14 @@ TEST_F(QosTest, WeightsNeverChangePerLaneStreamContent) {
     return std::make_pair(std::move(s0), std::move(s1));
   };
 
-  auto a = capture(LaneQos{1, 0}, LaneQos{4, 0});
-  auto b = capture(LaneQos{4, 0}, LaneQos{1, 0});
-  auto c = capture(LaneQos{1, 200},  // rate-capped lane
-                   LaneQos{1, 0});
-  ASSERT_GT(a.first.size(), 0u);
-  ASSERT_GT(a.second.size(), 0u);
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
-  EXPECT_EQ(a.first, c.first);
-  EXPECT_EQ(a.second, c.second);
+  auto uncapped = capture(0);
+  // 40 batches/s: a burst of 2, so each node's 6 batches mostly wait for
+  // tokens — the cap really paces.
+  auto capped = capture(40);
+  ASSERT_GT(uncapped.first.size(), 0u);
+  ASSERT_GT(uncapped.second.size(), 0u);
+  EXPECT_EQ(uncapped.first, capped.first);
+  EXPECT_EQ(uncapped.second, capped.second);
 }
 
 // ------------------------------------------------ daemon rate caps at the send
@@ -485,7 +479,7 @@ TEST_F(QosTest, DaemonRateCapPacesTheEpochTail) {
   ASSERT_GE(shard.num_records(), kBatches);
   DaemonConfig dc;  // prefetch_depth 16: the whole epoch fits in the lane
   dc.pool_threads = 2;
-  dc.default_lane_qos.rate_per_sec = kRate;
+  dc.lane_rate = kRate;
   const auto r = serve_single_record_batches(shard, kBatches, dc);
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.batches_sent, kBatches);
@@ -509,7 +503,7 @@ TEST_F(QosTest, DaemonFailedLaneStopsPacingAtOnce) {
   DaemonConfig dc;
   dc.verify_crc = true;
   dc.pool_threads = 2;
-  dc.default_lane_qos.rate_per_sec = 2;  // burst 1, then one batch per 0.5 s
+  dc.lane_rate = 2;  // burst 1, then one batch per 0.5 s
   const auto r = serve_single_record_batches(shard, kBatches, dc);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("CRC"), std::string::npos) << r.error;
@@ -574,9 +568,9 @@ struct CountingSource final : net::MessageSource {
 std::uint64_t source_of(const msgpack::WireBatch& b) { return b.batch_id / kIdStride; }
 
 TEST(ReceiverAdmission, RandomizedConservationAndPerSourceOrder) {
-  // Random source counts, weights, lane depths, pool widths and payload
-  // counts: every payload is delivered exactly once, each source's payloads
-  // in the order the source sent them, whatever the weights.
+  // Random source counts, lane depths, pool widths and payload counts:
+  // every payload is delivered exactly once, each source's payloads in the
+  // order the source sent them.
   std::mt19937 rng(20250808);
   for (int round = 0; round < 5; ++round) {
     const std::size_t nsources = 2 + rng() % 4;
@@ -588,7 +582,6 @@ TEST(ReceiverAdmission, RandomizedConservationAndPerSourceOrder) {
     std::vector<std::size_t> counts;
     std::vector<std::unique_ptr<net::MessageSource>> sources;
     for (std::size_t i = 0; i < nsources; ++i) {
-      rc.source_qos.push_back(LaneQos{static_cast<std::uint32_t>(1 + rng() % 8), 0});
       counts.push_back(rng() % 401);  // skewed: some sources send little or nothing
       sources.push_back(std::make_unique<CountingSource>(static_cast<std::uint32_t>(i), counts[i],
                                                          /*sentinel=*/true, /*hold_open=*/false));
@@ -620,46 +613,6 @@ TEST(ReceiverAdmission, RandomizedConservationAndPerSourceOrder) {
           << "round " << round << " source " << i;
     }
   }
-}
-
-TEST(ReceiverAdmission, BackloggedSourcesSplitAdmissionsByWeight) {
-  // Decode width 1 and a one-batch consumer queue keep the window tiny.
-  // Nothing is consumed until both source lanes are full, and each lane
-  // holds more than its share of the deliveries, so every admission after
-  // that picks between two backlogs however the ingest threads are
-  // scheduled: weights 4:1 must split the deliveries 0.8 / 0.2.
-  constexpr std::size_t kDepth = 512, kDeliveries = 400, kPerSource = 1000;
-  ReceiverConfig rc;
-  rc.num_senders = 2;
-  rc.decode_threads = 1;
-  rc.queue_capacity = 1;
-  rc.ingest_lane_depth = kDepth;
-  rc.source_qos = {LaneQos{4, 0}, LaneQos{1, 0}};
-  std::vector<std::unique_ptr<net::MessageSource>> sources;
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    sources.push_back(
-        std::make_unique<CountingSource>(i, kPerSource, /*sentinel=*/false, /*hold_open=*/true));
-  }
-  Receiver receiver(rc, std::move(sources));
-
-  auto both_full = [&] {
-    const auto lanes = receiver.stats().lanes;
-    return lanes[0].queue_peak_depth == kDepth && lanes[1].queue_peak_depth == kDepth;
-  };
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (!both_full() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_TRUE(both_full()) << "the source lanes never backed up";
-
-  std::size_t heavy = 0;
-  for (std::size_t i = 0; i < kDeliveries; ++i) {
-    auto b = receiver.next();
-    ASSERT_TRUE(b.has_value());
-    if (source_of(*b) == 0) ++heavy;
-  }
-  EXPECT_NEAR(static_cast<double>(heavy) / kDeliveries, 0.8, 0.05);
-  receiver.close();
 }
 
 TEST(ReceiverAdmission, DecodeStallsCountEachWaitingPayloadOnce) {
@@ -694,78 +647,51 @@ TEST(ReceiverAdmission, DecodeStallsCountEachWaitingPayloadOnce) {
   EXPECT_GE(stalls, kPayloads - 10) << "payloads waited for a slot uncounted";
 }
 
-/// Two sources that hold their streams open: source 0 capped at 1
-/// payload/s with `capped` payloads, source 1 uncapped with `free`.
-struct ThrottledPair {
-  CountingSource* capped = nullptr;
-  CountingSource* free = nullptr;
-  std::unique_ptr<Receiver> receiver;
-};
-
-ThrottledPair throttled_pair(std::size_t capped, std::size_t free) {
+TEST(ReceiverAdmission, CloseDuringThrottleIsPromptAndBalanced) {
+  // Every source lane is capped at 1 payload/s: each ingest thread delivers
+  // its burst token, then waits on its pacer with its second payload in
+  // hand. close() must release both at once (not when the next tokens
+  // mature, 1 s later) and the payloads in hand must be counted as drops.
   ReceiverConfig rc;
   rc.num_senders = 2;
   rc.decode_threads = 2;
-  rc.source_qos = {LaneQos{1, 1}, LaneQos{1, 0}};
-  auto src0 = std::make_unique<CountingSource>(0, capped, /*sentinel=*/false, /*hold_open=*/true);
-  auto src1 = std::make_unique<CountingSource>(1, free, /*sentinel=*/false, /*hold_open=*/true);
-  ThrottledPair rig;
-  rig.capped = src0.get();
-  rig.free = src1.get();
+  rc.lane_rate = 1;
+  CountingSource* src[2] = {};
   std::vector<std::unique_ptr<net::MessageSource>> sources;
-  sources.push_back(std::move(src0));
-  sources.push_back(std::move(src1));
-  rig.receiver = std::make_unique<Receiver>(rc, std::move(sources));
-  return rig;
-}
-
-TEST(ReceiverAdmission, RateCappedSourceDoesNotHoldBackOthers) {
-  // The cap is paced on the capped source's own ingest thread, before its
-  // push: nothing throttled ever sits in a lane or the window, so the
-  // uncapped source's 50 payloads arrive at once, not at 1/s.
-  constexpr std::size_t kFree = 50;
-  auto rig = throttled_pair(/*capped=*/10, kFree);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t free_got = 0;
-  while (free_got < kFree) {
-    auto b = rig.receiver->next();
-    ASSERT_TRUE(b.has_value());
-    if (source_of(*b) == 1) ++free_got;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    auto s = std::make_unique<CountingSource>(i, 10, /*sentinel=*/false, /*hold_open=*/true);
+    src[i] = s.get();
+    sources.push_back(std::move(s));
   }
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s);
-  rig.receiver->close();
-}
-
-TEST(ReceiverAdmission, CloseDuringThrottleIsPromptAndBalanced) {
-  // The capped source's ingest thread waits on its pacer with a payload in
-  // hand; close() must release it at once (not when the next token
-  // matures, 1 s later) and the payload must be counted as a drop.
-  constexpr std::size_t kFree = 8;
-  auto rig = throttled_pair(/*capped=*/10, kFree);
+  auto receiver = std::make_unique<Receiver>(rc, std::move(sources));
   std::size_t delivered = 0;
-  std::size_t free_got = 0, capped_got = 0;
-  while (free_got < kFree || capped_got < 1) {  // the capped source's burst token
-    auto b = rig.receiver->next();
+  std::size_t got[2] = {0, 0};
+  while (got[0] < 1 || got[1] < 1) {  // each source's burst token
+    auto b = receiver->next();
     ASSERT_TRUE(b.has_value());
-    ++(source_of(*b) == 1 ? free_got : capped_got);
+    ASSERT_LT(source_of(*b), 2u);
+    ++got[source_of(*b)];
     ++delivered;
   }
   const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (rig.capped->handed.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+  while ((src[0]->handed.load() < 2 || src[1]->handed.load() < 2) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
   }
-  ASSERT_EQ(rig.capped->handed.load(), 2u) << "the capped source is not pacing its second payload";
+  for (const CountingSource* s : src) {
+    ASSERT_EQ(s->handed.load(), 2u) << "a source is not pacing its second payload";
+  }
 
   const auto t0 = std::chrono::steady_clock::now();
-  rig.receiver->close();
-  while (rig.receiver->next()) ++delivered;
+  receiver->close();
+  while (receiver->next()) ++delivered;
   // Everything pulled off the wire is delivered or counted as dropped,
-  // including the payload in the paced thread's hand.
+  // including the payloads in the paced threads' hands.
   ReceiverStats stats;
   std::size_t pulled = 0;
   do {
-    stats = rig.receiver->stats();
-    pulled = rig.capped->handed.load() + rig.free->handed.load();
+    stats = receiver->stats();
+    pulled = src[0]->handed.load() + src[1]->handed.load();
     if (delivered + stats.dropped_on_close == pulled) break;
     std::this_thread::sleep_for(1ms);
   } while (std::chrono::steady_clock::now() - t0 < 5s);
@@ -773,7 +699,7 @@ TEST(ReceiverAdmission, CloseDuringThrottleIsPromptAndBalanced) {
   EXPECT_EQ(delivered + stats.dropped_on_close, pulled)
       << "delivered=" << delivered << " dropped=" << stats.dropped_on_close;
   EXPECT_GE(stats.dropped_on_close, 1u);
-  rig.receiver.reset();  // joins the ingest threads
+  receiver.reset();  // joins the ingest threads
   EXPECT_LT(std::chrono::steady_clock::now() - t0, 500ms);
 }
 

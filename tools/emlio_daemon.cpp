@@ -9,7 +9,7 @@
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-slab-mb 4]
 //       [--batch 128] [--epochs 1] [--streams 2] [--hwm 16]
 //       [--pool 0] [--prefetch 16] [--seed 1234]
-//       [--lane-weight 1] [--lane-rate 0]
+//       [--lane-rate 0]
 //       [--cache-mb 0] [--cache-policy clock|lru]
 //       [--retry-max 1] [--retry-deadline 0]
 //       [--stats-json PATH] [--stats-interval SECS]
@@ -40,9 +40,8 @@
 // --cache-mb gives the sample cache a byte budget (0 = off): record payloads
 // stay resident across epochs so warm epochs skip shard reads entirely;
 // --cache-policy picks its eviction policy. --seed sets the planner's
-// shuffle seed. --lane-weight/--lane-rate set the QoS descriptor applied to
-// every sink lane (weight is its DWRR share of a contended encode pool, rate
-// an items/sec cap at the sender edge). --stats-json dumps the final
+// shuffle seed. --lane-rate caps every sink lane at N batches/sec, paced on
+// its sender thread before each send (0 = none). --stats-json dumps the final
 // DaemonStats (throughput + pipeline + cache + per-lane counters) as a JSON
 // file at exit, so harnesses read structured results instead of scraping
 // stdout; --stats-interval streams per-window DaemonStats deltas to stdout
@@ -81,7 +80,6 @@ int main(int argc, char** argv) {
   std::uint64_t retry_deadline_ms = 0;
   std::uint32_t epochs = 1;
   std::uint64_t seed = 1234;
-  std::size_t lane_weight = 1;
   std::uint64_t lane_rate = 0;
   double stats_interval = 0.0;
   bool trace = false, trace_wire = false;
@@ -104,7 +102,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--pool")) pool = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--prefetch")) prefetch = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--seed")) seed = std::strtoull(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--lane-weight")) lane_weight = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--lane-rate")) lane_rate = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--cache-mb")) cache_mb = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--cache-policy")) cache_policy = next();
@@ -122,7 +119,7 @@ int main(int argc, char** argv) {
                            "[--batch B] [--epochs E] [--streams S] "
                            "[--hwm SLABS (shm only)] "
                            "[--pool WIDTH] [--prefetch D] [--seed N] "
-                           "[--lane-weight W] [--lane-rate N] "
+                           "[--lane-rate N] "
                            "[--cache-mb MB] [--cache-policy clock|lru] "
                            "[--retry-max N] [--retry-deadline MS] "
                            "[--stats-json PATH] [--stats-interval SECS] "
@@ -136,7 +133,6 @@ int main(int argc, char** argv) {
                  cache_policy.c_str());
     return 2;
   }
-  if (lane_weight == 0) lane_weight = 1;  // same clamp the library applies
   if (data.empty()) {
     std::fprintf(stderr, "emlio_daemon: --data is required\n");
     return 2;
@@ -204,8 +200,7 @@ int main(int argc, char** argv) {
     dc.prefetch_depth = prefetch;
     dc.cache_bytes = cache_mb << 20;
     dc.cache_policy = *policy;
-    dc.default_lane_qos.weight = static_cast<std::uint32_t>(lane_weight);
-    dc.default_lane_qos.rate_per_sec = lane_rate;
+    dc.lane_rate = lane_rate;
     if (!trace_dump.empty()) trace = true;  // a dump without tracing is empty
     dc.trace = trace;
     dc.trace_ring = trace_ring;

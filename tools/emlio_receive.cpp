@@ -5,7 +5,7 @@
 //   emlio_receive --port 5555 [--senders 1] [--epochs 1] [--expected N]
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-wait-ms 10000]
 //       [--decode-threads 0]
-//       [--lane-weight 1] [--lane-rate 0]
+//       [--lane-rate 0]
 //       [--retry-max 1] [--retry-deadline 0]
 //       [--stats-json PATH] [--stats-interval SECS]
 //       [--trace] [--trace-ring 16] [--trace-dump PATH]
@@ -29,12 +29,10 @@
 //
 // --decode-threads sets the width of the receiver's decode pool, fixed for
 // the run (0 = auto, the same rule as emlio_daemon --pool).
-// --lane-weight/--lane-rate set the QoS descriptor applied to
-// every source ingest lane (admission to the decode window picks among the
-// source lanes DWRR; rate is an items/sec cap paced before each push into
-// the lane). --stats-json dumps
-// the final ReceiverStats (throughput + decode-pipeline + per-lane counters)
-// as a JSON file at exit, same contract as emlio_daemon --stats-json;
+// --lane-rate caps every source ingest lane at N payloads/sec, paced before
+// each push into the lane (0 = none). --stats-json dumps the final
+// ReceiverStats (throughput + decode-pipeline + per-lane counters) as a JSON
+// file at exit, same contract as emlio_daemon --stats-json;
 // --stats-interval streams per-window ReceiverStats deltas to stdout as tsdb
 // line protocol while the run is live.
 // --trace stamps every batch through ingest → decode-wait → decode →
@@ -72,7 +70,6 @@ int main(int argc, char** argv) {
   std::size_t retry_max = 1;
   std::uint64_t retry_deadline_ms = 0;
   std::string stats_json;
-  std::size_t lane_weight = 1;
   std::uint64_t lane_rate = 0;
   double stats_interval = 0.0;
   bool trace = false;
@@ -92,7 +89,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--expected")) expected = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--decode-threads")) decode_threads = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--stats-json")) stats_json = next();
-    else if (!std::strcmp(argv[i], "--lane-weight")) lane_weight = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--lane-rate")) lane_rate = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--retry-max")) retry_max = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--retry-deadline")) retry_deadline_ms = std::strtoull(next(), nullptr, 10);
@@ -105,15 +101,13 @@ int main(int argc, char** argv) {
                    "usage: emlio_receive --port P [--senders N] [--epochs E] [--expected N] "
                    "[--transport tcp|shm] [--shm-name NAME] [--shm-wait-ms MS] "
                    "[--decode-threads WIDTH] "
-                   "[--lane-weight W] [--lane-rate N] "
+                   "[--lane-rate N] "
                    "[--retry-max N] [--retry-deadline MS] "
                    "[--stats-json PATH] [--stats-interval SECS] "
                    "[--trace] [--trace-ring K] [--trace-dump PATH]\n");
       return 2;
     }
   }
-  if (lane_weight == 0) lane_weight = 1;  // same clamp the library applies
-
   const bool use_shm = transport == "shm";
   if (!use_shm && transport != "tcp") {
     std::fprintf(stderr, "emlio_receive: unknown --transport '%s' (expected tcp or shm)\n",
@@ -186,8 +180,7 @@ int main(int argc, char** argv) {
     core::ReceiverConfig rc;
     rc.num_senders = senders;
     rc.decode_threads = decode_threads;
-    rc.default_lane_qos.weight = static_cast<std::uint32_t>(lane_weight);
-    rc.default_lane_qos.rate_per_sec = lane_rate;
+    rc.lane_rate = lane_rate;
     if (!trace_dump.empty()) trace = true;  // a dump without tracing is empty
     rc.trace = trace;
     rc.trace_ring = trace_ring;

@@ -36,7 +36,7 @@ int main() {
       if (kind == eval::LoaderKind::kEmlio) {
         // Model the pipelined storage engine the real daemon now runs:
         // a read+encode pool wider than the single SendWorker, feeding a
-        // bounded per-sink prefetch queue (DaemonConfig::pool_threads /
+        // bounded per-sink lane (DaemonConfig::pool_threads /
         // ::prefetch_depth).
         cfg.params.emlio_pool_threads = 4;
         cfg.params.emlio_prefetch_depth = 16;

@@ -1,5 +1,6 @@
 // Pool-width sweep for the daemon's storage-side engine (shared read+encode
-// pool → per-sink bounded prefetch queues → one dedicated sender per sink):
+// pool → per-sink reorder buffers, bounded by the admission window → one
+// dedicated sender per sink):
 // the same epoch served at encode-pool widths 1, 2 and 4.
 //
 // Topology: 6 shards, 2 compute nodes (2 sinks per daemon), full dataset per

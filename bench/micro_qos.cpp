@@ -13,13 +13,20 @@
 //      faster than its cap allows.
 //
 //   2. Isolation (needs ≥4 cores): node A runs ISOLATED (baseline: the
-//      encode pool works for it alone) and CONTENDED with a sibling whose
+//      encode pool works for it alone) and CONTENDED with a sibling B whose
 //      consumer is deliberately parked until A finishes, over 7 alternating
-//      rounds. The stalled lane's admission window caps what it holds of
-//      the pool, so node A must complete its full stream at a median ≥80 %
-//      of its isolated throughput (per-round ratios). The pre-lane engine
-//      fails this: pool threads pile up against the stalled lane's full
-//      queue and node A starves. FAILS (exit 1) below the 80 % floor.
+//      rounds. B's stream is as long as A's, but its admission window
+//      saturates within A's first pass over the dataset: B's receiver,
+//      link and daemon lane then hold all they can, and the pool works for
+//      A alone. So A's clock starts at the end of that first pass, and runs
+//      over the rest of A's stream (11 more passes, ~0.3 s on a 4-vCPU
+//      host). Node A's throughput over that stretch must be at a median
+//      ≥80 % of its isolated throughput over the same stretch (per-round
+//      ratios), and A's delivered batch sequence (ids, sample indices,
+//      labels and sizes; phase 1 checks the bytes) must not change when B
+//      appears. FAILS (exit 1) below the 80 % floor. An engine whose
+//      admission ignores the window fails it: B keeps half the pool and A
+//      runs at about half speed.
 //
 // Below 4 cores phase 2 is meaningless (the pool, both senders and both
 // consumers share a core or two), so the bench prints an explicit SKIP,
@@ -51,32 +58,50 @@ using namespace emlio;
 namespace {
 
 struct QosRun {
-  double a_seconds = 0.0;  ///< t0 → node A's last data sample delivered
+  double a_seconds = 0.0;  ///< node A's clock → its last data sample delivered
   core::DaemonStats stats;
-  std::vector<msgpack::WireBatch> streams[2];  ///< full delivery per node
+  std::vector<msgpack::WireBatch> streams[2];  ///< full delivery per node (keep_streams)
+  std::uint64_t a_digest = 14695981039346656037ull;  ///< node A's batch sequence, hashed
 };
 
-/// Serve `epochs` full-dataset epochs through the pipelined engine with CRC
-/// on (encode is the narrow stage over a fast wire), every sink lane capped
-/// at `lane_rate` batches/s (0 = none). Node A (id 0) always drains at full
-/// speed and is timed to its last data sample. When `with_b`, node B (id 1)
-/// exists; with `stall_b` its consumer is parked until A finishes —
-/// receiver buffers, wire HWM and B's sink lane all fill and B's admission
-/// window saturates, the deliberately stalled tenant — then it drains fast
-/// so the run can finish.
-QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes, const core::Planner& planner,
-               std::uint32_t epochs, std::uint64_t samples_per_epoch, bool with_b,
-               std::uint64_t lane_rate, bool stall_b) {
+/// FNV-1a over a delivered batch's identity: epoch, id, marker flag, and
+/// each sample's index, label and size.
+void fold(std::uint64_t& h, const msgpack::WireBatch& b) {
+  auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  mix(b.epoch);
+  mix(b.batch_id);
+  mix(b.last ? 1 : 0);
+  for (const auto& s : b.samples) {
+    mix(s.index);
+    mix(static_cast<std::uint64_t>(s.label));
+    mix(s.bytes.size());
+  }
+}
+
+/// Serve `plans` in order through the pipelined engine with CRC on (real
+/// encode cost per record over a fast wire), every sink lane capped at
+/// `lane_rate` batches/s (0 = none). Node A (id 0) always drains at full
+/// speed; its clock starts at t0, or once it has received `clock_batch`
+/// data batches, and stops at its last data sample. Node B (id 1) exists
+/// when the plans have a second node; with `stall_b` its consumer is parked
+/// until A finishes — receiver buffers, wire HWM and B's sink lane all fill
+/// and B's admission window saturates, the deliberately stalled tenant —
+/// then it drains fast so the run can finish. `keep_streams` keeps every
+/// delivered batch; node A's digest is always taken.
+QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes,
+               const std::vector<core::EpochPlan>& plans, std::uint64_t lane_rate, bool stall_b,
+               std::uint64_t clock_batch, bool keep_streams) {
   net::SimLinkConfig link;
   link.rtt_ms = 0.0;
-  link.bandwidth_bytes_per_sec = 5e9;  // fast wire: encode is the narrow stage
-  const int nodes = with_b ? 2 : 1;
+  link.bandwidth_bytes_per_sec = 5e9;  // fast wire: encode has little headroom over it
+  const std::size_t nodes = plans.front().nodes.size();
+  const bool with_b = nodes == 2;
   std::shared_ptr<net::MessageSink> sinks[2];
   std::unique_ptr<core::Receiver> recv[2];
   core::ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = 16;
-  for (int n = 0; n < nodes; ++n) {
+  for (std::size_t n = 0; n < nodes; ++n) {
     auto ch = net::make_sim_channel(link);
     sinks[n] = std::shared_ptr<net::MessageSink>(std::move(ch.sink));
     recv[n] = std::make_unique<core::Receiver>(rc, std::move(ch.source));
@@ -95,25 +120,31 @@ QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes, const core::Pla
   core::Daemon daemon(dc, std::move(readers), dsinks);
 
   QosRun r;
-  const std::uint64_t a_expected = static_cast<std::uint64_t>(epochs) * samples_per_epoch;
+  std::uint64_t a_expected = 0;
+  for (const auto& plan : plans) a_expected += plan.nodes.front().total_samples();
   std::atomic<bool> a_done{false};
   auto t0 = std::chrono::steady_clock::now();
   std::thread serve([&] {
-    for (std::uint32_t e = 0; e < epochs; ++e) {
-      if (!daemon.serve_epoch(planner.plan_epoch(e, nodes))) break;
+    for (const auto& plan : plans) {
+      if (!daemon.serve_epoch(plan)) break;
     }
-    for (int n = 0; n < nodes; ++n) sinks[n]->close();
+    for (std::size_t n = 0; n < nodes; ++n) sinks[n]->close();
   });
   std::thread a_drain([&] {
-    std::uint64_t got = 0;
+    std::uint64_t got = 0, batches = 0;
+    auto start = t0;
     while (auto b = recv[0]->next()) {
-      if (!b->last) got += b->samples.size();
+      if (!b->last) {
+        got += b->samples.size();
+        if (++batches == clock_batch) start = std::chrono::steady_clock::now();
+      }
       if (got >= a_expected && !a_done.load(std::memory_order_relaxed)) {
         r.a_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
         a_done.store(true, std::memory_order_relaxed);
       }
-      r.streams[0].push_back(std::move(*b));
+      fold(r.a_digest, *b);
+      if (keep_streams) r.streams[0].push_back(std::move(*b));
     }
   });
   std::thread b_drain([&] {
@@ -125,13 +156,37 @@ QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes, const core::Pla
       while (!a_done.load(std::memory_order_relaxed))
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    while (auto b = recv[1]->next()) r.streams[1].push_back(std::move(*b));
+    while (auto b = recv[1]->next()) {
+      if (keep_streams) r.streams[1].push_back(std::move(*b));
+    }
   });
   serve.join();
   a_drain.join();
   b_drain.join();
   r.stats = daemon.stats();
   return r;
+}
+
+/// Epoch 0 of `planner` over `nodes` nodes, with each node's batches
+/// repeated `passes` times over: the same records under fresh batch ids,
+/// so a stream runs long enough to time while the dataset stays small.
+core::EpochPlan repeated_plan(const core::Planner& planner, std::size_t nodes,
+                              std::uint32_t passes) {
+  core::EpochPlan plan = planner.plan_epoch(0, nodes);
+  for (auto& node : plan.nodes) {
+    for (auto& worker : node.workers) {
+      const std::vector<core::BatchAssignment> pass = worker.batches;
+      std::uint64_t stride = 0;
+      for (const auto& b : pass) stride = std::max(stride, b.batch_id + 1);
+      for (std::uint32_t p = 1; p < passes; ++p) {
+        for (auto b : pass) {
+          b.batch_id += p * stride;
+          worker.batches.push_back(b);
+        }
+      }
+    }
+  }
+  return plan;
 }
 
 // ------------------------------------------------- phase 1: delivery contract
@@ -155,9 +210,10 @@ bool run_contract_phase() {
   constexpr std::uint64_t kRate = 100;
   const std::uint64_t lane_batches = (spec.num_samples + pc.batch_size - 1) / pc.batch_size;
   const double min_paced_s = pc.epochs * (lane_batches - kRate / 20.0) / kRate;
+  const std::vector<core::EpochPlan> plans{planner.plan_epoch(0, 2), planner.plan_epoch(1, 2)};
   auto run = [&](std::uint64_t lane_rate) {
-    return run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/true, lane_rate,
-                   /*stall_b=*/false);
+    return run_qos(indexes, plans, lane_rate, /*stall_b=*/false, /*clock_batch=*/0,
+                   /*keep_streams=*/true);
   };
   auto uncapped = run(0);
   auto capped = run(kRate);
@@ -219,15 +275,16 @@ int main() {
   const bool assert_ratio = gate.assert_timing;
 
   // ------------------------------------------------------ phase 2: isolation
-  // CRC-on encode of 64 KB samples over a fast wire: the encode pool is the
-  // narrow stage, so admission share is what decides each node's throughput.
+  // CRC-on encode of 64 KB samples over a fast wire: the encode pool has
+  // little headroom over the wire, so admission share decides each node's
+  // throughput (a B that kept half the pool would cost A a third or more).
   // One epoch only: serve_epoch is a barrier, so with multiple epochs the
   // fast node would idle at every boundary waiting for the stalled node's
   // tail — serialization the isolation claim is not about.
   auto dir = fs::temp_directory_path() / "emlio_micro_qos";
   fs::remove_all(dir);
-  auto spec = workload::presets::tiny(3072, 64 * 1024);
-  workload::materialize_tfrecord(spec, dir.string(), /*num_shards=*/6);
+  auto spec = workload::presets::tiny(2048, 64 * 1024);
+  workload::materialize_tfrecord(spec, dir.string(), /*num_shards=*/4);
   auto indexes = tfrecord::load_all_indexes(dir.string());
   core::PlannerConfig pc;
   pc.batch_size = 16;
@@ -237,31 +294,36 @@ int main() {
   core::Planner planner(indexes, pc);
   // Warm the page cache so both runs read from memory.
   for (const auto& idx : indexes) tfrecord::ShardReader(idx).verify_all();
+  // Each stream is 12 passes over the dataset; node A's clock starts after
+  // the first, once a stalled B has saturated its window.
+  constexpr std::uint32_t kPasses = 12;
+  const std::uint64_t pass_batches = (spec.num_samples + pc.batch_size - 1) / pc.batch_size;
+  const std::vector<core::EpochPlan> isolated_plan{repeated_plan(planner, 1, kPasses)};
+  const std::vector<core::EpochPlan> contended_plan{repeated_plan(planner, 2, kPasses)};
 
-  std::printf("micro_qos: isolation phase — %zu shards, %llu samples x %u epochs, B=%zu, "
-              "CRC on, pool=4, %u cores\n",
-              indexes.size(), static_cast<unsigned long long>(planner.dataset_size()),
-              pc.epochs, pc.batch_size, cores);
+  std::printf("micro_qos: isolation phase — %zu shards, %llu samples x %u passes, B=%zu, "
+              "A timed from batch %llu, CRC on, pool=4, %u cores\n",
+              indexes.size(), static_cast<unsigned long long>(planner.dataset_size()), kPasses,
+              pc.batch_size, static_cast<unsigned long long>(pass_batches), cores);
 
   // Alternating rounds (bench::run_pair), gated on the median per-round
-  // ratio: a single ~0.2 s run per side swings by up to 2× on a host whose
-  // speed drifts.
+  // ratio: single rounds still swing on a host whose speed drifts.
   constexpr int kRounds = 7;
   std::vector<double> isolated_s, contended_s, ratios;
   QosRun isolated, contended;
   for (int round = 0; round < kRounds; ++round) {
     auto run_isolated = [&] {
-      isolated = run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/false,
-                         /*lane_rate=*/0, /*stall_b=*/false);
+      isolated = run_qos(indexes, isolated_plan, /*lane_rate=*/0, /*stall_b=*/false,
+                         pass_batches, /*keep_streams=*/false);
     };
     auto run_contended = [&] {
-      contended = run_qos(indexes, planner, pc.epochs, spec.num_samples, /*with_b=*/true,
-                          /*lane_rate=*/0, /*stall_b=*/true);
+      contended = run_qos(indexes, contended_plan, /*lane_rate=*/0, /*stall_b=*/true,
+                          pass_batches, /*keep_streams=*/false);
     };
     bench::run_pair(round, run_isolated, run_contended);
     // Contract inside the measured phase too: A's stream must not change
     // when a stalled sibling appears.
-    if (isolated.streams[0] != contended.streams[0]) {
+    if (isolated.a_digest != contended.a_digest) {
       std::fprintf(stderr, "micro_qos: FAIL — node A's stream changed between isolated and "
                            "contended runs\n");
       fs::remove_all(dir);
@@ -276,7 +338,8 @@ int main() {
   const auto iso = bench::spread(isolated_s);
   const auto con = bench::spread(contended_s);
   const auto ratio = bench::spread(ratios);
-  std::printf("  isolated  : median %.3f s (min %.3f, max %.3f) to node A's last sample\n",
+  std::printf("  isolated  : median %.3f s (min %.3f, max %.3f) from node A's clock batch to "
+              "its last sample\n",
               iso.median, iso.min, iso.max);
   std::printf("  contended : median %.3f s (min %.3f, max %.3f) with a stalled sibling\n",
               con.median, con.min, con.max);

@@ -3,17 +3,17 @@
 //
 // The paper relies on ZeroMQ's high-water mark (HWM=16) to make storage-side
 // workers "naturally back off when compute-side queues are full" (§4.5).
-// The TCP pull socket's shared queue, the receiver's consumer queue, the
-// DALI-style pipeline's prefetch buffer and the engines' per-sink and
-// per-source lanes (common/lane.h, a named BoundedQueue) are instances of
-// this class, so backpressure propagates from the GPU all the way to the
-// disk.
+// The TCP pull socket's shared queue, the receiver's consumer queue and its
+// per-source lanes (common/lane.h, a named BoundedQueue), and the DALI-style
+// pipeline's prefetch buffer are instances of this class; the daemon's
+// per-sink admission window caps its side the same way. Backpressure thus
+// propagates from the GPU all the way to the disk.
 //
 // The queue counts what its lanes report — pops, blocking pushes that found
 // it full, blocking pops that found it empty, peak occupancy — as plain
 // fields inside the critical sections push and pop already take; counts()
-// reads them under the same lock. try_push/try_pop never wait, so they count
-// no stall.
+// reads them under the same lock. try_pop never waits, so it counts no
+// stall.
 #pragma once
 
 #include <cstddef>
@@ -64,20 +64,6 @@ class BoundedQueue {
   /// Blocking push of an rvalue. Same contract: on rejection the referenced
   /// object keeps its value (only accepted items are moved from).
   bool push(T&& item) { return push(static_cast<T&>(item)); }
-
-  /// Non-blocking push. Returns false when full or closed; `item` keeps its
-  /// value on rejection (same recovery contract as push). Counts no stall.
-  bool try_push(T& item) {
-    {
-      MutexLock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      push_locked(item);
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  bool try_push(T&& item) { return try_push(static_cast<T&>(item)); }
 
   /// Blocking pop. Empty optional means the queue was closed and drained.
   /// An empty queue at entry counts one dequeue stall.

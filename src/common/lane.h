@@ -1,11 +1,14 @@
 // Shared lane layer: the per-lane pieces both staged engines build on.
 //
-// The daemon's per-sink prefetch lanes and the receiver's per-source ingest
-// lanes are the same thing: a Lane<T>, i.e. a BoundedQueue (rejected pushes
-// leave the item with the caller; pops, stalls and peak depth counted
-// inside the queue's own critical sections) with a name and the bytes its
-// consumer attributes to it. Lanes carry no weights: as with ZeroMQ's
-// high-water mark in the paper (§4.5), a lane's only back-off is its bound.
+// A lane is one stream's bounded stretch of an engine, counted per lane.
+// The receiver's per-source ingest lanes are Lane<T>s, i.e. a BoundedQueue
+// (rejected pushes leave the item with the caller; pops, stalls and peak
+// depth counted inside the queue's own critical sections) with a name and
+// the bytes its consumer attributes to it. The daemon's per-sink lane has
+// no queue of its own: its reorder buffer is the lane (core/daemon.cpp),
+// and it reports the same LaneStats. Lanes carry no weights: as with
+// ZeroMQ's high-water mark in the paper (§4.5), a lane's only back-off is
+// its bound.
 //
 // Beside the lane sit two small pieces:
 //
@@ -24,14 +27,13 @@
 //                    Each engine paces at one edge: the daemon's sender
 //                    thread before each send, the receiver's ingest thread
 //                    before each push. Every item is paced, an epoch's tail
-//                    included, and no queued item is ever throttled, so a
+//                    included, and no waiting item is ever throttled, so a
 //                    capped lane never holds back an arbiter. stop() ends
 //                    the pacing at once (shutdown, a failed lane).
 //
 // Counter convention: the queue's counters are plain fields under its
-// mutex; a lane's attributed bytes and noted stalls are relaxed atomics
-// (obs/metrics.h). Locking discipline is machine-checked
-// (common/thread_annotations.h).
+// mutex; a lane's attributed bytes are a relaxed atomic (obs/metrics.h).
+// Locking discipline is machine-checked (common/thread_annotations.h).
 #pragma once
 
 #include <algorithm>
@@ -56,27 +58,15 @@ namespace emlio {
   M(std::uint64_t, delivered_bytes, kCounter) /* bytes the consumer attributed to it */ \
   M(std::uint64_t, enqueue_stalls, kCounter)  /* producer found the lane full */        \
   M(std::uint64_t, dequeue_stalls, kCounter)  /* consumer found the lane empty */       \
-  M(std::uint64_t, queue_peak_depth, kGauge)  /* max occupancy seen (inside push) */    \
+  M(std::uint64_t, queue_peak_depth, kGauge)  /* max occupancy seen, as items enter */  \
   M(bool, closed, kGauge)
 
-/// Point-in-time per-lane counters, snapshot by Lane::stats() and surfaced
-/// as the `lanes` array of DaemonStats/ReceiverStats.
+/// Point-in-time per-lane counters, snapshot by Lane::stats() (and by the
+/// daemon's sink lanes) and surfaced as the `lanes` array of
+/// DaemonStats/ReceiverStats.
 struct LaneStats {
   EMLIO_METRICS(EMLIO_LANE_STATS)
 };
-
-/// Fold `add` into `into` — counters sum, peaks max, the name comes from
-/// `add` when `into` is fresh. Used when an engine retires a lane into its
-/// lifetime per-destination totals.
-inline void accumulate(LaneStats& into, const LaneStats& add) {
-  if (into.name.empty()) into.name = add.name;
-  into.delivered_items += add.delivered_items;
-  into.delivered_bytes += add.delivered_bytes;
-  into.enqueue_stalls += add.enqueue_stalls;
-  into.dequeue_stalls += add.dequeue_stalls;
-  into.queue_peak_depth = std::max(into.queue_peak_depth, add.queue_peak_depth);
-  into.closed = add.closed;
-}
 
 /// Round-robin admission arbiter. See the header comment.
 class RoundRobin {
@@ -108,10 +98,6 @@ class Lane : public BoundedQueue<T> {
   Lane(std::string name, std::size_t capacity)
       : BoundedQueue<T>(capacity), name_(std::move(name)) {}
 
-  /// Producer-side stall with caller-owned dedup: try_push counts none, so
-  /// a caller that retries it (the daemon's pump, once per head batch)
-  /// counts its own.
-  void note_enqueue_stall() { noted_stalls_.fetch_add(1, std::memory_order_relaxed); }
   /// The lane cannot know T's wire size; the consumer attributes bytes.
   void add_delivered_bytes(std::uint64_t n) {
     delivered_bytes_.fetch_add(n, std::memory_order_relaxed);
@@ -123,7 +109,7 @@ class Lane : public BoundedQueue<T> {
     s.name = name_;
     s.delivered_items = counts.pops;
     s.delivered_bytes = delivered_bytes_.load(std::memory_order_relaxed);
-    s.enqueue_stalls = counts.enqueue_stalls + noted_stalls_.load(std::memory_order_relaxed);
+    s.enqueue_stalls = counts.enqueue_stalls;
     s.dequeue_stalls = counts.dequeue_stalls;
     s.queue_peak_depth = counts.peak_depth;
     s.closed = counts.closed;
@@ -133,7 +119,6 @@ class Lane : public BoundedQueue<T> {
  private:
   const std::string name_;
   std::atomic<std::uint64_t> delivered_bytes_{0};
-  std::atomic<std::uint64_t> noted_stalls_{0};
 };
 
 /// Token bucket pacing one edge at `rate_per_sec` items/sec, with a burst

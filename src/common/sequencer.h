@@ -5,7 +5,8 @@
 // bookkeeping buried inside their hosts:
 //
 //   * the daemon's per-sink lane re-sequences encode-pool completions into
-//     batch-id order before the sender drains them (Daemon::pump), and
+//     batch-id order, and its sender pops them straight out of the reorder
+//     buffer (the lane has no other queue), and
 //   * the receiver re-sequences decode-pool completions into arrival order,
 //     then reassembles per-sender epoch streams (sentinels can overtake data
 //     on parallel transports) before batches reach the consumer queue.

@@ -1,6 +1,7 @@
 #include "core/daemon.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -10,39 +11,88 @@
 
 namespace emlio::core {
 
-/// Per-sink pipeline lane: the locally-owned assignments for one destination
-/// node (sorted by batch_id), a re-sequencer for out-of-order encode
-/// completions, and the shared-lane prefetch queue its sender thread drains.
-/// The queue/stall/peak machinery that used to live here IS the common
-/// Lane<T> now; what remains is the daemon-specific glue around it.
+/// One sink's lane, built at construction and kept for the daemon's life.
+/// Its only queue is its reorder buffer: encode jobs park their results in
+/// it in any order, and the epoch's sender thread pops them in jobs[] (=
+/// batch-id) order straight out of it — the same common::Sequencer the
+/// receiver's decode pool uses, so the wire stream stays deterministic.
 struct Daemon::SinkLane {
-  SinkLane(std::string name, std::size_t depth, std::uint64_t rate)
-      : lane(std::move(name), depth), pacer(rate) {}
+  SinkLane(std::uint32_t id, net::MessageSink* s)
+      : node_id(id), sink(s), name("node" + std::to_string(id)) {}
 
-  std::uint32_t node_id = 0;
-  net::MessageSink* sink = nullptr;
-  std::vector<BatchAssignment> jobs;  ///< sorted by batch_id; read-only
-  /// Bounded prefetch queue + per-lane counters.
-  Lane<OutboundBatch> lane;
-  /// The lane_rate cap, paced on the sender thread before each send;
-  /// stopped when the lane fails so what is queued drains at once.
-  RatePacer pacer;
+  const std::uint32_t node_id;
+  net::MessageSink* const sink;
+  const std::string name;
+
+  // Per-epoch state, reset by serve_epoch while no thread runs on the lane.
+  std::vector<BatchAssignment> jobs;  ///< sorted by batch_id; read-only while the epoch runs
+  /// The lane_rate cap, paced on the sender thread before each send. Fresh
+  /// each epoch; a failed encode stops it so the ready batches leave at once.
+  std::optional<RatePacer> pacer;
   std::atomic<bool> failed{false};
-  std::atomic<std::uint64_t>* counter = nullptr;  ///< sentinel accounting
 
-  // Re-sequencer state, guarded by mu: encode jobs finish out of order but
-  // the queue is fed strictly in jobs[] order so the wire stream stays
-  // deterministic (the same common::Sequencer the receiver's decode pool
-  // uses). pump() is the only consumer.
-  Mutex mu;
-  Sequencer<OutboundBatch> resequencer
-      EMLIO_GUARDED_BY(mu);  ///< seq → encoded result, in order
-  std::uint64_t stall_seq EMLIO_GUARDED_BY(mu) =
-      UINT64_MAX;  ///< last seq counted as an enqueue stall
+  mutable Mutex mu;
+  CondVar head_ready;  ///< the buffer's head became poppable, or the lane closed
+  Sequencer<OutboundBatch> reorder EMLIO_GUARDED_BY(mu);
+  bool closed EMLIO_GUARDED_BY(mu) = true;  ///< no epoch runs on the lane
+  // Lifetime counters: plain fields inside the critical sections put and
+  // pop already take, and relaxed atomics for the two counted outside them.
+  std::uint64_t popped EMLIO_GUARDED_BY(mu) = 0;
+  std::uint64_t sender_stalls EMLIO_GUARDED_BY(mu) = 0;
+  std::uint64_t peak EMLIO_GUARDED_BY(mu) = 0;
+  std::atomic<std::uint64_t> delivered_bytes{0};
+  std::atomic<std::uint64_t> enqueue_stalls{0};
 
-  // Admission bookkeeping, guarded by Daemon::admit_mutex_ (NOT mu):
+  // Admission bookkeeping, guarded by Daemon::admit_mutex_ (NOT mu), reset
+  // with the per-epoch state:
   std::size_t next_submit = 0;  ///< next jobs[] index to hand to the pool
-  std::size_t in_window = 0;    ///< admitted but not yet queued (≤ window)
+  std::size_t unpopped = 0;     ///< admitted but not yet popped (≤ the window)
+
+  /// Park job `seq`'s result; wakes the sender when it is the head.
+  void put(std::size_t seq, OutboundBatch out) {
+    bool head;
+    {
+      MutexLock lock(mu);
+      head = reorder.put(seq, std::move(out));
+      peak = std::max<std::uint64_t>(peak, reorder.parked());
+    }
+    if (head) head_ready.notify_one();
+  }
+
+  /// The next batch in batch-id order, waiting for its encode to park it.
+  /// nullopt ends the sender's epoch: the last job was popped, the head is a
+  /// failed encode, or the lane closed with no head ready.
+  std::optional<OutboundBatch> pop() {
+    MutexLock lock(mu);
+    if (reorder.next() == jobs.size()) return std::nullopt;
+    if (!reorder.front() && !closed) ++sender_stalls;
+    while (!reorder.front() && !closed) head_ready.wait(mu);
+    const OutboundBatch* head = reorder.front();
+    if (!head || head->message.size() == 0) return std::nullopt;
+    ++popped;
+    return reorder.pop_front();
+  }
+
+  void close() {
+    {
+      MutexLock lock(mu);
+      closed = true;
+    }
+    head_ready.notify_all();
+  }
+
+  LaneStats stats() const {
+    LaneStats s;
+    s.name = name;
+    s.delivered_bytes = delivered_bytes.load(std::memory_order_relaxed);
+    s.enqueue_stalls = enqueue_stalls.load(std::memory_order_relaxed);
+    MutexLock lock(mu);
+    s.delivered_items = popped;
+    s.dequeue_stalls = sender_stalls;
+    s.queue_peak_depth = peak;
+    s.closed = closed;
+    return s;
+  }
 };
 
 Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
@@ -55,6 +105,9 @@ Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
   for (auto& r : readers) {
     std::uint32_t id = r.index().shard_id;
     readers_.emplace(id, std::move(r));
+  }
+  for (const auto& [node_id, sink] : sinks_) {
+    lanes_.push_back(std::make_unique<SinkLane>(node_id, sink.get()));
   }
   if (config_.cache_bytes > 0) {
     cache::SampleCacheConfig cc;
@@ -71,7 +124,10 @@ Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
   // window saturated, leaves the pool to the healthy lanes.
   MutexLock lock(admit_mutex_);
   admit_budget_ = std::max<std::size_t>(4, 2 * encode_pool_->thread_count());
+  admit_window_ = std::max<std::size_t>(1, config_.prefetch_depth);
 }
+
+Daemon::~Daemon() = default;
 
 std::vector<std::uint32_t> Daemon::shard_ids() const {
   std::vector<std::uint32_t> out;
@@ -85,24 +141,15 @@ DaemonStats Daemon::stats() const {
   const BufferPool::Stats heads = pool_->stats();
   s.encode_pool_reused = heads.reused;
   s.encode_pool_allocated = heads.allocated;
-  {
-    // Per-node lane breakdown: completed epochs (lane_totals_) plus any live
-    // epoch's lanes, folded per destination node. The flat stall/peak fields
-    // are the aggregates of these — the lanes array is now the source of
-    // truth, not a parallel set of global atomics.
-    MutexLock lock(lanes_mutex_);
-    std::map<std::uint32_t, LaneStats> agg = lane_totals_;
-    for (const SinkLane* lane : live_lanes_) {
-      accumulate(agg[lane->node_id], lane->lane.stats());
-    }
-    s.lanes.reserve(agg.size());
-    for (auto& [node_id, lane_stats] : agg) {
-      (void)node_id;
-      s.enqueue_stalls += lane_stats.enqueue_stalls;
-      s.sender_stalls += lane_stats.dequeue_stalls;
-      s.queue_peak_depth = std::max(s.queue_peak_depth, lane_stats.queue_peak_depth);
-      s.lanes.push_back(std::move(lane_stats));
-    }
+  // One row per sink (lanes_ never changes); the flat stall/peak fields
+  // are their aggregates.
+  s.lanes.reserve(lanes_.size());
+  for (const auto& lane : lanes_) {
+    LaneStats row = lane->stats();
+    s.enqueue_stalls += row.enqueue_stalls;
+    s.sender_stalls += row.dequeue_stalls;
+    s.queue_peak_depth = std::max(s.queue_peak_depth, row.queue_peak_depth);
+    s.lanes.push_back(std::move(row));
   }
   for (const auto& [id, sink] : sinks_) {
     (void)id;
@@ -278,8 +325,8 @@ void Daemon::encode_job(SinkLane& lane, std::size_t seq) {
       // Encode into a pooled head: small samples are copied into it; for a
       // sink that gathers, large ones are spliced in by reference and first
       // copied by the sink at its boundary. The message moves through the
-      // queue and sink copy-free and the head recycles when the transport
-      // drops it.
+      // reorder buffer and sink copy-free and the head recycles when the
+      // transport drops it.
       {
         obs::StageTimer enc(tp, obs::Stage::kEncode);
         out.message = lane.sink->gathers() ? msgpack::BatchCodec::encode_spliced(batch, *pool_)
@@ -290,96 +337,46 @@ void Daemon::encode_job(SinkLane& lane, std::size_t seq) {
       record_error("encode worker (node " + std::to_string(lane.node_id) + ", batch " +
                    std::to_string(lane.jobs[seq].batch_id) + "): " + e.what());
       lane.failed.store(true, std::memory_order_release);
+      lane.pacer->stop();  // the batches before this one leave unpaced
     }
   }
-
-  // Park the result and pump: the ready prefix moves to the queue in
-  // batch-id order, space permitting. Never blocks this pool thread.
-  {
-    MutexLock lock(lane.mu);
-    lane.resequencer.put(seq, std::move(out));
-  }
-  pump(lane);
-  {
-    MutexLock lock(admit_mutex_);
-    --admit_running_;
-  }
-  admit_more();  // the freed budget slot goes to the next admittable lane
+  // Park the result, failed or not (the sequence must stay dense). Never
+  // blocks this pool thread: the window bounds what a lane can park.
+  lane.put(seq, std::move(out));
+  admit_more(/*job_done=*/true, nullptr);  // the freed budget slot goes to the next lane
 }
 
-void Daemon::pump(SinkLane& lane) {
-  // Move the ready prefix of finished results into the prefetch lane (in
-  // batch-id order), space permitting. Called by encode workers (a result
-  // just parked) and by the sender (space just freed). Strictly NON-BLOCKING:
-  // when this lane's queue is full, the batch stays parked — so a
-  // backpressured sink idles only its own lane (≤ window parked results) and
-  // the shared pool keeps serving the other sinks. The §4.5 back-off is the
-  // stopped admission (in_window stays saturated, so admit_more skips this
-  // lane), not a blocked thread.
-  std::size_t pushed = 0;
-  {
-    MutexLock lock(lane.mu);
-    if (lane.failed.load(std::memory_order_acquire)) {
-      lane.lane.close();  // abort: sender (if alive) drains then exits,
-      lane.pacer.stop();  // unpaced
-      return;
-    }
-    while (OutboundBatch* head = lane.resequencer.front()) {
-      if (!lane.lane.try_push(*head)) {
-        if (lane.lane.closed()) {
-          // Sender closed the lane (sink gone); drop the epoch's remainder.
-          lane.failed.store(true, std::memory_order_release);
-          return;
-        }
-        // Queue full: disk/encode outran the wire. Count once per batch
-        // (try_push leaves stall accounting to us — this dedup).
-        if (lane.stall_seq != lane.resequencer.next()) {
-          lane.stall_seq = lane.resequencer.next();
-          lane.lane.note_enqueue_stall();
-        }
-        break;
-      }
-      lane.resequencer.pop_front();  // try_push moved the value out of *head
-      ++pushed;
-    }
-    if (lane.resequencer.next() == lane.jobs.size()) {
-      lane.lane.close();  // all queued: sender drains then exits
-    }
-  }
-  if (pushed > 0) {
-    // Queued batches leave the admission window (lock order: lane.mu was
-    // released above — admit_mutex_ is never taken under a lane lock).
-    MutexLock lock(admit_mutex_);
-    lane.in_window -= std::min(lane.in_window, pushed);
-  }
-}
-
-void Daemon::admit_more() {
-  // Hand out encode jobs round-robin across the epoch's lanes, up to the
-  // global in-flight budget. A lane is admittable while it has unsubmitted
-  // jobs, a healthy sink, and room in its window (prefetch_depth
-  // admitted-but-not-yet-queued results) — a wedged sink's window saturates
-  // and its whole encode share flows to the healthy lanes.
+void Daemon::admit_more(bool job_done, SinkLane* popped) {
+  // Hand out encode jobs round-robin across the lanes, up to the global
+  // in-flight budget. A lane is admittable while it has unsubmitted jobs, a
+  // healthy sink, and room in its window (prefetch_depth batches admitted
+  // but not yet popped) — a wedged sink's window saturates and its whole
+  // encode share flows to the healthy lanes.
   std::vector<std::pair<SinkLane*, std::size_t>> grants;
   {
     MutexLock lock(admit_mutex_);
-    if (epoch_lanes_.empty()) return;
+    if (job_done) --admit_running_;
+    if (popped) --popped->unpopped;
     // Local aliases: the lambda body is analyzed as a separate function, but
     // it only ever runs synchronously below, under admit_mutex_.
-    auto& epoch_lanes = epoch_lanes_;
-    const std::size_t window_depth = admit_window_depth_;
+    const auto& lanes = lanes_;
+    const std::size_t window = admit_window_;
     auto admittable = [&](std::size_t slot) {
-      SinkLane* l = epoch_lanes[slot];
-      return !l->failed.load(std::memory_order_acquire) &&
-             l->next_submit < l->jobs.size() && l->in_window < window_depth;
+      const SinkLane& l = *lanes[slot];
+      return !l.failed.load(std::memory_order_acquire) && l.next_submit < l.jobs.size() &&
+             l.unpopped < window;
     };
     while (admit_running_ < admit_budget_) {
-      std::size_t slot = admit_cycle_.pick(epoch_lanes.size(), admittable);
+      std::size_t slot = admit_cycle_.pick(lanes.size(), admittable);
       if (slot == RoundRobin::npos) break;
-      SinkLane* l = epoch_lanes_[slot];
-      grants.emplace_back(l, l->next_submit++);
-      ++l->in_window;
+      SinkLane& l = *lanes[slot];
+      grants.emplace_back(&l, l.next_submit++);
       ++admit_running_;
+      // A window that fills with jobs left makes the lane's next admission
+      // wait for a pop: one enqueue stall per wait.
+      if (++l.unpopped == window && l.next_submit < l.jobs.size()) {
+        l.enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
   for (auto& [l, seq] : grants) {
@@ -388,154 +385,54 @@ void Daemon::admit_more() {
 }
 
 void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
-  for (;;) {
-    // Lane::pop counts the dequeue stall (empty at entry: the wire outran
-    // disk/encode).
-    auto msg = lane.lane.pop();
-    if (!msg) return;  // closed and drained
-    pump(lane);       // space just freed: refill while we spend time on the wire
-    admit_more();
+  std::uint64_t sent = 0;
+  while (auto msg = lane.pop()) {
+    admit_more(/*job_done=*/false, &lane);  // a window slot just freed
     // The lane_rate cap, paid here by every batch, the epoch's tail too.
-    lane.pacer.pace();
-    std::uint64_t nbytes = msg->message.size();
+    lane.pacer->pace();
+    const std::uint64_t nbytes = msg->message.size();
     obs::BatchTrace* tp = msg->trace.active() ? &msg->trace : nullptr;
-    // Everything between encode-done and here — resequencer parking + queue
-    // residency + rate-limit pacing — is the lane-wait stage.
+    // Everything between encode-done and here — reorder-buffer parking and
+    // rate-limit pacing — is the lane-wait stage.
     if (tp) tp->note(obs::Stage::kLaneWait, obs::now_ns());
     if (timestamps_) timestamps_->record("batch_send", static_cast<std::int64_t>(msg->batch_id));
-    bool sent;
+    // A failed send fails the lane (admission skips it from then on).
+    bool accepted;
     try {
       obs::StageTimer wire(tp, obs::Stage::kWire);
-      sent = lane.sink->send_spliced(std::move(msg->message));
+      accepted = lane.sink->send_spliced(std::move(msg->message));
     } catch (const std::exception& e) {
       // A throwing sink (e.g. a batch larger than an shm slab) fails this
       // lane like a closed one, instead of escaping the thread.
       record_error("sender (node " + std::to_string(lane.node_id) + ", batch " +
                    std::to_string(msg->batch_id) + "): " + e.what());
       lane.failed.store(true, std::memory_order_release);
-      lane.lane.close();
-      return;
+      break;
     }
-    if (!sent) {
+    if (!accepted) {
       log::warn("daemon ", config_.daemon_id, ": sink for node ", lane.node_id,
                 " closed mid-epoch ", epoch);
       lane.failed.store(true, std::memory_order_release);
-      lane.lane.close();  // unblocks producers; their pushes now reject
-      return;
+      break;
     }
     if (tp) tracer_.complete(*tp);
-    lane.lane.add_delivered_bytes(nbytes);
+    lane.delivered_bytes.fetch_add(nbytes, std::memory_order_relaxed);
     counters_.batches_sent.fetch_add(1, std::memory_order_relaxed);
     counters_.samples_sent.fetch_add(msg->nsamples, std::memory_order_relaxed);
     counters_.bytes_sent.fetch_add(nbytes, std::memory_order_relaxed);
-    lane.counter->fetch_add(1, std::memory_order_relaxed);
+    ++sent;
   }
-}
-
-bool Daemon::pipelined_epoch(const EpochPlan& plan,
-                             std::map<std::uint32_t, std::vector<BatchAssignment>>& local,
-                             NodeCounters& counters) {
-  const std::size_t depth = std::max<std::size_t>(1, config_.prefetch_depth);
-
-  // One lane per destination node with locally-owned batches (already in
-  // batch-id order — the deterministic wire order).
-  std::vector<std::unique_ptr<SinkLane>> lanes;
-  for (auto& [node_id, batches] : local) {
-    if (batches.empty()) continue;
-    auto lane = std::make_unique<SinkLane>("node" + std::to_string(node_id), depth,
-                                           config_.lane_rate);
-    lane->node_id = node_id;
-    lane->sink = sinks_.at(node_id).get();
-    lane->jobs = std::move(batches);
-    lane->counter = &counters.at(node_id);
-    lanes.push_back(std::move(lane));
+  // The sink's end-of-epoch sentinel follows its batches. It carries how
+  // many data batches this daemon sent the node, so the receiver can detect
+  // cross-stream sentinel overtaking (see batch_codec.h). Best-effort on a
+  // failed lane: a closed sink rejects it harmlessly.
+  try {
+    lane.sink->send(msgpack::BatchCodec::encode(
+        msgpack::BatchCodec::make_sentinel(lane.node_id, epoch, sent)));
+  } catch (const std::exception& e) {
+    record_error("sentinel (node " + std::to_string(lane.node_id) + "): " + e.what());
+    lane.failed.store(true, std::memory_order_release);
   }
-
-  // Register the epoch's lanes: with the stats registry (so a mid-epoch
-  // stats() sees them live) and with admission.
-  {
-    MutexLock lock(lanes_mutex_);
-    for (auto& lane : lanes) live_lanes_.push_back(lane.get());
-  }
-  {
-    MutexLock lock(admit_mutex_);
-    epoch_lanes_.clear();
-    admit_cycle_ = RoundRobin{};
-    admit_running_ = 0;
-    admit_window_depth_ = depth;
-    for (auto& lane : lanes) epoch_lanes_.push_back(lane.get());
-  }
-
-  {
-    std::vector<std::thread> senders;
-    // Runs on BOTH paths (exception or normal): close every lane and stop
-    // its pacer (so blocked producers and senders unblock), join the
-    // senders — a joinable sender must never be destroyed — wait out
-    // straggler encode jobs (they reference the lanes this frame owns), then
-    // retire the lanes: fold their counters into the per-node lifetime
-    // totals and drop them from the admission + stats registries.
-    struct DrainGuard {
-      Daemon* daemon;
-      std::vector<std::unique_ptr<SinkLane>>& lanes;
-      std::vector<std::thread>& senders;
-      ~DrainGuard() {
-        for (auto& lane : lanes) {
-          lane->lane.close();
-          lane->pacer.stop();
-        }
-        for (auto& t : senders) {
-          if (t.joinable()) t.join();
-        }
-        daemon->encode_pool_->wait_idle();
-        {
-          MutexLock lock(daemon->admit_mutex_);
-          daemon->epoch_lanes_.clear();
-        }
-        MutexLock lock(daemon->lanes_mutex_);
-        for (auto& lane : lanes) {
-          accumulate(daemon->lane_totals_[lane->node_id], lane->lane.stats());
-          auto& live = daemon->live_lanes_;
-          live.erase(std::remove(live.begin(), live.end(), lane.get()), live.end());
-        }
-      }
-    } drain_guard{this, lanes, senders};
-
-    senders.reserve(lanes.size());
-    for (auto& lane : lanes) {
-      senders.emplace_back(
-          [this, lane = lane.get(), epoch = plan.epoch] { sender_loop(*lane, epoch); });
-    }
-    // Prime the pipeline: admission hands out the first budget's worth of
-    // encode jobs; every completion and every queued batch re-admits through
-    // the same round-robin pick.
-    admit_more();
-    // Normal completion: each lane's flush closes its queue after the last
-    // batch, and its sender exits once drained. (The guard re-joins, closes
-    // and waits out straggler encode jobs — all idempotent.)
-    for (auto& t : senders) t.join();
-  }
-
-  bool clean = true;
-  for (const auto& lane : lanes) {
-    if (lane->failed.load(std::memory_order_acquire)) clean = false;
-  }
-#if EMLIO_AUDITS_ENABLED
-  // Conservation, per lane, after every worker joined: on a clean epoch the
-  // planned jobs all crossed the wire (encoded == queued == sent) and the
-  // re-sequencer drained. A mismatch means a batch was minted twice, lost
-  // between the resequencer and the queue, or miscounted by the sender.
-  if (clean) {
-    for (const auto& lane : lanes) {
-      EMLIO_AUDIT_EQ("daemon lane delivery conservation", lane->lane.stats().delivered_items,
-                     lane->jobs.size());
-      MutexLock lock(lane->mu);
-      EMLIO_AUDIT_EQ("daemon lane resequencer drained", lane->resequencer.next(),
-                     lane->jobs.size());
-      EMLIO_DCHECK(lane->resequencer.empty());
-    }
-  }
-#endif
-  return clean;
 }
 
 // ------------------------------------------------------------------- epochs
@@ -546,23 +443,80 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
   auto local = local_batches(plan);
   if (!validate_plan(plan.epoch, local)) return false;  // error state set; nothing launched
 
-  // Per-destination batch counters: the sentinel carries how many data
-  // batches this daemon shipped, so the receiver can detect cross-stream
-  // sentinel overtaking (see batch_codec.h). Pre-sized for every sink and
-  // every plan node so no lookup can fail while workers are live.
-  NodeCounters counters;
-  for (const auto& [node_id, sink] : sinks_) counters[node_id];
-  for (const auto& node : plan.nodes) counters[node.node_id];
-
-  bool clean = pipelined_epoch(plan, local, counters);
-
-  // End-of-epoch sentinel to every destination node this daemon serves
-  // (best-effort on a failed lane: a closed sink rejects it harmlessly).
-  for (auto& [node_id, sink] : sinks_) {
-    auto sentinel = msgpack::BatchCodec::make_sentinel(
-        node_id, plan.epoch, counters.at(node_id).load(std::memory_order_relaxed));
-    sink->send(msgpack::BatchCodec::encode(sentinel));
+  // Reset every lane for the epoch; no thread runs on one now. A sink with
+  // no locally-owned batches still gets its sentinel.
+  for (auto& lane : lanes_) {
+    auto it = local.find(lane->node_id);
+    lane->jobs = it != local.end() ? std::move(it->second) : std::vector<BatchAssignment>{};
+    lane->pacer.emplace(config_.lane_rate);
+    lane->failed.store(false, std::memory_order_relaxed);
+    MutexLock lock(lane->mu);
+    lane->reorder = Sequencer<OutboundBatch>{};
+    lane->closed = false;
   }
+  {
+    MutexLock lock(admit_mutex_);
+    admit_cycle_ = RoundRobin{};
+    admit_running_ = 0;
+    for (auto& lane : lanes_) {
+      lane->next_submit = 0;
+      lane->unpopped = 0;
+    }
+  }
+
+  {
+    std::vector<std::thread> senders;
+    // Runs on BOTH paths (exception or normal): close every lane and stop
+    // its pacer (so a sender still waiting for a head unblocks), join the
+    // senders — a joinable sender must never be destroyed — and wait out
+    // straggler encode jobs, which write into the lanes the next epoch
+    // resets.
+    struct DrainGuard {
+      Daemon* daemon;
+      std::vector<std::thread>& senders;
+      ~DrainGuard() {
+        for (auto& lane : daemon->lanes_) {
+          lane->close();
+          lane->pacer->stop();
+        }
+        for (auto& t : senders) {
+          if (t.joinable()) t.join();
+        }
+        daemon->encode_pool_->wait_idle();
+      }
+    } drain_guard{this, senders};
+
+    senders.reserve(lanes_.size());
+    for (auto& lane : lanes_) {
+      senders.emplace_back(
+          [this, lane = lane.get(), epoch = plan.epoch] { sender_loop(*lane, epoch); });
+    }
+    // Prime the pipeline: admission hands out the first budget's worth of
+    // encode jobs; every completion and every pop re-admits through the
+    // same round-robin pick.
+    admit_more(/*job_done=*/false, nullptr);
+    // Each sender exits after its lane's last batch (or failure) and
+    // sentinel: joining them is the epoch barrier.
+    for (auto& t : senders) t.join();
+  }
+
+  bool clean = true;
+  for (const auto& lane : lanes_) {
+    if (lane->failed.load(std::memory_order_acquire)) clean = false;
+  }
+#if EMLIO_AUDITS_ENABLED
+  // Conservation, per lane, after every worker joined: on a clean epoch the
+  // sender popped every planned job in order and the reorder buffer
+  // drained. A mismatch means a batch was minted twice, lost in the buffer,
+  // or skipped by the sender.
+  if (clean) {
+    for (const auto& lane : lanes_) {
+      MutexLock lock(lane->mu);
+      EMLIO_AUDIT_EQ("daemon lane popped every job", lane->reorder.next(), lane->jobs.size());
+      EMLIO_AUDIT_EQ("daemon lane reorder buffer drained", lane->reorder.parked(), 0);
+    }
+  }
+#endif
   if (timestamps_) timestamps_->record("epoch_end", plan.epoch);
   return clean;
 }

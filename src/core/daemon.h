@@ -3,23 +3,27 @@
 // Runs on every storage node. For each epoch it takes the node plans whose
 // shards it owns and streams them through a pipelined engine:
 //
-//   read+encode jobs          per-sink prefetch lane        sender thread
-//   (shared ThreadPool)  -->  Lane (common/lane.h),   -->  (one per sink)
-//                             cap = HWM
+//   read+encode jobs          per-sink lane: reorder buffer      sender thread
+//   (shared ThreadPool)  -->  (common::Sequencer); admission -->  (one per sink
+//                             window = prefetch_depth (HWM)       per epoch)
 //
 // Each job slices B records straight out of the mmap'd shard (zero-copy
 // views that share the mapping's ownership) and msgpack-serializes them
 // into one SplicedPayload: a pooled head, with samples of at least
 // BatchCodec::kSpliceMinBytes spliced in by reference rather than copied
-// when the sink gathers (MessageSink::gathers). Finished messages are
-// re-sequenced into batch-id order and flow through the sink's bounded
-// prefetch lane; a dedicated sender thread drains the lane, paces the
-// lane_rate cap (if any) and PUSHes to the destination node's
-// MessageSink, which copies the spliced bytes only at its boundary.
-// Disk/encode and network are therefore concurrently busy — design
-// principle (1) — while the bounded lane plus the sink's high-water mark
-// provide the blocking-send backpressure of §4.5. The wire stream per sink stays deterministic
-// (batch-id order) regardless of pool size.
+// when the sink gathers (MessageSink::gathers). Each sink has one lane for
+// the daemon's life, and its only queue is its reorder buffer: jobs park
+// their results in it in any order, and the epoch's sender thread pops them
+// in batch-id order straight out of it, paces the lane_rate cap (if any),
+// PUSHes each to the destination node's MessageSink, which copies the
+// spliced bytes only at its boundary, and ends the epoch with the sink's
+// sentinel. Disk/encode and network are therefore concurrently busy —
+// design principle (1) — while admission caps each lane's batches admitted
+// but not yet popped at prefetch_depth, so a sink that stops draining holds
+// at most that many encoded batches besides the one its sender is sending:
+// the blocking-send backpressure of §4.5, with the sink's high-water mark
+// behind it. The wire stream per sink stays deterministic (batch-id order)
+// regardless of pool size.
 //
 // Failure semantics: serve_epoch validates the plan against the configured
 // sinks BEFORE launching any thread; validation and worker failures —
@@ -62,8 +66,9 @@ struct DaemonConfig {
   /// Read+encode pool width, fixed for the daemon's life. 0 = auto
   /// (auto_pool_width(): hardware concurrency, clamped to [2, 8]).
   std::size_t pool_threads = 0;
-  /// Per-sink encoded-batch prefetch queue capacity — the paper's HWM. Also
-  /// bounds how many encode jobs may be in flight per sink.
+  /// Per-sink admission window — the paper's HWM: how many of a sink's
+  /// batches may be admitted to the encode pool and not yet popped by its
+  /// sender (encoding, or parked in the lane's reorder buffer).
   std::size_t prefetch_depth = 16;
   /// Rate cap of every sink lane in batches/sec, paced on its sender thread
   /// before each send (common/lane.h RatePacer); 0 = none. Per-lane wire
@@ -112,14 +117,13 @@ struct DaemonConfig {
   M(std::uint64_t, encode_pool_reused, kCounter)    /* heads served from the free list */ \
   M(std::uint64_t, encode_pool_allocated, kCounter) /* heads built fresh */               \
   /* Pipeline balance: the aggregates of `lanes` (sum / sum / max). */                    \
-  M(std::uint64_t, enqueue_stalls, kCounter) /* encodes that found their sink queue */    \
-                                             /* full (disk/encode outran the wire) */     \
-  M(std::uint64_t, sender_stalls, kCounter)  /* sender pops that found the queue */       \
-                                             /* empty (wire outran disk/encode) */        \
-  /* Max prefetch-queue occupancy seen. Lane queues track their own peak */               \
-  /* inside push (no hot-path re-lock); stats() takes the max over completed */           \
-  /* epochs and the live epoch's lanes, so a mid-epoch snapshot includes the */           \
-  /* running epoch. */                                                                    \
+  M(std::uint64_t, enqueue_stalls, kCounter) /* admissions a lane waited for because */   \
+                                             /* its window was full, once per wait */     \
+                                             /* (disk/encode outran the wire) */          \
+  M(std::uint64_t, sender_stalls, kCounter)  /* sender pops that found no ready batch */  \
+                                             /* (the wire outran disk/encode) */          \
+  /* Max reorder-buffer occupancy seen, at most prefetch_depth. Tracked */                \
+  /* inside the lane's put, so a mid-epoch snapshot includes the running epoch. */        \
   M(std::uint64_t, queue_peak_depth, kGauge)                                              \
   /* Encode-pool width: pool_threads, or auto_pool_width() when that is 0. */             \
   /* Fixed for the daemon's life. */                                                      \
@@ -134,8 +138,11 @@ struct DaemonConfig {
 struct DaemonStats {
   EMLIO_METRICS(EMLIO_DAEMON_STATS)
   cache::SampleCacheStats cache;  ///< zeros when the cache is off
-  /// Per-destination-node lane breakdown: completed epochs folded per node
-  /// plus any live epoch's lanes, sorted by node id.
+  /// One row per sink, from construction, sorted by node id. Its counters
+  /// accumulate over the daemon's life: delivered_items counts the batches
+  /// its sender popped, enqueue_stalls / dequeue_stalls / queue_peak_depth
+  /// are the lane's share of the fields above, and `closed` reads true while
+  /// no epoch runs on the lane.
   std::vector<LaneStats> lanes;
   /// Per-stage latency quantiles (read/encode/lane_wait/wire + "e2e"), ns.
   /// Empty unless DaemonConfig::trace.
@@ -159,13 +166,17 @@ class Daemon {
   Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
          std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks,
          TimestampLogger* timestamps = nullptr);
+  ~Daemon();
 
   /// Serve one epoch of `plan` (blocking). Validates that every plan node
-  /// with locally-owned batches has a sink, then runs the pipelined engine
-  /// and finishes with one end-of-epoch sentinel per destination node.
-  /// Returns false — with ok()/last_error() set — on validation failure
-  /// (nothing is launched) or when any worker failed mid-epoch; it never
-  /// throws out of a worker thread.
+  /// with locally-owned batches has a sink, then runs the pipelined engine:
+  /// every sink gets its batches and then its end-of-epoch sentinel, which
+  /// leaves as soon as that sink's own lane has sent its batches. After an
+  /// encode failure a lane sends the ready batches before the failed one,
+  /// unpaced, then its sentinel; after a failed send only the best-effort
+  /// sentinel follows. Returns false — with ok()/last_error() set — on
+  /// validation failure (nothing is launched) or when any worker failed
+  /// mid-epoch; it never throws out of a worker thread.
   bool serve_epoch(const EpochPlan& plan);
 
   /// Serve all epochs [0, epochs) from the planner; stops early and returns
@@ -188,9 +199,11 @@ class Daemon {
   std::vector<std::uint32_t> shard_ids() const;
 
  private:
-  /// One encoded batch queued for a sink, with the metadata its sender
-  /// needs for stats and sentinel accounting.
+  /// One encoded batch parked in a sink's reorder buffer, with the metadata
+  /// its sender needs for stats.
   struct OutboundBatch {
+    /// Empty when the batch's encode failed or was skipped on a failed lane:
+    /// the sender's epoch on the lane ends there.
     SplicedPayload message;
     std::uint64_t batch_id = 0;
     std::uint64_t nsamples = 0;
@@ -198,7 +211,6 @@ class Daemon {
     obs::BatchTrace trace;
   };
   struct SinkLane;
-  using NodeCounters = std::map<std::uint32_t, std::atomic<std::uint64_t>>;
 
   /// The shard-locality rule, single-sourced for validation + the engine.
   bool owns_shard(std::uint32_t shard_id) const { return readers_.count(shard_id) != 0; }
@@ -208,12 +220,11 @@ class Daemon {
 
   bool validate_plan(std::uint32_t epoch,
                      const std::map<std::uint32_t, std::vector<BatchAssignment>>& local);
-  bool pipelined_epoch(const EpochPlan& plan,
-                       std::map<std::uint32_t, std::vector<BatchAssignment>>& local,
-                       NodeCounters& counters);
   void encode_job(SinkLane& lane, std::size_t seq);
-  void pump(SinkLane& lane);
-  void admit_more();
+  /// Hand out encode jobs while the budget and the lanes' windows allow.
+  /// `job_done`: an encode job finished and returns its budget slot;
+  /// `popped`: that lane's sender popped a batch, freeing a window slot.
+  void admit_more(bool job_done, SinkLane* popped);
   void sender_loop(SinkLane& lane, std::uint32_t epoch);
   msgpack::WireBatch build_batch(const BatchAssignment& assignment) const;
   void record_error(const std::string& what);
@@ -225,6 +236,9 @@ class Daemon {
   obs::Tracer tracer_;
   std::map<std::uint32_t, tfrecord::ShardReader> readers_;
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks_;
+  /// One lane per sink, sorted by node id, built at construction and never
+  /// changed: stats() reads it without a registry lock.
+  std::vector<std::unique_ptr<SinkLane>> lanes_;
   TimestampLogger* timestamps_;
   /// Message heads cycle through here: serialized, sent, recycled when the
   /// transport (or receiver) drops the last reference.
@@ -252,24 +266,14 @@ class Daemon {
   // a round-robin pick over the sink lanes hands out the next encode job,
   // bounded by a global running-job budget (2× the pool width, at least 4 —
   // enough to keep every worker fed, small enough that a stalled lane's
-  // saturated window leaves the pool to the others) and a per-lane
-  // in-window cap (prefetch_depth: admitted but not yet queued). NEVER
-  // acquired while holding a lane's mu.
+  // saturated window leaves the pool to the others) and a per-lane window
+  // (prefetch_depth batches admitted but not yet popped). NEVER acquired
+  // while holding a lane's mu.
   Mutex admit_mutex_;
-  std::vector<SinkLane*> epoch_lanes_
-      EMLIO_GUARDED_BY(admit_mutex_);  ///< live only while an epoch runs
   RoundRobin admit_cycle_ EMLIO_GUARDED_BY(admit_mutex_);
   std::size_t admit_budget_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
   std::size_t admit_running_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
-  std::size_t admit_window_depth_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
-
-  // Lane registry + lifetime accounting, guarded by lanes_mutex_ (cold
-  // paths only: stats(), epoch setup/teardown). Live lanes are registered
-  // for the epoch's duration; at teardown their counters fold into
-  // lane_totals_ per destination node.
-  mutable Mutex lanes_mutex_;
-  std::vector<SinkLane*> live_lanes_ EMLIO_GUARDED_BY(lanes_mutex_);
-  std::map<std::uint32_t, LaneStats> lane_totals_ EMLIO_GUARDED_BY(lanes_mutex_);
+  std::size_t admit_window_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
 };
 
 }  // namespace emlio::core

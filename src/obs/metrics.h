@@ -13,8 +13,9 @@
 //
 // Counter convention (daemon and receiver alike): every hot-path counter is
 // an independent relaxed std::atomic. (A lane's queue counters are the
-// exception: plain fields inside the critical sections its BoundedQueue
-// already takes, read under the same lock.) Writers use fetch_add, store
+// exception: plain fields inside the critical sections its queue — a
+// BoundedQueue, or the daemon lane's reorder buffer — already takes, read
+// under the same lock.) Writers use fetch_add, store
 // or compare_exchange with memory_order_relaxed; snapshot readers (stats(),
 // via load_into) use relaxed loads. No counter is used to publish other data,
 // so no acquire/release pairing is needed; cross-counter invariants (samples

@@ -24,7 +24,7 @@ namespace emlio::obs {
 enum class Stage : std::uint8_t {
   kRead = 0,
   kEncode,
-  kLaneWait,
+  kLaneWait,  ///< encode done → send: reorder-buffer parking + rate pacing
   kWire,
   kIngest,
   kDecodeWait,

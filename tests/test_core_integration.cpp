@@ -1094,7 +1094,8 @@ TEST_F(CoreIntegrationTest, BackpressuredSinkDoesNotStarveOtherLanes) {
   });
 
   // Node 1's FULL data set must arrive while node 0's consumer is parked.
-  // (Markers come later: sentinels wait for the clogged lane's sender.)
+  // (Node 1's marker may arrive with it: each sink's sentinel leaves once
+  // its own lane has sent its batches.)
   std::uint64_t want1 = 0;
   for (const auto& node : plan.nodes) {
     if (node.node_id == 1) want1 = node.total_samples();

@@ -58,8 +58,6 @@ TEST(Lane, RejectedPushLeavesItemWithCaller) {
   std::vector<int> item{1, 2, 3};
   EXPECT_FALSE(lane.push(item));
   EXPECT_EQ(item.size(), 3u);  // recoverable — BoundedQueue contract
-  EXPECT_FALSE(lane.try_push(item));
-  EXPECT_EQ(item.size(), 3u);
 }
 
 TEST(Lane, EmptyPopCountsDequeueStall) {

@@ -137,8 +137,8 @@ TEST_F(QosTest, WedgedSinkFillsOnlyItsOwnLane) {
     ASSERT_FALSE(batch->last);
     got1 += batch->samples.size();
   }
-  // Give the wedged lane's queue time to fill behind its parked sender. Its
-  // first two batches may reach the queue before the sender pops either, so
+  // Give the wedged lane's reorder buffer time to fill behind its parked
+  // sender. Its first two batches may park before the sender pops either, so
   // wait for the pop too.
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   auto parked = [&] {
@@ -157,10 +157,14 @@ TEST_F(QosTest, WedgedSinkFillsOnlyItsOwnLane) {
     ASSERT_EQ(lanes.size(), 2u);
     EXPECT_EQ(lanes[0].delivered_items, 1u);  // "node0", wedged in send()
     EXPECT_GT(lanes[1].delivered_items, 1u);  // "node1", healthy
-    // Mid-epoch, stats() folds the live lanes in: the wedged lane's full
-    // queue already shows in its own peak and in the aggregate.
+    // Mid-epoch, stats() reads the live lanes: the wedged lane's full
+    // reorder buffer already shows in its own peak and in the aggregate.
     EXPECT_EQ(lanes[0].queue_peak_depth, dc.prefetch_depth);
     EXPECT_EQ(stats.queue_peak_depth, dc.prefetch_depth);
+    // The healthy lane has drained, so the rest of the reads are what the
+    // wedged lane encoded: at most its window plus the batch its sender
+    // holds. (Node 0 has 6 batches, 2 × depth + 2, so the bound can bite.)
+    EXPECT_LE(stats.store_reads - lanes[1].delivered_items, dc.prefetch_depth + 1);
   }
 
   // Unpark node 0; both streams complete cleanly.
@@ -240,9 +244,9 @@ TEST_F(QosTest, DaemonLaneBreakdownAggregates) {
   EXPECT_EQ(stats.enqueue_stalls, enq);
   EXPECT_EQ(stats.sender_stalls, deq);
   EXPECT_EQ(stats.queue_peak_depth, peak);
-  // Every sent batch left through some lane (sentinels ride the lanes too,
-  // so lane items can exceed the data-batch count, never undercut it).
-  EXPECT_GE(items, stats.batches_sent);
+  // Every sent batch left through some lane, and only data batches do:
+  // each sentinel is sent after its lane's batches, outside the lane.
+  EXPECT_EQ(items, stats.batches_sent);
 
   // And the JSON stats surface the same breakdown for --stats-json/streaming.
   auto j = to_json(stats);

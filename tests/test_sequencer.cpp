@@ -68,12 +68,13 @@ TEST(Sequencer, StatsTrackDisorderAndOccupancy) {
 }
 
 TEST(Sequencer, FrontPointerAllowsInPlaceConsumption) {
-  // The daemon's pump try_pushes *front() and only pop_fronts on success —
-  // a rejected push must leave the head intact.
+  // A host may look at or move from *front() before it pop_fronts: the
+  // daemon's sender checks the head for a failed encode and leaves such a
+  // head parked, and pops the others.
   Sequencer<std::string> seq;
   seq.put(0, "payload");
   ASSERT_NE(seq.front(), nullptr);
-  std::string stolen = std::move(*seq.front());  // simulated successful push
+  std::string stolen = std::move(*seq.front());  // consumed in place
   EXPECT_EQ(stolen, "payload");
   seq.pop_front();
   EXPECT_EQ(seq.next(), 1u);

@@ -11,7 +11,7 @@
 //       [--pool 0] [--prefetch 16] [--seed 1234]
 //       [--lane-rate 0]
 //       [--cache-mb 0] [--cache-policy clock|lru]
-//       [--retry-max 1] [--retry-deadline 0]
+//       [--retry-max 1 (tcp only)] [--retry-deadline 0 (tcp only)]
 //       [--stats-json PATH] [--stats-interval SECS]
 //       [--trace] [--trace-ring 16] [--trace-wire] [--trace-dump PATH]
 //
@@ -20,7 +20,9 @@
 // before its receiver is listening. --retry-max counts TOTAL attempts
 // including the first (1 = historical fail-fast, 0 = unlimited until the
 // deadline); --retry-deadline bounds the whole window in ms (0 = none).
-// shm needs no connect retry — the daemon side creates the segment.
+// shm needs no connect retry — the daemon side creates the segment — so
+// under --transport shm any --retry-max but 1 or --retry-deadline but 0
+// exits 2.
 //
 // --transport shm replaces the TCP connection with a shared-memory segment
 // (created by this daemon, unlinked at exit; --connect is then unused).
@@ -29,11 +31,12 @@
 // started first. --shm-name must match on both sides; --shm-slab-mb caps
 // the encoded batch size and --hwm is the slab count (the in-flight
 // budget). --hwm sizes nothing else: a TCP send blocks in the kernel behind
-// the --prefetch queue, so under --transport tcp any --hwm but 16 exits 2.
+// the --prefetch window, so under --transport tcp any --hwm but 16 exits 2.
 //
 // --pool sets the width of the shared read+encode thread pool, fixed for the
-// run (0 = auto), --prefetch the per-sink encoded-batch queue (the HWM of
-// the storage-side pipeline). The planner's T (PlannerConfig::
+// run (0 = auto), --prefetch the per-sink admission window (the HWM of the
+// storage-side pipeline: how many of a sink's batches may be encoding or
+// waiting in its reorder buffer). The planner's T (PlannerConfig::
 // threads_per_node) keeps its default: T only splits a plan that the daemon
 // merges back into one batch-id-ordered stream per sink, so no value of it
 // changes a byte on the wire.
@@ -121,7 +124,7 @@ int main(int argc, char** argv) {
                            "[--pool WIDTH] [--prefetch D] [--seed N] "
                            "[--lane-rate N] "
                            "[--cache-mb MB] [--cache-policy clock|lru] "
-                           "[--retry-max N] [--retry-deadline MS] "
+                           "[--retry-max N (tcp only)] [--retry-deadline MS (tcp only)] "
                            "[--stats-json PATH] [--stats-interval SECS] "
                            "[--trace] [--trace-ring K] [--trace-wire] [--trace-dump PATH]\n");
       return 2;
@@ -146,6 +149,16 @@ int main(int argc, char** argv) {
   if (!use_shm && hwm != 16) {
     std::fprintf(stderr, "emlio_daemon: --hwm sets the shm slab count; a tcp send blocks in the "
                          "kernel behind --prefetch, so --hwm must stay 16\n");
+    return 2;
+  }
+  if (use_shm && retry_max != 1) {
+    std::fprintf(stderr, "emlio_daemon: --retry-max sets the tcp connect window; the shm "
+                         "daemon creates its segment, so --retry-max must stay 1\n");
+    return 2;
+  }
+  if (use_shm && retry_deadline_ms != 0) {
+    std::fprintf(stderr, "emlio_daemon: --retry-deadline sets the tcp connect window; the shm "
+                         "daemon creates its segment, so --retry-deadline must stay 0\n");
     return 2;
   }
   std::string host;
@@ -235,7 +248,7 @@ int main(int argc, char** argv) {
                     : 0.0,
                 use_shm ? "shm" : "tcp");
     std::printf("emlio_daemon: pipeline — %llu enqueue stalls (encode waited on wire), "
-                "%llu sender stalls (wire waited on disk), peak queue depth %llu\n",
+                "%llu sender stalls (wire waited on disk), peak reorder depth %llu\n",
                 static_cast<unsigned long long>(stats.enqueue_stalls),
                 static_cast<unsigned long long>(stats.sender_stalls),
                 static_cast<unsigned long long>(stats.queue_peak_depth));

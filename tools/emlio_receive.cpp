@@ -6,21 +6,22 @@
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-wait-ms 10000]
 //       [--decode-threads 0]
 //       [--lane-rate 0]
-//       [--retry-max 1] [--retry-deadline 0]
+//       [--retry-max 1 (shm only)] [--retry-deadline 0 (shm only)]
 //       [--stats-json PATH] [--stats-interval SECS]
 //       [--trace] [--trace-ring 16] [--trace-dump PATH]
 //
 // --retry-max / --retry-deadline open a reconnect window (net::RetryPolicy
-// backoff schedule). With the shm transport the source is wrapped in a
-// net::ReconnectingSource: when the daemon dies mid-stream (pid probe), the
-// receiver declares the sender dead — in-flight epochs complete degraded and
-// are counted in epochs_repaired — then re-attaches to the segment a
-// restarted daemon recreates, within the window. --retry-max counts TOTAL
-// attempts per outage including the first (1 = a single re-attach try, 0 =
-// unlimited until the deadline); --retry-deadline bounds each outage's
-// window in ms (0 = none). With TCP the PULL socket already accepts
-// reconnections forever; a transport-level peer error still ends the stream
-// with a dead-peer mark so the receiver repairs instead of wedging.
+// backoff schedule) on the shm transport: the source is wrapped in a
+// net::ReconnectingSource, so when the daemon dies mid-stream (pid probe),
+// the receiver declares the sender dead — in-flight epochs complete
+// degraded and are counted in epochs_repaired — then re-attaches to the
+// segment a restarted daemon recreates, within the window. --retry-max
+// counts TOTAL attempts per outage including the first (1 = a single
+// re-attach try, 0 = unlimited until the deadline); --retry-deadline bounds
+// each outage's window in ms (0 = none). With TCP the PULL socket accepts
+// reconnections forever and never declares a sender dead: a peer error
+// does not end the stream, so count epochs (--epochs) to finish. Under
+// --transport tcp any --retry-max but 1 or --retry-deadline but 0 exits 2.
 //
 // --transport shm attaches to the shared-memory segment a same-host
 // emlio_daemon --transport shm creates (names must match); the receiver
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
                    "[--transport tcp|shm] [--shm-name NAME] [--shm-wait-ms MS] "
                    "[--decode-threads WIDTH] "
                    "[--lane-rate N] "
-                   "[--retry-max N] [--retry-deadline MS] "
+                   "[--retry-max N (shm only)] [--retry-deadline MS (shm only)] "
                    "[--stats-json PATH] [--stats-interval SECS] "
                    "[--trace] [--trace-ring K] [--trace-dump PATH]\n");
       return 2;
@@ -116,6 +117,17 @@ int main(int argc, char** argv) {
   }
   if (use_shm && senders != 1) {
     std::fprintf(stderr, "emlio_receive: shm transport carries exactly one sender\n");
+    return 2;
+  }
+  if (!use_shm && retry_max != 1) {
+    std::fprintf(stderr, "emlio_receive: --retry-max sets the shm re-attach window; a tcp pull "
+                         "socket accepts reconnects forever, so --retry-max must stay 1\n");
+    return 2;
+  }
+  if (!use_shm && retry_deadline_ms != 0) {
+    std::fprintf(stderr, "emlio_receive: --retry-deadline sets the shm re-attach window; a tcp "
+                         "pull socket accepts reconnects forever, so --retry-deadline must "
+                         "stay 0\n");
     return 2;
   }
 
@@ -168,9 +180,8 @@ int main(int argc, char** argv) {
                   "decode %s)\n",
                   pull->port(), senders, epochs, decode_width.c_str());
       // Surface connection churn: the PULL socket keeps accepting forever (a
-      // restarted daemon just reconnects), so the "reconnect window" here is
-      // only observability plus the dead-peer mark PullSocket raises on
-      // transport errors, which the receiver turns into epoch repair.
+      // restarted daemon just reconnects), so TCP has no reconnect window;
+      // the callback is observability only.
       pull->set_peer_callback([](bool connected) {
         std::fprintf(stderr, "emlio_receive: peer %s\n",
                      connected ? "connected" : "disconnected");

@@ -22,11 +22,16 @@
 //      over the rest of A's stream (11 more passes, ~0.3 s on a 4-vCPU
 //      host). Node A's throughput over that stretch must be at a median
 //      ≥80 % of its isolated throughput over the same stretch (per-round
-//      ratios), and A's delivered batch sequence (ids, sample indices,
-//      labels and sizes; phase 1 checks the bytes) must not change when B
-//      appears. FAILS (exit 1) below the 80 % floor. An engine whose
-//      admission ignores the window fails it: B keeps half the pool and A
-//      runs at about half speed.
+//      ratios), and A's delivered stream must not change when B appears.
+//      FAILS (exit 1) below the 80 % floor. An engine whose admission
+//      ignores the window fails it: B keeps encoding into its stalled
+//      lane, half the pool stays B's, and A ran at a median of 62–75 % of
+//      isolated on a 4-vCPU host.
+//
+// Both phases compare a delivered stream by its digest (fold): every batch
+// field, and each sample's index, label, size and CRC32-C of its bytes, in
+// delivery order. Each node's consumer folds its own stream as it drains,
+// in every run, so the timed arms pay the same per-byte cost.
 //
 // Below 4 cores phase 2 is meaningless (the pool, both senders and both
 // consumers share a core or two), so the bench prints an explicit SKIP,
@@ -46,6 +51,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/crc32c.h"
 #include "core/daemon.h"
 #include "core/planner.h"
 #include "core/receiver.h"
@@ -57,24 +63,33 @@ using namespace emlio;
 
 namespace {
 
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+
 struct QosRun {
   double a_seconds = 0.0;  ///< node A's clock → its last data sample delivered
   core::DaemonStats stats;
-  std::vector<msgpack::WireBatch> streams[2];  ///< full delivery per node (keep_streams)
-  std::uint64_t a_digest = 14695981039346656037ull;  ///< node A's batch sequence, hashed
+  /// Each node's delivered stream: its batches (epoch markers included) and
+  /// their digest, in delivery order.
+  std::uint64_t batches[2] = {0, 0};
+  std::uint64_t digest[2] = {kFnvBasis, kFnvBasis};
 };
 
-/// FNV-1a over a delivered batch's identity: epoch, id, marker flag, and
-/// each sample's index, label and size.
+/// FNV-1a over a delivered batch: every WireBatch field, then each sample's
+/// index, label, size and the CRC32-C of its bytes.
 void fold(std::uint64_t& h, const msgpack::WireBatch& b) {
   auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
   mix(b.epoch);
   mix(b.batch_id);
+  mix(b.node_id);
+  mix(b.shard_id);
   mix(b.last ? 1 : 0);
+  mix(b.sent_count);
+  mix(b.trace_origin_ns);
   for (const auto& s : b.samples) {
     mix(s.index);
     mix(static_cast<std::uint64_t>(s.label));
     mix(s.bytes.size());
+    mix(crc32c::compute(s.bytes));
   }
 }
 
@@ -86,11 +101,10 @@ void fold(std::uint64_t& h, const msgpack::WireBatch& b) {
 /// when the plans have a second node; with `stall_b` its consumer is parked
 /// until A finishes — receiver buffers, wire HWM and B's sink lane all fill
 /// and B's admission window saturates, the deliberately stalled tenant —
-/// then it drains fast so the run can finish. `keep_streams` keeps every
-/// delivered batch; node A's digest is always taken.
+/// then it drains fast so the run can finish.
 QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes,
                const std::vector<core::EpochPlan>& plans, std::uint64_t lane_rate, bool stall_b,
-               std::uint64_t clock_batch, bool keep_streams) {
+               std::uint64_t clock_batch) {
   net::SimLinkConfig link;
   link.rtt_ms = 0.0;
   link.bandwidth_bytes_per_sec = 5e9;  // fast wire: encode has little headroom over it
@@ -143,8 +157,8 @@ QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes,
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
         a_done.store(true, std::memory_order_relaxed);
       }
-      fold(r.a_digest, *b);
-      if (keep_streams) r.streams[0].push_back(std::move(*b));
+      fold(r.digest[0], *b);
+      ++r.batches[0];
     }
   });
   std::thread b_drain([&] {
@@ -157,7 +171,8 @@ QosRun run_qos(const std::vector<tfrecord::ShardIndex>& indexes,
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     while (auto b = recv[1]->next()) {
-      if (keep_streams) r.streams[1].push_back(std::move(*b));
+      fold(r.digest[1], *b);
+      ++r.batches[1];
     }
   });
   serve.join();
@@ -212,18 +227,18 @@ bool run_contract_phase() {
   const double min_paced_s = pc.epochs * (lane_batches - kRate / 20.0) / kRate;
   const std::vector<core::EpochPlan> plans{planner.plan_epoch(0, 2), planner.plan_epoch(1, 2)};
   auto run = [&](std::uint64_t lane_rate) {
-    return run_qos(indexes, plans, lane_rate, /*stall_b=*/false, /*clock_batch=*/0,
-                   /*keep_streams=*/true);
+    return run_qos(indexes, plans, lane_rate, /*stall_b=*/false, /*clock_batch=*/0);
   };
   auto uncapped = run(0);
   auto capped = run(kRate);
   fs::remove_all(dir);
   for (int n = 0; n < 2; ++n) {
-    if (uncapped.streams[n] != capped.streams[n]) {
+    if (uncapped.batches[n] != capped.batches[n] || uncapped.digest[n] != capped.digest[n]) {
       std::fprintf(stderr,
                    "micro_qos: DELIVERY CONTRACT VIOLATED — node %d stream differs between the "
-                   "uncapped and the capped run (%zu vs %zu batches)\n",
-                   n, uncapped.streams[n].size(), capped.streams[n].size());
+                   "uncapped and the capped run (%llu vs %llu batches)\n",
+                   n, static_cast<unsigned long long>(uncapped.batches[n]),
+                   static_cast<unsigned long long>(capped.batches[n]));
       return false;
     }
   }
@@ -235,10 +250,11 @@ bool run_contract_phase() {
     return false;
   }
   std::printf("micro_qos: contract — per-lane streams byte-identical and ordered uncapped "
-              "(%.3f s) and at lane_rate %llu (%.3f s, paced minimum %.3f s) (%zu + %zu "
+              "(%.3f s) and at lane_rate %llu (%.3f s, paced minimum %.3f s) (%llu + %llu "
               "batches incl. epoch markers)\n",
               uncapped.a_seconds, static_cast<unsigned long long>(kRate), capped.a_seconds,
-              min_paced_s, uncapped.streams[0].size(), uncapped.streams[1].size());
+              min_paced_s, static_cast<unsigned long long>(uncapped.batches[0]),
+              static_cast<unsigned long long>(uncapped.batches[1]));
   return true;
 }
 
@@ -314,16 +330,17 @@ int main() {
   for (int round = 0; round < kRounds; ++round) {
     auto run_isolated = [&] {
       isolated = run_qos(indexes, isolated_plan, /*lane_rate=*/0, /*stall_b=*/false,
-                         pass_batches, /*keep_streams=*/false);
+                         pass_batches);
     };
     auto run_contended = [&] {
       contended = run_qos(indexes, contended_plan, /*lane_rate=*/0, /*stall_b=*/true,
-                          pass_batches, /*keep_streams=*/false);
+                          pass_batches);
     };
     bench::run_pair(round, run_isolated, run_contended);
     // Contract inside the measured phase too: A's stream must not change
     // when a stalled sibling appears.
-    if (isolated.a_digest != contended.a_digest) {
+    if (isolated.batches[0] != contended.batches[0] ||
+        isolated.digest[0] != contended.digest[0]) {
       std::fprintf(stderr, "micro_qos: FAIL — node A's stream changed between isolated and "
                            "contended runs\n");
       fs::remove_all(dir);

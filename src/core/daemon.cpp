@@ -59,13 +59,15 @@ struct Daemon::SinkLane {
     if (head) head_ready.notify_one();
   }
 
-  /// The next batch in batch-id order, waiting for its encode to park it.
-  /// nullopt ends the sender's epoch: the last job was popped, the head is a
-  /// failed encode, or the lane closed with no head ready.
-  std::optional<OutboundBatch> pop() {
+  /// The next batch in batch-id order, waiting for its encode to park it;
+  /// `waited` says whether it had to (a sender stall). nullopt ends the
+  /// sender's epoch: the last job was popped, the head is a failed encode,
+  /// or the lane closed with no head ready.
+  std::optional<OutboundBatch> pop(bool& waited) {
     MutexLock lock(mu);
     if (reorder.next() == jobs.size()) return std::nullopt;
-    if (!reorder.front() && !closed) ++sender_stalls;
+    waited = !reorder.front() && !closed;
+    if (waited) ++sender_stalls;
     while (!reorder.front() && !closed) head_ready.wait(mu);
     const OutboundBatch* head = reorder.front();
     if (!head || head->message.size() == 0) return std::nullopt;
@@ -343,10 +345,10 @@ void Daemon::encode_job(SinkLane& lane, std::size_t seq) {
   // Park the result, failed or not (the sequence must stay dense). Never
   // blocks this pool thread: the window bounds what a lane can park.
   lane.put(seq, std::move(out));
-  admit_more(/*job_done=*/true, nullptr);  // the freed budget slot goes to the next lane
+  admit_more(/*job_done=*/true);  // the freed budget slot goes to the next lane
 }
 
-void Daemon::admit_more(bool job_done, SinkLane* popped) {
+void Daemon::admit_more(bool job_done, SinkLane* popped, bool popped_ready) {
   // Hand out encode jobs round-robin across the lanes, up to the global
   // in-flight budget. A lane is admittable while it has unsubmitted jobs, a
   // healthy sink, and room in its window (prefetch_depth batches admitted
@@ -355,12 +357,22 @@ void Daemon::admit_more(bool job_done, SinkLane* popped) {
   std::vector<std::pair<SinkLane*, std::size_t>> grants;
   {
     MutexLock lock(admit_mutex_);
-    if (job_done) --admit_running_;
-    if (popped) --popped->unpopped;
     // Local aliases: the lambda body is analyzed as a separate function, but
     // it only ever runs synchronously below, under admit_mutex_.
     const auto& lanes = lanes_;
     const std::size_t window = admit_window_;
+    if (job_done) --admit_running_;
+    if (popped) {
+      // A pop that frees a full window with jobs left ends an admission
+      // wait. Its batch was encoded before the sender came for it, so the
+      // wait was on the wire: one enqueue stall. A window full of jobs
+      // still encoding waits on encode, and the pop's sender stall says so.
+      if (popped_ready && popped->unpopped == window &&
+          popped->next_submit < popped->jobs.size()) {
+        popped->enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
+      }
+      --popped->unpopped;
+    }
     auto admittable = [&](std::size_t slot) {
       const SinkLane& l = *lanes[slot];
       return !l.failed.load(std::memory_order_acquire) && l.next_submit < l.jobs.size() &&
@@ -372,11 +384,7 @@ void Daemon::admit_more(bool job_done, SinkLane* popped) {
       SinkLane& l = *lanes[slot];
       grants.emplace_back(&l, l.next_submit++);
       ++admit_running_;
-      // A window that fills with jobs left makes the lane's next admission
-      // wait for a pop: one enqueue stall per wait.
-      if (++l.unpopped == window && l.next_submit < l.jobs.size()) {
-        l.enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
-      }
+      ++l.unpopped;
     }
   }
   for (auto& [l, seq] : grants) {
@@ -386,8 +394,9 @@ void Daemon::admit_more(bool job_done, SinkLane* popped) {
 
 void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
   std::uint64_t sent = 0;
-  while (auto msg = lane.pop()) {
-    admit_more(/*job_done=*/false, &lane);  // a window slot just freed
+  bool waited = false;
+  while (auto msg = lane.pop(waited)) {
+    admit_more(/*job_done=*/false, &lane, /*popped_ready=*/!waited);  // a window slot freed
     // The lane_rate cap, paid here by every batch, the epoch's tail too.
     lane.pacer->pace();
     const std::uint64_t nbytes = msg->message.size();
@@ -469,8 +478,11 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
     // Runs on BOTH paths (exception or normal): close every lane and stop
     // its pacer (so a sender still waiting for a head unblocks), join the
     // senders — a joinable sender must never be destroyed — and wait out
-    // straggler encode jobs, which write into the lanes the next epoch
-    // resets.
+    // straggler encode jobs, which write into the lanes. A failed lane's
+    // leftover batches (those parked behind a failed head or a failed send)
+    // are dropped here, releasing their pooled heads, mmap views and cache
+    // pins; on a clean epoch every buffer is already empty, as the audit
+    // checks.
     struct DrainGuard {
       Daemon* daemon;
       std::vector<std::thread>& senders;
@@ -483,6 +495,11 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
           if (t.joinable()) t.join();
         }
         daemon->encode_pool_->wait_idle();
+        for (auto& lane : daemon->lanes_) {
+          if (!lane->failed.load(std::memory_order_acquire)) continue;
+          MutexLock lock(lane->mu);
+          lane->reorder = Sequencer<OutboundBatch>{};
+        }
       }
     } drain_guard{this, senders};
 

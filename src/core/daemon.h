@@ -117,8 +117,9 @@ struct DaemonConfig {
   M(std::uint64_t, encode_pool_reused, kCounter)    /* heads served from the free list */ \
   M(std::uint64_t, encode_pool_allocated, kCounter) /* heads built fresh */               \
   /* Pipeline balance: the aggregates of `lanes` (sum / sum / max). */                    \
-  M(std::uint64_t, enqueue_stalls, kCounter) /* admissions a lane waited for because */   \
-                                             /* its window was full, once per wait */     \
+  M(std::uint64_t, enqueue_stalls, kCounter) /* admission waits on a full window, */      \
+                                             /* once per wait, that a pop of an */        \
+                                             /* already-encoded batch ended */            \
                                              /* (disk/encode outran the wire) */          \
   M(std::uint64_t, sender_stalls, kCounter)  /* sender pops that found no ready batch */  \
                                              /* (the wire outran disk/encode) */          \
@@ -223,8 +224,9 @@ class Daemon {
   void encode_job(SinkLane& lane, std::size_t seq);
   /// Hand out encode jobs while the budget and the lanes' windows allow.
   /// `job_done`: an encode job finished and returns its budget slot;
-  /// `popped`: that lane's sender popped a batch, freeing a window slot.
-  void admit_more(bool job_done, SinkLane* popped);
+  /// `popped`: that lane's sender popped a batch, freeing a window slot —
+  /// one it found `popped_ready` (encoded before the sender came for it).
+  void admit_more(bool job_done, SinkLane* popped = nullptr, bool popped_ready = false);
   void sender_loop(SinkLane& lane, std::uint32_t epoch);
   msgpack::WireBatch build_batch(const BatchAssignment& assignment) const;
   void record_error(const std::string& what);

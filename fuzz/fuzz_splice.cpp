@@ -1,10 +1,15 @@
-// Differential fuzz of the spliced batch encoder.
+// Differential fuzz of the spliced and slot batch encoders.
 //
 // BatchCodec::encode_spliced writes a pooled head and splices large samples
-// in by reference; BatchCodec::encode writes one contiguous buffer. The
-// contract: the spliced message, gathered piece by piece the way a sink
-// does, is byte-identical to the contiguous encoding and decodes back to the
-// same batch; only owning samples at or above the threshold are spliced.
+// in by reference; BatchCodec::encode_into writes into fixed memory (a
+// lending sink's slot), leaving room for those samples; BatchCodec::encode
+// writes one contiguous buffer. The contract: the spliced message, gathered
+// piece by piece the way a sink does, and the slot encoding, its rooms
+// filled from the spliced views the way the daemon's sender does, are both
+// byte-identical to the contiguous encoding, which decodes back to the same
+// batch; only owning samples at or above the threshold are spliced or get
+// room. A slot too small for the batch throws and writes nothing past its
+// end.
 //
 // Input layout: byte 0 holds flags (bit 0: trace origin set, bit 1: last,
 // bits 2-3: threshold — kSpliceMinBytes, 0, 256 or 65,536); then up to 12
@@ -15,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "msgpack/batch_codec.h"
@@ -87,6 +93,47 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   const emlio::Payload flat = std::move(message).flatten(*pool);
   check(flat == contiguous, "flattened != contiguous");
   check(BatchCodec::decode(flat) == batch, "decoded batch differs");
+
+  // The slot encoding, in memory with a guard band past the slot's end.
+  constexpr std::size_t kGuard = 64;
+  constexpr std::uint8_t kCanary = 0xEE;
+  auto encode_into = [&](std::span<std::uint8_t> slot) {
+    return splice_min == BatchCodec::kSpliceMinBytes
+               ? BatchCodec::encode_into(batch, slot)
+               : emlio::msgpack::detail::encode_into(batch, slot, splice_min);
+  };
+  auto guard_intact = [&](const std::vector<std::uint8_t>& memory, std::size_t end) {
+    for (std::size_t k = end; k < memory.size(); ++k) {
+      if (memory[k] != kCanary) return false;
+    }
+    return true;
+  };
+  std::vector<std::uint8_t> memory(contiguous.size() + kGuard, kCanary);
+  const std::span<std::uint8_t> slot(memory.data(), contiguous.size());
+  const emlio::msgpack::SlotEncoding encoded = encode_into(slot);
+  check(encoded.size == contiguous.size(), "slot size != contiguous size");
+  check(encoded.rooms.size() == expect_splices, "wrong samples given room");
+  for (const auto& room : encoded.rooms) {
+    check(room.bytes.empty() || room.bytes.owns_storage(), "borrowed sample given room");
+    check(room.at + room.bytes.size() <= encoded.size, "room past the message");
+  }
+  encoded.fill(slot);
+  check(contiguous == std::span<const std::uint8_t>(slot), "filled slot != contiguous");
+  check(guard_intact(memory, slot.size()), "slot encoding wrote past the slot");
+
+  // Too small by one byte, and by a size-derived cut: a throw, and no byte
+  // written past the slot's end.
+  for (std::size_t cap : {contiguous.size() - 1, (contiguous.size() * 7919) % contiguous.size()}) {
+    std::vector<std::uint8_t> small(cap + kGuard, kCanary);
+    bool threw = false;
+    try {
+      encode_into(std::span<std::uint8_t>(small.data(), cap));
+    } catch (const std::length_error&) {
+      threw = true;
+    }
+    check(threw, "a slot too small did not throw");
+    check(guard_intact(small, cap), "a slot too small was written past its end");
+  }
   return 0;
 }
 

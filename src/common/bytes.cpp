@@ -28,6 +28,25 @@ void ByteBuffer::push_f64be(double v) {
   push_u64be(bits);
 }
 
+void FixedBuffer::push_u16be(std::uint16_t v) {
+  v = byteswap_if_le(v);
+  copy(&v, sizeof v);
+}
+void FixedBuffer::push_u32be(std::uint32_t v) {
+  v = byteswap_if_le(v);
+  copy(&v, sizeof v);
+}
+void FixedBuffer::push_u64be(std::uint64_t v) {
+  v = byteswap_if_le(v);
+  copy(&v, sizeof v);
+}
+
+void FixedBuffer::push_f64be(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  push_u64be(bits);
+}
+
 std::uint16_t ByteReader::read_u16le() {
   auto b = read_bytes(2);
   std::uint16_t v;

@@ -72,6 +72,50 @@ class ByteBuffer {
   std::vector<std::uint8_t> data_;
 };
 
+/// Append-style writer over caller-owned memory of fixed capacity, with
+/// ByteBuffer's push interface, so one serializer writes either (the batch
+/// codec encodes straight into a transport's slab through one). A push that
+/// does not fit throws std::length_error and writes nothing; what was
+/// written before stays.
+class FixedBuffer {
+ public:
+  explicit FixedBuffer(std::span<std::uint8_t> memory) noexcept : mem_(memory) {}
+
+  /// Bytes written (or skipped) so far.
+  std::size_t size() const noexcept { return size_; }
+  std::size_t capacity() const noexcept { return mem_.size(); }
+
+  void push_u8(std::uint8_t v) { *claim(1) = v; }
+  void push_u16be(std::uint16_t v);
+  void push_u32be(std::uint32_t v);
+  void push_u64be(std::uint64_t v);
+  void push_f64be(double v);
+  void push_bytes(std::span<const std::uint8_t> bytes) { copy(bytes.data(), bytes.size()); }
+  void push_bytes(std::string_view sv) { copy(sv.data(), sv.size()); }
+
+  /// Leave the next `n` bytes unwritten, for the caller to fill later.
+  void skip(std::size_t n) { claim(n); }
+
+ private:
+  std::uint8_t* claim(std::size_t n) {
+    if (n > mem_.size() - size_) {
+      throw std::length_error("FixedBuffer: " + std::to_string(n) + " bytes at offset " +
+                              std::to_string(size_) + " overflow its " +
+                              std::to_string(mem_.size()) + "-byte capacity");
+    }
+    std::uint8_t* at = mem_.data() + size_;
+    size_ += n;
+    return at;
+  }
+  void copy(const void* p, std::size_t n) {
+    std::uint8_t* at = claim(n);
+    if (n != 0) std::memcpy(at, p, n);
+  }
+
+  std::span<std::uint8_t> mem_;
+  std::size_t size_ = 0;
+};
+
 /// Non-owning cursor over a byte span with bounds-checked decode helpers.
 /// Throws std::out_of_range when a read would run past the end, which the
 /// deserializers convert into a framing error.

@@ -2,9 +2,10 @@
 // plane.
 //
 // A batch is produced once, daemon-side, as a `SplicedPayload`: a pooled
-// msgpack head with its large samples spliced in by reference. It crosses
-// the transport by moving handles — its bytes are first copied at the
-// sink's boundary — and is consumed receiver-side as `PayloadView`s that
+// msgpack head with its large samples spliced in by reference (or, for a
+// sink that lends its memory, straight into a slot of it: net/channel.h).
+// It crosses the transport by moving handles — its bytes are first copied
+// at the sink's boundary — and is consumed receiver-side as `PayloadView`s that
 // *share ownership* of the received bytes: decoding a WireBatch
 // materializes no per-sample copies, only refcount bumps. The backing
 // storage is released — or returned to its `BufferPool` — when the last

@@ -72,6 +72,9 @@ class Sequencer {
     return item;
   }
 
+  /// Drop every parked item (a failed stream's leftovers); next() stays.
+  void clear() { parked_.clear(); }
+
   /// Next sequence the ordered stream is waiting for == items consumed.
   std::uint64_t next() const { return next_; }
   /// Items currently parked (including a ready head).

@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "common/debug.h"
 #include "common/log.h"
@@ -18,10 +19,11 @@ namespace emlio::core {
 /// receiver's decode pool uses, so the wire stream stays deterministic.
 struct Daemon::SinkLane {
   SinkLane(std::uint32_t id, net::MessageSink* s)
-      : node_id(id), sink(s), name("node" + std::to_string(id)) {}
+      : node_id(id), sink(s), lends(s->lends()), name("node" + std::to_string(id)) {}
 
   const std::uint32_t node_id;
   net::MessageSink* const sink;
+  const bool lends;
   const std::string name;
 
   // Per-epoch state, reset by serve_epoch while no thread runs on the lane.
@@ -34,7 +36,7 @@ struct Daemon::SinkLane {
   mutable Mutex mu;
   CondVar head_ready;  ///< the buffer's head became poppable, or the lane closed
   Sequencer<OutboundBatch> reorder EMLIO_GUARDED_BY(mu);
-  bool closed EMLIO_GUARDED_BY(mu) = true;  ///< no epoch runs on the lane
+  bool closed EMLIO_GUARDED_BY(mu) = true;  ///< no sender runs on the lane
   // Lifetime counters: plain fields inside the critical sections put and
   // pop already take, and relaxed atomics for the two counted outside them.
   std::uint64_t popped EMLIO_GUARDED_BY(mu) = 0;
@@ -45,14 +47,24 @@ struct Daemon::SinkLane {
 
   // Admission bookkeeping, guarded by Daemon::admit_mutex_ (NOT mu), reset
   // with the per-epoch state:
-  std::size_t next_submit = 0;  ///< next jobs[] index to hand to the pool
-  std::size_t unpopped = 0;     ///< admitted but not yet popped (≤ the window)
+  /// Next jobs[] index to hand to the pool. Atomic so pop can tell, under
+  /// mu alone, whether its head was admitted.
+  std::atomic<std::size_t> next_submit{0};
+  std::size_t unpopped = 0;  ///< admitted but not yet popped (≤ the window)
+  /// The last reserve for the lane failed; the next that succeeds ends the
+  /// admission wait, which counts one enqueue stall.
+  bool starved = false;
+  /// Its sender is parked for a slot: until it wakes, only it admits here.
+  bool slot_wait = false;
+  std::uint64_t no_slot_pass = 0;  ///< admit_pass_ whose reserve failed
 
-  /// Park job `seq`'s result; wakes the sender when it is the head.
+  /// Park job `seq`'s result; wakes the sender when it is the head. A
+  /// closed lane drops it instead, with the slot it holds.
   void put(std::size_t seq, OutboundBatch out) {
     bool head;
     {
       MutexLock lock(mu);
+      if (closed) return;
       head = reorder.put(seq, std::move(out));
       peak = std::max<std::uint64_t>(peak, reorder.parked());
     }
@@ -61,24 +73,39 @@ struct Daemon::SinkLane {
 
   /// The next batch in batch-id order, waiting for its encode to park it;
   /// `waited` says whether it had to (a sender stall). nullopt ends the
-  /// sender's epoch: the last job was popped, the head is a failed encode,
-  /// or the lane closed with no head ready.
-  std::optional<OutboundBatch> pop(bool& waited) {
+  /// sender's epoch — the last job was popped, the head is a failed encode
+  /// or was never admitted on a failed lane, or the lane closed with no
+  /// head ready — unless it sets `no_slot`: the lane lends, and its head is
+  /// not admitted for want of a slot (see admit_head).
+  std::optional<OutboundBatch> pop(bool& waited, bool& no_slot) {
     MutexLock lock(mu);
+    no_slot = false;
     if (reorder.next() == jobs.size()) return std::nullopt;
+    if (!reorder.front() && !closed &&
+        reorder.next() == next_submit.load(std::memory_order_acquire)) {
+      if (failed.load(std::memory_order_acquire)) return std::nullopt;
+      if (lends) {
+        no_slot = true;
+        return std::nullopt;
+      }
+    }
     waited = !reorder.front() && !closed;
     if (waited) ++sender_stalls;
     while (!reorder.front() && !closed) head_ready.wait(mu);
     const OutboundBatch* head = reorder.front();
-    if (!head || head->message.size() == 0) return std::nullopt;
+    if (!head || head->nbytes == 0) return std::nullopt;
     ++popped;
     return reorder.pop_front();
   }
 
+  /// Ends the lane's epoch: drops what is parked (a failed lane's
+  /// leftovers, with their heads, mmap views, cache pins and slots) and
+  /// every later put.
   void close() {
     {
       MutexLock lock(mu);
       closed = true;
+      reorder.clear();
     }
     head_ready.notify_all();
   }
@@ -299,7 +326,7 @@ bool Daemon::validate_plan(
 
 // --------------------------------------------------------- pipelined engine
 
-void Daemon::encode_job(SinkLane& lane, std::size_t seq) {
+void Daemon::encode_job(SinkLane& lane, std::size_t seq, net::MessageSink::Slot slot) {
   OutboundBatch out;
   obs::BatchTrace* tp = tracer_.enabled() ? &out.trace : nullptr;
   if (!lane.failed.load(std::memory_order_acquire)) {
@@ -324,17 +351,28 @@ void Daemon::encode_job(SinkLane& lane, std::size_t seq) {
           batch.trace_origin_ns = static_cast<std::uint64_t>(out.trace.start_ns);
         }
       }
-      // Encode into a pooled head: small samples are copied into it; for a
-      // sink that gathers, large ones are spliced in by reference and first
-      // copied by the sink at its boundary. The message moves through the
-      // reorder buffer and sink copy-free and the head recycles when the
-      // transport drops it.
       {
         obs::StageTimer enc(tp, obs::Stage::kEncode);
-        out.message = lane.sink->gathers() ? msgpack::BatchCodec::encode_spliced(batch, *pool_)
-                                           : msgpack::BatchCodec::encode(batch, *pool_);
+        if (slot) {
+          // Straight into the lent slot: the head and the small samples make
+          // their one pass over memory here, on the pool. Samples that would
+          // splice get room, which the sender fills.
+          out.encoded = msgpack::BatchCodec::encode_into(batch, slot.bytes());
+          out.nbytes = out.encoded.size;
+          out.slot = std::move(slot);
+        } else {
+          // Into a pooled head: small samples are copied into it; for a sink
+          // that gathers, large ones are spliced in by reference and first
+          // copied by the sink at its boundary. The message moves through
+          // the reorder buffer and sink copy-free and the head recycles when
+          // the transport drops it.
+          out.message = lane.sink->gathers()
+                            ? msgpack::BatchCodec::encode_spliced(batch, *pool_)
+                            : msgpack::BatchCodec::encode(batch, *pool_);
+          out.nbytes = out.message.size();
+        }
       }
-      if (tp) out.trace.wire_bytes = out.message.size();
+      if (tp) out.trace.wire_bytes = out.nbytes;
     } catch (const std::exception& e) {
       record_error("encode worker (node " + std::to_string(lane.node_id) + ", batch " +
                    std::to_string(lane.jobs[seq].batch_id) + "): " + e.what());
@@ -343,9 +381,20 @@ void Daemon::encode_job(SinkLane& lane, std::size_t seq) {
     }
   }
   // Park the result, failed or not (the sequence must stay dense). Never
-  // blocks this pool thread: the window bounds what a lane can park.
+  // blocks this pool thread: the window bounds what a lane can park. An
+  // unused slot returns to its sink when this job ends.
   lane.put(seq, std::move(out));
   admit_more(/*job_done=*/true);  // the freed budget slot goes to the next lane
+}
+
+void Daemon::post_encode(SinkLane& lane, std::size_t seq, net::MessageSink::Slot slot) {
+  if (!slot) {
+    encode_pool_->post([this, l = &lane, seq] { encode_job(*l, seq, {}); });
+    return;
+  }
+  // The pool's tasks are copyable std::functions; the slot is move-only.
+  auto held = std::make_shared<net::MessageSink::Slot>(std::move(slot));
+  encode_pool_->post([this, l = &lane, seq, held] { encode_job(*l, seq, std::move(*held)); });
 }
 
 void Daemon::admit_more(bool job_done, SinkLane* popped, bool popped_ready) {
@@ -353,14 +402,21 @@ void Daemon::admit_more(bool job_done, SinkLane* popped, bool popped_ready) {
   // in-flight budget. A lane is admittable while it has unsubmitted jobs, a
   // healthy sink, and room in its window (prefetch_depth batches admitted
   // but not yet popped) — a wedged sink's window saturates and its whole
-  // encode share flows to the healthy lanes.
-  std::vector<std::pair<SinkLane*, std::size_t>> grants;
+  // encode share flows to the healthy lanes. A lending lane also needs a
+  // free slot, reserved here, in batch-id order, with its job.
+  struct Grant {
+    SinkLane* lane;
+    std::size_t seq;
+    net::MessageSink::Slot slot;
+  };
+  std::vector<Grant> grants;
   {
     MutexLock lock(admit_mutex_);
     // Local aliases: the lambda body is analyzed as a separate function, but
     // it only ever runs synchronously below, under admit_mutex_.
     const auto& lanes = lanes_;
     const std::size_t window = admit_window_;
+    const std::uint64_t pass = ++admit_pass_;
     if (job_done) --admit_running_;
     if (popped) {
       // A pop that frees a full window with jobs left ends an admission
@@ -368,38 +424,95 @@ void Daemon::admit_more(bool job_done, SinkLane* popped, bool popped_ready) {
       // wait was on the wire: one enqueue stall. A window full of jobs
       // still encoding waits on encode, and the pop's sender stall says so.
       if (popped_ready && popped->unpopped == window &&
-          popped->next_submit < popped->jobs.size()) {
+          popped->next_submit.load(std::memory_order_relaxed) < popped->jobs.size()) {
         popped->enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
       }
       --popped->unpopped;
     }
     auto admittable = [&](std::size_t slot) {
       const SinkLane& l = *lanes[slot];
-      return !l.failed.load(std::memory_order_acquire) && l.next_submit < l.jobs.size() &&
-             l.unpopped < window;
+      return !l.failed.load(std::memory_order_acquire) &&
+             l.next_submit.load(std::memory_order_relaxed) < l.jobs.size() &&
+             l.unpopped < window && !l.slot_wait && l.no_slot_pass != pass;
     };
     while (admit_running_ < admit_budget_) {
       std::size_t slot = admit_cycle_.pick(lanes.size(), admittable);
       if (slot == RoundRobin::npos) break;
       SinkLane& l = *lanes[slot];
-      grants.emplace_back(&l, l.next_submit++);
+      net::MessageSink::Slot lent;
+      if (l.lends) {
+        lent = l.sink->try_reserve();
+        if (!lent) {
+          if (!std::exchange(l.starved, true)) {
+            l.enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
+          }
+          l.no_slot_pass = pass;
+          continue;
+        }
+        l.starved = false;
+      }
+      const std::size_t seq = l.next_submit.fetch_add(1, std::memory_order_release);
+      grants.push_back({&l, seq, std::move(lent)});
       ++admit_running_;
       ++l.unpopped;
     }
   }
-  for (auto& [l, seq] : grants) {
-    encode_pool_->post([this, l, seq] { encode_job(*l, seq); });
+  for (auto& g : grants) post_encode(*g.lane, g.seq, std::move(g.slot));
+}
+
+bool Daemon::admit_head(SinkLane& lane) {
+  net::MessageSink::Slot slot;
+  std::size_t seq;
+  {
+    MutexLock lock(admit_mutex_);
+    lane.slot_wait = false;
+    if (lane.failed.load(std::memory_order_acquire) || lane.unpopped > 0 ||
+        lane.next_submit.load(std::memory_order_relaxed) == lane.jobs.size()) {
+      return true;  // the head is admitted, or never will be
+    }
+    slot = lane.sink->try_reserve();
+    if (!slot) {
+      if (!std::exchange(lane.starved, true)) {
+        lane.enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
+      }
+      // No other thread admits to the lane until its sender wakes, so a
+      // batch admitted meanwhile cannot wait behind the sender's park.
+      lane.slot_wait = true;
+      return false;
+    }
+    lane.starved = false;
+    // Past the budget if need be: the lane has nothing in flight.
+    seq = lane.next_submit.fetch_add(1, std::memory_order_release);
+    ++admit_running_;
+    ++lane.unpopped;
   }
+  post_encode(lane, seq, std::move(slot));
+  return true;
 }
 
 void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
   std::uint64_t sent = 0;
   bool waited = false;
-  while (auto msg = lane.pop(waited)) {
+  bool no_slot = false;
+  auto closed_mid_epoch = [&] {
+    log::warn("daemon ", config_.daemon_id, ": sink for node ", lane.node_id,
+              " closed mid-epoch ", epoch);
+    lane.failed.store(true, std::memory_order_release);
+  };
+  while (true) {
+    auto msg = lane.pop(waited, no_slot);
+    if (no_slot) {
+      // Nothing admitted and no slot free: park for one, admitting the
+      // next batch once it frees.
+      if (lane.sink->await_slot([&] { return admit_head(lane); })) continue;
+      closed_mid_epoch();
+      break;
+    }
+    if (!msg) break;
     admit_more(/*job_done=*/false, &lane, /*popped_ready=*/!waited);  // a window slot freed
     // The lane_rate cap, paid here by every batch, the epoch's tail too.
     lane.pacer->pace();
-    const std::uint64_t nbytes = msg->message.size();
+    const std::uint64_t nbytes = msg->nbytes;
     obs::BatchTrace* tp = msg->trace.active() ? &msg->trace : nullptr;
     // Everything between encode-done and here — reorder-buffer parking and
     // rate-limit pacing — is the lane-wait stage.
@@ -409,7 +522,14 @@ void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
     bool accepted;
     try {
       obs::StageTimer wire(tp, obs::Stage::kWire);
-      accepted = lane.sink->send_spliced(std::move(msg->message));
+      if (msg->slot) {
+        // A lent slot's wire stage: copy the spliced samples into their
+        // room, then publish the descriptor.
+        msg->encoded.fill(msg->slot.bytes());
+        accepted = lane.sink->publish(std::move(msg->slot), nbytes);
+      } else {
+        accepted = lane.sink->send_spliced(std::move(msg->message));
+      }
     } catch (const std::exception& e) {
       // A throwing sink (e.g. a batch larger than an shm slab) fails this
       // lane like a closed one, instead of escaping the thread.
@@ -419,9 +539,7 @@ void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
       break;
     }
     if (!accepted) {
-      log::warn("daemon ", config_.daemon_id, ": sink for node ", lane.node_id,
-                " closed mid-epoch ", epoch);
-      lane.failed.store(true, std::memory_order_release);
+      closed_mid_epoch();
       break;
     }
     if (tp) tracer_.complete(*tp);
@@ -431,6 +549,9 @@ void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
     counters_.bytes_sent.fetch_add(nbytes, std::memory_order_relaxed);
     ++sent;
   }
+  // A failed lane drops what it still holds, and what stragglers park
+  // later, so the slots among it are free for the sentinel.
+  lane.close();
   // The sink's end-of-epoch sentinel follows its batches. It carries how
   // many data batches this daemon sent the node, so the receiver can detect
   // cross-stream sentinel overtaking (see batch_codec.h). Best-effort on a
@@ -468,8 +589,10 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
     admit_cycle_ = RoundRobin{};
     admit_running_ = 0;
     for (auto& lane : lanes_) {
-      lane->next_submit = 0;
+      lane->next_submit.store(0, std::memory_order_relaxed);
       lane->unpopped = 0;
+      lane->starved = false;
+      lane->slot_wait = false;
     }
   }
 
@@ -478,11 +601,10 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
     // Runs on BOTH paths (exception or normal): close every lane and stop
     // its pacer (so a sender still waiting for a head unblocks), join the
     // senders — a joinable sender must never be destroyed — and wait out
-    // straggler encode jobs, which write into the lanes. A failed lane's
-    // leftover batches (those parked behind a failed head or a failed send)
-    // are dropped here, releasing their pooled heads, mmap views and cache
-    // pins; on a clean epoch every buffer is already empty, as the audit
-    // checks.
+    // straggler encode jobs, which write into the lanes. Each sender has
+    // closed its own lane already, dropping a failed lane's leftover
+    // batches, and a closed lane drops what stragglers put; on a clean
+    // epoch every buffer is empty, as the audit checks.
     struct DrainGuard {
       Daemon* daemon;
       std::vector<std::thread>& senders;
@@ -495,11 +617,6 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
           if (t.joinable()) t.join();
         }
         daemon->encode_pool_->wait_idle();
-        for (auto& lane : daemon->lanes_) {
-          if (!lane->failed.load(std::memory_order_acquire)) continue;
-          MutexLock lock(lane->mu);
-          lane->reorder = Sequencer<OutboundBatch>{};
-        }
       }
     } drain_guard{this, senders};
 

@@ -8,28 +8,41 @@
 //                             window = prefetch_depth (HWM)       per epoch)
 //
 // Each job slices B records straight out of the mmap'd shard (zero-copy
-// views that share the mapping's ownership) and msgpack-serializes them
-// into one SplicedPayload: a pooled head, with samples of at least
-// BatchCodec::kSpliceMinBytes spliced in by reference rather than copied
-// when the sink gathers (MessageSink::gathers). Each sink has one lane for
-// the daemon's life, and its only queue is its reorder buffer: jobs park
-// their results in it in any order, and the epoch's sender thread pops them
-// in batch-id order straight out of it, paces the lane_rate cap (if any),
-// PUSHes each to the destination node's MessageSink, which copies the
-// spliced bytes only at its boundary, and ends the epoch with the sink's
-// sentinel. Disk/encode and network are therefore concurrently busy —
-// design principle (1) — while admission caps each lane's batches admitted
-// but not yet popped at prefetch_depth, so a sink that stops draining holds
-// at most that many encoded batches besides the one its sender is sending:
-// the blocking-send backpressure of §4.5, with the sink's high-water mark
-// behind it. The wire stream per sink stays deterministic (batch-id order)
-// regardless of pool size.
+// views that share the mapping's ownership) and msgpack-serializes them.
+// For a sink that lends (net::MessageSink::lends, the shm slabs) admission
+// reserves the batch's slot, and the job writes the batch straight into it:
+// each byte makes its one pass on the pool, except samples of at least
+// BatchCodec::kSpliceMinBytes, which get room the sender copies them into.
+// For any other sink the job encodes one SplicedPayload: a pooled head, with
+// those large samples spliced in by reference when the sink gathers
+// (MessageSink::gathers). Each sink has one lane for the daemon's life, and
+// its only queue is its reorder buffer: jobs park their results in it in
+// any order, and the epoch's sender thread pops them in batch-id order
+// straight out of it, paces the lane_rate cap (if any), PUSHes each to the
+// destination node's MessageSink — a publish of the slot, or a send whose
+// spliced bytes the sink copies only at its boundary — and ends the epoch
+// with the sink's sentinel. Disk/encode and network are therefore
+// concurrently busy — design principle (1) — while admission caps each
+// lane's batches admitted but not yet popped at prefetch_depth, so a sink
+// that stops draining holds at most that many encoded batches besides the
+// one its sender is sending: the blocking-send backpressure of §4.5, with
+// the sink's high-water mark behind it. The wire stream per sink stays
+// deterministic (batch-id order) regardless of pool size.
+//
+// Slots never deadlock the lanes. They are reserved only at admission, in
+// batch-id order, so a lane's oldest unpopped batch always holds one and
+// its sender never waits for a slot to publish. No thread waits for a slot
+// while its own lane holds an unpublished one: admission only tries
+// (try_reserve), and a sender parks for a slot (await_slot) only while its
+// lane has nothing admitted, admitting its next batch itself when one
+// frees. A lane that fails drops the slots it holds before its sentinel.
 //
 // Failure semantics: serve_epoch validates the plan against the configured
 // sinks BEFORE launching any thread; validation and worker failures —
-// including a sink that throws from send — are surfaced through an error
-// state (ok()/last_error(), serve_epoch's return value) instead of escaping
-// a std::thread and terminating the process.
+// including a sink that throws from send, or a batch too large for its
+// slot — are surfaced through an error state (ok()/last_error(),
+// serve_epoch's return value) instead of escaping a std::thread and
+// terminating the process.
 #pragma once
 
 #include <atomic>
@@ -68,7 +81,10 @@ struct DaemonConfig {
   std::size_t pool_threads = 0;
   /// Per-sink admission window — the paper's HWM: how many of a sink's
   /// batches may be admitted to the encode pool and not yet popped by its
-  /// sender (encoding, or parked in the lane's reorder buffer).
+  /// sender (encoding, or parked in the lane's reorder buffer). On a lane
+  /// whose sink lends, each admitted batch also holds one of the sink's
+  /// slots, so the window shares the sink's slots with the messages in
+  /// flight to the receiver: fewer free slots admit fewer batches.
   std::size_t prefetch_depth = 16;
   /// Rate cap of every sink lane in batches/sec, paced on its sender thread
   /// before each send (common/lane.h RatePacer); 0 = none. Per-lane wire
@@ -117,10 +133,13 @@ struct DaemonConfig {
   M(std::uint64_t, encode_pool_reused, kCounter)    /* heads served from the free list */ \
   M(std::uint64_t, encode_pool_allocated, kCounter) /* heads built fresh */               \
   /* Pipeline balance: the aggregates of `lanes` (sum / sum / max). */                    \
-  M(std::uint64_t, enqueue_stalls, kCounter) /* admission waits on a full window, */      \
-                                             /* once per wait, that a pop of an */        \
+  M(std::uint64_t, enqueue_stalls, kCounter) /* admission waits, once per wait: on a */  \
+                                             /* full window, that a pop of an */          \
                                              /* already-encoded batch ended */            \
-                                             /* (disk/encode outran the wire) */          \
+                                             /* (disk/encode outran the wire); and, on */ \
+                                             /* a lane whose sink lends, for a free */    \
+                                             /* slot (from the first failed reserve to */ \
+                                             /* the next that succeeds) */                \
   M(std::uint64_t, sender_stalls, kCounter)  /* sender pops that found no ready batch */  \
                                              /* (the wire outran disk/encode) */          \
   /* Max reorder-buffer occupancy seen, at most prefetch_depth. Tracked */                \
@@ -143,7 +162,7 @@ struct DaemonStats {
   /// accumulate over the daemon's life: delivered_items counts the batches
   /// its sender popped, enqueue_stalls / dequeue_stalls / queue_peak_depth
   /// are the lane's share of the fields above, and `closed` reads true while
-  /// no epoch runs on the lane.
+  /// no sender runs on the lane.
   std::vector<LaneStats> lanes;
   /// Per-stage latency quantiles (read/encode/lane_wait/wire + "e2e"), ns.
   /// Empty unless DaemonConfig::trace.
@@ -203,9 +222,15 @@ class Daemon {
   /// One encoded batch parked in a sink's reorder buffer, with the metadata
   /// its sender needs for stats.
   struct OutboundBatch {
-    /// Empty when the batch's encode failed or was skipped on a failed lane:
-    /// the sender's epoch on the lane ends there.
+    /// The message, for a sink that does not lend.
     SplicedPayload message;
+    /// For a sink that lends: the slot the batch was encoded into, and the
+    /// room its sender copies the spliced samples into.
+    net::MessageSink::Slot slot;
+    msgpack::SlotEncoding encoded;
+    /// Serialized size. 0 when the batch's encode failed or was skipped on
+    /// a failed lane: the sender's epoch on the lane ends there.
+    std::uint64_t nbytes = 0;
     std::uint64_t batch_id = 0;
     std::uint64_t nsamples = 0;
     /// Stamp sheet riding along the lane (inactive unless config_.trace).
@@ -221,12 +246,19 @@ class Daemon {
 
   bool validate_plan(std::uint32_t epoch,
                      const std::map<std::uint32_t, std::vector<BatchAssignment>>& local);
-  void encode_job(SinkLane& lane, std::size_t seq);
-  /// Hand out encode jobs while the budget and the lanes' windows allow.
+  /// Encode job `seq` of `lane`, into `slot` when the lane's sink lends.
+  void encode_job(SinkLane& lane, std::size_t seq, net::MessageSink::Slot slot);
+  void post_encode(SinkLane& lane, std::size_t seq, net::MessageSink::Slot slot);
+  /// Hand out encode jobs while the budget, the lanes' windows and, on
+  /// lending lanes, free slots allow.
   /// `job_done`: an encode job finished and returns its budget slot;
   /// `popped`: that lane's sender popped a batch, freeing a window slot —
   /// one it found `popped_ready` (encoded before the sender came for it).
   void admit_more(bool job_done, SinkLane* popped = nullptr, bool popped_ready = false);
+  /// The slot wait's try, run by the sender of a lending lane with nothing
+  /// admitted: admits the lane's next batch if a slot is free. True when
+  /// the sender may stop waiting.
+  bool admit_head(SinkLane& lane);
   void sender_loop(SinkLane& lane, std::uint32_t epoch);
   msgpack::WireBatch build_batch(const BatchAssignment& assignment) const;
   void record_error(const std::string& what);
@@ -268,14 +300,18 @@ class Daemon {
   // a round-robin pick over the sink lanes hands out the next encode job,
   // bounded by a global running-job budget (2× the pool width, at least 4 —
   // enough to keep every worker fed, small enough that a stalled lane's
-  // saturated window leaves the pool to the others) and a per-lane window
-  // (prefetch_depth batches admitted but not yet popped). NEVER acquired
-  // while holding a lane's mu.
+  // saturated window leaves the pool to the others), a per-lane window
+  // (prefetch_depth batches admitted but not yet popped) and, on a lending
+  // lane, a slot reserved with each job. NEVER acquired while holding a
+  // lane's mu; the sinks' reserve locks nest inside it.
   Mutex admit_mutex_;
   RoundRobin admit_cycle_ EMLIO_GUARDED_BY(admit_mutex_);
   std::size_t admit_budget_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
   std::size_t admit_running_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
   std::size_t admit_window_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
+  /// Counts admit_more calls: a lane whose reserve failed is skipped for
+  /// the rest of the call.
+  std::uint64_t admit_pass_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
 };
 
 }  // namespace emlio::core

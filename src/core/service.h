@@ -38,7 +38,9 @@ struct ServiceConfig {
   /// ZMQ-style HWM: the daemon's prefetch depth, the sim link's in-flight
   /// cap and the shm slab count. It does not reach the TCP sockets: a TCP
   /// send queues nothing of its own and blocks in the kernel, behind the
-  /// prefetch lane.
+  /// prefetch lane. On shm an admitted batch holds the slab it is encoded
+  /// into, so the daemon's window, the slab ring and the receiver share
+  /// these high_water_mark slabs between them.
   std::size_t high_water_mark = 16;
   std::size_t num_streams = 2;        ///< parallel TCP streams (kTcp)
   std::size_t receiver_queue = 16;    ///< shared in-memory queue depth

@@ -57,15 +57,23 @@ void EnergyMonitor::cpu_dram_sampler() {
   std::uint64_t round = 0;
   for (;;) {
     barrier_.arrive_and_wait();  // phase 1: align arrival
-    // Leader computes the round for this cycle from the clock, skipping
-    // ticks if the previous cycle overran δ (the "missed interval" case).
-    Nanos now = clock_->now();
-    auto elapsed_ticks =
-        static_cast<std::uint64_t>(std::max<Nanos>(0, now - start_time_) / options_.interval);
-    leader_round_ = std::max(round, elapsed_ticks);
-    barrier_.arrive_and_wait();  // phase 2: publish round
+    // Leader decides the cycle: stop, or the round computed from the clock,
+    // skipping ticks if the previous cycle overran δ (the "missed interval"
+    // case). It reads stop_ once, here, and publishes the decision with the
+    // round, so both samplers leave together: were each to read stop_ after
+    // phase 2, a stop() between the two reads would strand one sampler at
+    // the next phase 1.
+    if (stop_.load(std::memory_order_acquire)) {
+      leader_round_ = kStopRound;
+    } else {
+      Nanos now = clock_->now();
+      auto elapsed_ticks =
+          static_cast<std::uint64_t>(std::max<Nanos>(0, now - start_time_) / options_.interval);
+      leader_round_ = std::max(round, elapsed_ticks);
+    }
+    barrier_.arrive_and_wait();  // phase 2: publish the decision
     round = leader_round_;
-    if (stop_.load(std::memory_order_acquire)) break;
+    if (round == kStopRound) break;
 
     Reading r;
     r.round = round;
@@ -90,9 +98,9 @@ void EnergyMonitor::cpu_dram_sampler() {
 void EnergyMonitor::gpu_sampler() {
   for (;;) {
     barrier_.arrive_and_wait();  // phase 1
-    barrier_.arrive_and_wait();  // phase 2: leader published the round
+    barrier_.arrive_and_wait();  // phase 2: leader published the decision
     std::uint64_t round = leader_round_;
-    if (stop_.load(std::memory_order_acquire)) break;
+    if (round == kStopRound) break;
 
     Reading r;
     r.round = round;

@@ -95,6 +95,8 @@ class EnergyMonitor {
 
   CyclicBarrier barrier_;
   Nanos start_time_ = 0;
+  /// The leader's decision for the current cycle: its round, or kStopRound.
+  static constexpr std::uint64_t kStopRound = UINT64_MAX;
   std::atomic<std::uint64_t> leader_round_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};

@@ -1,7 +1,9 @@
 #include "msgpack/batch_codec.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "msgpack/msgpack.h"
 
@@ -18,13 +20,17 @@ bool splices(const PayloadView& bytes, std::size_t splice_min) {
 }
 
 /// THE v1 schema writer: every encode overload calls it, so the key
-/// sequence exists once. With `spliced` null every sample is copied into
-/// `out` (the contiguous encoding). Otherwise a sample that splices() gets
-/// only its bin header in `out`, and (offset in `out`, view) is appended to
-/// `spliced` — the wire bytes are the same either way.
-void write_v1(const WireBatch& batch, ByteBuffer& out, std::size_t splice_min,
+/// sequence exists once. `out` is a ByteBuffer (the pooled head or the
+/// contiguous encoding) or a FixedBuffer over a lent slot. With `spliced`
+/// null every sample is copied into `out`. Otherwise a sample that
+/// splices() gets only its bin header in `out`, and (offset in `out`, view)
+/// is appended to `spliced`; a FixedBuffer then also skips the sample's
+/// length, leaving room for its bytes at that offset. The wire bytes are the
+/// same either way.
+template <typename Out>
+void write_v1(const WireBatch& batch, Out& out, std::size_t splice_min,
               std::vector<SplicedPayload::Splice>* spliced) {
-  Encoder enc(out);
+  BasicEncoder<Out> enc(out);
   enc.pack_map_header(batch.trace_origin_ns ? 9 : 8);
   // Keys are emitted in sorted order to match Map-based decoding of other
   // msgpack implementations that normalize maps.
@@ -47,6 +53,7 @@ void write_v1(const WireBatch& batch, ByteBuffer& out, std::size_t splice_min,
     if (spliced && splices(s.bytes, splice_min)) {
       enc.pack_bin_header(s.bytes.size());
       spliced->push_back({out.size(), s.bytes});
+      if constexpr (std::is_same_v<Out, FixedBuffer>) out.skip(s.bytes.size());
     } else {
       enc.pack_bin(s.bytes);
     }
@@ -113,6 +120,31 @@ SplicedPayload detail::encode_spliced(const WireBatch& batch, BufferPool& pool,
   std::vector<SplicedPayload::Splice> spliced;
   write_v1(batch, buf, splice_min, &spliced);
   return SplicedPayload(pool.seal(std::move(buf)), std::move(spliced));
+}
+
+void SlotEncoding::fill(std::span<std::uint8_t> memory) const {
+  for (const auto& room : rooms) {
+    if (room.bytes.empty()) continue;
+    std::memcpy(memory.data() + room.at, room.bytes.data(), room.bytes.size());
+  }
+}
+
+SlotEncoding BatchCodec::encode_into(const WireBatch& batch, std::span<std::uint8_t> memory) {
+  return detail::encode_into(batch, memory, kSpliceMinBytes);
+}
+
+SlotEncoding detail::encode_into(const WireBatch& batch, std::span<std::uint8_t> memory,
+                                 std::size_t splice_min) {
+  FixedBuffer out(memory);
+  SlotEncoding encoded;
+  try {
+    write_v1(batch, out, splice_min, &encoded.rooms);
+  } catch (const std::length_error& e) {
+    throw std::length_error("batch codec: the batch exceeds the " + std::to_string(memory.size()) +
+                            " bytes of its slot, a lending sink's slab_bytes (" + e.what() + ")");
+  }
+  encoded.size = out.size();
+  return encoded;
 }
 
 WireBatch BatchCodec::decode(PayloadView bytes) {

@@ -73,6 +73,19 @@ struct WireBatch {
   bool operator==(const WireBatch&) const = default;
 };
 
+/// A batch serialized into fixed memory by BatchCodec::encode_into: the
+/// message is the memory's first `size` bytes, except that each room is left
+/// for its sample's bytes, which fill() copies in.
+struct SlotEncoding {
+  std::size_t size = 0;
+  /// In wire order; a room's `at` is its offset in the memory, and its
+  /// `bytes` own their storage.
+  std::vector<SplicedPayload::Splice> rooms;
+
+  /// Copy every room's bytes into `memory`, the memory encode_into wrote.
+  void fill(std::span<std::uint8_t> memory) const;
+};
+
 /// Encoder/decoder for WireBatch <-> msgpack bytes.
 ///
 /// The wire format is byte-identical regardless of which encode/decode
@@ -111,6 +124,15 @@ class BatchCodec {
   /// samples are copied into the head.
   static SplicedPayload encode_spliced(const WireBatch& batch, BufferPool& pool);
 
+  /// Serialize into fixed memory — a slot a lending sink lent (channel.h):
+  /// the head and every sample encode_spliced would copy are written in one
+  /// pass, and each sample it would splice gets its bin header and room for
+  /// its bytes. Once SlotEncoding::fill has copied those in, the memory's
+  /// first `size` bytes equal encode(batch)'s. Throws std::length_error if
+  /// the message needs more than memory.size() bytes, writing nothing past
+  /// the end.
+  static SlotEncoding encode_into(const WireBatch& batch, std::span<std::uint8_t> memory);
+
   /// Parse a batch with ZERO per-sample byte copies: each WireSample.bytes
   /// is a slice of `bytes`. If `bytes` owns its storage (a Payload, or an
   /// rvalue vector adopted into the view), the samples share that ownership
@@ -131,6 +153,9 @@ namespace detail {
 /// BatchCodec::encode_spliced with an explicit threshold, for the threshold
 /// sweep and the byte-identity tests; the data plane uses kSpliceMinBytes.
 SplicedPayload encode_spliced(const WireBatch& batch, BufferPool& pool, std::size_t splice_min);
+/// BatchCodec::encode_into with an explicit threshold, likewise.
+SlotEncoding encode_into(const WireBatch& batch, std::span<std::uint8_t> memory,
+                         std::size_t splice_min);
 }  // namespace detail
 
 }  // namespace emlio::msgpack

@@ -98,11 +98,14 @@ bool Value::operator==(const Value& other) const {
 
 // ---------------------------------------------------------------- encoder
 
-void Encoder::pack_nil() { out_->push_u8(0xC0); }
+template <typename Out>
+void BasicEncoder<Out>::pack_nil() { out_->push_u8(0xC0); }
 
-void Encoder::pack_bool(bool b) { out_->push_u8(b ? 0xC3 : 0xC2); }
+template <typename Out>
+void BasicEncoder<Out>::pack_bool(bool b) { out_->push_u8(b ? 0xC3 : 0xC2); }
 
-void Encoder::pack_uint(std::uint64_t v) {
+template <typename Out>
+void BasicEncoder<Out>::pack_uint(std::uint64_t v) {
   if (v < 0x80u) {
     out_->push_u8(static_cast<std::uint8_t>(v));  // positive fixint
   } else if (v <= 0xFFu) {
@@ -120,7 +123,8 @@ void Encoder::pack_uint(std::uint64_t v) {
   }
 }
 
-void Encoder::pack_int(std::int64_t v) {
+template <typename Out>
+void BasicEncoder<Out>::pack_int(std::int64_t v) {
   if (v >= 0) {
     pack_uint(static_cast<std::uint64_t>(v));
     return;
@@ -142,12 +146,14 @@ void Encoder::pack_int(std::int64_t v) {
   }
 }
 
-void Encoder::pack_double(double v) {
+template <typename Out>
+void BasicEncoder<Out>::pack_double(double v) {
   out_->push_u8(0xCB);
   out_->push_f64be(v);
 }
 
-void Encoder::pack_string(std::string_view s) {
+template <typename Out>
+void BasicEncoder<Out>::pack_string(std::string_view s) {
   std::size_t n = s.size();
   if (n < 32) {
     out_->push_u8(static_cast<std::uint8_t>(0xA0 | n));
@@ -164,12 +170,14 @@ void Encoder::pack_string(std::string_view s) {
   out_->push_bytes(s);
 }
 
-void Encoder::pack_bin(std::span<const std::uint8_t> bytes) {
+template <typename Out>
+void BasicEncoder<Out>::pack_bin(std::span<const std::uint8_t> bytes) {
   pack_bin_header(bytes.size());
   out_->push_bytes(bytes);
 }
 
-void Encoder::pack_bin_header(std::size_t n) {
+template <typename Out>
+void BasicEncoder<Out>::pack_bin_header(std::size_t n) {
   if (n <= 0xFFu) {
     out_->push_u8(0xC4);
     out_->push_u8(static_cast<std::uint8_t>(n));
@@ -182,7 +190,8 @@ void Encoder::pack_bin_header(std::size_t n) {
   }
 }
 
-void Encoder::pack_array_header(std::size_t n) {
+template <typename Out>
+void BasicEncoder<Out>::pack_array_header(std::size_t n) {
   if (n < 16) {
     out_->push_u8(static_cast<std::uint8_t>(0x90 | n));
   } else if (n <= 0xFFFFu) {
@@ -194,7 +203,8 @@ void Encoder::pack_array_header(std::size_t n) {
   }
 }
 
-void Encoder::pack_map_header(std::size_t n) {
+template <typename Out>
+void BasicEncoder<Out>::pack_map_header(std::size_t n) {
   if (n < 16) {
     out_->push_u8(static_cast<std::uint8_t>(0x80 | n));
   } else if (n <= 0xFFFFu) {
@@ -206,7 +216,8 @@ void Encoder::pack_map_header(std::size_t n) {
   }
 }
 
-void Encoder::pack(const Value& v) {
+template <typename Out>
+void BasicEncoder<Out>::pack(const Value& v) {
   if (v.is_nil()) {
     pack_nil();
   } else if (v.is_bool()) {
@@ -244,6 +255,9 @@ void Encoder::pack(const Value& v) {
     }
   }
 }
+
+template class BasicEncoder<ByteBuffer>;
+template class BasicEncoder<FixedBuffer>;
 
 // ---------------------------------------------------------------- decoder
 

@@ -79,10 +79,13 @@ class Value {
       v_;
 };
 
-/// Streaming encoder writing MessagePack bytes into a ByteBuffer.
-class Encoder {
+/// Streaming encoder writing MessagePack bytes into `Out`: a growable
+/// ByteBuffer, or a FixedBuffer over caller-owned memory, which throws
+/// std::length_error rather than write past its end.
+template <typename Out>
+class BasicEncoder {
  public:
-  explicit Encoder(ByteBuffer& out) : out_(&out) {}
+  explicit BasicEncoder(Out& out) : out_(&out) {}
 
   void pack_nil();
   void pack_bool(bool b);
@@ -104,8 +107,12 @@ class Encoder {
   void pack(const Value& v);
 
  private:
-  ByteBuffer* out_;
+  Out* out_;
 };
+
+using Encoder = BasicEncoder<ByteBuffer>;
+extern template class BasicEncoder<ByteBuffer>;
+extern template class BasicEncoder<FixedBuffer>;
 
 /// Streaming decoder over a byte span.
 ///

@@ -18,9 +18,57 @@ constexpr std::chrono::milliseconds kParkSlice{100};
 // --------------------------------------------------------- ShmMessageSink
 
 ShmMessageSink::ShmMessageSink(const std::string& name, const ShmOptions& opts)
-    : seg_(ShmSegment::create(name, ShmSegment::Options{opts.slab_bytes, opts.slab_count})) {}
+    : seg_(ShmSegment::create(name, ShmSegment::Options{opts.slab_bytes, opts.slab_count})) {
+  MutexLock lock(slab_mu_);
+  unpublished_.reserve(seg_->slab_count());
+}
 
 ShmMessageSink::~ShmMessageSink() { close(); }
+
+std::optional<std::uint32_t> ShmMessageSink::take_slab() {
+  MutexLock lock(slab_mu_);
+  if (!unpublished_.empty()) {
+    const std::uint32_t index = unpublished_.back();
+    unpublished_.pop_back();
+    return index;
+  }
+  if (auto desc = seg_->free_pop()) return shm_desc_index(*desc);
+  return std::nullopt;
+}
+
+void ShmMessageSink::unreserve(std::uint64_t index) noexcept {
+  {
+    MutexLock lock(slab_mu_);
+    unpublished_.push_back(static_cast<std::uint32_t>(index));
+  }
+  seg_->ring_free_bell();  // a send or slot wait parked for a slab takes it
+}
+
+bool ShmMessageSink::push(std::uint32_t index, std::size_t length) {
+  {
+    MutexLock lock(data_mu_);
+    if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
+    seg_->data_push(shm_desc_make(index, static_cast<std::uint32_t>(length)));
+  }
+  seg_->ring_data_bell();
+  return true;
+}
+
+template <typename Ready>
+bool ShmMessageSink::park_until(Ready&& ready) {
+  // Park on the free-ring doorbell between tries. The snapshot precedes
+  // each try, so a slab returned in between moves the bell and the park
+  // falls through; every park timeout re-checks the close flags and the
+  // receiver's liveness, so exhaustion backpressure can never deadlock.
+  while (true) {
+    if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
+    const std::uint32_t snap = seg_->free_bell_seq();
+    if (ready()) return true;
+    if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
+    const bool moved = seg_->wait_free_bell(snap, kParkSlice);
+    if (!moved && !seg_->attacher_alive()) return false;  // receiver crashed
+  }
+}
 
 bool ShmMessageSink::send(Payload message) { return send_spliced(std::move(message)); }
 
@@ -30,46 +78,47 @@ bool ShmMessageSink::send_spliced(SplicedPayload message) {
                              " bytes exceeds slab_bytes=" + std::to_string(seg_->slab_bytes()) +
                              " — raise ShmOptions::slab_bytes");
   }
-  MutexLock lock(send_mu_);
+  std::optional<std::uint32_t> index;
+  if (!park_until([&] { return (index = take_slab()).has_value(); })) return false;
 
-  // Acquire a free slab, parking on the free-ring doorbell while none is
-  // free. Every park timeout re-checks close flags and receiver liveness so
-  // exhaustion backpressure can never deadlock.
-  std::optional<std::uint64_t> desc;
-  while (true) {
-    if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
-    desc = seg_->free_pop();
-    if (desc) break;
-    const std::uint32_t snap = seg_->free_bell_seq();
-    desc = seg_->free_pop();  // re-check after snapshot: no lost wake-up
-    if (desc) break;
-    if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
-    const bool moved = seg_->wait_free_bell(snap, kParkSlice);
-    if (!moved && !seg_->attacher_alive()) return false;  // receiver crashed
-  }
-
-  const std::uint32_t index = shm_desc_index(*desc);
   // The one copy this transport makes — its boundary (channel.h): head
   // pieces and spliced samples enter the shared mapping here, in wire
   // order, and are never copied again.
-  std::uint8_t* slab = seg_->slab_ptr(index);
+  std::uint8_t* slab = seg_->slab_ptr(*index);
   message.for_each_piece([&](std::span<const std::uint8_t> piece) {
     std::memcpy(slab, piece.data(), piece.size());
     slab += piece.size();
   });
-  seg_->data_push(shm_desc_make(index, static_cast<std::uint32_t>(message.size())));
-  seg_->ring_data_bell();
-  return true;
+  if (push(*index, message.size())) return true;
+  unreserve(*index);
+  return false;
 }
+
+MessageSink::Slot ShmMessageSink::try_reserve() {
+  if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return {};
+  const auto index = take_slab();
+  if (!index) return {};
+  return lend({seg_->slab_ptr(*index), seg_->slab_bytes()}, *index);
+}
+
+bool ShmMessageSink::publish(Slot slot, std::size_t length) {
+  const auto index = static_cast<std::uint32_t>(take_back(slot, length));
+  if (push(index, length)) return true;
+  unreserve(index);
+  return false;
+}
+
+bool ShmMessageSink::await_slot(const std::function<bool()>& ready) { return park_until(ready); }
 
 void ShmMessageSink::close() {
   if (closed_.exchange(true, std::memory_order_seq_cst)) return;
-  seg_->ring_free_bell();  // unblock a send parked waiting for a slab
+  seg_->ring_free_bell();  // unblock a send or slot wait parked for a slab
   {
-    // Taking send_mu_ waits out any in-flight send, so the close flag (a
-    // release store) is ordered after the final data push — a receiver that
-    // observes it can drain the ring to empty and miss nothing.
-    MutexLock lock(send_mu_);
+    // Taking data_mu_ waits out an in-flight push, so the close flag (a
+    // release store) is ordered after the final data push — a receiver
+    // that observes it can drain the ring to empty and miss nothing. A push
+    // that comes later sees closed_ and fails.
+    MutexLock lock(data_mu_);
     seg_->mark_sink_closed();
   }
   seg_->ring_data_bell();  // wake the receiver to observe the close

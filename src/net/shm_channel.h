@@ -1,23 +1,29 @@
 // Shared-memory MessageSink/MessageSource — the same-host zero-syscall lane.
 //
 // ShmMessageSink (daemon side) creates a ShmSegment; ShmMessageSource
-// (receiver side) attaches to it by name. A send copies the message's head
-// pieces and spliced samples straight into a free slab — the one copy every
-// transport is allowed at its boundary (see channel.h) — and publishes an
-// 8-byte descriptor into the data ring; nothing enters the kernel. A recv() pops a descriptor
-// and wraps the slab in a refcount-pinned Payload (Payload::wrap_external)
-// whose release closure returns the slab to the free ring, so the receiver's
-// decode views read batch bytes directly out of shared memory and the slab
-// recycles at exactly the consumer's pace — the PR 1 zero-copy invariant,
-// now across a process boundary.
+// (receiver side) attaches to it by name. The sink lends its slabs
+// (channel.h): the daemon reserves one when it admits a batch, its encode
+// pool writes the batch straight into it, and publish() only pushes an
+// 8-byte descriptor into the data ring — one pass over each byte, and
+// nothing enters the kernel. send() and send_spliced() (the sentinel, and
+// callers that do not lend) copy the message's pieces into a free slab
+// instead — the one copy every transport is allowed at its boundary. A
+// recv() pops a descriptor and wraps the slab in a refcount-pinned Payload
+// (Payload::wrap_external) whose release closure returns the slab to the
+// free ring, so the receiver's decode views read batch bytes directly out of
+// shared memory and the slab recycles at exactly the consumer's pace — the
+// payload layer's zero-copy invariant, across a process boundary.
 //
 // Backpressure falls out of the slab pool: slab_count is the in-flight
-// budget (the HWM analogue), and a sender that exhausts it blocks in send()
-// — parked on the free-ring doorbell's futex — until the receiver releases
-// a slab. Blocking never hangs on a dead peer: every park has a timeout,
-// and the timeout path checks peer liveness (pid probe) and the close
-// flags, so a crashed receiver fails the send and a crashed daemon ends the
-// source's stream with a warning instead of a deadlock.
+// budget (the HWM analogue). A slab is in flight from the moment it is lent
+// or taken by a send until the receiver drops the last view of its message;
+// a slot dropped unpublished goes back to a list in the sink's process,
+// never onto the free ring, whose only producer is the receiver. A send that
+// finds no slab blocks — parked on the free-ring doorbell's futex — until
+// one comes back. Blocking never hangs on a dead peer: every park has a
+// timeout, and the timeout path checks peer liveness (pid probe) and the
+// close flags, so a crashed receiver fails the send and a crashed daemon
+// ends the source's stream with a warning instead of a deadlock.
 //
 // Both endpoints implement the channel.h contracts exactly, so the Daemon
 // and Receiver staged engines run over shared memory with zero changes.
@@ -25,8 +31,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -42,8 +51,9 @@ struct ShmOptions {
 };
 
 /// Sender endpoint; owns (creates) the segment and unlinks it on
-/// destruction. Thread-safe: sends are serialized internally, so any number
-/// of sender threads (the daemon runs one per sink lane) can use it directly.
+/// destruction. Thread-safe: any number of threads may send, reserve and
+/// publish at once; neither try_reserve nor publish ever waits behind a send
+/// parked for a slab.
 class ShmMessageSink final : public MessageSink {
  public:
   ShmMessageSink(const std::string& name, const ShmOptions& opts = {});
@@ -53,16 +63,26 @@ class ShmMessageSink final : public MessageSink {
   bool send(Payload message) override;
 
   /// Copies the message's pieces (head ranges and splices, in wire order)
-  /// into a free slab and publishes its descriptor. Blocks while all slabs
-  /// are in flight (backpressure). Returns false once the channel is closed
-  /// from either end or the receiver process is gone. Throws if the
-  /// message's serialized size exceeds slab_bytes — that is a configuration
-  /// error, not a runtime condition.
+  /// into a free slab and publishes its descriptor. The slab comes from the
+  /// slots dropped unpublished first, then from the free ring. Blocks while
+  /// all slabs are in flight (backpressure). Returns false once the channel
+  /// is closed from either end or the receiver process is gone. Throws if
+  /// the message's serialized size exceeds slab_bytes — that is a
+  /// configuration error, not a runtime condition.
   bool send_spliced(SplicedPayload message) override;
   bool gathers() const override { return true; }
 
+  /// Slots are whole slabs, drawn like send's, and a publish is one
+  /// descriptor push. A message larger than slab_bytes cannot be written
+  /// into one: BatchCodec::encode_into throws, naming slab_bytes.
+  bool lends() const override { return true; }
+  Slot try_reserve() override;
+  bool publish(Slot slot, std::size_t length) override;
+  bool await_slot(const std::function<bool()>& ready) override;
+
   /// Publishes the close flag so the receiver drains the ring and ends its
-  /// stream. Unblocks any send stuck waiting for a slab. Idempotent.
+  /// stream. Unblocks any send or slot wait parked for a slab; a publish
+  /// racing the close either lands before the flag or fails. Idempotent.
   void close() override;
 
   /// The data plane never enters the kernel: descriptors and bytes travel
@@ -72,8 +92,24 @@ class ShmMessageSink final : public MessageSink {
   const std::string& segment_name() const noexcept { return seg_->name(); }
 
  private:
+  void unreserve(std::uint64_t index) noexcept override;
+  /// A slab this process may write, or nullopt when none is free.
+  std::optional<std::uint32_t> take_slab();
+  /// Push slab `index` holding `length` bytes onto the data ring, unless
+  /// the channel is closed from either end.
+  bool push(std::uint32_t index, std::size_t length);
+  /// await_slot's loop, shared with send.
+  template <typename Ready>
+  bool park_until(Ready&& ready);
+
   std::shared_ptr<ShmSegment> seg_;
-  Mutex send_mu_;               // serializes free-pop + slab write + data-push
+  /// The free ring's consumer side, and the slabs lent and dropped
+  /// unpublished (reserved to slab_count, so unreserve never allocates).
+  Mutex slab_mu_;
+  std::vector<std::uint32_t> unpublished_ EMLIO_GUARDED_BY(slab_mu_);
+  /// The data ring's producer side. close() takes it to order the close
+  /// flag after the final push.
+  Mutex data_mu_;
   std::atomic<bool> closed_{false};
 };
 

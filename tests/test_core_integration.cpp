@@ -18,6 +18,7 @@
 #include "net/sim_channel.h"
 #include "pipeline/pipeline.h"
 #include "train/trainer.h"
+#include "watchdog.h"
 #include "workload/materialize.h"
 
 namespace emlio::core {
@@ -988,6 +989,122 @@ TEST_F(CoreIntegrationTest, SinkThrowingFromSendFailsTheEpochNotTheProcess) {
   EXPECT_NE(daemon.last_error().find("slab_bytes"), std::string::npos) << daemon.last_error();
   EXPECT_GE(daemon.stats().errors, 1u);
   EXPECT_EQ(daemon.stats().batches_sent, 0u);
+
+  // No slab leaks on the failed lane: once its sentinel is drained, the
+  // same sink lends every slab again.
+  net::ShmMessageSource source(sink->segment_name());
+  auto sentinel = source.recv();
+  ASSERT_TRUE(sentinel.has_value());
+  EXPECT_TRUE(msgpack::BatchCodec::decode(*sentinel).last);
+  sentinel.reset();
+  std::vector<net::MessageSink::Slot> slots;
+  while (auto slot = sink->try_reserve()) slots.push_back(std::move(slot));
+  EXPECT_EQ(slots.size(), so.slab_count);
+}
+
+/// Appends a delivered batch to `stream` in the byte-identity tests' form:
+/// epoch, batch id, marker flag, then each sample's index, label, size and
+/// bytes.
+void append_batch(std::vector<std::uint8_t>& stream, const msgpack::WireBatch& batch) {
+  auto put_u64 = [&stream](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) stream.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+  };
+  put_u64(batch.epoch);
+  put_u64(batch.batch_id);
+  put_u64(batch.last ? 1 : 0);
+  for (const auto& s : batch.samples) {
+    put_u64(s.index);
+    put_u64(static_cast<std::uint64_t>(s.label));
+    put_u64(s.bytes.size());
+    stream.insert(stream.end(), s.bytes.data(), s.bytes.data() + s.bytes.size());
+  }
+}
+
+TEST_F(CoreIntegrationTest, SlabStarvedShmStreamIsByteIdenticalToInProcess) {
+  // One or two slabs under a window of 16: nearly every admission waits for
+  // a slot, and the sender parks for one whenever its lane has nothing
+  // admitted. The decoded stream must still be the in-process one, byte
+  // for byte, over three epochs; a lost wake-up hangs, and trips the
+  // watchdog.
+  emlio::testing::Watchdog watchdog(std::chrono::seconds(60), "slab-starved shm epochs");
+  constexpr std::uint32_t kEpochs = 3;
+  auto cfg = base_config();
+  cfg.epochs = kEpochs;
+  cfg.pipeline_pool_threads = 2;
+  std::vector<std::uint8_t> want;
+  {
+    EmlioService service(cfg);
+    service.start();
+    while (auto batch = service.next_batch()) append_batch(want, *batch);
+    service.stop();
+  }
+  ASSERT_GT(want.size(), kEpochs * 48u * 900u);
+
+  auto indexes = tfrecord::load_all_indexes(dir_.string());
+  PlannerConfig pc;  // the service's plan
+  pc.batch_size = cfg.batch_size;
+  pc.epochs = kEpochs;
+  pc.threads_per_node = cfg.threads_per_node;
+  pc.seed = cfg.seed;
+  pc.shuffle = cfg.shuffle;
+  Planner planner(indexes, pc);
+  for (std::size_t slabs : {1u, 2u}) {
+    const std::string name = "emlio.test.starved." + std::to_string(::getpid()) + "." +
+                             std::to_string(slabs);
+    net::ShmOptions so;
+    so.slab_bytes = 64u << 10;
+    so.slab_count = slabs;
+    auto sink = std::make_shared<net::ShmMessageSink>(name, so);
+    ReceiverConfig rc;
+    rc.num_senders = 1;
+    rc.decode_threads = 2;
+    Receiver receiver(rc, std::make_unique<net::ShmMessageSource>(name));
+    std::vector<tfrecord::ShardReader> readers;
+    for (const auto& idx : indexes) readers.emplace_back(idx);
+    DaemonConfig dc;
+    dc.pool_threads = 2;
+    dc.prefetch_depth = 16;
+    Daemon daemon(dc, std::move(readers), {{0u, sink}});
+    std::thread serve([&] {
+      EXPECT_TRUE(daemon.serve(planner, /*num_nodes=*/1)) << daemon.last_error();
+      sink->close();
+    });
+    std::vector<std::uint8_t> got;
+    for (std::uint32_t markers = 0; markers < kEpochs;) {
+      auto batch = receiver.next();
+      if (!batch) break;
+      append_batch(got, *batch);
+      markers += batch->last ? 1 : 0;
+    }
+    receiver.close();
+    serve.join();
+    EXPECT_EQ(got, want) << slabs << " slab(s)";
+    const auto stats = daemon.stats();
+    EXPECT_GE(stats.enqueue_stalls, 1u) << "slot waits count as enqueue stalls";
+    EXPECT_EQ(stats.wire_syscalls, 0u);
+  }
+}
+
+TEST_F(CoreIntegrationTest, ServiceStopReturnsWhileTheConsumerPinsEverySlab) {
+  // The consumer holds a batch in every slab, so the daemon's sender parks
+  // for a slot. stop() closes the receiver, which must wake it at once.
+  emlio::testing::Watchdog watchdog(std::chrono::seconds(30), "EmlioService::stop over shm");
+  auto cfg = base_config();
+  cfg.transport = Transport::kShm;
+  cfg.high_water_mark = 4;  // four slabs
+  cfg.epochs = 2;
+  EmlioService service(cfg);
+  service.start();
+  std::vector<msgpack::WireBatch> pinned;
+  while (pinned.size() < cfg.high_water_mark) {
+    auto batch = service.next_batch();
+    ASSERT_TRUE(batch.has_value());
+    if (!batch->last) pinned.push_back(std::move(*batch));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // the sender parks
+  const auto t0 = std::chrono::steady_clock::now();
+  service.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
 }
 
 /// Keeps every message exactly as the daemon handed it over — spliced

@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <random>
 #include <thread>
 
 #include "energy/monitor.h"
 #include "energy/power_model.h"
 #include "energy/power_source.h"
 #include "energy/report.h"
+#include "watchdog.h"
 
 namespace emlio::energy {
 namespace {
@@ -171,6 +174,35 @@ TEST(EnergyMonitor, StartStopIdempotent) {
   monitor.stop();
   monitor.stop();
   EXPECT_FALSE(monitor.running());
+}
+
+// Regression: both samplers used to read stop_ on their own after the
+// phase-2 barrier, so a stop() landing between the two reads let one leave
+// while the other waited at the next phase 1 forever, and stop() joined it.
+// Each cycle stops a GPU-enabled monitor at a random point of its 1 ms
+// rounds; a hang trips the watchdog (exit 1) instead of holding ctest.
+TEST(EnergyMonitor, StopNeverStrandsASampler) {
+  emlio::testing::Watchdog watchdog(std::chrono::seconds(10),
+                                    "EnergyMonitor start/stop cycles (a sampler was stranded)");
+  tsdb::Database db;
+  const auto& clock = SteadyClock::instance();
+  auto cpu = std::make_shared<SyntheticPowerSource>("cpu", clock, 10.0);
+  auto dram = std::make_shared<SyntheticPowerSource>("memory", clock, 1.0);
+  auto gpu = std::make_shared<SyntheticPowerSource>("gpu", clock, 20.0);
+  MonitorOptions opt;
+  opt.interval = from_millis(1);
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> run_us(0, 3000);
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  int cycles = 0;
+  for (; cycles < 2000 && std::chrono::steady_clock::now() < until; ++cycles) {
+    EnergyMonitor monitor(opt, clock, db, cpu, dram, gpu);
+    monitor.start();
+    std::this_thread::sleep_for(std::chrono::microseconds(run_us(rng)));
+    monitor.stop();
+    ASSERT_FALSE(monitor.running());
+  }
+  EXPECT_GT(cycles, 100);
 }
 
 namespace {

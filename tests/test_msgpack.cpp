@@ -1,6 +1,8 @@
 // Unit + property tests for the MessagePack codec and the batch wire format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "msgpack/batch_codec.h"
 #include "msgpack/msgpack.h"
@@ -536,6 +538,60 @@ TEST(BatchCodecSplice, BorrowedSamplesAreCopiedNotSpliced) {
   const SplicedPayload msg = BatchCodec::encode_spliced(b, *pool);
   EXPECT_TRUE(msg.splices().empty());
   EXPECT_EQ(msg.head(), BatchCodec::encode(b).view());
+}
+
+// ------------------------------------------------- encoding into a slot
+
+// encode_into writes into fixed memory in one pass, leaving room for each
+// sample encode_spliced would splice; filled from the views, the memory
+// holds exactly the contiguous encoding — at the data plane's threshold and
+// with every sample given room (every bin header width, empty samples).
+TEST(BatchCodec, EncodeIntoSlotFilledEqualsContiguousEncoding) {
+  std::vector<SpliceCase> cases = splice_cases();
+  std::vector<std::uint8_t> backing(2 * BatchCodec::kSpliceMinBytes, 0x5A);
+  WireBatch borrowed = batch_of_sizes({BatchCodec::kSpliceMinBytes});
+  borrowed.samples.push_back(
+      {.index = 9, .label = 2, .bytes = std::span<const std::uint8_t>(backing)});
+  cases.push_back({"borrowed_large_sample", std::move(borrowed)});
+  for (const auto& c : cases) {
+    const Payload contiguous = BatchCodec::encode(c.batch);
+    for (std::size_t splice_min : {BatchCodec::kSpliceMinBytes, std::size_t{0}}) {
+      SCOPED_TRACE(std::string(c.name) + " splice_min=" + std::to_string(splice_min));
+      std::vector<std::uint8_t> slot(contiguous.size() + 64, 0xEE);
+      const SlotEncoding enc = splice_min == BatchCodec::kSpliceMinBytes
+                                   ? BatchCodec::encode_into(c.batch, slot)
+                                   : detail::encode_into(c.batch, slot, splice_min);
+      ASSERT_EQ(enc.size, contiguous.size());
+      std::size_t expect_rooms = 0;
+      for (const auto& s : c.batch.samples) {
+        expect_rooms += s.bytes.size() >= splice_min && s.bytes.owns_storage();
+      }
+      ASSERT_EQ(enc.rooms.size(), expect_rooms);
+      for (const auto& room : enc.rooms) {
+        EXPECT_TRUE(room.bytes.empty() || room.bytes.owns_storage());
+        EXPECT_LE(room.at + room.bytes.size(), enc.size);
+      }
+      enc.fill(slot);
+      EXPECT_EQ(contiguous, std::span<const std::uint8_t>(slot.data(), enc.size));
+      EXPECT_TRUE(std::all_of(slot.begin() + static_cast<std::ptrdiff_t>(enc.size), slot.end(),
+                              [](std::uint8_t b) { return b == 0xEE; }));
+    }
+  }
+}
+
+TEST(BatchCodec, EncodeIntoTooSmallSlotThrowsAndWritesNothingPastItsEnd) {
+  constexpr std::size_t kGuard = 64;
+  for (const auto& c : splice_cases()) {
+    const std::size_t need = BatchCodec::encode(c.batch).size();
+    for (std::size_t cap : {std::size_t{0}, need / 2, need - 1}) {
+      SCOPED_TRACE(std::string(c.name) + " capacity=" + std::to_string(cap));
+      std::vector<std::uint8_t> memory(cap + kGuard, 0xEE);
+      EXPECT_THROW(BatchCodec::encode_into(c.batch, std::span(memory.data(), cap)),
+                   std::length_error);
+      EXPECT_TRUE(std::all_of(memory.begin() + static_cast<std::ptrdiff_t>(cap), memory.end(),
+                              [](std::uint8_t b) { return b == 0xEE; }));
+    }
+  }
 }
 
 class BatchSizeSweep : public ::testing::TestWithParam<std::size_t> {};

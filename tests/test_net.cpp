@@ -20,6 +20,7 @@
 #include <future>
 #include <numeric>
 #include <random>
+#include <set>
 #include <thread>
 
 #include "common/clock.h"
@@ -1127,6 +1128,149 @@ TEST(ShmChannel, OversizedMessageThrows) {
                std::runtime_error);
   ASSERT_TRUE(sink.send(msg({1})));  // the channel survives the rejection
   EXPECT_TRUE(source.recv().has_value());
+}
+
+// ------------------------------------------------ shm lending contract
+
+TEST(ShmChannel, TryReserveLendsEverySlabThenNothing) {
+  auto name = unique_shm_name();
+  ShmMessageSink sink(name, {.slab_bytes = 4096, .slab_count = 3});
+  ShmMessageSource source(name);
+  ASSERT_TRUE(sink.lends());
+  std::vector<MessageSink::Slot> slots;
+  std::set<const std::uint8_t*> distinct;
+  for (int i = 0; i < 3; ++i) {
+    auto slot = sink.try_reserve();
+    ASSERT_TRUE(slot) << "slot " << i;
+    EXPECT_EQ(slot.bytes().size(), 4096u);  // one whole slab
+    distinct.insert(slot.bytes().data());
+    slots.push_back(std::move(slot));
+  }
+  EXPECT_EQ(distinct.size(), 3u);
+  EXPECT_FALSE(sink.try_reserve());  // every slab is lent: nothing, at once
+}
+
+TEST(ShmChannel, DroppedSlotIsLentAgainAndNeverFreed) {
+  // The receiver is the free ring's only producer, so a slot dropped
+  // unpublished must go back to a list in the sink's process instead.
+  auto name = unique_shm_name();
+  ShmMessageSink sink(name, {.slab_bytes = 4096, .slab_count = 2});
+  ShmMessageSource source(name);
+  auto spy = ShmSegment::attach(name);  // reads the ring cursors only
+  const auto& free_ring = spy->header().free_ring;
+  auto free_depth = [&] {
+    return free_ring.tail.load(std::memory_order_acquire) -
+           free_ring.head.load(std::memory_order_acquire);
+  };
+  auto a = sink.try_reserve();
+  auto b = sink.try_reserve();
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(free_depth(), 0u);
+  const std::uint8_t* slab_a = a.bytes().data();
+  a.reset();  // dropped unpublished
+  EXPECT_FALSE(a);
+  EXPECT_EQ(free_depth(), 0u);  // not onto the free ring
+  auto again = sink.try_reserve();
+  ASSERT_TRUE(again);
+  EXPECT_EQ(again.bytes().data(), slab_a);  // the same slab, lent again
+  EXPECT_FALSE(sink.try_reserve());
+  {
+    MessageSink::Slot moved = std::move(again);  // a move hands it over
+    EXPECT_FALSE(again);
+    EXPECT_EQ(moved.bytes().data(), slab_a);
+  }  // and the moved-to slot returns it
+  EXPECT_EQ(sink.try_reserve().bytes().data(), slab_a);
+}
+
+TEST(ShmChannel, PublishDeliversTheBytesWrittenIntoTheSlot) {
+  auto name = unique_shm_name();
+  ShmMessageSink sink(name, {.slab_bytes = 4096, .slab_count = 2});
+  ShmMessageSource source(name);
+  for (std::size_t length : {std::size_t{1}, std::size_t{777}, std::size_t{4096}}) {
+    auto slot = sink.try_reserve();
+    ASSERT_TRUE(slot);
+    std::vector<std::uint8_t> want(length);
+    for (std::size_t i = 0; i < length; ++i) want[i] = static_cast<std::uint8_t>(i * 31 + length);
+    std::memcpy(slot.bytes().data(), want.data(), length);
+    ASSERT_TRUE(sink.publish(std::move(slot), length));
+    auto got = source.recv();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, std::span<const std::uint8_t>(want)) << "length " << length;
+  }
+  EXPECT_EQ(sink.data_syscalls(), 0u);
+  // A slot from another sink, or a length past its end, is rejected and
+  // stays lent to its own sink.
+  ShmMessageSink other(unique_shm_name(), {.slab_bytes = 4096, .slab_count = 1});
+  EXPECT_THROW(sink.publish(other.try_reserve(), 1), std::invalid_argument);
+  EXPECT_TRUE(other.try_reserve());  // the rejected slot went home when dropped
+  EXPECT_THROW(sink.publish(sink.try_reserve(), 4097), std::invalid_argument);
+}
+
+TEST(ShmChannel, SendDrawsASlabFromADroppedSlot) {
+  // slab_count=1: the only slab is lent, then dropped. The sentinel path's
+  // send() must find it in the sink's own list; lost, the send would park
+  // for a slab nobody returns.
+  auto name = unique_shm_name();
+  ShmMessageSink sink(name, {.slab_bytes = 4096, .slab_count = 1});
+  ShmMessageSource source(name);
+  sink.try_reserve().reset();
+  auto sent = std::async(std::launch::async, [&] { return sink.send(msg({4, 2})); });
+  if (sent.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    source.close();  // unblock the parked send before failing
+    sent.wait();
+    FAIL() << "send parked although a dropped slot was free";
+  }
+  ASSERT_TRUE(sent.get());
+  auto got = source.recv();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, std::span<const std::uint8_t>(msg({4, 2})));
+}
+
+TEST(ShmChannel, ReceiverCloseEndsLending) {
+  auto name = unique_shm_name();
+  ShmMessageSink sink(name, {.slab_bytes = 4096, .slab_count = 2});
+  ShmMessageSource source(name);
+  auto held = sink.try_reserve();
+  ASSERT_TRUE(held);
+  source.close();
+  EXPECT_FALSE(sink.try_reserve());
+  EXPECT_FALSE(sink.publish(std::move(held), 16));  // nothing reaches a closed ring
+}
+
+TEST(ShmChannel, SlotWaitReturnsWithinAParkSliceWhenTheReceiverGoes) {
+  // A sender parked for a slot must not outlive its receiver: a close rings
+  // the free doorbell, and a dead receiver is caught by the pid probe at
+  // the end of one 100 ms park slice.
+  using std::chrono::steady_clock;
+  for (bool dies : {false, true}) {
+    auto name = unique_shm_name();
+    ShmMessageSink sink(name, {.slab_bytes = 4096, .slab_count = 1});
+    ShmMessageSource source(name);
+    auto held = sink.try_reserve();  // the only slab: no slot will free
+    ASSERT_TRUE(held);
+    std::atomic<int> tries{0};
+    steady_clock::time_point gone;
+    auto waited = std::async(std::launch::async, [&] {
+      return sink.await_slot([&] {
+        ++tries;
+        return static_cast<bool>(sink.try_reserve());
+      });
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gone = steady_clock::now();
+    if (dies) {
+      auto spy = ShmSegment::attach(name);
+      spy->header().attacher_pid.store(999999999u);  // kill -9 signature
+    } else {
+      source.close();
+    }
+    ASSERT_EQ(waited.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+        << (dies ? "dead" : "closed") << " receiver";
+    EXPECT_FALSE(waited.get());
+    EXPECT_LT(steady_clock::now() - gone, std::chrono::milliseconds(1000))
+        << (dies ? "dead" : "closed") << " receiver";
+    EXPECT_GE(tries.load(), 1);
+  }
 }
 
 // Crash/cleanup coverage: attaching to missing, closed, garbage, or

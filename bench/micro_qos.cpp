@@ -1,5 +1,6 @@
-// Lane isolation microbench for the shared lane layer: round-robin encode
-// admission plus per-lane admission windows must keep a destination fast
+// Lane isolation microbench for the shared lane layer: each daemon sink
+// lane's sender admits its own encode jobs, at most its admission window
+// ahead of its pops, and that window alone must keep a destination fast
 // while its sibling is deliberately stalled.
 //
 // Two phases:

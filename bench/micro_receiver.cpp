@@ -130,12 +130,13 @@ std::vector<msgpack::WireBatch> oracle_delivery(const std::vector<Payload>& arri
   auto on_marker = [&](std::uint32_t epoch, std::uint64_t expected) {
     out.push_back(msgpack::BatchCodec::make_sentinel(0, epoch, expected));
   };
+  constexpr auto kUnattributed = EpochSequencer<msgpack::WireBatch>::kUnattributed;
   for (const auto& payload : arrivals) {
     auto batch = msgpack::BatchCodec::decode(payload);
     if (batch.last) {
-      epochs.sentinel(batch.epoch, batch.sent_count, on_data, on_marker);
+      epochs.sentinel(batch.epoch, kUnattributed, batch.sent_count, on_data, on_marker);
     } else {
-      epochs.data(batch.epoch, std::move(batch), on_data, on_marker);
+      epochs.data(batch.epoch, kUnattributed, std::move(batch), on_data, on_marker);
     }
   }
   epochs.finish(on_data, on_marker);

@@ -12,15 +12,15 @@
 //
 // Beside the lane sit two small pieces:
 //
-//   RoundRobin     — the admission arbiter: each pick serves the next ready
-//                    slot after the one served last, so every lane that
-//                    stays ready is served once per turn and a lane that is
-//                    not ready (a stalled sink's full window, an empty
-//                    ingest lane) is skipped. Not thread-safe: each engine
-//                    runs one under its admission mutex, the daemon to pick
-//                    the sink lane whose next encode job enters the pool,
-//                    the receiver to pick the source lane whose head payload
-//                    enters the decode window.
+//   RoundRobin     — the receiver's admission arbiter: each pick serves
+//                    the next ready slot after the one served last, so every
+//                    lane that stays ready is served once per turn and a
+//                    lane that is not ready (an empty ingest lane) is
+//                    skipped. Not thread-safe: the receiver runs one under
+//                    its window mutex to pick the source lane whose head
+//                    payload enters the decode window. The daemon needs no
+//                    arbiter: each sink lane's sender admits its own encode
+//                    jobs, bounded by that lane's window.
 //
 //   RatePacer      — the token bucket behind each engine's lane_rate cap
 //                    (items/sec per lane, burst of rate/20, i.e. 50 ms).
@@ -28,7 +28,7 @@
 //                    thread before each send, the receiver's ingest thread
 //                    before each push. Every item is paced, an epoch's tail
 //                    included, and no waiting item is ever throttled, so a
-//                    capped lane never holds back an arbiter. stop() ends
+//                    capped lane never holds back the others. stop() ends
 //                    the pacing at once (shutdown, a failed lane).
 //
 // Counter convention: the queue's counters are plain fields under its

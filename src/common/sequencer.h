@@ -170,13 +170,6 @@ class EpochSequencer {
     return true;
   }
 
-  /// Back-compat overload for unattributed callers.
-  template <typename OnData, typename OnMarker>
-  bool data(std::uint32_t epoch, T item, OnData&& on_data, OnMarker&& on_marker) {
-    return data(epoch, kUnattributed, std::move(item), std::forward<OnData>(on_data),
-                std::forward<OnMarker>(on_marker));
-  }
-
   /// One sender's end-of-epoch sentinel announcing it shipped `sent_count`
   /// data items for `epoch`. Stale sentinels (epoch already completed) are
   /// ignored; a duplicate attributed sentinel (a revived sender re-serving
@@ -203,14 +196,6 @@ class EpochSequencer {
       p.expected += sent_count;
     }
     advance(on_data, on_marker);
-  }
-
-  /// Back-compat overload for unattributed callers.
-  template <typename OnData, typename OnMarker>
-  void sentinel(std::uint32_t epoch, std::uint64_t sent_count, OnData&& on_data,
-                OnMarker&& on_marker) {
-    sentinel(epoch, kUnattributed, sent_count, std::forward<OnData>(on_data),
-             std::forward<OnMarker>(on_marker));
   }
 
   /// Declare `sender` dead: its missing sentinels/items no longer gate epoch

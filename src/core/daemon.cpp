@@ -32,6 +32,12 @@ struct Daemon::SinkLane {
   /// each epoch; a failed encode stops it so the ready batches leave at once.
   std::optional<RatePacer> pacer;
   std::atomic<bool> failed{false};
+  // Admission state, touched only by the lane's sender thread, the one
+  // thread that admits its jobs.
+  std::size_t admitted = 0;  ///< jobs[] handed to the pool, in order
+  /// The last reserve for the lane failed; the next that succeeds ends the
+  /// admission wait, which counts one enqueue stall.
+  bool starved = false;
 
   mutable Mutex mu;
   CondVar head_ready;  ///< the buffer's head became poppable, or the lane closed
@@ -44,19 +50,6 @@ struct Daemon::SinkLane {
   std::uint64_t peak EMLIO_GUARDED_BY(mu) = 0;
   std::atomic<std::uint64_t> delivered_bytes{0};
   std::atomic<std::uint64_t> enqueue_stalls{0};
-
-  // Admission bookkeeping, guarded by Daemon::admit_mutex_ (NOT mu), reset
-  // with the per-epoch state:
-  /// Next jobs[] index to hand to the pool. Atomic so pop can tell, under
-  /// mu alone, whether its head was admitted.
-  std::atomic<std::size_t> next_submit{0};
-  std::size_t unpopped = 0;  ///< admitted but not yet popped (≤ the window)
-  /// The last reserve for the lane failed; the next that succeeds ends the
-  /// admission wait, which counts one enqueue stall.
-  bool starved = false;
-  /// Its sender is parked for a slot: until it wakes, only it admits here.
-  bool slot_wait = false;
-  std::uint64_t no_slot_pass = 0;  ///< admit_pass_ whose reserve failed
 
   /// Park job `seq`'s result; wakes the sender when it is the head. A
   /// closed lane drops it instead, with the slot it holds.
@@ -71,24 +64,12 @@ struct Daemon::SinkLane {
     if (head) head_ready.notify_one();
   }
 
-  /// The next batch in batch-id order, waiting for its encode to park it;
-  /// `waited` says whether it had to (a sender stall). nullopt ends the
-  /// sender's epoch — the last job was popped, the head is a failed encode
-  /// or was never admitted on a failed lane, or the lane closed with no
-  /// head ready — unless it sets `no_slot`: the lane lends, and its head is
-  /// not admitted for want of a slot (see admit_head).
-  std::optional<OutboundBatch> pop(bool& waited, bool& no_slot) {
+  /// The next batch in batch-id order, which its sender admitted, waiting
+  /// for its encode to park it; `waited` says whether it had to (a sender
+  /// stall). nullopt ends the sender's epoch: the head is a failed encode,
+  /// or the lane closed with no head ready.
+  std::optional<OutboundBatch> pop(bool& waited) {
     MutexLock lock(mu);
-    no_slot = false;
-    if (reorder.next() == jobs.size()) return std::nullopt;
-    if (!reorder.front() && !closed &&
-        reorder.next() == next_submit.load(std::memory_order_acquire)) {
-      if (failed.load(std::memory_order_acquire)) return std::nullopt;
-      if (lends) {
-        no_slot = true;
-        return std::nullopt;
-      }
-    }
     waited = !reorder.front() && !closed;
     if (waited) ++sender_stalls;
     while (!reorder.front() && !closed) head_ready.wait(mu);
@@ -148,12 +129,6 @@ Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
   // take — never races a lazy first-epoch initialization.
   encode_pool_ = std::make_unique<ThreadPool>(config_.pool_threads ? config_.pool_threads
                                                                    : auto_pool_width());
-  // Global in-flight encode budget for admission: 2× the pool width keeps
-  // every worker fed while staying small enough that a stalled lane, its
-  // window saturated, leaves the pool to the healthy lanes.
-  MutexLock lock(admit_mutex_);
-  admit_budget_ = std::max<std::size_t>(4, 2 * encode_pool_->thread_count());
-  admit_window_ = std::max<std::size_t>(1, config_.prefetch_depth);
 }
 
 Daemon::~Daemon() = default;
@@ -384,7 +359,6 @@ void Daemon::encode_job(SinkLane& lane, std::size_t seq, net::MessageSink::Slot 
   // blocks this pool thread: the window bounds what a lane can park. An
   // unused slot returns to its sink when this job ends.
   lane.put(seq, std::move(out));
-  admit_more(/*job_done=*/true);  // the freed budget slot goes to the next lane
 }
 
 void Daemon::post_encode(SinkLane& lane, std::size_t seq, net::MessageSink::Slot slot) {
@@ -397,119 +371,59 @@ void Daemon::post_encode(SinkLane& lane, std::size_t seq, net::MessageSink::Slot
   encode_pool_->post([this, l = &lane, seq, held] { encode_job(*l, seq, std::move(*held)); });
 }
 
-void Daemon::admit_more(bool job_done, SinkLane* popped, bool popped_ready) {
-  // Hand out encode jobs round-robin across the lanes, up to the global
-  // in-flight budget. A lane is admittable while it has unsubmitted jobs, a
-  // healthy sink, and room in its window (prefetch_depth batches admitted
-  // but not yet popped) — a wedged sink's window saturates and its whole
-  // encode share flows to the healthy lanes. A lending lane also needs a
-  // free slot, reserved here, in batch-id order, with its job.
-  struct Grant {
-    SinkLane* lane;
-    std::size_t seq;
+bool Daemon::admit(SinkLane& lane, std::size_t popped) {
+  // Hand the lane's jobs to the pool in batch-id order while its window
+  // has room: at most prefetch_depth batches admitted but not yet popped,
+  // so a wedged sink saturates only its own window. A lending lane also
+  // reserves a slot with each job; the first reserve that fails ends the
+  // call, and the sender's next pop admits again.
+  while (lane.admitted < lane.jobs.size() && lane.admitted - popped < window() &&
+         !lane.failed.load(std::memory_order_acquire)) {
     net::MessageSink::Slot slot;
-  };
-  std::vector<Grant> grants;
-  {
-    MutexLock lock(admit_mutex_);
-    // Local aliases: the lambda body is analyzed as a separate function, but
-    // it only ever runs synchronously below, under admit_mutex_.
-    const auto& lanes = lanes_;
-    const std::size_t window = admit_window_;
-    const std::uint64_t pass = ++admit_pass_;
-    if (job_done) --admit_running_;
-    if (popped) {
-      // A pop that frees a full window with jobs left ends an admission
-      // wait. Its batch was encoded before the sender came for it, so the
-      // wait was on the wire: one enqueue stall. A window full of jobs
-      // still encoding waits on encode, and the pop's sender stall says so.
-      if (popped_ready && popped->unpopped == window &&
-          popped->next_submit.load(std::memory_order_relaxed) < popped->jobs.size()) {
-        popped->enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
-      }
-      --popped->unpopped;
-    }
-    auto admittable = [&](std::size_t slot) {
-      const SinkLane& l = *lanes[slot];
-      return !l.failed.load(std::memory_order_acquire) &&
-             l.next_submit.load(std::memory_order_relaxed) < l.jobs.size() &&
-             l.unpopped < window && !l.slot_wait && l.no_slot_pass != pass;
-    };
-    while (admit_running_ < admit_budget_) {
-      std::size_t slot = admit_cycle_.pick(lanes.size(), admittable);
-      if (slot == RoundRobin::npos) break;
-      SinkLane& l = *lanes[slot];
-      net::MessageSink::Slot lent;
-      if (l.lends) {
-        lent = l.sink->try_reserve();
-        if (!lent) {
-          if (!std::exchange(l.starved, true)) {
-            l.enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
-          }
-          l.no_slot_pass = pass;
-          continue;
+    if (lane.lends) {
+      slot = lane.sink->try_reserve();
+      if (!slot) {
+        if (!std::exchange(lane.starved, true)) {
+          lane.enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
         }
-        l.starved = false;
+        break;
       }
-      const std::size_t seq = l.next_submit.fetch_add(1, std::memory_order_release);
-      grants.push_back({&l, seq, std::move(lent)});
-      ++admit_running_;
-      ++l.unpopped;
+      lane.starved = false;
     }
+    post_encode(lane, lane.admitted++, std::move(slot));
   }
-  for (auto& g : grants) post_encode(*g.lane, g.seq, std::move(g.slot));
-}
-
-bool Daemon::admit_head(SinkLane& lane) {
-  net::MessageSink::Slot slot;
-  std::size_t seq;
-  {
-    MutexLock lock(admit_mutex_);
-    lane.slot_wait = false;
-    if (lane.failed.load(std::memory_order_acquire) || lane.unpopped > 0 ||
-        lane.next_submit.load(std::memory_order_relaxed) == lane.jobs.size()) {
-      return true;  // the head is admitted, or never will be
-    }
-    slot = lane.sink->try_reserve();
-    if (!slot) {
-      if (!std::exchange(lane.starved, true)) {
-        lane.enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
-      }
-      // No other thread admits to the lane until its sender wakes, so a
-      // batch admitted meanwhile cannot wait behind the sender's park.
-      lane.slot_wait = true;
-      return false;
-    }
-    lane.starved = false;
-    // Past the budget if need be: the lane has nothing in flight.
-    seq = lane.next_submit.fetch_add(1, std::memory_order_release);
-    ++admit_running_;
-    ++lane.unpopped;
-  }
-  post_encode(lane, seq, std::move(slot));
-  return true;
+  return lane.admitted > popped || lane.failed.load(std::memory_order_acquire);
 }
 
 void Daemon::sender_loop(SinkLane& lane, std::uint32_t epoch) {
   std::uint64_t sent = 0;
-  bool waited = false;
-  bool no_slot = false;
+  std::size_t popped = 0;  // this epoch's pops, in jobs[] order
   auto closed_mid_epoch = [&] {
     log::warn("daemon ", config_.daemon_id, ": sink for node ", lane.node_id,
               " closed mid-epoch ", epoch);
     lane.failed.store(true, std::memory_order_release);
   };
-  while (true) {
-    auto msg = lane.pop(waited, no_slot);
-    if (no_slot) {
-      // Nothing admitted and no slot free: park for one, admitting the
-      // next batch once it frees.
-      if (lane.sink->await_slot([&] { return admit_head(lane); })) continue;
+  admit(lane, popped);  // fill the window
+  while (popped < lane.jobs.size()) {
+    if (lane.admitted == popped) {
+      // Nothing admitted: the lane failed, or it lends and no slot was
+      // free. Park for one, admitting the next batch once it frees.
+      if (lane.failed.load(std::memory_order_acquire)) break;
+      if (lane.sink->await_slot([&] { return admit(lane, popped); })) continue;
       closed_mid_epoch();
       break;
     }
+    // A pop that frees a full window with jobs left ends an admission wait.
+    // When its batch was encoded before the sender came for it, the wait
+    // was on the wire: one enqueue stall. A window full of jobs still
+    // encoding waits on encode, and the pop's sender stall says so.
+    const bool full = lane.admitted - popped == window() && lane.admitted < lane.jobs.size();
+    bool waited = false;
+    auto msg = lane.pop(waited);
     if (!msg) break;
-    admit_more(/*job_done=*/false, &lane, /*popped_ready=*/!waited);  // a window slot freed
+    ++popped;
+    if (full && !waited) lane.enqueue_stalls.fetch_add(1, std::memory_order_relaxed);
+    admit(lane, popped);  // a window slot freed
     // The lane_rate cap, paid here by every batch, the epoch's tail too.
     lane.pacer->pace();
     const std::uint64_t nbytes = msg->nbytes;
@@ -580,20 +494,11 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
     lane->jobs = it != local.end() ? std::move(it->second) : std::vector<BatchAssignment>{};
     lane->pacer.emplace(config_.lane_rate);
     lane->failed.store(false, std::memory_order_relaxed);
+    lane->admitted = 0;
+    lane->starved = false;
     MutexLock lock(lane->mu);
     lane->reorder = Sequencer<OutboundBatch>{};
     lane->closed = false;
-  }
-  {
-    MutexLock lock(admit_mutex_);
-    admit_cycle_ = RoundRobin{};
-    admit_running_ = 0;
-    for (auto& lane : lanes_) {
-      lane->next_submit.store(0, std::memory_order_relaxed);
-      lane->unpopped = 0;
-      lane->starved = false;
-      lane->slot_wait = false;
-    }
   }
 
   {
@@ -625,10 +530,6 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
       senders.emplace_back(
           [this, lane = lane.get(), epoch = plan.epoch] { sender_loop(*lane, epoch); });
     }
-    // Prime the pipeline: admission hands out the first budget's worth of
-    // encode jobs; every completion and every pop re-admits through the
-    // same round-robin pick.
-    admit_more(/*job_done=*/false, nullptr);
     // Each sender exits after its lane's last batch (or failure) and
     // sentinel: joining them is the epoch barrier.
     for (auto& t : senders) t.join();

@@ -5,7 +5,9 @@
 //
 //   read+encode jobs          per-sink lane: reorder buffer      sender thread
 //   (shared ThreadPool)  -->  (common::Sequencer); admission -->  (one per sink
-//                             window = prefetch_depth (HWM)       per epoch)
+//            ^                window = prefetch_depth (HWM)       per epoch)
+//            |                                                         |
+//            +------------ the sender admits its lane's jobs ----------+
 //
 // Each job slices B records straight out of the mmap'd shard (zero-copy
 // views that share the mapping's ownership) and msgpack-serializes them.
@@ -22,20 +24,24 @@
 // destination node's MessageSink — a publish of the slot, or a send whose
 // spliced bytes the sink copies only at its boundary — and ends the epoch
 // with the sink's sentinel. Disk/encode and network are therefore
-// concurrently busy — design principle (1) — while admission caps each
-// lane's batches admitted but not yet popped at prefetch_depth, so a sink
-// that stops draining holds at most that many encoded batches besides the
-// one its sender is sending: the blocking-send backpressure of §4.5, with
-// the sink's high-water mark behind it. The wire stream per sink stays
-// deterministic (batch-id order) regardless of pool size.
+// concurrently busy — design principle (1).
+//
+// Each lane's sender is also the only thread that admits its encode jobs:
+// it fills the lane's window when its epoch starts and admits again after
+// every pop, handing jobs to the pool (FIFO) in batch-id order while the
+// lane has fewer than prefetch_depth batches admitted but not yet popped.
+// So a sink that stops draining holds at most that many encoded batches
+// besides the one its sender is sending, and the pool works for the other
+// lanes: the blocking-send backpressure of §4.5, with the sink's
+// high-water mark behind it. The wire stream per sink stays deterministic
+// (batch-id order) regardless of pool size.
 //
 // Slots never deadlock the lanes. They are reserved only at admission, in
 // batch-id order, so a lane's oldest unpopped batch always holds one and
-// its sender never waits for a slot to publish. No thread waits for a slot
-// while its own lane holds an unpublished one: admission only tries
+// its sender never waits for a slot to publish. Admission only tries
 // (try_reserve), and a sender parks for a slot (await_slot) only while its
-// lane has nothing admitted, admitting its next batch itself when one
-// frees. A lane that fails drops the slots it holds before its sentinel.
+// lane has nothing admitted, admitting its next batch when one frees. A
+// lane that fails drops the slots it holds before its sentinel.
 //
 // Failure semantics: serve_epoch validates the plan against the configured
 // sinks BEFORE launching any thread; validation and worker failures —
@@ -45,6 +51,7 @@
 // terminating the process.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -80,11 +87,12 @@ struct DaemonConfig {
   /// (auto_pool_width(): hardware concurrency, clamped to [2, 8]).
   std::size_t pool_threads = 0;
   /// Per-sink admission window — the paper's HWM: how many of a sink's
-  /// batches may be admitted to the encode pool and not yet popped by its
-  /// sender (encoding, or parked in the lane's reorder buffer). On a lane
-  /// whose sink lends, each admitted batch also holds one of the sink's
-  /// slots, so the window shares the sink's slots with the messages in
-  /// flight to the receiver: fewer free slots admit fewer batches.
+  /// batches its sender thread may have admitted to the encode pool and not
+  /// yet popped (queued in the pool, encoding, or parked in the lane's
+  /// reorder buffer). On a lane whose sink lends, each admitted batch also
+  /// holds one of the sink's slots, so the window shares the sink's slots
+  /// with the messages in flight to the receiver: fewer free slots admit
+  /// fewer batches.
   std::size_t prefetch_depth = 16;
   /// Rate cap of every sink lane in batches/sec, paced on its sender thread
   /// before each send (common/lane.h RatePacer); 0 = none. Per-lane wire
@@ -238,6 +246,8 @@ class Daemon {
   };
   struct SinkLane;
 
+  /// The admission window: prefetch_depth, at least 1.
+  std::size_t window() const { return std::max<std::size_t>(1, config_.prefetch_depth); }
   /// The shard-locality rule, single-sourced for validation + the engine.
   bool owns_shard(std::uint32_t shard_id) const { return readers_.count(shard_id) != 0; }
   /// Locally-owned assignments per destination node, sorted by batch_id.
@@ -249,16 +259,12 @@ class Daemon {
   /// Encode job `seq` of `lane`, into `slot` when the lane's sink lends.
   void encode_job(SinkLane& lane, std::size_t seq, net::MessageSink::Slot slot);
   void post_encode(SinkLane& lane, std::size_t seq, net::MessageSink::Slot slot);
-  /// Hand out encode jobs while the budget, the lanes' windows and, on
-  /// lending lanes, free slots allow.
-  /// `job_done`: an encode job finished and returns its budget slot;
-  /// `popped`: that lane's sender popped a batch, freeing a window slot —
-  /// one it found `popped_ready` (encoded before the sender came for it).
-  void admit_more(bool job_done, SinkLane* popped = nullptr, bool popped_ready = false);
-  /// The slot wait's try, run by the sender of a lending lane with nothing
-  /// admitted: admits the lane's next batch if a slot is free. True when
-  /// the sender may stop waiting.
-  bool admit_head(SinkLane& lane);
+  /// Hand `lane`'s next jobs to the pool while its window and, if it
+  /// lends, free slots allow; `popped` counts the batches its sender popped
+  /// this epoch. Called only by that sender. True when the lane has a batch
+  /// admitted and not yet popped, or failed: its sender need not wait for a
+  /// slot.
+  bool admit(SinkLane& lane, std::size_t popped);
   void sender_loop(SinkLane& lane, std::uint32_t epoch);
   msgpack::WireBatch build_batch(const BatchAssignment& assignment) const;
   void record_error(const std::string& what);
@@ -271,7 +277,8 @@ class Daemon {
   std::map<std::uint32_t, tfrecord::ShardReader> readers_;
   std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks_;
   /// One lane per sink, sorted by node id, built at construction and never
-  /// changed: stats() reads it without a registry lock.
+  /// changed: stats() reads it without a registry lock. Admission has no
+  /// daemon-wide state: each lane's sender admits its own jobs.
   std::vector<std::unique_ptr<SinkLane>> lanes_;
   TimestampLogger* timestamps_;
   /// Message heads cycle through here: serialized, sent, recycled when the
@@ -295,23 +302,6 @@ class Daemon {
 
   mutable Mutex error_mutex_;
   std::string last_error_ EMLIO_GUARDED_BY(error_mutex_);
-
-  // Encode-pool admission, all guarded by admit_mutex_:
-  // a round-robin pick over the sink lanes hands out the next encode job,
-  // bounded by a global running-job budget (2× the pool width, at least 4 —
-  // enough to keep every worker fed, small enough that a stalled lane's
-  // saturated window leaves the pool to the others), a per-lane window
-  // (prefetch_depth batches admitted but not yet popped) and, on a lending
-  // lane, a slot reserved with each job. NEVER acquired while holding a
-  // lane's mu; the sinks' reserve locks nest inside it.
-  Mutex admit_mutex_;
-  RoundRobin admit_cycle_ EMLIO_GUARDED_BY(admit_mutex_);
-  std::size_t admit_budget_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
-  std::size_t admit_running_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
-  std::size_t admit_window_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
-  /// Counts admit_more calls: a lane whose reserve failed is skipped for
-  /// the rest of the call.
-  std::uint64_t admit_pass_ EMLIO_GUARDED_BY(admit_mutex_) = 0;
 };
 
 }  // namespace emlio::core

@@ -14,8 +14,8 @@
 // N-daemon fan-in runs N sources, not N streams muxed into one — paces the
 // lane_rate cap (if any) and pushes each payload into that source's bounded
 // lane. No thread sits between the lanes and the decode pool: admission
-// runs inline, the way the daemon admits encode jobs. After every push and
-// every decode completion, a RoundRobin picks the next lane with a queued
+// runs inline. One decode window serves every source, so after every push
+// and every decode completion, a RoundRobin picks the next lane with a queued
 // head, pops it and stamps it with a global arrival ticket while the
 // in-flight decode window has room
 // (backpressure: a slow decode stage fills the window, then the lanes, which

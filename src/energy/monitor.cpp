@@ -1,6 +1,7 @@
 #include "energy/monitor.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 
 #include "common/log.h"
@@ -25,8 +26,12 @@ EnergyMonitor::EnergyMonitor(MonitorOptions options, const Clock& clock, tsdb::D
 EnergyMonitor::~EnergyMonitor() { stop(); }
 
 void EnergyMonitor::start() {
+  // The threads close the queues on their way out, so a stopped monitor
+  // would run with nowhere to put its readings.
+  if (stop_.load(std::memory_order_acquire)) {
+    throw std::logic_error("EnergyMonitor::start: a monitor runs once, and this one stopped");
+  }
   if (running_.exchange(true, std::memory_order_acq_rel)) return;
-  stop_.store(false, std::memory_order_release);
   start_time_ = clock_->now();
   // Algorithm 1 line 2: CPU/DRAM sampler, optional GPU sampler, accumulator,
   // writer.

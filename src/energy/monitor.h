@@ -59,7 +59,9 @@ class EnergyMonitor {
   EnergyMonitor(const EnergyMonitor&) = delete;
   EnergyMonitor& operator=(const EnergyMonitor&) = delete;
 
-  /// Launch sampler/accumulator/writer threads (Algorithm 1 line 2).
+  /// Launch sampler/accumulator/writer threads (Algorithm 1 line 2). A
+  /// monitor runs once: start() while running does nothing, and start()
+  /// after stop() throws std::logic_error.
   void start();
 
   /// Stop all threads and flush (Algorithm 1 line 17). Idempotent.

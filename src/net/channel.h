@@ -27,8 +27,8 @@
 // one whole slab, the daemon encodes a batch straight into it on its encode
 // pool, and publish() sends it without another copy. Only samples large
 // enough to splice are copied in on the sender thread, into the room the
-// encoder left for them. Every other sink keeps the defaults and never
-// lends.
+// encoder left for them; shm's own send() is a client of these calls, and
+// it does not gather. Every other sink keeps the defaults and never lends.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +70,9 @@ class MessageSink {
   }
 
   /// True when send_spliced gathers a message's pieces at the transport's
-  /// boundary (TCP sendmsg, the shm slab copy). The daemon splices samples
-  /// only into sinks that gather: any other sink would flatten on its one
-  /// sender thread the copy the parallel encode pool otherwise makes.
+  /// boundary (TCP sendmsg). The daemon splices samples only into sinks
+  /// that gather: any other sink would flatten on its one sender thread the
+  /// copy the parallel encode pool otherwise makes.
   virtual bool gathers() const { return false; }
 
   /// Flush and close. Further sends fail. Idempotent.

@@ -54,44 +54,19 @@ bool ShmMessageSink::push(std::uint32_t index, std::size_t length) {
   return true;
 }
 
-template <typename Ready>
-bool ShmMessageSink::park_until(Ready&& ready) {
-  // Park on the free-ring doorbell between tries. The snapshot precedes
-  // each try, so a slab returned in between moves the bell and the park
-  // falls through; every park timeout re-checks the close flags and the
-  // receiver's liveness, so exhaustion backpressure can never deadlock.
-  while (true) {
-    if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
-    const std::uint32_t snap = seg_->free_bell_seq();
-    if (ready()) return true;
-    if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
-    const bool moved = seg_->wait_free_bell(snap, kParkSlice);
-    if (!moved && !seg_->attacher_alive()) return false;  // receiver crashed
-  }
-}
-
-bool ShmMessageSink::send(Payload message) { return send_spliced(std::move(message)); }
-
-bool ShmMessageSink::send_spliced(SplicedPayload message) {
+bool ShmMessageSink::send(Payload message) {
   if (message.size() > seg_->slab_bytes()) {
     throw std::runtime_error("shm send: message of " + std::to_string(message.size()) +
                              " bytes exceeds slab_bytes=" + std::to_string(seg_->slab_bytes()) +
                              " — raise ShmOptions::slab_bytes");
   }
-  std::optional<std::uint32_t> index;
-  if (!park_until([&] { return (index = take_slab()).has_value(); })) return false;
-
-  // The one copy this transport makes — its boundary (channel.h): head
-  // pieces and spliced samples enter the shared mapping here, in wire
-  // order, and are never copied again.
-  std::uint8_t* slab = seg_->slab_ptr(*index);
-  message.for_each_piece([&](std::span<const std::uint8_t> piece) {
-    std::memcpy(slab, piece.data(), piece.size());
-    slab += piece.size();
-  });
-  if (push(*index, message.size())) return true;
-  unreserve(*index);
-  return false;
+  Slot slot;
+  if (!await_slot([&] { return static_cast<bool>(slot = try_reserve()); })) return false;
+  // The one copy this transport makes — its boundary (channel.h). memcpy,
+  // not std::ranges::copy: on 256 KiB batches the latter ran ~15 % slower
+  // in bench_micro_shm.
+  if (message.size() > 0) std::memcpy(slot.bytes().data(), message.data(), message.size());
+  return publish(std::move(slot), message.size());
 }
 
 MessageSink::Slot ShmMessageSink::try_reserve() {
@@ -108,7 +83,20 @@ bool ShmMessageSink::publish(Slot slot, std::size_t length) {
   return false;
 }
 
-bool ShmMessageSink::await_slot(const std::function<bool()>& ready) { return park_until(ready); }
+bool ShmMessageSink::await_slot(const std::function<bool()>& ready) {
+  // Park on the free-ring doorbell between tries. The snapshot precedes
+  // each try, so a slab returned in between moves the bell and the park
+  // falls through; every park timeout re-checks the close flags and the
+  // receiver's liveness, so exhaustion backpressure can never deadlock.
+  while (true) {
+    if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
+    const std::uint32_t snap = seg_->free_bell_seq();
+    if (ready()) return true;
+    if (closed_.load(std::memory_order_relaxed) || seg_->source_closed()) return false;
+    const bool moved = seg_->wait_free_bell(snap, kParkSlice);
+    if (!moved && !seg_->attacher_alive()) return false;  // receiver crashed
+  }
+}
 
 void ShmMessageSink::close() {
   if (closed_.exchange(true, std::memory_order_seq_cst)) return;

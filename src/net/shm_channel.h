@@ -5,25 +5,27 @@
 // (channel.h): the daemon reserves one when it admits a batch, its encode
 // pool writes the batch straight into it, and publish() only pushes an
 // 8-byte descriptor into the data ring — one pass over each byte, and
-// nothing enters the kernel. send() and send_spliced() (the sentinel, and
-// callers that do not lend) copy the message's pieces into a free slab
-// instead — the one copy every transport is allowed at its boundary. A
-// recv() pops a descriptor and wraps the slab in a refcount-pinned Payload
-// (Payload::wrap_external) whose release closure returns the slab to the
-// free ring, so the receiver's decode views read batch bytes directly out of
-// shared memory and the slab recycles at exactly the consumer's pace — the
-// payload layer's zero-copy invariant, across a process boundary.
+// nothing enters the kernel. send() (the sentinel, and callers that do not
+// lend) is a client of the same calls: it reserves a slab, copies the
+// message into it — the one copy every transport is allowed at its
+// boundary — and publishes it. A recv() pops a descriptor and wraps the
+// slab in a refcount-pinned Payload (Payload::wrap_external) whose release
+// closure returns the slab to the free ring, so the receiver's decode views
+// read batch bytes directly out of shared memory and the slab recycles at
+// exactly the consumer's pace — the payload layer's zero-copy invariant,
+// across a process boundary.
 //
 // Backpressure falls out of the slab pool: slab_count is the in-flight
 // budget (the HWM analogue). A slab is in flight from the moment it is lent
-// or taken by a send until the receiver drops the last view of its message;
-// a slot dropped unpublished goes back to a list in the sink's process,
-// never onto the free ring, whose only producer is the receiver. A send that
-// finds no slab blocks — parked on the free-ring doorbell's futex — until
-// one comes back. Blocking never hangs on a dead peer: every park has a
-// timeout, and the timeout path checks peer liveness (pid probe) and the
-// close flags, so a crashed receiver fails the send and a crashed daemon
-// ends the source's stream with a warning instead of a deadlock.
+// (a send borrows one too) until the receiver drops the last view of its
+// message; a slot dropped unpublished goes back to a list in the sink's
+// process, never onto the free ring, whose only producer is the receiver. A
+// send or slot wait that finds no slab blocks — parked on the free-ring
+// doorbell's futex — until one comes back. Blocking never hangs on a dead
+// peer: every park has a timeout, and the timeout path checks peer liveness
+// (pid probe) and the close flags, so a crashed receiver fails the send and
+// a crashed daemon ends the source's stream with a warning instead of a
+// deadlock.
 //
 // Both endpoints implement the channel.h contracts exactly, so the Daemon
 // and Receiver staged engines run over shared memory with zero changes.
@@ -59,22 +61,18 @@ class ShmMessageSink final : public MessageSink {
   ShmMessageSink(const std::string& name, const ShmOptions& opts = {});
   ~ShmMessageSink() override;
 
-  /// send_spliced's no-splice case.
+  /// Reserves a slot (await_slot on try_reserve), copies the message into
+  /// it and publishes it. Blocks while all slabs are in flight
+  /// (backpressure). Returns false once the channel is closed from either
+  /// end or the receiver process is gone. Throws if the message exceeds
+  /// slab_bytes — that is a configuration error, not a runtime condition.
+  /// A spliced message takes MessageSink's default flatten first.
   bool send(Payload message) override;
 
-  /// Copies the message's pieces (head ranges and splices, in wire order)
-  /// into a free slab and publishes its descriptor. The slab comes from the
-  /// slots dropped unpublished first, then from the free ring. Blocks while
-  /// all slabs are in flight (backpressure). Returns false once the channel
-  /// is closed from either end or the receiver process is gone. Throws if
-  /// the message's serialized size exceeds slab_bytes — that is a
-  /// configuration error, not a runtime condition.
-  bool send_spliced(SplicedPayload message) override;
-  bool gathers() const override { return true; }
-
-  /// Slots are whole slabs, drawn like send's, and a publish is one
-  /// descriptor push. A message larger than slab_bytes cannot be written
-  /// into one: BatchCodec::encode_into throws, naming slab_bytes.
+  /// Slots are whole slabs: first the slots dropped unpublished, then the
+  /// free ring. A publish is one descriptor push. A message larger than
+  /// slab_bytes cannot be written into one: BatchCodec::encode_into throws,
+  /// naming slab_bytes.
   bool lends() const override { return true; }
   Slot try_reserve() override;
   bool publish(Slot slot, std::size_t length) override;
@@ -98,9 +96,6 @@ class ShmMessageSink final : public MessageSink {
   /// Push slab `index` holding `length` bytes onto the data ring, unless
   /// the channel is closed from either end.
   bool push(std::uint32_t index, std::size_t length);
-  /// await_slot's loop, shared with send.
-  template <typename Ready>
-  bool park_until(Ready&& ready);
 
   std::shared_ptr<ShmSegment> seg_;
   /// The free ring's consumer side, and the slabs lent and dropped

@@ -2,6 +2,7 @@
 // pipeline → trainer, over both the in-process channel and real loopback TCP.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -617,12 +618,13 @@ std::vector<msgpack::WireBatch> oracle_delivery(const std::vector<Payload>& arri
   auto on_marker = [&](std::uint32_t epoch, std::uint64_t expected) {
     out.push_back(msgpack::BatchCodec::make_sentinel(0, epoch, expected));
   };
+  constexpr auto kUnattributed = EpochSequencer<msgpack::WireBatch>::kUnattributed;
   for (const auto& payload : arrivals) {
     auto batch = msgpack::BatchCodec::decode(payload);
     if (batch.last) {
-      epochs.sentinel(batch.epoch, batch.sent_count, on_data, on_marker);
+      epochs.sentinel(batch.epoch, kUnattributed, batch.sent_count, on_data, on_marker);
     } else {
-      epochs.data(batch.epoch, std::move(batch), on_data, on_marker);
+      epochs.data(batch.epoch, kUnattributed, std::move(batch), on_data, on_marker);
     }
   }
   epochs.finish(on_data, on_marker);
@@ -1083,6 +1085,90 @@ TEST_F(CoreIntegrationTest, SlabStarvedShmStreamIsByteIdenticalToInProcess) {
     EXPECT_GE(stats.enqueue_stalls, 1u) << "slot waits count as enqueue stalls";
     EXPECT_EQ(stats.wire_syscalls, 0u);
   }
+}
+
+TEST_F(CoreIntegrationTest, LendingAndCopyingLanesShareOneDaemon) {
+  // One daemon, both kinds of lane: node 0's sink lends (shm, one slab
+  // under a window of 16, so its sender keeps parking for a slot) and node
+  // 1's sink copies (a sim link). Neither lane may hold the other back or
+  // change its bytes: each node's decoded stream must be the one it gets
+  // when both nodes run on sim links. A lost wake-up hangs, and trips the
+  // watchdog.
+  emlio::testing::Watchdog watchdog(std::chrono::seconds(60), "shm and sim lanes in one daemon");
+  constexpr std::uint32_t kEpochs = 2;
+  auto indexes = tfrecord::load_all_indexes(dir_.string());
+  PlannerConfig pc;
+  pc.batch_size = 2;
+  pc.epochs = kEpochs;
+  Planner planner(indexes, pc);
+
+  struct Run {
+    std::array<std::vector<std::uint8_t>, 2> streams;
+    DaemonStats stats;
+  };
+  // Node 0 over shm when `lend`, over a sim link otherwise; node 1 always
+  // over a sim link.
+  auto run = [&](bool lend) {
+    std::map<std::uint32_t, std::shared_ptr<net::MessageSink>> sinks;
+    std::array<std::unique_ptr<Receiver>, 2> receivers;
+    ReceiverConfig rc;
+    rc.num_senders = 1;
+    rc.decode_threads = 2;
+    for (std::uint32_t node : {0u, 1u}) {
+      std::unique_ptr<net::MessageSource> source;
+      if (node == 0 && lend) {
+        const std::string name = "emlio.test.mixed." + std::to_string(::getpid());
+        net::ShmOptions so;
+        so.slab_bytes = 64u << 10;
+        so.slab_count = 1;
+        sinks[node] = std::make_shared<net::ShmMessageSink>(name, so);
+        source = std::make_unique<net::ShmMessageSource>(name);
+      } else {
+        auto ch = net::make_sim_channel({});
+        sinks[node] = std::move(ch.sink);
+        source = std::move(ch.source);
+      }
+      receivers[node] = std::make_unique<Receiver>(rc, std::move(source));
+    }
+    std::vector<tfrecord::ShardReader> readers;
+    for (const auto& idx : indexes) readers.emplace_back(idx);
+    DaemonConfig dc;
+    dc.pool_threads = 2;
+    dc.prefetch_depth = 16;
+    Daemon daemon(dc, std::move(readers), sinks);
+
+    Run r;
+    std::vector<std::thread> drains;
+    for (std::size_t node = 0; node < 2; ++node) {
+      drains.emplace_back([&r, &receivers, node] {
+        for (std::uint32_t markers = 0; markers < kEpochs;) {
+          auto batch = receivers[node]->next();
+          if (!batch) break;
+          append_batch(r.streams[node], *batch);
+          markers += batch->last ? 1 : 0;
+        }
+      });
+    }
+    for (std::uint32_t e = 0; e < kEpochs; ++e) {
+      EXPECT_TRUE(daemon.serve_epoch(planner.plan_epoch(e, /*num_nodes=*/2)))
+          << daemon.last_error();
+    }
+    for (auto& [node, sink] : sinks) sink->close();
+    for (auto& t : drains) t.join();
+    for (auto& receiver : receivers) receiver->close();
+    r.stats = daemon.stats();
+    return r;
+  };
+
+  const Run want = run(/*lend=*/false);
+  ASSERT_FALSE(want.streams[0].empty());
+  ASSERT_FALSE(want.streams[1].empty());
+  const Run got = run(/*lend=*/true);
+  EXPECT_EQ(got.streams[0], want.streams[0]) << "node 0, the lending (shm) lane";
+  EXPECT_EQ(got.streams[1], want.streams[1]) << "node 1, the copying (sim) lane";
+  ASSERT_EQ(got.stats.lanes.size(), 2u);
+  EXPECT_GE(got.stats.lanes[0].enqueue_stalls, 1u) << "node 0's admissions waited for its slab";
+  EXPECT_EQ(got.stats.batches_sent, want.stats.batches_sent);
 }
 
 TEST_F(CoreIntegrationTest, ServiceStopReturnsWhileTheConsumerPinsEverySlab) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <random>
+#include <stdexcept>
 #include <thread>
 
 #include "energy/monitor.h"
@@ -173,6 +174,33 @@ TEST(EnergyMonitor, StartStopIdempotent) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   monitor.stop();
   monitor.stop();
+  EXPECT_FALSE(monitor.running());
+}
+
+// A monitor runs once. Its threads close the reading and write queues on
+// their way out, so a restarted monitor used to run and record nothing: no
+// round after the restart reached the database. start() after stop() now
+// throws instead.
+TEST(EnergyMonitor, StartAfterStopThrows) {
+  tsdb::Database db;
+  const auto& clock = SteadyClock::instance();
+  auto cpu = std::make_shared<SyntheticPowerSource>("cpu", clock, 10.0);
+  auto dram = std::make_shared<SyntheticPowerSource>("memory", clock, 1.0);
+  MonitorOptions opt;
+  opt.interval = from_millis(2);
+  EnergyMonitor monitor(opt, clock, db, cpu, dram);
+  monitor.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  monitor.stop();
+  // Not EXPECT_THROW: in this file it trips a g++ 12 -Wrestrict false
+  // positive (in EnergyReport.WindowRestrictsAggregation) at -O3.
+  bool threw = false;
+  try {
+    monitor.start();
+  } catch (const std::logic_error&) {
+    threw = true;
+  }
+  EXPECT_TRUE(threw);
   EXPECT_FALSE(monitor.running());
 }
 

@@ -1007,8 +1007,8 @@ INSTANTIATE_TEST_SUITE_P(AllTransports, TransportConformance,
                          });
 
 // Spliced sends on every transport: TCP gathers the pieces into sendmsg,
-// shm into its slab, and the sim link takes the default flatten. The
-// receiver sees the contiguous encoding either way, in order.
+// and shm and the sim link take the default flatten. The receiver sees the
+// contiguous encoding either way, in order.
 TEST(SplicedSend, ByteIdenticalInOrderOnEveryTransport) {
   constexpr std::size_t kT = msgpack::BatchCodec::kSpliceMinBytes;
   std::vector<msgpack::WireBatch> batches;

@@ -1,5 +1,6 @@
-// Lane-layer integration tests: a wedged sink that fills only its own lane,
-// the per-lane stats breakdowns both engines publish, byte-identical
+// Lane-layer integration tests: a wedged sink that fills only its own lane
+// (its sender admits encode jobs only within the lane's window), the
+// per-lane stats breakdowns both engines publish, byte-identical
 // per-lane delivery with and without a rate cap, rate caps paced at the
 // daemon's send, the receiver's inline round-robin admission across source
 // lanes (conservation, order, stall counting, close while paced at the

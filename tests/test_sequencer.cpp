@@ -112,6 +112,8 @@ TEST(Sequencer, ConcurrentProducersSingleDrainer) {
 
 // ------------------------------------------------------------ EpochSequencer
 
+constexpr std::uint32_t kUnattributed = EpochSequencer<int>::kUnattributed;
+
 struct Collector {
   std::vector<int> data;                                         ///< delivery order
   std::vector<std::pair<std::uint32_t, std::uint64_t>> markers;  ///< (epoch, expected)
@@ -127,10 +129,10 @@ struct Collector {
 TEST(EpochSequencer, SingleSenderHappyPath) {
   EpochSequencer<int> es(1);
   Collector c;
-  es.data(0, 10, c.on_data(), c.on_marker());
-  es.data(0, 11, c.on_data(), c.on_marker());
+  es.data(0, kUnattributed, 10, c.on_data(), c.on_marker());
+  es.data(0, kUnattributed, 11, c.on_data(), c.on_marker());
   EXPECT_TRUE(c.markers.empty());
-  es.sentinel(0, 2, c.on_data(), c.on_marker());
+  es.sentinel(0, kUnattributed, 2, c.on_data(), c.on_marker());
   ASSERT_EQ(c.markers.size(), 1u);
   EXPECT_EQ(c.markers[0], (std::pair<std::uint32_t, std::uint64_t>{0, 2}));
   EXPECT_EQ(es.epochs_completed(), 1u);
@@ -140,11 +142,11 @@ TEST(EpochSequencer, SingleSenderHappyPath) {
 TEST(EpochSequencer, SentinelOvertakingDataHeldBack) {
   EpochSequencer<int> es(1);
   Collector c;
-  es.sentinel(0, 2, c.on_data(), c.on_marker());  // beats ALL its data
+  es.sentinel(0, kUnattributed, 2, c.on_data(), c.on_marker());  // beats ALL its data
   EXPECT_TRUE(c.markers.empty());
-  es.data(0, 1, c.on_data(), c.on_marker());
+  es.data(0, kUnattributed, 1, c.on_data(), c.on_marker());
   EXPECT_TRUE(c.markers.empty());
-  es.data(0, 2, c.on_data(), c.on_marker());
+  es.data(0, kUnattributed, 2, c.on_data(), c.on_marker());
   ASSERT_EQ(c.markers.size(), 1u);  // only after the counted data arrived
   EXPECT_EQ(c.data.size(), 2u);
 }
@@ -152,28 +154,28 @@ TEST(EpochSequencer, SentinelOvertakingDataHeldBack) {
 TEST(EpochSequencer, AllSendersSentinelsRequired) {
   EpochSequencer<int> es(3);
   Collector c;
-  es.sentinel(0, 0, c.on_data(), c.on_marker());
-  es.sentinel(0, 0, c.on_data(), c.on_marker());
+  es.sentinel(0, kUnattributed, 0, c.on_data(), c.on_marker());
+  es.sentinel(0, kUnattributed, 0, c.on_data(), c.on_marker());
   EXPECT_TRUE(c.markers.empty());
-  es.sentinel(0, 0, c.on_data(), c.on_marker());
+  es.sentinel(0, kUnattributed, 0, c.on_data(), c.on_marker());
   EXPECT_EQ(c.markers.size(), 1u);
 }
 
 TEST(EpochSequencer, FutureEpochDataHeldUntilCurrentCompletes) {
   EpochSequencer<int> es(1);
   Collector c;
-  es.data(1, 100, c.on_data(), c.on_marker());  // epoch 1 overtook epoch 0
+  es.data(1, kUnattributed, 100, c.on_data(), c.on_marker());  // epoch 1 overtook epoch 0
   EXPECT_TRUE(c.data.empty());
   EXPECT_EQ(es.held_count(), 1u);
-  es.data(0, 1, c.on_data(), c.on_marker());
+  es.data(0, kUnattributed, 1, c.on_data(), c.on_marker());
   EXPECT_EQ(c.data.size(), 1u);  // only the current-epoch item
-  es.sentinel(0, 1, c.on_data(), c.on_marker());
+  es.sentinel(0, kUnattributed, 1, c.on_data(), c.on_marker());
   // Epoch 0 completed: its marker fired and epoch 1's held data flushed.
   ASSERT_EQ(c.markers.size(), 1u);
   ASSERT_EQ(c.data.size(), 2u);
   EXPECT_EQ(c.data[1], 100);
   EXPECT_EQ(es.held_count(), 0u);
-  es.sentinel(1, 1, c.on_data(), c.on_marker());
+  es.sentinel(1, kUnattributed, 1, c.on_data(), c.on_marker());
   EXPECT_EQ(c.markers.size(), 2u);
   EXPECT_EQ(es.epochs_completed(), 2u);
 }
@@ -183,12 +185,12 @@ TEST(EpochSequencer, ChainedCompletionsFlushInOneCall) {
   // epoch-0 sentinel must cascade 0, 1 and 2 to completion, in order.
   EpochSequencer<int> es(1);
   Collector c;
-  es.data(1, 10, c.on_data(), c.on_marker());
-  es.sentinel(1, 1, c.on_data(), c.on_marker());
-  es.data(2, 20, c.on_data(), c.on_marker());
-  es.sentinel(2, 1, c.on_data(), c.on_marker());
+  es.data(1, kUnattributed, 10, c.on_data(), c.on_marker());
+  es.sentinel(1, kUnattributed, 1, c.on_data(), c.on_marker());
+  es.data(2, kUnattributed, 20, c.on_data(), c.on_marker());
+  es.sentinel(2, kUnattributed, 1, c.on_data(), c.on_marker());
   EXPECT_TRUE(c.markers.empty());
-  es.sentinel(0, 0, c.on_data(), c.on_marker());
+  es.sentinel(0, kUnattributed, 0, c.on_data(), c.on_marker());
   ASSERT_EQ(c.markers.size(), 3u);
   EXPECT_EQ(c.markers[0].first, 0u);
   EXPECT_EQ(c.markers[1].first, 1u);
@@ -204,9 +206,9 @@ TEST(EpochSequencer, HeldCountSurvivesDeadSender) {
   // loss as drops.
   EpochSequencer<int> es(2);
   Collector c;
-  es.data(1, 1, c.on_data(), c.on_marker());
-  es.data(2, 2, c.on_data(), c.on_marker());
-  es.sentinel(0, 0, c.on_data(), c.on_marker());  // only one of two senders
+  es.data(1, kUnattributed, 1, c.on_data(), c.on_marker());
+  es.data(2, kUnattributed, 2, c.on_data(), c.on_marker());
+  es.sentinel(0, kUnattributed, 0, c.on_data(), c.on_marker());  // only one of two senders
   EXPECT_TRUE(c.markers.empty());
   EXPECT_EQ(es.held_count(), 2u);
 }
@@ -309,8 +311,8 @@ TEST(EpochSequencer, AnonymousDeathFallsBackToGlobalCounting) {
   // one sender and completion falls back to global sentinel/item counts.
   EpochSequencer<int> es(2);
   Collector c;
-  es.sentinel(0, 1, c.on_data(), c.on_marker());  // unattributed overload
-  es.data(0, 7, c.on_data(), c.on_marker());
+  es.sentinel(0, kUnattributed, 1, c.on_data(), c.on_marker());
+  es.data(0, kUnattributed, 7, c.on_data(), c.on_marker());
   EXPECT_TRUE(c.markers.empty());
   es.sender_dead(EpochSequencer<int>::kUnattributed, c.on_data(), c.on_marker());
   ASSERT_EQ(c.markers.size(), 1u);
@@ -323,8 +325,8 @@ TEST(EpochSequencer, FinishRepairsEvidencedEpochsButNeverMintsGaps) {
   // first gap: epoch 2's held item stays for the host to account.
   EpochSequencer<int> es(1);
   Collector c;
-  es.data(0, 1, c.on_data(), c.on_marker());
-  es.data(2, 3, c.on_data(), c.on_marker());  // epoch 1 never seen
+  es.data(0, kUnattributed, 1, c.on_data(), c.on_marker());
+  es.data(2, kUnattributed, 3, c.on_data(), c.on_marker());  // epoch 1 never seen
   es.finish(c.on_data(), c.on_marker());
   ASSERT_EQ(c.markers.size(), 1u);
   EXPECT_EQ(c.markers[0].first, 0u);

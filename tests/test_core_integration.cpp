@@ -835,6 +835,171 @@ TEST(ReceiverParallelDecode, CloseUnderFullWindowAccountsInHandPayload) {
   EXPECT_GE(stats.dropped_on_close, 1u);
 }
 
+// ------------------------------------------------------ receiver liveness
+
+/// Scripted source whose recv() first runs the hook keyed by its position
+/// (k: before handing out payload k; script.size(): before ending), on the
+/// receiver's ingest thread — where net::ReconnectingSource fires on_down and
+/// on_up — and which ends with `end`.
+struct HookedSource final : net::MessageSource {
+  HookedSource(std::vector<msgpack::WireBatch> batches, net::SourceEnd end_state_)
+      : end(end_state_) {
+    for (auto& b : batches) script.push_back(msgpack::BatchCodec::encode(b));
+  }
+  std::optional<Payload> recv() override {
+    if (auto hook = hooks.find(pos); hook != hooks.end()) {
+      auto fn = std::move(hook->second);
+      hooks.erase(hook);
+      fn();
+    }
+    if (pos >= script.size()) return std::nullopt;
+    return script[pos++];
+  }
+  void close() override {}
+  net::SourceEnd end_state() const override { return end; }
+  std::vector<Payload> script;
+  std::map<std::size_t, std::function<void()>> hooks;
+  net::SourceEnd end;
+  std::size_t pos = 0;
+};
+
+/// Block until `rx` is published and its stats satisfy `done`. A source
+/// delivers in its own order, so a count that includes one of a source's
+/// later batches proves everything that source sent before it — sentinels
+/// and liveness notes included — went through the epoch algebra.
+template <typename Done>
+void await_stats(const std::atomic<Receiver*>& rx, Done done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (Receiver* r = rx.load(std::memory_order_acquire); r && done(r->stats())) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ADD_FAILURE() << "receiver stats never reached the awaited state";
+}
+
+void await_received(const std::atomic<Receiver*>& rx, std::uint64_t n) {
+  await_stats(rx, [n](const ReceiverStats& s) { return s.batches_received >= n; });
+}
+
+TEST(ReceiverLiveness, DeadPeerEndRepairsTheEpochAndDeliversEveryBatch) {
+  // K batches of epoch 0, no sentinel, then the peer dies: the end-of-loop
+  // death note repairs the epoch behind every batch the source returned.
+  constexpr std::uint64_t kBatches = 5;
+  std::vector<msgpack::WireBatch> script;
+  for (std::uint64_t i = 0; i < kBatches; ++i) script.push_back(data_batch(0, i));
+  ReceiverConfig rc;
+  rc.num_senders = 1;
+  Receiver receiver(rc,
+                    std::make_unique<HookedSource>(std::move(script), net::SourceEnd::kDeadPeer));
+  auto delivered = drain_all(receiver);
+  ASSERT_EQ(delivered.size(), kBatches + 1);
+  for (std::uint64_t i = 0; i < kBatches; ++i) EXPECT_EQ(delivered[i].batch_id, i);
+  EXPECT_TRUE(delivered.back().last);
+  EXPECT_EQ(delivered.back().sent_count, kBatches);
+  auto stats = receiver.stats();
+  EXPECT_EQ(stats.batches_received, kBatches);
+  EXPECT_EQ(stats.epochs_completed, 1u);
+  EXPECT_EQ(stats.epochs_repaired, 1u);
+  EXPECT_EQ(stats.dropped_dead_sender, 0u);
+  EXPECT_EQ(stats.dropped_on_close, 0u);
+}
+
+TEST(ReceiverLiveness, NoteFromInsideRecvLandsBehindTheSourcesBatches) {
+  // Sender 1 is declared dead from inside its own recv(), as on_down does,
+  // right after returning three batches and after sender 0 closed epoch 0.
+  // Had the note overtaken those three, epoch 0 would have completed
+  // without them and they would be stale drops.
+  std::atomic<Receiver*> rx{nullptr};
+  std::vector<std::unique_ptr<net::MessageSource>> sources;
+  sources.push_back(std::make_unique<HookedSource>(
+      std::vector<msgpack::WireBatch>{data_batch(0, 0), data_batch(0, 1),
+                                      msgpack::BatchCodec::make_sentinel(0, 0, 2),
+                                      data_batch(1, 2)},
+      net::SourceEnd::kClean));
+  auto late = std::make_unique<HookedSource>(
+      std::vector<msgpack::WireBatch>{data_batch(0, 10), data_batch(0, 11), data_batch(0, 12)},
+      net::SourceEnd::kClean);
+  late->hooks[0] = [&] { await_received(rx, 3); };  // sender 0's e0 sentinel is in
+  late->hooks[3] = [&] { rx.load()->note_sender_dead(1); };
+  sources.push_back(std::move(late));
+  ReceiverConfig rc;
+  rc.num_senders = 2;
+  Receiver receiver(rc, std::move(sources));
+  rx.store(&receiver, std::memory_order_release);
+  auto delivered = drain_all(receiver);
+
+  std::vector<std::uint64_t> epoch0;
+  std::size_t i = 0;
+  for (; i < delivered.size() && !delivered[i].last; ++i) epoch0.push_back(delivered[i].batch_id);
+  std::sort(epoch0.begin(), epoch0.end());
+  EXPECT_EQ(epoch0, (std::vector<std::uint64_t>{0, 1, 10, 11, 12}));
+  ASSERT_EQ(delivered.size(), i + 3) << "marker e0, batch 2, marker e1";
+  EXPECT_EQ(delivered[i].epoch, 0u);
+  EXPECT_EQ(delivered[i].sent_count, 5u);
+  EXPECT_EQ(delivered[i + 1].batch_id, 2u);
+  EXPECT_TRUE(delivered[i + 2].last);
+  EXPECT_EQ(delivered[i + 2].epoch, 1u);
+  auto stats = receiver.stats();
+  EXPECT_EQ(stats.batches_received, 6u);
+  EXPECT_EQ(stats.epochs_completed, 2u);
+  EXPECT_EQ(stats.epochs_repaired, 2u);  // sender 1 never sentineled either epoch
+  EXPECT_EQ(stats.dropped_dead_sender, 0u);
+  EXPECT_EQ(stats.dropped_on_close, 0u);
+}
+
+TEST(ReceiverLiveness, RevivedSendersResendForARepairedEpochIsDroppedAndCounted) {
+  // Sender 1 dies mid-epoch 0 (repairing it), comes back, and re-sends its
+  // epoch-0 batch before serving epoch 1 in full: the re-send is a stale
+  // drop, never a second delivery, and epoch 1 waits for sender 1 again.
+  std::atomic<Receiver*> rx{nullptr};
+  std::vector<std::unique_ptr<net::MessageSource>> sources;
+  auto steady = std::make_unique<HookedSource>(
+      std::vector<msgpack::WireBatch>{data_batch(0, 0), msgpack::BatchCodec::make_sentinel(0, 0, 1),
+                                      data_batch(1, 1), msgpack::BatchCodec::make_sentinel(0, 1, 1)},
+      net::SourceEnd::kClean);
+  // Sender 0 closes epoch 1 only once sender 1 is alive again (its stale
+  // re-send is counted): with sender 1 still dead, epoch 1 would repair.
+  steady->hooks[3] = [&] {
+    await_stats(rx, [](const ReceiverStats& s) { return s.dropped_dead_sender >= 1; });
+  };
+  sources.push_back(std::move(steady));
+  auto flaky = std::make_unique<HookedSource>(
+      std::vector<msgpack::WireBatch>{data_batch(0, 10), data_batch(0, 10), data_batch(1, 11),
+                                      msgpack::BatchCodec::make_sentinel(0, 1, 1)},
+      net::SourceEnd::kClean);
+  flaky->hooks[1] = [&] {
+    await_received(rx, 3);  // batches 0, 10 and 1: sender 0's e0 sentinel is in
+    rx.load()->note_sender_dead(1);
+    rx.load()->note_sender_revived(1);
+  };
+  sources.push_back(std::move(flaky));
+  ReceiverConfig rc;
+  rc.num_senders = 2;
+  Receiver receiver(rc, std::move(sources));
+  rx.store(&receiver, std::memory_order_release);
+  auto delivered = drain_all(receiver);
+
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> data;
+  std::vector<std::uint32_t> markers;
+  for (const auto& b : delivered) {
+    if (b.last) {
+      markers.push_back(b.epoch);
+    } else {
+      data.emplace_back(static_cast<std::uint32_t>(markers.size()), b.batch_id);
+    }
+  }
+  std::sort(data.begin(), data.end());
+  EXPECT_EQ(data, (std::vector<std::pair<std::uint32_t, std::uint64_t>>{
+                      {0, 0}, {0, 10}, {1, 1}, {1, 11}}));
+  EXPECT_EQ(markers, (std::vector<std::uint32_t>{0, 1}));
+  auto stats = receiver.stats();
+  EXPECT_EQ(stats.batches_received, 5u);
+  EXPECT_EQ(stats.epochs_completed, 2u);
+  EXPECT_EQ(stats.epochs_repaired, 1u);  // epoch 1 completed at full strength
+  EXPECT_EQ(stats.dropped_dead_sender, 1u);
+  EXPECT_EQ(stats.dropped_on_close, 0u);
+}
+
 TEST(ReceiverParallelDecode, PooledStatsExposePipelineBalance) {
   // A pooled run over a healthy stream reports the new balance counters and
   // keeps the books consistent: decode time accumulates, the queue peak is

@@ -11,8 +11,8 @@
 //      daemon's epochs are byte-identical to a fault-free run, every epoch
 //      marker still fires, `epochs_repaired >= 1`, the stale re-serve is
 //      dropped and exactly reconciled (pulled = delivered + dropped), and
-//      the decode-wait p99 returns to <= 2x its pre-fault level within 10
-//      post-restart windows.
+//      the receiver's end-to-end p99 (ingest → decode → deliver) returns to
+//      <= 2x its pre-fault level within 10 post-restart windows.
 //
 //   B. receiver-joins-late (TCP): the daemon's PushSocket starts before any
 //      listener exists and survives on its connect-retry schedule until the
@@ -76,7 +76,7 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// Periodic decode-wait histogram samples; consecutive deltas are the
+/// Periodic end-to-end histogram samples; consecutive deltas are the
 /// latency timeline the recovery assertion runs on.
 struct Window {
   double t_ms = 0.0;
@@ -185,8 +185,7 @@ ClusterRun run_cluster(const std::vector<tfrecord::ShardIndex>& indexes,
   core::ReceiverConfig rc;
   rc.num_senders = 2;
   rc.queue_capacity = 64;
-  rc.decode_threads = 2;
-  rc.trace = true;  // the recovery assertion reads the decode-wait histogram
+  rc.trace = true;  // the recovery assertion reads the end-to-end histogram
   std::vector<std::unique_ptr<net::MessageSource>> sources;
   sources.push_back(std::move(ch_a.source));
   sources.push_back(std::move(wrapped));
@@ -278,7 +277,7 @@ ClusterRun run_cluster(const std::vector<tfrecord::ShardIndex>& indexes,
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       Window w;
       w.t_ms = elapsed_ms();
-      w.snap = receiver.tracer().stage_histogram(obs::Stage::kDecodeWait).snapshot();
+      w.snap = receiver.tracer().e2e_histogram().snapshot();
       r.windows.push_back(std::move(w));
     }
   });
@@ -302,7 +301,7 @@ ClusterRun run_cluster(const std::vector<tfrecord::ShardIndex>& indexes,
   return r;
 }
 
-/// Post-restart decode-wait p99 must return to <= max(2x pre-fault median
+/// Post-restart end-to-end p99 must return to <= max(2x pre-fault median
 /// p99, 1 ms) within 10 non-empty windows. Numbers land in `row` either way.
 bool check_recovery(const ClusterRun& r, json::Object& row, bool assert_latency) {
   auto deltas = window_deltas(r.windows);
@@ -312,7 +311,8 @@ bool check_recovery(const ClusterRun& r, json::Object& row, bool assert_latency)
   }
   const double pre_p99 = median(pre);
   const double threshold = std::max(2.0 * pre_p99, 1e6);  // 1 ms floor: tiny
-                                                          // batches decode in
+                                                          // batches cross the
+                                                          // receiver in
                                                           // microseconds
   int post_seen = 0;
   int recovered_window = -1;
@@ -340,7 +340,7 @@ bool check_recovery(const ClusterRun& r, json::Object& row, bool assert_latency)
     return true;
   }
   return expect(recovered_window > 0,
-                "scenario A: decode-wait p99 did not recover to <= 2x pre-fault within 10 "
+                "scenario A: end-to-end p99 did not recover to <= 2x pre-fault within 10 "
                 "post-restart windows");
 }
 
@@ -393,7 +393,6 @@ bool scenario_join_late(const std::vector<tfrecord::ShardIndex>& indexes,
   core::ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = 64;
-  rc.decode_threads = 2;
   core::Receiver receiver(rc, std::make_unique<net::PullSocket>(port, /*queue_capacity=*/64,
                                                                 /*expected_senders=*/1));
 
@@ -444,7 +443,6 @@ bool scenario_lossy_link(const std::vector<tfrecord::ShardIndex>& indexes,
   core::ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = 64;
-  rc.decode_threads = 2;
   core::Receiver receiver(rc, std::move(ch.source));
 
   std::shared_ptr<net::MessageSink> sink(std::move(ch.sink));

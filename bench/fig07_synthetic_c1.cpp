@@ -22,8 +22,9 @@ int main() {
       auto cfg = eval::centralized(kind, dataset, model, regime);
       cfg.params.batch_size = 32;  // 2 MB records → 64 MB payload batches
       cfg.params.emlio_daemon_threads = 1;  // the Figure-7 configuration
-      // The pooled receiver (ReceiverConfig::decode_threads): 4 decode
-      // workers — the width the paper's host deserialize stage already ran.
+      // The modelled receiver decodes on 4 threads
+      // (LoaderParams::emlio_decode_threads) — the width the paper's host
+      // deserialize stage already ran.
       cfg.params.emlio_decode_threads = 4;
       cfg.params.dali_prefetch_streams = 1;  // 2 MB records defeat read-ahead
       eval::FigureRow row;

@@ -40,7 +40,8 @@ int main() {
         // ::prefetch_depth).
         cfg.params.emlio_pool_threads = 4;
         cfg.params.emlio_prefetch_depth = 16;
-        // ...and the pooled receiver decoding the 2-daemon fan-in.
+        // ...and the modelled receiver decoding the 2-daemon fan-in on 4
+        // threads.
         cfg.params.emlio_decode_threads = 4;
       }
       const PaperCell& cell = kind == eval::LoaderKind::kDali ? kDali[r] : kEmlio[r];

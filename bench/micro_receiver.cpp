@@ -1,26 +1,27 @@
-// Microbench for the compute-side receiver (per-source ingest threads →
-// round-robin inline admission → shared decode ThreadPool →
-// Sequencer-ordered delivery). Two phases:
+// Microbench for the compute-side receiver (one ingest thread per source,
+// each decoding and delivering its own payloads). Two phases:
 //
 //   1. Ordered-delivery contract (hard failure): a deterministic
 //      multi-sender script — sentinel overtakes, epoch reordering,
 //      interleaved senders — is replayed from ONE source (so arrival order
-//      is fixed) through the receiver at decode widths 1 and 4. Both
-//      delivered streams must be byte-identical and identically ordered to
-//      an engine-free oracle: the same arrivals replayed on one thread
-//      through EpochSequencer<WireBatch>. Exit 1 on any divergence.
+//      is fixed) through the receiver. The delivered stream must be
+//      byte-identical and identically ordered to an engine-free oracle: the
+//      same arrivals replayed on one thread through
+//      EpochSequencer<WireBatch>. Exit 1 on any divergence.
 //
-//   2. Decode-width sweep: 4 daemons push decode-heavy batches over 4
-//      sim-transport channels into one receiver (true multi-source fan-in)
-//      at decode widths 1, 2 and 4, in alternating rounds (1, 2, 4, 1, ...)
-//      so host drift spreads evenly. Each width reports the median, min and
-//      max run time over the rounds; one round takes over half a second on
-//      a 4-core host. On hosts with ≥4 cores, width 4's median throughput
-//      must reach kMinSpeedupWidth4 × width 1's (a 4-vCPU Xeon measures
-//      2.0–2.2×; the floor leaves room for noisy shared runners). Fewer
-//      cores run the sweep without the gate.
+//   2. Fan-in sweep: 1, 2 and 4 daemons push decode-heavy batches over as
+//      many sim-transport channels into one receiver (true multi-source
+//      fan-in, one decoding ingest thread per source). Every point carries
+//      the same batches in total, split evenly over its sources, and the
+//      points alternate over the rounds (1, 2, 4, 1, ...) so host drift
+//      spreads evenly. Each point reports the median, min and max run time
+//      over the rounds; one round takes a few hundred milliseconds on a
+//      4-core host. On hosts with ≥4 cores, 4 sources' median throughput
+//      must reach kMinSpeedup4Sources × one source's (a 4-vCPU Xeon
+//      measures about 2×; the floor leaves room for noisy shared runners).
+//      Fewer cores run the sweep without the gate.
 //
-// Appends one JSON row per width to emlio_bench_results.jsonl.
+// Appends one JSON row per source count to emlio_bench_results.jsonl.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -39,9 +40,9 @@ using namespace emlio;
 
 namespace {
 
-constexpr std::size_t kWidths[] = {1, 2, 4};
+constexpr std::size_t kSourceCounts[] = {1, 2, 4};
 constexpr int kRounds = 5;
-constexpr double kMinSpeedupWidth4 = 1.3;
+constexpr double kMinSpeedup4Sources = 1.3;
 
 // ----------------------------------------------------------- script helpers
 
@@ -66,7 +67,7 @@ msgpack::WireBatch make_data_batch(std::uint32_t epoch, std::uint64_t batch_id,
 }
 
 /// Single source replaying a fixed payload sequence — deterministic arrival
-/// order, so every width's delivery can be compared batch for batch.
+/// order, so the delivery can be compared batch for batch.
 struct ReplaySource final : net::MessageSource {
   explicit ReplaySource(std::vector<Payload> payloads) : script(std::move(payloads)) {}
   std::optional<Payload> recv() override {
@@ -146,28 +147,25 @@ std::vector<msgpack::WireBatch> oracle_delivery(const std::vector<Payload>& arri
 bool run_contract_phase() {
   auto script = build_contract_script();
   const auto want = oracle_delivery(script, /*num_senders=*/2);
-  for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-    core::ReceiverConfig rc;
-    rc.num_senders = 2;
-    rc.queue_capacity = 8;
-    rc.decode_threads = width;
-    core::Receiver receiver(rc, std::make_unique<ReplaySource>(script));
-    const auto got = drain(receiver);
-    if (got != want) {
-      std::fprintf(stderr,
-                   "micro_receiver: ORDERED-DELIVERY CONTRACT VIOLATED — width %zu delivered "
-                   "%zu batches, the EpochSequencer oracle %zu, streams differ\n",
-                   width, got.size(), want.size());
-      return false;
-    }
+  core::ReceiverConfig rc;
+  rc.num_senders = 2;
+  rc.queue_capacity = 8;
+  core::Receiver receiver(rc, std::make_unique<ReplaySource>(script));
+  const auto got = drain(receiver);
+  if (got != want) {
+    std::fprintf(stderr,
+                 "micro_receiver: ORDERED-DELIVERY CONTRACT VIOLATED — the receiver delivered "
+                 "%zu batches, the EpochSequencer oracle %zu, streams differ\n",
+                 got.size(), want.size());
+    return false;
   }
-  std::printf("micro_receiver: contract — widths 1 and 4 delivered the oracle's byte-identical, "
+  std::printf("micro_receiver: contract — the receiver delivered the oracle's byte-identical, "
               "identically-ordered stream (%zu batches incl. epoch markers)\n",
               want.size());
   return true;
 }
 
-// ---------------------------------------------- phase 2: decode-width sweep
+// ------------------------------------------------- phase 2: fan-in sweep
 
 struct RunResult {
   double seconds = 0.0;
@@ -178,7 +176,7 @@ struct RunResult {
 /// Each daemon sends its `payloads` `passes` times over (refcount bumps —
 /// memory stays at one pass) and then one sentinel announcing the total.
 RunResult run_fan_in(const std::vector<std::vector<Payload>>& per_daemon_payloads,
-                     std::size_t passes, std::size_t decode_threads) {
+                     std::size_t passes) {
   const std::size_t daemons = per_daemon_payloads.size();
   net::SimLinkConfig link;
   link.rtt_ms = 0.0;
@@ -195,7 +193,6 @@ RunResult run_fan_in(const std::vector<std::vector<Payload>>& per_daemon_payload
   core::ReceiverConfig rc;
   rc.num_senders = daemons;
   rc.queue_capacity = 64;
-  rc.decode_threads = decode_threads;
 
   auto t0 = std::chrono::steady_clock::now();
   core::Receiver receiver(rc, std::move(sources));
@@ -227,6 +224,17 @@ RunResult run_fan_in(const std::vector<std::vector<Payload>>& per_daemon_payload
   return r;
 }
 
+/// `batches` split into `n` contiguous, equal runs, one per source.
+std::vector<std::vector<Payload>> split(const std::vector<Payload>& batches, std::size_t n) {
+  std::vector<std::vector<Payload>> out(n);
+  const std::size_t per = batches.size() / n;
+  for (std::size_t d = 0; d < n; ++d) {
+    out[d].assign(batches.begin() + static_cast<std::ptrdiff_t>(d * per),
+                  batches.begin() + static_cast<std::ptrdiff_t>((d + 1) * per));
+  }
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -234,67 +242,66 @@ int main() {
 
   // Decode-heavy traffic: many small samples per batch makes per-sample
   // header parsing (the decode stage's real cost) dominate the byte moves.
-  constexpr std::size_t kDaemons = 4, kBatchesPerDaemon = 160, kPasses = 12;
+  constexpr std::size_t kBatches = 640, kPasses = 12;
   constexpr std::size_t kSamplesPerBatch = 512, kSampleBytes = 96;
-  std::vector<std::vector<Payload>> per_daemon(kDaemons);
-  std::uint64_t next_id = 0;
-  for (std::size_t d = 0; d < kDaemons; ++d) {
-    for (std::size_t i = 0; i < kBatchesPerDaemon; ++i) {
-      per_daemon[d].push_back(msgpack::BatchCodec::encode(
-          make_data_batch(0, next_id++, kSamplesPerBatch, kSampleBytes, d)));
-    }
+  std::vector<Payload> batches;
+  for (std::uint64_t id = 0; id < kBatches; ++id) {
+    batches.push_back(msgpack::BatchCodec::encode(
+        make_data_batch(0, id, kSamplesPerBatch, kSampleBytes, /*salt=*/id % 4)));
   }
-  const std::uint64_t want = kDaemons * kBatchesPerDaemon * kPasses;
+  constexpr std::size_t kN = std::size(kSourceCounts);
+  std::vector<std::vector<Payload>> per_source[kN];
+  for (std::size_t p = 0; p < kN; ++p) per_source[p] = split(batches, kSourceCounts[p]);
+  const std::uint64_t want = kBatches * kPasses;
 
   const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("micro_receiver: %zu daemons x %llu batches (%zu x %zu B samples), %u cores, "
-              "widths 1/2/4 x %d alternating rounds\n",
-              kDaemons, static_cast<unsigned long long>(want / kDaemons), kSamplesPerBatch,
-              kSampleBytes, cores, kRounds);
+  std::printf("micro_receiver: %llu batches (%zu x %zu B samples) per point, %u cores, "
+              "1/2/4 sources x %d alternating rounds\n",
+              static_cast<unsigned long long>(want), kSamplesPerBatch, kSampleBytes, cores,
+              kRounds);
 
-  constexpr std::size_t kN = std::size(kWidths);
   std::vector<double> seconds[kN];
   RunResult last[kN];
   for (int round = 0; round < kRounds; ++round) {
-    for (std::size_t w = 0; w < kN; ++w) {
-      last[w] = run_fan_in(per_daemon, kPasses, kWidths[w]);
-      if (last[w].batches != want) {
-        std::fprintf(stderr, "micro_receiver: WRONG BATCH COUNT (width %zu: %llu, want %llu)\n",
-                     kWidths[w], static_cast<unsigned long long>(last[w].batches),
+    for (std::size_t p = 0; p < kN; ++p) {
+      last[p] = run_fan_in(per_source[p], kPasses);
+      if (last[p].batches != want) {
+        std::fprintf(stderr, "micro_receiver: WRONG BATCH COUNT (%zu sources: %llu, want %llu)\n",
+                     kSourceCounts[p], static_cast<unsigned long long>(last[p].batches),
                      static_cast<unsigned long long>(want));
         return 1;
       }
-      seconds[w].push_back(last[w].seconds);
+      seconds[p].push_back(last[p].seconds);
     }
   }
 
   const double base = bench::spread(seconds[0]).median;
-  for (std::size_t w = 0; w < kN; ++w) {
-    const auto s = bench::spread(seconds[w]);
-    const double ratio = base / s.median;  // throughput relative to width 1
-    std::printf("  decode=%zu : median %.3f s (min %.3f, max %.3f)  %.0f batches/s, %.2fx width 1; "
-                "%llu resequence / %llu decode stalls (last round)\n",
-                kWidths[w], s.median, s.min, s.max, static_cast<double>(want) / s.median, ratio,
-                static_cast<unsigned long long>(last[w].stats.resequence_stalls),
-                static_cast<unsigned long long>(last[w].stats.decode_stalls));
+  for (std::size_t p = 0; p < kN; ++p) {
+    const auto s = bench::spread(seconds[p]);
+    const double ratio = base / s.median;  // throughput relative to one source
+    std::printf("  sources=%zu : median %.3f s (min %.3f, max %.3f)  %.0f batches/s, "
+                "%.2fx one source\n",
+                kSourceCounts[p], s.median, s.min, s.max, static_cast<double>(want) / s.median,
+                ratio);
     json::Object row;
     row["bench"] = "micro_receiver";
-    row["decode_threads"] = static_cast<std::int64_t>(kWidths[w]);
+    row["sources"] = static_cast<std::int64_t>(kSourceCounts[p]);
     row["cores"] = static_cast<std::int64_t>(cores);
     row["rounds"] = static_cast<std::int64_t>(kRounds);
     row["batches"] = static_cast<std::int64_t>(want);
     row["run_seconds"] = bench::to_json(s);
-    row["speedup_vs_width1"] = ratio;
-    row["stats"] = core::to_json(last[w].stats);
+    row["batches_per_s"] = static_cast<double>(want) / s.median;
+    row["speedup_vs_one_source"] = ratio;
+    row["stats"] = core::to_json(last[p].stats);
     bench::append_json_line(json::Value(std::move(row)));
   }
 
   const double speedup4 = base / bench::spread(seconds[kN - 1]).median;
-  if (cores >= 4 && speedup4 < kMinSpeedupWidth4) {
+  if (cores >= 4 && speedup4 < kMinSpeedup4Sources) {
     std::fprintf(stderr,
-                 "micro_receiver: FAIL — width 4 median throughput is %.2fx width 1's on a "
-                 "%u-core host, below the %.2fx floor\n",
-                 speedup4, cores, kMinSpeedupWidth4);
+                 "micro_receiver: FAIL — 4 sources' median throughput is %.2fx one source's on "
+                 "a %u-core host, below the %.2fx floor\n",
+                 speedup4, cores, kMinSpeedup4Sources);
     return 1;
   }
   return 0;

@@ -12,11 +12,16 @@
 //      scatter-gather sendmsg per frame (the write-coalescing invariant).
 //      Exit 1 on any violation — these hold on any host, any core count.
 //
-//   2. Throughput A/B (needs ≥2 cores): 1500 × 256 KiB batches streamed
-//      producer→consumer through each lane; batches/s compared. On a host
-//      with at least one core per side the shm lane must reach ≥2× the TCP
-//      loopback rate (it skips two memcpys through kernel socket buffers,
-//      two syscalls per message, and the framed reassembly loop).
+//   2. Throughput A/B (needs ≥2 cores): 256 KiB batches streamed
+//      producer→consumer through each lane for at least kRoundSeconds per
+//      run; batches/s compared. The two lanes alternate over kRounds rounds
+//      (bench::run_pair), each round on fresh endpoints, and the gate is the
+//      median of the per-round shm/tcp ratios: one short run per side swings
+//      too far on a drifting host. On a host with at least one core per side
+//      the shm lane must reach ≥2× the TCP loopback rate (it skips two
+//      memcpys through kernel socket buffers, two syscalls per message, and
+//      the framed reassembly loop), and make zero data syscalls in every
+//      round.
 //
 // On a single-core host the A/B is a context-switch benchmark, not a
 // transport benchmark, so phase 2 prints an explicit SKIP, records a skipped
@@ -42,6 +47,10 @@
 using namespace emlio;
 
 namespace {
+
+constexpr int kRounds = 7;
+constexpr double kRoundSeconds = 0.25;
+constexpr double kMinShmVsTcp = 2.0;
 
 std::string unique_shm_name(const char* tag) {
   return std::string("emlio.bench.") + tag + "." +
@@ -144,21 +153,27 @@ bool run_contract_phase() {
 
 struct AbResult {
   double seconds = 0.0;
+  std::uint64_t batches = 0;
   double batches_per_sec = 0.0;
   std::uint64_t data_syscalls = 0;
 };
 
-AbResult run_ab_lane(Lane& lane, std::size_t batches, std::size_t batch_bytes) {
+/// Stream `batch_bytes` batches through `lane` until kRoundSeconds have
+/// passed, then time until the consumer has drained the last one.
+AbResult run_ab_lane(Lane lane, std::size_t batch_bytes) {
   // A handful of distinct payloads so the sender isn't re-reading one hot
   // cache-resident buffer (slightly pessimistic for both lanes, fair A/B).
   std::vector<Payload> pool;
   for (int i = 0; i < 4; ++i) {
     pool.emplace_back(std::vector<std::uint8_t>(batch_bytes, static_cast<std::uint8_t>(i + 1)));
   }
-  auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto stop = t0 + std::chrono::duration<double>(kRoundSeconds);
+  std::uint64_t sent = 0;
   std::thread producer([&] {
-    for (std::size_t i = 0; i < batches; ++i) {
-      if (!lane.sink->send(Payload(pool[i % pool.size()]))) return;  // handle copy
+    while (std::chrono::steady_clock::now() < stop) {
+      if (!lane.sink->send(Payload(pool[sent % pool.size()]))) return;  // handle copy
+      ++sent;
     }
     lane.sink->close();
   });
@@ -169,32 +184,44 @@ AbResult run_ab_lane(Lane& lane, std::size_t batches, std::size_t batch_bytes) {
   producer.join();
   AbResult r;
   r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  r.batches_per_sec = r.seconds > 0.0 ? static_cast<double>(received) / r.seconds : 0.0;
+  r.batches = received;
+  r.batches_per_sec = static_cast<double>(received) / r.seconds;
   r.data_syscalls = lane.sink->data_syscalls();
-  if (received != batches) {
-    std::fprintf(stderr, "micro_shm: A/B lane delivered %llu of %zu batches\n",
-                 static_cast<unsigned long long>(received), batches);
+  if (received != sent) {
+    std::fprintf(stderr, "micro_shm: A/B lane delivered %llu of %llu batches\n",
+                 static_cast<unsigned long long>(received),
+                 static_cast<unsigned long long>(sent));
     r.batches_per_sec = 0.0;
   }
   return r;
 }
 
-json::Value ab_row(const char* lane, const AbResult& r, std::size_t batches,
-                   std::size_t batch_bytes, double ratio) {
+json::Value ab_row(const char* lane, const std::vector<AbResult>& runs, std::size_t batch_bytes,
+                   const bench::Spread& ratio) {
+  std::vector<double> rates, seconds;
+  std::uint64_t batches = 0, syscalls = 0;
+  for (const auto& r : runs) {
+    rates.push_back(r.batches_per_sec);
+    seconds.push_back(r.seconds);
+    batches += r.batches;
+    syscalls += r.data_syscalls;
+  }
+  const auto rate = bench::spread(rates);
   json::Object row;
   row["bench"] = "micro_shm";
   row["phase"] = std::string("ab");
   row["lane"] = std::string(lane);
   row["cores"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  row["rounds"] = static_cast<std::int64_t>(runs.size());
   row["batches"] = static_cast<std::int64_t>(batches);
   row["batch_bytes"] = static_cast<std::int64_t>(batch_bytes);
-  row["seconds"] = r.seconds;
-  row["batches_per_sec"] = r.batches_per_sec;
-  row["mb_per_sec"] = r.batches_per_sec * static_cast<double>(batch_bytes) / 1e6;
-  row["data_syscalls"] = static_cast<std::int64_t>(r.data_syscalls);
+  row["run_seconds"] = bench::to_json(bench::spread(seconds));
+  row["batches_per_sec"] = bench::to_json(rate);
+  row["mb_per_sec"] = rate.median * static_cast<double>(batch_bytes) / 1e6;
+  row["data_syscalls"] = static_cast<std::int64_t>(syscalls);
   row["syscalls_per_batch"] =
-      batches ? static_cast<double>(r.data_syscalls) / static_cast<double>(batches) : 0.0;
-  row["shm_vs_tcp"] = ratio;
+      batches ? static_cast<double>(syscalls) / static_cast<double>(batches) : 0.0;
+  row["shm_vs_tcp"] = bench::to_json(ratio);
   return json::Value(std::move(row));
 }
 
@@ -210,41 +237,50 @@ int main() {
   const unsigned cores = gate.cores;
   const bool assert_ratio = gate.assert_timing;
 
-  constexpr std::size_t kBatches = 1500;
   constexpr std::size_t kBatchBytes = 256 * 1024;  // one encoded mid-size batch
   constexpr std::size_t kHwm = 16;                 // slab count == TCP pull-queue depth
-  std::printf("micro_shm: A/B — %zu batches x %zu KiB, in-flight budget %zu, %u cores\n",
-              kBatches, kBatchBytes / 1024, kHwm, cores);
+  std::printf("micro_shm: A/B — %zu KiB batches, in-flight budget %zu, %u cores, "
+              "%d alternating rounds of >=%.2f s per lane\n",
+              kBatchBytes / 1024, kHwm, cores, kRounds, kRoundSeconds);
 
-  auto tcp = make_tcp_lane(kHwm);
-  auto t = run_ab_lane(tcp, kBatches, kBatchBytes);
-  auto shm = make_shm_lane("ab", kBatchBytes, kHwm);
-  auto s = run_ab_lane(shm, kBatches, kBatchBytes);
-
-  double ratio = t.batches_per_sec > 0.0 ? s.batches_per_sec / t.batches_per_sec : 0.0;
-  std::printf("  tcp : %8.0f batches/s (%7.1f MB/s, %.2f syscalls/batch)\n", t.batches_per_sec,
-              t.batches_per_sec * kBatchBytes / 1e6,
-              static_cast<double>(t.data_syscalls) / kBatches);
-  std::printf("  shm : %8.0f batches/s (%7.1f MB/s, %.2f syscalls/batch)  %.2fx tcp\n",
-              s.batches_per_sec, s.batches_per_sec * kBatchBytes / 1e6,
-              static_cast<double>(s.data_syscalls) / kBatches, ratio);
-  bench::append_json_line(ab_row("tcp", t, kBatches, kBatchBytes, 1.0));
-  bench::append_json_line(ab_row("shm", s, kBatches, kBatchBytes, ratio));
-
-  if (t.batches_per_sec <= 0.0 || s.batches_per_sec <= 0.0) {
-    std::fprintf(stderr, "micro_shm: FAIL — a lane did not deliver the full stream\n");
-    return 1;
+  std::vector<AbResult> tcp, shm;
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string tag = "ab" + std::to_string(round);
+    bench::run_pair(
+        round, [&] { tcp.push_back(run_ab_lane(make_tcp_lane(kHwm), kBatchBytes)); },
+        [&] { shm.push_back(run_ab_lane(make_shm_lane(tag.c_str(), kBatchBytes, kHwm),
+                                        kBatchBytes)); });
+    const AbResult& t = tcp.back();
+    const AbResult& s = shm.back();
+    if (t.batches_per_sec <= 0.0 || s.batches_per_sec <= 0.0) {
+      std::fprintf(stderr, "micro_shm: FAIL — a lane did not deliver the full stream\n");
+      return 1;
+    }
+    if (s.data_syscalls != 0) {
+      std::fprintf(stderr,
+                   "micro_shm: FAIL — shm lane made %llu data syscalls during the A/B\n",
+                   static_cast<unsigned long long>(s.data_syscalls));
+      return 1;
+    }
+    ratios.push_back(s.batches_per_sec / t.batches_per_sec);
+    std::printf("  round %d: tcp %8.0f batches/s (%.2f syscalls/batch, %.3f s), shm %8.0f "
+                "batches/s (%.3f s)  %.2fx\n",
+                round, t.batches_per_sec,
+                static_cast<double>(t.data_syscalls) / static_cast<double>(t.batches), t.seconds,
+                s.batches_per_sec, s.seconds, ratios.back());
   }
-  if (s.data_syscalls != 0) {
-    std::fprintf(stderr, "micro_shm: FAIL — shm lane made %llu data syscalls during the A/B\n",
-                 static_cast<unsigned long long>(s.data_syscalls));
-    return 1;
-  }
-  if (assert_ratio && ratio < 2.0) {
+  const auto ratio = bench::spread(ratios);
+  std::printf("  shm/tcp: median %.2fx (min %.2f, max %.2f) over %d rounds\n", ratio.median,
+              ratio.min, ratio.max, kRounds);
+  bench::append_json_line(ab_row("tcp", tcp, kBatchBytes, ratio));
+  bench::append_json_line(ab_row("shm", shm, kBatchBytes, ratio));
+
+  if (assert_ratio && ratio.median < kMinShmVsTcp) {
     std::fprintf(stderr,
-                 "micro_shm: FAIL — shm reached only %.2fx the TCP loopback rate "
-                 "(>=2x expected on a %u-core host)\n",
-                 ratio, cores);
+                 "micro_shm: FAIL — shm reached only %.2fx the TCP loopback rate (median of %d "
+                 "rounds; >=%.0fx expected on a %u-core host)\n",
+                 ratio.median, kRounds, kMinShmVsTcp, cores);
     return 1;
   }
   return 0;

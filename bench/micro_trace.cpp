@@ -3,7 +3,7 @@
 // Two contracts:
 //
 //   1. Byte identity (always runs): the same plan is served through the
-//      pipelined daemon → sim wire → pooled receiver with tracing OFF and
+//      pipelined daemon → sim wire → receiver with tracing OFF and
 //      with tracing ON (trace_wire off). Every payload that crosses the
 //      wire — captured at the sink — and every delivered batch must be
 //      byte-identical between the two runs: tracing observes the data path,
@@ -92,7 +92,6 @@ TraceRun run_once(const std::vector<tfrecord::ShardIndex>& indexes, const core::
   core::ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = 16;
-  rc.decode_threads = 2;  // pooled receiver: every traced stage is exercised
   rc.trace = trace;
   core::Receiver receiver(rc, std::move(ch.source));
 
@@ -167,7 +166,7 @@ int main() {
   for (const auto& idx : indexes) tfrecord::ShardReader(idx).verify_all();
 
   std::printf("micro_trace: %zu shards, %llu samples x %u epochs, B=%zu, CRC on, pool=2, "
-              "decode=2, %u cores\n",
+              "%u cores\n",
               indexes.size(), static_cast<unsigned long long>(planner.dataset_size()), pc.epochs,
               pc.batch_size, cores);
 

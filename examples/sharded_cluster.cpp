@@ -55,11 +55,10 @@ int main() {
   }
 
   // Receivers: native multi-source fan-in — one ingest thread per daemon
-  // channel, decoded by a small pool and re-sequenced before delivery (no
+  // channel, each decoding and delivering its own channel's batches (no
   // hand-built mux adapter needed).
   core::ReceiverConfig rc;
   rc.num_senders = 2;
-  rc.decode_threads = 2;
   auto fan_in = [&](int node) {
     std::vector<std::unique_ptr<net::MessageSource>> ins;
     ins.push_back(std::move(sources[0][node]));

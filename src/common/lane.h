@@ -1,35 +1,29 @@
-// Shared lane layer: the per-lane pieces both staged engines build on.
+// Shared lane layer: the per-lane pieces both engines report and pace with.
 //
-// A lane is one stream's bounded stretch of an engine, counted per lane.
-// The receiver's per-source ingest lanes are Lane<T>s, i.e. a BoundedQueue
-// (rejected pushes leave the item with the caller; pops, stalls and peak
-// depth counted inside the queue's own critical sections) with a name and
-// the bytes its consumer attributes to it. The daemon's per-sink lane has
-// no queue of its own: its reorder buffer is the lane (core/daemon.cpp),
-// and it reports the same LaneStats. Lanes carry no weights: as with
-// ZeroMQ's high-water mark in the paper (§4.5), a lane's only back-off is
-// its bound.
+// A lane is one stream's stretch of an engine, counted per lane in a
+// LaneStats row. The daemon's per-sink lane has no queue of its own: its
+// reorder buffer is the lane (core/daemon.cpp). The receiver's per-source
+// rows count what each source's ingest thread took in; a source has no
+// queue either, since its thread decodes and delivers each payload itself
+// (core/receiver.h). Lanes carry no weights: as with ZeroMQ's high-water
+// mark in the paper (§4.5), a lane's only back-off is its bound.
 //
-// Beside the lane sit two small pieces:
-//
-//   RoundRobin     — the receiver's admission arbiter: each pick serves
-//                    the next ready slot after the one served last, so every
-//                    lane that stays ready is served once per turn and a
-//                    lane that is not ready (an empty ingest lane) is
-//                    skipped. Not thread-safe: the receiver runs one under
-//                    its window mutex to pick the source lane whose head
-//                    payload enters the decode window. The daemon needs no
-//                    arbiter: each sink lane's sender admits its own encode
-//                    jobs, bounded by that lane's window.
+// Beside the stats sit two small pieces:
 //
 //   RatePacer      — the token bucket behind each engine's lane_rate cap
 //                    (items/sec per lane, burst of rate/20, i.e. 50 ms).
 //                    Each engine paces at one edge: the daemon's sender
 //                    thread before each send, the receiver's ingest thread
-//                    before each push. Every item is paced, an epoch's tail
-//                    included, and no waiting item is ever throttled, so a
-//                    capped lane never holds back the others. stop() ends
-//                    the pacing at once (shutdown, a failed lane).
+//                    before each decode. Every item is paced, an epoch's
+//                    tail included, and no waiting item is ever throttled,
+//                    so a capped lane never holds back the others. stop()
+//                    ends the pacing at once (shutdown, a failed lane).
+//
+//   Lane<T>        — a BoundedQueue with a name and the bytes its consumer
+//                    attributes to it. No engine uses it any more; it is
+//                    kept only for the repository benchmark's
+//                    common.lane_ns row (benchmark/layers.cpp), which goes
+//                    with it.
 //
 // Counter convention: the queue's counters are plain fields under its
 // mutex; a lane's attributed bytes are a relaxed atomic (obs/metrics.h).
@@ -40,7 +34,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -51,7 +44,8 @@
 
 namespace emlio {
 
-// LaneStats' metrics (obs/metrics.h), snapshot by Lane::stats().
+// LaneStats' metrics (obs/metrics.h): one row per daemon sink lane or
+// receiver source.
 #define EMLIO_LANE_STATS(M)                                                             \
   M(std::string, name, kLabel)                                                          \
   M(std::uint64_t, delivered_items, kCounter) /* items popped off the lane */           \
@@ -61,37 +55,15 @@ namespace emlio {
   M(std::uint64_t, queue_peak_depth, kGauge)  /* max occupancy seen, as items enter */  \
   M(bool, closed, kGauge)
 
-/// Point-in-time per-lane counters, snapshot by Lane::stats() (and by the
-/// daemon's sink lanes) and surfaced as the `lanes` array of
+/// Point-in-time per-lane counters, snapshot by the daemon's sink lanes and
+/// the receiver's sources and surfaced as the `lanes` array of
 /// DaemonStats/ReceiverStats.
 struct LaneStats {
   EMLIO_METRICS(EMLIO_LANE_STATS)
 };
 
-/// Round-robin admission arbiter. See the header comment.
-class RoundRobin {
- public:
-  static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
-
-  /// The first of slots [0, n) at or after the cursor, cyclically, that
-  /// `ready(i)` accepts; the cursor moves past it. npos when none is ready.
-  template <typename ReadyFn>
-  std::size_t pick(std::size_t n, ReadyFn&& ready) {
-    for (std::size_t hop = 0; hop < n; ++hop) {
-      const std::size_t slot = (next_ + hop) % n;
-      if (ready(slot)) {
-        next_ = (slot + 1) % n;
-        return slot;
-      }
-    }
-    return npos;
-  }
-
- private:
-  std::size_t next_ = 0;
-};
-
 /// A named BoundedQueue whose consumer attributes delivered bytes to it.
+/// See the header comment: only the benchmark uses it.
 template <typename T>
 class Lane : public BoundedQueue<T> {
  public:

@@ -1,19 +1,15 @@
-// Ordered-reassembly primitives shared by both ends of the data plane.
+// Ordered-reassembly primitives.
 //
-// Two pipeline stages in this codebase turn parallel, out-of-order work back
-// into a deterministic stream and used to do it with hand-rolled map+counter
-// bookkeeping buried inside their hosts:
-//
-//   * the daemon's per-sink lane re-sequences encode-pool completions into
+//   * The daemon's per-sink lane re-sequences encode-pool completions into
 //     batch-id order, and its sender pops them straight out of the reorder
-//     buffer (the lane has no other queue), and
-//   * the receiver re-sequences decode-pool completions into arrival order,
-//     then reassembles per-sender epoch streams (sentinels can overtake data
-//     on parallel transports) before batches reach the consumer queue.
+//     buffer (the lane has no other queue).
+//   * The receiver reassembles per-sender epoch streams (sentinels can
+//     overtake data on parallel transports) before batches reach the
+//     consumer queue.
 //
-// Sequencer<T> is the first half: a dense-sequence reorder buffer. Items
+// Sequencer<T> is the first: a dense-sequence reorder buffer. Items
 // tagged 0,1,2,... arrive in any order; the ready prefix comes out strictly
-// in order. EpochSequencer<T> is the second half: multi-sender end-of-epoch
+// in order. EpochSequencer<T> is the second: multi-sender end-of-epoch
 // accounting (N sentinels + all counted items per epoch, future-epoch data
 // held until its epoch becomes current).
 //
@@ -36,8 +32,8 @@ namespace emlio {
 /// Reorder buffer over a dense sequence space. put() parks item `seq`;
 /// front()/pop_front() expose the head item once every sequence before it
 /// has been consumed. The contract is dense and exactly-once: each seq in
-/// 0,1,2,... must be put exactly once (a decode/encode job that fails still
-/// puts a tombstone result, otherwise the stream stalls forever).
+/// 0,1,2,... must be put exactly once (an encode job that fails still puts
+/// a tombstone result, otherwise the stream stalls forever).
 ///
 /// NOT internally synchronized — callers guard it with their stage mutex.
 template <typename T>
@@ -45,7 +41,7 @@ class Sequencer {
  public:
   /// Park `item` as sequence `seq`. Returns true when the item is
   /// immediately poppable (seq == next()), false when it parked behind a
-  /// gap — the caller's "resequence stall" signal.
+  /// gap.
   bool put(std::uint64_t seq, T item) {
     parked_.emplace(seq, std::move(item));
     if (parked_.size() > max_parked_) max_parked_ = parked_.size();

@@ -1,6 +1,14 @@
 // Worker pool mirroring the paper's ThreadPoolExecutor usage (Algorithm 2
 // launches T SendWorker threads per node through one). Like that executor,
 // it is sized once: the worker count is fixed at construction.
+//
+// It serves its posters round-robin. Each poster posts into its own queue,
+// and a free worker takes the head of the next non-empty queue after the
+// one served last, so a poster with a deep backlog (a daemon lane filling
+// its whole admission window at an epoch start) delays another poster's
+// next task by at most one task per queue, not by its whole backlog. Within
+// a queue tasks run in the order posted. Workers name themselves
+// emlio-pool<i> (common/thread_name.h).
 #pragma once
 
 #include <algorithm>
@@ -16,15 +24,16 @@
 
 namespace emlio {
 
-/// The ONE auto pool-width rule, shared by both engines' pools
-/// (pool_threads/decode_threads = 0): this host's hardware concurrency
-/// clamped to [2, 8].
+/// The auto pool-width rule (DaemonConfig::pool_threads = 0): this host's
+/// hardware concurrency clamped to [2, 8]. The daemon's encode pool is the
+/// one engine pool it sizes.
 inline std::size_t auto_pool_width() {
   return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 2, 8);
 }
 
-/// FIFO thread pool. Tasks are std::function<void()>; submit() also offers a
-/// future-returning overload for joins with results.
+/// Round-robin thread pool over FIFO task queues (see the header comment).
+/// Tasks are std::function<void()>; plain post() and submit() use queue 0,
+/// the default queue.
 class ThreadPool {
  public:
   /// Spawn `num_threads` workers (at least 1).
@@ -36,10 +45,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a fire-and-forget task.
-  void post(std::function<void()> task);
+  /// Enqueue a fire-and-forget task on the default queue.
+  void post(std::function<void()> task) { post(0, std::move(task)); }
+  /// Enqueue a fire-and-forget task on queue `queue`, its poster's own
+  /// small index; a queue exists from its first post.
+  void post(std::size_t queue, std::function<void()> task);
 
-  /// Enqueue a task and get a future for its result.
+  /// Enqueue a task on the default queue and get a future for its result.
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
@@ -61,7 +73,11 @@ class ThreadPool {
   Mutex mutex_;
   CondVar cv_;
   CondVar idle_cv_;
-  std::deque<std::function<void()>> tasks_ EMLIO_GUARDED_BY(mutex_);
+  std::vector<std::deque<std::function<void()>>> queues_ EMLIO_GUARDED_BY(mutex_);
+  std::size_t queued_ EMLIO_GUARDED_BY(mutex_) = 0;  ///< tasks over all queues
+  /// Where the next pick starts, taken modulo the queue count at the pick
+  /// (queues are added as posters appear).
+  std::size_t next_queue_ EMLIO_GUARDED_BY(mutex_) = 0;
   std::size_t active_ EMLIO_GUARDED_BY(mutex_) = 0;  ///< workers running a task
   bool stop_ EMLIO_GUARDED_BY(mutex_) = false;
   /// Filled by the constructor and never resized: workers never touch it.

@@ -9,22 +9,27 @@
 #include "common/debug.h"
 #include "common/log.h"
 #include "common/sequencer.h"
+#include "common/thread_name.h"
 
 namespace emlio::core {
 
 /// One sink's lane, built at construction and kept for the daemon's life.
 /// Its only queue is its reorder buffer: encode jobs park their results in
 /// it in any order, and the epoch's sender thread pops them in jobs[] (=
-/// batch-id) order straight out of it — the same common::Sequencer the
-/// receiver's decode pool uses, so the wire stream stays deterministic.
+/// batch-id) order straight out of it (a common::Sequencer), so the wire
+/// stream stays deterministic.
 struct Daemon::SinkLane {
-  SinkLane(std::uint32_t id, net::MessageSink* s)
-      : node_id(id), sink(s), lends(s->lends()), name("node" + std::to_string(id)) {}
+  SinkLane(std::uint32_t id, net::MessageSink* s, std::size_t queue)
+      : node_id(id), sink(s), lends(s->lends()), name("node" + std::to_string(id)),
+        pool_queue(queue) {}
 
   const std::uint32_t node_id;
   net::MessageSink* const sink;
   const bool lends;
   const std::string name;
+  /// The lane's own queue in the encode pool, which serves its lanes
+  /// round-robin.
+  const std::size_t pool_queue;
 
   // Per-epoch state, reset by serve_epoch while no thread runs on the lane.
   std::vector<BatchAssignment> jobs;  ///< sorted by batch_id; read-only while the epoch runs
@@ -117,7 +122,8 @@ Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
     readers_.emplace(id, std::move(r));
   }
   for (const auto& [node_id, sink] : sinks_) {
-    lanes_.push_back(std::make_unique<SinkLane>(node_id, sink.get()));
+    // Pool queue 0 is the pool's default queue; lane i posts into i + 1.
+    lanes_.push_back(std::make_unique<SinkLane>(node_id, sink.get(), lanes_.size() + 1));
   }
   if (config_.cache_bytes > 0) {
     cache::SampleCacheConfig cc;
@@ -363,12 +369,13 @@ void Daemon::encode_job(SinkLane& lane, std::size_t seq, net::MessageSink::Slot 
 
 void Daemon::post_encode(SinkLane& lane, std::size_t seq, net::MessageSink::Slot slot) {
   if (!slot) {
-    encode_pool_->post([this, l = &lane, seq] { encode_job(*l, seq, {}); });
+    encode_pool_->post(lane.pool_queue, [this, l = &lane, seq] { encode_job(*l, seq, {}); });
     return;
   }
   // The pool's tasks are copyable std::functions; the slot is move-only.
   auto held = std::make_shared<net::MessageSink::Slot>(std::move(slot));
-  encode_pool_->post([this, l = &lane, seq, held] { encode_job(*l, seq, std::move(*held)); });
+  encode_pool_->post(lane.pool_queue,
+                     [this, l = &lane, seq, held] { encode_job(*l, seq, std::move(*held)); });
 }
 
 bool Daemon::admit(SinkLane& lane, std::size_t popped) {
@@ -527,8 +534,10 @@ bool Daemon::serve_epoch(const EpochPlan& plan) {
 
     senders.reserve(lanes_.size());
     for (auto& lane : lanes_) {
-      senders.emplace_back(
-          [this, lane = lane.get(), epoch = plan.epoch] { sender_loop(*lane, epoch); });
+      senders.emplace_back([this, lane = lane.get(), epoch = plan.epoch] {
+        set_thread_name("emlio-send" + std::to_string(lane->node_id));
+        sender_loop(*lane, epoch);
+      });
     }
     // Each sender exits after its lane's last batch (or failure) and
     // sentinel: joining them is the epoch barrier.

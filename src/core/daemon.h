@@ -28,11 +28,13 @@
 //
 // Each lane's sender is also the only thread that admits its encode jobs:
 // it fills the lane's window when its epoch starts and admits again after
-// every pop, handing jobs to the pool (FIFO) in batch-id order while the
-// lane has fewer than prefetch_depth batches admitted but not yet popped.
-// So a sink that stops draining holds at most that many encoded batches
-// besides the one its sender is sending, and the pool works for the other
-// lanes: the blocking-send backpressure of §4.5, with the sink's
+// every pop, handing jobs to the lane's own pool queue in batch-id order
+// while the lane has fewer than prefetch_depth batches admitted but not yet
+// popped. The pool serves its lane queues round-robin, so a lane's first
+// batch never waits behind another lane's whole window. A sink that stops
+// draining holds at most prefetch_depth encoded batches besides the one its
+// sender is sending, and the pool works for the other lanes: the
+// blocking-send backpressure of §4.5, with the sink's
 // high-water mark behind it. The wire stream per sink stays deterministic
 // (batch-id order) regardless of pool size.
 //
@@ -289,8 +291,8 @@ class Daemon {
   /// long the transport holds them; a spliced entry stays pinned until its
   /// sink has sent or copied it.
   std::shared_ptr<cache::SampleCache> cache_;
-  /// Shared read+encode pool, built at construction so stats() never races
-  /// its creation.
+  /// Shared read+encode pool, one queue per lane (SinkLane::pool_queue),
+  /// built at construction so stats() never races its creation.
   std::unique_ptr<ThreadPool> encode_pool_;
 
   struct Counters {

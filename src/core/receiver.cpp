@@ -1,11 +1,12 @@
 #include "core/receiver.h"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 #include "common/debug.h"
 #include "common/log.h"
+#include "common/thread_name.h"
 
 namespace emlio::core {
 
@@ -36,25 +37,12 @@ Receiver::Receiver(ReceiverConfig config, std::vector<std::unique_ptr<net::Messa
   for (const auto& s : sources_) {
     if (!s) throw std::invalid_argument("receiver: null message source");
   }
-
-  // One ingest thread per source feeds that source's lane; admission picks
-  // among the lanes round-robin, stamps arrival tickets and feeds
-  // the decode pool under a bounded in-flight window (2× the pool width, at
-  // least 4: enough parked results to keep every worker busy across
-  // out-of-order completions, small enough that a stalled consumer stops
-  // ingest fast).
-  decode_pool_ = std::make_unique<ThreadPool>(config_.decode_threads ? config_.decode_threads
-                                                                     : auto_pool_width());
-  window_ = std::max<std::size_t>(decode_pool_->thread_count() * 2, 4);
-  const std::size_t depth = std::max<std::size_t>(config_.ingest_lane_depth, 1);
   for (std::size_t i = 0; i < sources_.size(); ++i) {
-    lanes_.push_back(
-        std::make_unique<SourceLane>("src" + std::to_string(i), depth, config_.lane_rate));
+    states_.push_back(std::make_unique<SourceState>(config_.lane_rate));
   }
   {
-    MutexLock lock(window_mutex_);
-    queued_.assign(lanes_.size(), 0);
-    feeders_ = lanes_.size();
+    MutexLock lock(delivery_mutex_);
+    feeders_ = sources_.size();
   }
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     threads_.emplace_back([this, src = sources_[i].get(), i] { ingest_loop(*src, i); });
@@ -66,28 +54,15 @@ Receiver::~Receiver() {
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
-  // Drain straggler decode jobs (their deliveries count as drops now that
-  // the queue is closed) before any member they touch goes away. Idle the
-  // pool before resetting it: a straggler may still post, through
-  // decode_pool_, a payload it admitted just before close().
-  decode_pool_->wait_idle();
-  decode_pool_.reset();
 }
 
 void Receiver::close() {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;
+  // Closed sources end their ingest loops; stopped pacers release a
+  // throttled ingest thread at once, and the closed queue rejects (and
+  // counts) whatever an ingest thread still delivers.
   for (auto& s : sources_) s->close();
-  // Closed lanes stop accepting (ingest threads' in-hand payloads count as
-  // drops) and stopped pacers release a throttled ingest thread at once.
-  // The next admission drains what is still queued and accounts it.
-  for (auto& l : lanes_) {
-    l->lane.close();
-    l->pacer.stop();
-  }
-  {
-    MutexLock lock(window_mutex_);
-    window_closed_ = true;
-  }
+  for (auto& st : states_) st->pacer.stop();
   queue_.close();
 }
 
@@ -99,9 +74,16 @@ ReceiverStats Receiver::stats() const {
   // The consumer queue tracks its own high-water mark inside push — the old
   // per-delivery size() sample paid a second lock round-trip per batch.
   s.queue_peak_depth = queue_.counts().peak_depth;
-  s.pool_threads_current = decode_pool_->thread_count();
-  s.lanes.reserve(lanes_.size());
-  for (const auto& l : lanes_) s.lanes.push_back(l->lane.stats());
+  s.lanes.reserve(states_.size());
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    LaneStats row;
+    row.name = "src" + std::to_string(i);
+    row.delivered_items = states_[i]->items.load(std::memory_order_relaxed);
+    row.delivered_bytes = states_[i]->bytes.load(std::memory_order_relaxed);
+    row.closed = states_[i]->done.load(std::memory_order_relaxed) ||
+                 closed_.load(std::memory_order_relaxed);
+    s.lanes.push_back(std::move(row));
+  }
   if (tracer_.enabled()) s.latency = tracer_.summaries();
   return s;
 }
@@ -156,7 +138,7 @@ std::uint32_t Receiver::sender_for_source(std::size_t source_index) const {
 void Receiver::process_batch(msgpack::WireBatch&& batch, std::size_t wire_bytes,
                              std::uint32_t sender) {
   // Caller holds delivery_mutex_: the epoch algebra and the queue pushes it
-  // triggers run strictly one batch at a time, in sequence order.
+  // triggers run strictly one batch at a time.
   if (batch.last) {
     epochs_.sentinel(batch.epoch, sender, batch.sent_count, delivery_, delivery_);
   } else {
@@ -178,7 +160,7 @@ void Receiver::apply_sender_note_locked(Note note, std::uint32_t sender) {
   if (note == Note::kSenderDead) {
     log::warn("receiver: sender ", sender, " declared dead; repairing in-flight epochs");
     epochs_.sender_dead(sender, delivery_, delivery_);
-  } else if (note == Note::kSenderRevived) {
+  } else {
     log::info("receiver: sender ", sender, " revived; epochs wait for it again");
     epochs_.sender_revived(sender);
   }
@@ -190,7 +172,7 @@ void Receiver::sync_epoch_telemetry_locked() {
   const std::uint64_t stale = epochs_.stale_drops();
   if (stale != counters_.dropped_dead_sender.load(std::memory_order_relaxed)) {
     counters_.dropped_dead_sender.store(stale, std::memory_order_relaxed);
-    if (!dead_drop_logged_.exchange(true, std::memory_order_relaxed)) {
+    if (!std::exchange(dead_drop_logged_, true)) {
       log::warn("receiver: dropping batch(es) re-sent for epochs already repaired after a "
                 "sender death; counting in ReceiverStats::dropped_dead_sender");
     }
@@ -198,39 +180,16 @@ void Receiver::sync_epoch_telemetry_locked() {
 }
 
 void Receiver::post_sender_note(std::size_t source_index, Note note) {
-  if (source_index >= sources_.size()) return;
-  const std::uint32_t sender = sender_for_source(source_index);
-  // Ride the source's lane so the declaration is ordered behind every
-  // payload the source already delivered — death must not stale-drop the
-  // dead sender's own in-flight tail. The poster is a feeder until its
-  // token is queued, so the stream cannot end under it.
-  bool feeding = false;
-  {
-    MutexLock lock(window_mutex_);
-    if (feeders_ > 0) {
-      ++feeders_;
-      feeding = true;
-    }
-  }
-  Inbound in;
-  in.note = note;
-  in.sender = sender;
-  if (!feeding || !push_and_admit(source_index, in)) {
-    // Lane closed: the source's stream already ended, nothing of it is in
-    // front of us — apply directly.
-    MutexLock delivery(delivery_mutex_);
-    apply_sender_note_locked(note, sender);
-  }
-  if (feeding) retire_feeder();
+  if (closed_.load(std::memory_order_acquire) || source_index >= sources_.size()) return;
+  MutexLock delivery(delivery_mutex_);
+  apply_sender_note_locked(note, sender_for_source(source_index));
 }
 
 void Receiver::note_sender_dead(std::size_t source_index) {
-  if (closed_.load(std::memory_order_acquire)) return;
   post_sender_note(source_index, Note::kSenderDead);
 }
 
 void Receiver::note_sender_revived(std::size_t source_index) {
-  if (closed_.load(std::memory_order_acquire)) return;
   post_sender_note(source_index, Note::kSenderRevived);
 }
 
@@ -248,46 +207,25 @@ void Receiver::emit(msgpack::WireBatch&& batch) {
   // Caller holds delivery_mutex_ (asserted: the epoch algebra reaches here
   // through lambda callbacks the analysis cannot follow). A rejected push
   // means the consumer queue closed under us: keep the epoch algebra running
-  // (gaps must still fill, window slots must still free) but count every
-  // decoded data batch that will never be seen — the old engine lost these
-  // silently.
+  // but count every decoded data batch that will never be seen.
   delivery_mutex_.assert_held();
   const bool is_marker = batch.last;
   if (!delivery_rejected_) {
     if (queue_.push(std::move(batch))) {
-      if (!is_marker) delivered_batches_.fetch_add(1, std::memory_order_relaxed);
+      if (!is_marker) ++delivered_batches_;
       return;
     }
     delivery_rejected_ = true;
   }
   if (is_marker) return;  // synthesized markers are not lost data
-  post_receive_drops_.fetch_add(1, std::memory_order_relaxed);
+  ++post_receive_drops_;
   count_drop(1, "consumer queue closed with decoded batches in flight");
 }
 
-namespace {
-
-/// Shutdown-path classification of a raw payload the engine refused to
-/// admit: only successfully-decoding data batches count as lost data —
-/// epoch sentinels follow emit()'s "markers are not lost data" rule and
-/// garbage would have become a tombstone, not a delivery. Cold path only
-/// (the engine is closing), so the throwaway decode costs nothing that
-/// matters.
-bool payload_is_data(const Payload& payload) {
-  try {
-    return !msgpack::BatchCodec::decode(payload).last;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-}  // namespace
-
 void Receiver::count_drop(std::uint64_t n, const char* where) {
   counters_.dropped_on_close.fetch_add(n, std::memory_order_relaxed);
-  // The one log line for every shutdown-drop path; exchange() keeps it to a
-  // single emission across all of them.
-  if (!drop_logged_.exchange(true, std::memory_order_relaxed)) {
+  // The one log line for every shutdown-drop path.
+  if (!std::exchange(drop_logged_, true)) {
     log::warn("receiver: ", where, "; counting drops in ReceiverStats::dropped_on_close");
   }
 }
@@ -304,10 +242,10 @@ void Receiver::end_of_stream_locked() {
     sync_epoch_telemetry_locked();
   }
   // A locally closed receiver skips the repair: whatever is still held
-  // counts as shutdown fallout, exactly as before.
+  // counts as shutdown fallout.
   std::size_t held = epochs_.held_count();
   if (held > 0) {
-    post_receive_drops_.fetch_add(held, std::memory_order_relaxed);
+    post_receive_drops_ += held;
     count_drop(held, "stream ended with decoded batch(es) held for incomplete epochs");
   }
   // Conservation, with nothing further able to arrive: every data batch the
@@ -317,9 +255,7 @@ void Receiver::end_of_stream_locked() {
   // folded into post_receive_drops_ above, so the books must balance here.
   EMLIO_AUDIT_EQ("receiver batch conservation",
                  counters_.batches_received.load(std::memory_order_relaxed),
-                 delivered_batches_.load(std::memory_order_relaxed) +
-                     post_receive_drops_.load(std::memory_order_relaxed) +
-                     epochs_.stale_drops());
+                 delivered_batches_ + post_receive_drops_ + epochs_.stale_drops());
 }
 
 namespace {
@@ -341,219 +277,58 @@ void adopt_batch_identity(obs::BatchTrace& trace, const msgpack::WireBatch& batc
 
 }  // namespace
 
-// ------------------------------------------------- ingest, admission, decode
+// -------------------------------------------------------------------- ingest
 
 void Receiver::ingest_loop(net::MessageSource& source, std::size_t source_index) {
-  // Pull raw payloads off one source into its lane. A full lane blocks
-  // here (Lane::push counts the per-lane enqueue stall), which blocks the
-  // transport, which blocks that daemon — per-source backpressure that never
-  // touches the other lanes.
-  SourceLane& lane = *lanes_[source_index];
+  set_thread_name("emlio-ingest" + std::to_string(source_index));
+  SourceState& state = *states_[source_index];
   const std::uint32_t sender = sender_for_source(source_index);
-  while (auto payload = source.recv()) {
-    Inbound in;
-    in.payload = std::move(*payload);
-    in.sender = sender;
-    // The trace starts the moment the payload leaves the transport; pacing,
-    // lane residency and any wait for a decode slot accrue to the "ingest"
-    // stage, which ends at admission.
-    if (tracer_.enabled()) in.trace.begin(obs::now_ns());
-    lane.pacer.pace();  // the lane_rate cap; close() stops it
-    if (!push_and_admit(source_index, in)) {
-      // Shutting down: the lane rejected a payload this thread already
-      // pulled off the wire — without the count it would simply vanish
-      // (received != delivered + dropped, and nobody would know why).
-      // (Rejected pushes leave the payload in place, so it is inspectable.)
-      if (payload_is_data(in.payload)) {
-        count_drop(1, "engine closed with a payload pulled off the wire mid-admission");
-      }
-      break;
+  // Every payload pulled off the wire goes through delivery: after close()
+  // the closed queue rejects a data batch and counts it in
+  // dropped_on_close, and the loop stops pulling.
+  while (!closed_.load(std::memory_order_acquire)) {
+    std::optional<Payload> payload = source.recv();
+    if (!payload) break;
+    // The trace starts the moment the payload leaves the transport; the
+    // ingest stage is the lane_rate pacing.
+    obs::BatchTrace trace;
+    obs::BatchTrace* tp = nullptr;
+    if (tracer_.enabled()) {
+      trace.begin(obs::now_ns());
+      tp = &trace;
     }
-  }
-  if (!closed_.load(std::memory_order_acquire) &&
-      source.end_state() == net::SourceEnd::kDeadPeer) {
-    // Dead peer (reconnect window exhausted, if any): declare the sender
-    // dead *behind* everything it already delivered by riding its own lane.
-    Inbound note;
-    note.note = Note::kSenderDead;
-    note.sender = sender;
-    // A closed lane rejects it — then the engine is ending anyway.
-    push_and_admit(source_index, note);
-  }
-  // This source is done (transport closed or engine closing): its lane
-  // drains through admission, and the stream ends once every feeder has
-  // left and the window has emptied.
-  lane.lane.close();
-  retire_feeder();
-}
-
-bool Receiver::push_and_admit(std::size_t source_index, Inbound& in) {
-  if (!lanes_[source_index]->lane.push(in)) return false;
-  admit_more(Retire::kNone, source_index);
-  return true;
-}
-
-void Receiver::retire_feeder() {
-  if (!admit_more(Retire::kFeeder)) return;
-  MutexLock delivery(delivery_mutex_);
-  end_of_stream_locked();
-  queue_.close();
-}
-
-bool Receiver::admit_more(Retire retire, std::size_t pushed) {
-  // Admission runs inline on whichever thread just changed its inputs: an
-  // ingest thread that pushed, a decode completion that freed a slot, a
-  // feeder that left. Under window_mutex_ a RoundRobin picks the next lane
-  // with a queued head — the pattern of Daemon::admit_more — pops it and
-  // stamps its arrival ticket while the window has room, one payload per
-  // pass. The ticket order IS the delivery order, so per-lane streams stay
-  // in arrival order; the pick only decides how lanes interleave.
-  bool apply = true;
-  for (;;) {
-    std::optional<Inbound> admitted;
-    std::vector<Inbound> refused;
-    std::size_t lane = kNoLane;
-    std::uint64_t ticket = 0;
-    bool more = false;
-    bool over = false;
-    {
-      MutexLock lock(window_mutex_);
-      if (apply) {
-        apply = false;
-        if (pushed != kNoLane) {
-          ++queued_[pushed];
-          ++queued_total_;
-        }
-        if (retire == Retire::kFeeder) --feeders_;
-        if (retire == Retire::kDecode) --inflight_;
-      }
-      if (window_closed_) {
-        // Refused admission by the closing engine: drain what is queued and
-        // account it below, keeping pulled == delivered + dropped.
-        for (std::size_t i = 0; i < lanes_.size(); ++i) {
-          for (; queued_[i] > 0; --queued_[i]) refused.push_back(*lanes_[i]->lane.try_pop());
-        }
-        queued_total_ = 0;
-      } else if (inflight_ < window_) {
-        // Local alias: pick() runs the predicate synchronously, under the
-        // lock, but a lambda body is analyzed as a separate function.
-        const auto& queued = queued_;
-        lane = cycle_.pick(queued.size(), [&](std::size_t i) { return queued[i] > 0; });
-        if (lane != kNoLane) {
-          admitted = lanes_[lane]->lane.try_pop();
-          EMLIO_DCHECK(admitted.has_value());
-          --queued_[lane];
-          --queued_total_;
-          ++inflight_;
-          ticket = next_ticket_++;
-          stalled_ = false;
-        }
-      }
-      if (!window_closed_ && inflight_ >= window_ && queued_total_ > 0 && !stalled_) {
-        // A payload waits for a slot: decode (or the consumer behind it) is
-        // the bottleneck right now. Counted once per waiting payload; the
-        // flag clears when the next one is admitted.
-        stalled_ = true;
-        counters_.decode_stalls.fetch_add(1, std::memory_order_relaxed);
-      }
-      more = admitted && inflight_ < window_ && queued_total_ > 0;
-      over = retire != Retire::kNone && feeders_ == 0 && inflight_ == 0 && queued_total_ == 0;
-    }
-    for (const Inbound& in : refused) {
-      if (in.note == Note::kData && payload_is_data(in.payload)) {
-        count_drop(1, "engine closed with a payload pulled off the wire mid-admission");
-      }
-    }
-    if (admitted) {
-      if (admitted->note == Note::kData) {
-        lanes_[lane]->lane.add_delivered_bytes(admitted->payload.size());
-        // Ingest ends here; the pool's run queue is the decode-wait stage,
-        // stamped in decode_job.
-        if (admitted->trace.active()) admitted->trace.note(obs::Stage::kIngest, obs::now_ns());
-      }
-      // Liveness tokens take a ticket like any payload: the death/revival
-      // must land in the delivery stream behind the sender's
-      // already-admitted batches.
-      decode_pool_->post([this, ticket, in = std::move(*admitted)]() mutable {
-        decode_job(ticket, std::move(in));
-      });
-    }
-    if (!more) return over;
-  }
-}
-
-void Receiver::decode_job(std::uint64_t ticket, Inbound in) {
-  Decoded decoded;
-  decoded.note = in.note;
-  decoded.sender = in.sender;
-  if (in.note == Note::kData) {
-    decoded.wire_bytes = in.payload.size();
-    obs::BatchTrace* tp = in.trace.active() ? &in.trace : nullptr;
-    if (tp) in.trace.note(obs::Stage::kDecodeWait, obs::now_ns());
+    state.pacer.pace();  // the lane_rate cap; close() stops it
+    if (tp) trace.note(obs::Stage::kIngest, obs::now_ns());
+    state.items.fetch_add(1, std::memory_order_relaxed);
+    state.bytes.fetch_add(payload->size(), std::memory_order_relaxed);
+    bool error = false;
+    msgpack::WireBatch batch;
     {
       obs::StageTimer dec(tp, obs::Stage::kDecode);
-      decoded.batch = decode_payload(in.payload, decoded.error);
+      batch = decode_payload(*payload, error);
     }
-    if (tp && !decoded.error) {
-      adopt_batch_identity(in.trace, decoded.batch, decoded.wire_bytes);
-    }
-  }
-  decoded.trace = in.trace;
-  // A failed decode still fills its ticket (as a tombstone) — the ordered
-  // stream must never stall on a gap.
-  bool in_order;
-  {
-    MutexLock lock(sequencer_mutex_);
-    in_order = resequencer_.put(ticket, std::move(decoded));
-  }
-  if (!in_order) counters_.resequence_stalls.fetch_add(1, std::memory_order_relaxed);
-  pump_delivery();
-}
-
-void Receiver::pump_delivery() {
-  // Whoever holds delivery_mutex_ drains the sequencer's ready prefix in
-  // ticket order. Workers that lose the try_lock go straight back to
-  // decoding — their parked item is the current drainer's problem. The
-  // re-check after unlock closes the race where an item parks while the
-  // drainer is between "saw empty" and "released the lock".
-  for (;;) {
-    if (!delivery_mutex_.try_lock()) return;  // an active drainer will pick it up
-    for (;;) {
-      std::optional<Decoded> head;
-      {
-        MutexLock lock(sequencer_mutex_);
-        if (resequencer_.front()) head = resequencer_.pop_front();
-      }
-      if (!head) break;
-      process_decoded(std::move(*head));
-    }
-    delivery_mutex_.unlock();
+    if (error) continue;
+    const bool traced = tp && !batch.last;
+    if (traced) adopt_batch_identity(trace, batch, payload->size());
     {
-      MutexLock lock(sequencer_mutex_);
-      if (!resequencer_.front()) return;
+      MutexLock delivery(delivery_mutex_);
+      process_batch(std::move(batch), payload->size(), sender);
     }
-  }
-}
-
-void Receiver::process_decoded(Decoded&& decoded) {
-  // Caller holds delivery_mutex_.
-  if (decoded.note != Note::kData) {
-    apply_sender_note_locked(decoded.note, decoded.sender);
-  } else if (!decoded.error) {
-    obs::BatchTrace& trace = decoded.trace;
-    const bool traced = trace.active() && !decoded.batch.last;
-    // Time parked behind a ticket gap + waiting for the drainer.
-    if (traced) trace.note(obs::Stage::kResequence, obs::now_ns());
-    process_batch(std::move(decoded.batch), decoded.wire_bytes, decoded.sender);
     if (traced) {
+      // The wait for the mutex, the epoch algebra and the queue push.
       trace.note(obs::Stage::kDeliver, obs::now_ns());
       tracer_.complete(trace);
     }
   }
-  // Delivered (or tombstoned): the window slot frees and admission takes
-  // the next queued payload. We already hold delivery_mutex_, so a last
-  // retirement runs the end-of-stream bookkeeping inline.
-  if (admit_more(Retire::kDecode)) {
+  MutexLock delivery(delivery_mutex_);
+  if (!closed_.load(std::memory_order_acquire) &&
+      source.end_state() == net::SourceEnd::kDeadPeer) {
+    // Dead peer (reconnect window exhausted, if any): everything the
+    // sender delivered is in, so its epochs may repair now.
+    apply_sender_note_locked(Note::kSenderDead, sender);
+  }
+  state.done.store(true, std::memory_order_relaxed);
+  if (--feeders_ == 0) {
     end_of_stream_locked();
     queue_.close();
   }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "net/shm_channel.h"
 
 namespace emlio::core {
@@ -96,11 +97,11 @@ void EmlioService::start() {
   ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = config_.receiver_queue;
-  rc.decode_threads = config_.decode_threads;
   rc.trace = config_.trace;
   receiver_ = std::make_unique<Receiver>(rc, std::move(source), &timestamps_);
 
   daemon_thread_ = std::thread([this, sink] {
+    set_thread_name("emlio-daemon");
     // The daemon reports failures through its error state; anything that
     // still escapes (I/O faults) must not leave this thread uncaught —
     // that would std::terminate the process. Either way the sink closes so

@@ -46,13 +46,13 @@ struct ServiceConfig {
   std::size_t receiver_queue = 16;    ///< shared in-memory queue depth
   /// Daemon pipeline: read+encode pool width (0 = auto).
   std::size_t pipeline_pool_threads = 0;
-  /// Receiver decode pool width (ReceiverConfig::decode_threads; 0 = auto,
-  /// the same rule as pipeline_pool_threads). Output is re-sequenced into
-  /// arrival order at every width.
+  /// Retired and ignored: the receiver decodes on its ingest thread and
+  /// has no pool. Kept only because the repository benchmark (benchmark/)
+  /// still sets it.
   std::size_t decode_threads = 0;
-  /// Retired: both pools run at their fixed width. Kept only so existing
-  /// callers that set it false still build; true makes the constructor
-  /// throw.
+  /// Retired: the daemon's pool runs at its fixed width. Kept only so
+  /// existing callers that set it false still build; true makes the
+  /// constructor throw.
   bool adaptive_pool = false;
   /// Daemon-side sample cache: byte budget (0 = off) and eviction policy
   /// ("clock" or "lru" — parsed by cache::parse_policy; anything else makes

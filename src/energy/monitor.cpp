@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/log.h"
+#include "common/thread_name.h"
 
 namespace emlio::energy {
 
@@ -35,10 +36,16 @@ void EnergyMonitor::start() {
   start_time_ = clock_->now();
   // Algorithm 1 line 2: CPU/DRAM sampler, optional GPU sampler, accumulator,
   // writer.
-  threads_.emplace_back([this] { cpu_dram_sampler(); });
-  if (gpu_) threads_.emplace_back([this] { gpu_sampler(); });
-  threads_.emplace_back([this] { accumulator(); });
-  threads_.emplace_back([this] { writer(); });
+  auto spawn = [this](const char* name, void (EnergyMonitor::*role)()) {
+    threads_.emplace_back([this, name, role] {
+      set_thread_name(name);
+      (this->*role)();
+    });
+  };
+  spawn("emlio-mon-cpu", &EnergyMonitor::cpu_dram_sampler);
+  if (gpu_) spawn("emlio-mon-gpu", &EnergyMonitor::gpu_sampler);
+  spawn("emlio-mon-acc", &EnergyMonitor::accumulator);
+  spawn("emlio-mon-write", &EnergyMonitor::writer);
 }
 
 void EnergyMonitor::stop() {

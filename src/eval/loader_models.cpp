@@ -364,9 +364,9 @@ ScenarioResult run_emlio(const ScenarioConfig& cfg) {
   // encode thread per SendWorker (pool width = T).
   std::size_t pool_threads =
       p.emlio_pool_threads ? p.emlio_pool_threads : p.emlio_daemon_threads;
-  // Receiver-side decode fan-out (ReceiverConfig::decode_threads): the
-  // pooled receiver widens the deserialize stage the same way pool_threads
-  // widens the storage-side encode stage.
+  // Receiver-side decode fan-out (LoaderParams::emlio_decode_threads)
+  // widens the deserialize stage the same way pool_threads widens the
+  // storage-side encode stage.
   std::size_t decode_threads =
       p.emlio_decode_threads ? p.emlio_decode_threads
                              : static_cast<std::size_t>(p.deserialize_threads);

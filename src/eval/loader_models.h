@@ -90,10 +90,11 @@ struct LoaderParams {
   double serialize_bytes_per_sec = 190e6;   ///< msgpack pack rate per thread
   double deserialize_bytes_per_sec = 900e6; ///< unpack rate (one thread)
   double deserialize_threads = 4.0;         ///< host threads deserializing
-  /// Receiver decode pool width (mirrors ReceiverConfig::decode_threads).
-  /// 0 = keep the legacy deserialize_threads sizing; N > 0 models the
-  /// pooled receiver: N decode workers drain the wire in parallel before
-  /// the re-sequenced batches reach the prefetch queue.
+  /// Modelled receiver decode width. 0 = keep the legacy
+  /// deserialize_threads sizing; N > 0 models N threads draining the wire in
+  /// parallel before the batches reach the prefetch queue. It mirrors no
+  /// live setting: core::Receiver decodes each source on that source's
+  /// ingest thread, so its decode width is its source count.
   std::size_t emlio_decode_threads = 0;
   double loopback_bytes_per_sec = 1.8e9;    ///< local-regime loopback cost
   Nanos emlio_feed_overhead = from_millis(5.2);  ///< external_source dequeue+feed

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/log.h"
+#include "common/thread_name.h"
 #include "net/framing.h"
 
 namespace emlio::net {
@@ -75,7 +76,10 @@ PullSocket::PullSocket(std::uint16_t port, std::size_t queue_capacity,
       pool_(BufferPool::create(queue_capacity + 8)),
       queue_(queue_capacity),
       expected_senders_(expected_senders) {
-  acceptor_ = std::thread([this] { accept_loop(); });
+  acceptor_ = std::thread([this] {
+    set_thread_name("emlio-accept");
+    accept_loop();
+  });
 }
 
 PullSocket::~PullSocket() { close(); }
@@ -124,7 +128,7 @@ void PullSocket::notify_peer(bool connected) {
 }
 
 void PullSocket::accept_loop() {
-  for (;;) {
+  for (std::uint64_t accepted = 0;; ++accepted) {
     auto stream = listener_.accept();
     if (!stream) return;  // listener closed
     MutexLock lock(readers_mutex_);
@@ -138,7 +142,8 @@ void PullSocket::accept_loop() {
     });
     notify_peer(true);
     Reader& r = *readers_.emplace_back(std::make_unique<Reader>(std::move(*stream)));
-    r.thread = std::thread([this, &r] {
+    r.thread = std::thread([this, &r, accepted] {
+      set_thread_name("emlio-read" + std::to_string(accepted));
       reader_loop(r.stream);
       r.finished.store(true, std::memory_order_release);
     });

@@ -16,12 +16,8 @@ const char* to_string(Stage s) {
       return "wire";
     case Stage::kIngest:
       return "ingest";
-    case Stage::kDecodeWait:
-      return "decode_wait";
     case Stage::kDecode:
       return "decode";
-    case Stage::kResequence:
-      return "resequence";
     case Stage::kDeliver:
       return "deliver";
   }

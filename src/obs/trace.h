@@ -15,10 +15,9 @@
 namespace emlio::obs {
 
 /// The stage boundaries of the data path, daemon side first:
-/// read/cache -> encode -> lane-wait -> wire || ingest -> decode-wait ->
-/// decode -> resequence -> deliver. A single batch crosses the daemon
-/// stages on the sending host and the receiver stages on the consuming
-/// host; `kWire` covers sender-queue residency + transit when the send
+/// read/cache -> encode -> lane-wait -> wire || ingest -> decode -> deliver.
+/// A single batch crosses the daemon stages on the sending host and the
+/// receiver stages on the consuming host; `kWire` covers sender-queue residency + transit when the send
 /// timestamp is propagated on the wire (trace_wire), else it is the
 /// daemon-local send() call.
 enum class Stage : std::uint8_t {
@@ -26,13 +25,12 @@ enum class Stage : std::uint8_t {
   kEncode,
   kLaneWait,  ///< encode done → send: reorder-buffer parking + rate pacing
   kWire,
-  kIngest,
-  kDecodeWait,
+  kIngest,  ///< recv() returned → lane_rate pacing done
   kDecode,
-  kResequence,
-  kDeliver,
+  kDeliver,  ///< decoded → in the consumer queue: the wait for the delivery
+             ///< mutex, the epoch algebra and the push
 };
-inline constexpr std::size_t kStageCount = 9;
+inline constexpr std::size_t kStageCount = 7;
 
 const char* to_string(Stage s);
 

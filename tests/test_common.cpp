@@ -4,7 +4,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "common/barrier.h"
@@ -455,6 +458,54 @@ TEST(ThreadPool, ZeroThreadsClampedToOne) {
 TEST(ThreadPool, WaitIdleWithNoTasks) {
   ThreadPool pool(2);
   pool.wait_idle();  // must not hang
+}
+
+/// Records, in run order, the tag of each task a pool runs.
+struct RunOrder {
+  std::mutex mu;
+  std::string order;
+  void ran(char tag) {
+    std::lock_guard<std::mutex> lock(mu);
+    order += tag;
+  }
+};
+
+TEST(ThreadPool, LatePosterRunsNextNotBehindTheBacklog) {
+  // Poster A posts 8 tasks, then poster B posts 1, on a 1-thread pool: B's
+  // task runs second. A's first task holds the worker until B has posted,
+  // so the order does not depend on when the worker wakes.
+  ThreadPool pool(1);
+  std::promise<void> posted;
+  std::shared_future<void> gate = posted.get_future().share();
+  RunOrder r;
+  pool.post(1, [&r, gate] {
+    gate.wait();
+    r.ran('A');
+  });
+  for (int i = 1; i < 8; ++i) pool.post(1, [&r] { r.ran('A'); });
+  pool.post(2, [&r] { r.ran('B'); });
+  posted.set_value();
+  pool.wait_idle();
+  EXPECT_EQ(r.order, "ABAAAAAAA");
+}
+
+TEST(ThreadPool, BackloggedQueuesTakeTurnsAndEmptyOnesAreSkipped) {
+  // Plain post() is queue 0. Each turn serves every non-empty queue once,
+  // in queue order from the cursor; a drained queue drops out of the turn.
+  ThreadPool pool(1);
+  std::promise<void> posted;
+  std::shared_future<void> gate = posted.get_future().share();
+  RunOrder r;
+  pool.post([&r, gate] {
+    gate.wait();
+    r.ran('0');
+  });
+  pool.post([&r] { r.ran('0'); });
+  for (int i = 0; i < 2; ++i) pool.post(1, [&r] { r.ran('b'); });
+  for (int i = 0; i < 3; ++i) pool.post(2, [&r] { r.ran('c'); });
+  posted.set_value();
+  pool.wait_idle();
+  EXPECT_EQ(r.order, "0bc0bcc");
 }
 
 // ---------------------------------------------------------------- barrier

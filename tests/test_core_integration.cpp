@@ -5,6 +5,7 @@
 #include <array>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <random>
@@ -216,15 +217,14 @@ std::map<std::string, char> ints(std::initializer_list<const char*> keys) {
 }
 
 TEST_F(CoreIntegrationTest, FixedWidthServiceDeliversCleanlyAndReportsStats) {
-  // Single-worker pools on both staged engines for a whole multi-epoch run:
-  // the stream must stay exactly-once and each pool's width must be wired
-  // through ServiceStats/to_json end to end. Traced, with the cache on, the
-  // run also fills every section of the stats JSON, whose schema and gauge
-  // sets are pinned below (`--stats-json` and `--stats-interval` emit them).
+  // A single-worker encode pool for a whole multi-epoch run: the stream
+  // must stay exactly-once and the pool's width must be wired through
+  // ServiceStats/to_json end to end. Traced, with the cache on, the run
+  // also fills every section of the stats JSON, whose schema and gauge sets
+  // are pinned below (`--stats-json` and `--stats-interval` emit them).
   auto cfg = base_config();
   cfg.epochs = 2;
   cfg.pipeline_pool_threads = 1;
-  cfg.decode_threads = 1;
   cfg.trace = true;
   cfg.cache_bytes = 1u << 20;
   EmlioService service(cfg);
@@ -236,7 +236,6 @@ TEST_F(CoreIntegrationTest, FixedWidthServiceDeliversCleanlyAndReportsStats) {
   service.stop();
   auto stats = service.stats();
   EXPECT_EQ(stats.daemon.pool_threads_current, 1u);
-  EXPECT_EQ(stats.receiver.pool_threads_current, 1u);
   EXPECT_GT(stats.daemon.cache.hits, 0u);
 
   auto daemon_keys = ints({"batches_sent", "bytes_sent", "cache_entries", "cache_evictions",
@@ -250,11 +249,10 @@ TEST_F(CoreIntegrationTest, FixedWidthServiceDeliversCleanlyAndReportsStats) {
   daemon_keys["lanes"] = 'a';
   daemon_keys["latency"] = 'o';
   auto receiver_keys =
-      ints({"batches_received", "bytes_received", "decode_errors", "decode_ns", "decode_stalls",
+      ints({"batches_received", "bytes_received", "decode_errors", "decode_ns",
             "dropped_dead_sender", "dropped_on_close", "epochs_completed", "epochs_repaired",
-            "pool_threads_current", "queue_peak_depth", "resequence_stalls",
-            "samples_received"});
-  ASSERT_EQ(receiver_keys.size(), 13u);
+            "queue_peak_depth", "samples_received"});
+  ASSERT_EQ(receiver_keys.size(), 10u);
   receiver_keys["lanes"] = 'a';
   receiver_keys["latency"] = 'o';
   auto lane_keys = ints({"delivered_bytes", "delivered_items", "dequeue_stalls", "enqueue_stalls",
@@ -283,8 +281,8 @@ TEST_F(CoreIntegrationTest, FixedWidthServiceDeliversCleanlyAndReportsStats) {
   const std::set<std::string> daemon_gauges{
       "pool_threads_current", "queue_peak_depth", "cache_resident_bytes",
       "cache_resident_bytes_peak", "cache_entries", "closed", "p50", "p95", "p99", "max"};
-  const std::set<std::string> receiver_gauges{
-      "pool_threads_current", "queue_peak_depth", "closed", "p50", "p95", "p99", "max"};
+  const std::set<std::string> receiver_gauges{"queue_peak_depth", "closed", "p50",
+                                              "p95", "p99", "max"};
   EXPECT_EQ(gauges(stats.daemon), daemon_gauges);
   EXPECT_EQ(gauges(stats.receiver), receiver_gauges);
 }
@@ -556,7 +554,7 @@ TEST(ReceiverOrdering, UndecodablePayloadCountedNotFatal) {
   EXPECT_EQ(receiver.stats().decode_errors, 1u);
 }
 
-// -------------------------------------------- parallel (pooled) decode engine
+// ------------------------------------------- decode, delivery and close path
 
 /// Drain everything a receiver will ever deliver.
 std::vector<msgpack::WireBatch> drain_all(Receiver& receiver) {
@@ -582,34 +580,9 @@ msgpack::WireBatch data_batch_with_payload(std::uint32_t epoch, std::uint64_t id
   return b;
 }
 
-TEST(ReceiverParallelDecode, SentinelOvertakeAndEpochReorderPooled) {
-  // The worst-case orderings the tests above pin down, decoded by a 4-wide pool:
-  // both sentinels beat all data, and epoch-1 data overtakes epoch 0's tail.
-  std::vector<msgpack::WireBatch> script;
-  script.push_back(msgpack::BatchCodec::make_sentinel(0, 0, 1));  // sender A epoch 0
-  script.push_back(msgpack::BatchCodec::make_sentinel(0, 0, 2));  // sender B epoch 0
-  script.push_back(data_batch(1, 10));                            // epoch 1 overtakes
-  script.push_back(data_batch(0, 0));
-  script.push_back(data_batch(0, 1));
-  script.push_back(data_batch(0, 2));
-  script.push_back(msgpack::BatchCodec::make_sentinel(0, 1, 1));
-  script.push_back(msgpack::BatchCodec::make_sentinel(0, 1, 0));
-
-  ReceiverConfig rc;
-  rc.num_senders = 2;
-  rc.decode_threads = 4;
-  Receiver receiver(rc, std::make_unique<ScriptedSource>(std::move(script)));
-  std::vector<std::pair<std::uint32_t, bool>> order;
-  for (auto& b : drain_all(receiver)) order.emplace_back(b.epoch, b.last);
-  std::vector<std::pair<std::uint32_t, bool>> want{
-      {0, false}, {0, false}, {0, false}, {0, true}, {1, false}, {1, true}};
-  EXPECT_EQ(order, want);
-  EXPECT_EQ(receiver.stats().epochs_completed, 2u);
-}
-
 /// Engine-free reference delivery: replay `arrivals` in order on one thread
-/// through the same EpochSequencer algebra the receiver runs. Whatever the
-/// decode pool's width, the receiver must deliver exactly this stream.
+/// through the same EpochSequencer algebra the receiver runs. A receiver
+/// over one source carrying `arrivals` must deliver exactly this stream.
 std::vector<msgpack::WireBatch> oracle_delivery(const std::vector<Payload>& arrivals,
                                                 std::size_t num_senders) {
   std::vector<msgpack::WireBatch> out;
@@ -634,9 +607,9 @@ std::vector<msgpack::WireBatch> oracle_delivery(const std::vector<Payload>& arri
 TEST(ReceiverParallelDecode, RandomizedInterleavingsMatchSequencerOracle) {
   // Property: for ANY cross-sender interleaving a parallel transport could
   // produce, the receiver delivers the oracle's batch stream — batch for
-  // batch, byte for byte — at width 1 and at width 4. Randomized merges of
-  // 3 senders × 3 epochs (ragged batch counts, sentinel overtakes included
-  // by construction), same arrival order replayed through every run.
+  // batch, byte for byte. Randomized merges of 3 senders × 3 epochs (ragged
+  // batch counts, sentinel overtakes included by construction), muxed into
+  // one source, so the epoch algebra runs anonymous.
   std::mt19937 rng(0xE171u);
   for (int round = 0; round < 5; ++round) {
     constexpr std::size_t kSenders = 3;
@@ -667,51 +640,44 @@ TEST(ReceiverParallelDecode, RandomizedInterleavingsMatchSequencerOracle) {
 
     const auto want = oracle_delivery(ScriptedSource(merged).script, kSenders);
     ASSERT_EQ(want.size(), next_id + kEpochs) << "round " << round;
-    for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-      ReceiverConfig rc;
-      rc.num_senders = kSenders;
-      rc.queue_capacity = 4;
-      rc.decode_threads = width;
-      Receiver receiver(rc, std::make_unique<ScriptedSource>(merged));
-      EXPECT_EQ(drain_all(receiver), want) << "round " << round << " width " << width;
-      EXPECT_EQ(receiver.stats().epochs_completed, kEpochs) << "round " << round;
-      EXPECT_EQ(receiver.stats().dropped_on_close, 0u) << "round " << round;
-    }
+    ReceiverConfig rc;
+    rc.num_senders = kSenders;
+    rc.queue_capacity = 4;
+    Receiver receiver(rc, std::make_unique<ScriptedSource>(merged));
+    EXPECT_EQ(drain_all(receiver), want) << "round " << round;
+    EXPECT_EQ(receiver.stats().epochs_completed, kEpochs) << "round " << round;
+    EXPECT_EQ(receiver.stats().dropped_on_close, 0u) << "round " << round;
   }
 }
 
 TEST(ReceiverParallelDecode, HeldBatchesRepairedAtStreamEnd) {
   // Epoch-1 data arrives but epoch 0 never completes (a sender died before
   // its sentinel). When the stream ends on its own — not a local close() —
-  // the receiver repairs at every width: each evidenced epoch completes
-  // degraded, the held
+  // the receiver repairs: each evidenced epoch completes degraded, the held
   // epoch-1 batch is DELIVERED (not leaked or dropped), and the repairs are
   // counted in epochs_repaired.
-  for (std::size_t decode_threads : {std::size_t{1}, std::size_t{2}}) {
-    std::vector<msgpack::WireBatch> script;
-    script.push_back(data_batch(0, 0));
-    script.push_back(data_batch(1, 5));  // held until epoch 0 resolves
-    ReceiverConfig rc;
-    rc.num_senders = 1;
-    rc.decode_threads = decode_threads;
-    Receiver receiver(rc, std::make_unique<ScriptedSource>(std::move(script)));
-    auto delivered = drain_all(receiver);
-    // batch 0, degraded epoch-0 marker, held batch 5, degraded epoch-1 marker.
-    ASSERT_EQ(delivered.size(), 4u) << "decode_threads=" << decode_threads;
-    EXPECT_EQ(delivered[0].batch_id, 0u);
-    EXPECT_TRUE(delivered[1].last);
-    EXPECT_EQ(delivered[1].epoch, 0u);
-    EXPECT_EQ(delivered[2].batch_id, 5u);
-    EXPECT_EQ(delivered[2].epoch, 1u);
-    EXPECT_TRUE(delivered[3].last);
-    EXPECT_EQ(delivered[3].epoch, 1u);
-    auto stats = receiver.stats();
-    EXPECT_EQ(stats.batches_received, 2u) << "decode_threads=" << decode_threads;
-    EXPECT_EQ(stats.epochs_completed, 2u) << "decode_threads=" << decode_threads;
-    EXPECT_EQ(stats.epochs_repaired, 2u) << "decode_threads=" << decode_threads;
-    EXPECT_EQ(stats.dropped_on_close, 0u) << "decode_threads=" << decode_threads;
-    EXPECT_EQ(stats.dropped_dead_sender, 0u) << "decode_threads=" << decode_threads;
-  }
+  std::vector<msgpack::WireBatch> script;
+  script.push_back(data_batch(0, 0));
+  script.push_back(data_batch(1, 5));  // held until epoch 0 resolves
+  ReceiverConfig rc;
+  rc.num_senders = 1;
+  Receiver receiver(rc, std::make_unique<ScriptedSource>(std::move(script)));
+  auto delivered = drain_all(receiver);
+  // batch 0, degraded epoch-0 marker, held batch 5, degraded epoch-1 marker.
+  ASSERT_EQ(delivered.size(), 4u);
+  EXPECT_EQ(delivered[0].batch_id, 0u);
+  EXPECT_TRUE(delivered[1].last);
+  EXPECT_EQ(delivered[1].epoch, 0u);
+  EXPECT_EQ(delivered[2].batch_id, 5u);
+  EXPECT_EQ(delivered[2].epoch, 1u);
+  EXPECT_TRUE(delivered[3].last);
+  EXPECT_EQ(delivered[3].epoch, 1u);
+  auto stats = receiver.stats();
+  EXPECT_EQ(stats.batches_received, 2u);
+  EXPECT_EQ(stats.epochs_completed, 2u);
+  EXPECT_EQ(stats.epochs_repaired, 2u);
+  EXPECT_EQ(stats.dropped_on_close, 0u);
+  EXPECT_EQ(stats.dropped_dead_sender, 0u);
 }
 
 /// Source that yields `count` data payloads, then BLOCKS until closed —
@@ -765,8 +731,8 @@ TEST(ReceiverParallelDecode, CloseWithUnconsumedDecodesCountsDrops) {
   receiver.close();
   std::uint64_t drained = 0;
   while (receiver.next()) ++drained;  // whatever made it in before the close
-  // Straggler decode jobs may still be counting drops; wait for the
-  // conservation equation to settle.
+  // The ingest thread may still be counting its in-hand payload; wait for
+  // the conservation equation to settle.
   deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   std::uint64_t pulled = 0;
   ReceiverStats stats;
@@ -781,24 +747,22 @@ TEST(ReceiverParallelDecode, CloseWithUnconsumedDecodesCountsDrops) {
 }
 
 TEST(ReceiverParallelDecode, CloseUnderFullWindowAccountsInHandPayload) {
-  // Regression: the pooled ingest loop pulls a payload off the wire, then
-  // blocks on a full in-flight window; close() used to make it break out and
-  // silently destroy that payload — received != delivered + dropped, with no
-  // trace. Stall the whole engine (no consumer, queue capacity 1, slow
-  // window), close it mid-admission, and reconcile the books exactly.
+  // Regression: the ingest loop pulls a payload off the wire, then blocks
+  // delivering it into a full consumer queue; close() used to make it break
+  // out and silently destroy that payload — received != delivered +
+  // dropped, with no trace. Stall the whole engine (no consumer, queue
+  // capacity 1), close it mid-delivery, and reconcile the books exactly.
   constexpr std::size_t kPayloads = 64;
   auto source = std::make_unique<GatedSource>(kPayloads);
   auto* src = source.get();
   ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = 1;
-  rc.decode_threads = 2;  // in-flight window = 4
   Receiver receiver(rc, std::move(source));
 
-  // Wait for the engine to wedge: the window, the consumer queue and the
-  // ingest lane are full, and the ingest thread blocks in its push holding
-  // the next payload. handed plateaus strictly below kPayloads once that
-  // happens.
+  // Wait for the engine to wedge: the consumer queue is full, and the
+  // ingest thread blocks in its push holding the next payload. handed
+  // plateaus strictly below kPayloads once that happens.
   std::size_t plateau = 0;
   ASSERT_TRUE([&] {
     auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -812,14 +776,14 @@ TEST(ReceiverParallelDecode, CloseUnderFullWindowAccountsInHandPayload) {
       }
     }
     return false;
-  }()) << "engine never wedged against the window";
+  }()) << "engine never wedged against the consumer queue";
 
   receiver.close();
   std::uint64_t delivered = 0;
   while (receiver.next()) ++delivered;  // whatever made it through
 
-  // Straggler decode jobs may still be draining into the drop counter; wait
-  // for the conservation equation to settle, then assert it exactly:
+  // The ingest thread may still be counting its in-hand payload; wait for
+  // the conservation equation to settle, then assert it exactly:
   // everything pulled off the wire was delivered or counted as dropped —
   // including the payload that was in the ingest thread's hand.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -1000,10 +964,57 @@ TEST(ReceiverLiveness, RevivedSendersResendForARepairedEpochIsDroppedAndCounted)
   EXPECT_EQ(stats.dropped_on_close, 0u);
 }
 
-TEST(ReceiverParallelDecode, PooledStatsExposePipelineBalance) {
-  // A pooled run over a healthy stream reports the new balance counters and
-  // keeps the books consistent: decode time accumulates, the queue peak is
-  // visible, nothing is dropped.
+/// This process's threads, by tid, with their names (/proc/self/task/*/comm).
+std::map<std::string, std::string> thread_names() {
+  std::map<std::string, std::string> out;
+  for (const auto& task : fs::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) out[task.path().filename().string()] = name;
+  }
+  return out;
+}
+
+TEST(ReceiverThreads, EachSourceRunsOneNamedIngestThreadAndNothingElse) {
+  // The receiver's only threads are its ingest threads, one per source,
+  // each named for its role: no decode pool, no dispatcher, no helper.
+  const auto before = thread_names();
+  std::vector<std::unique_ptr<net::MessageSource>> sources;
+  for (int i = 0; i < 3; ++i) sources.push_back(std::make_unique<GatedSource>(0));
+  ReceiverConfig rc;
+  rc.num_senders = 3;
+  auto receiver = std::make_unique<Receiver>(rc, std::move(sources));
+
+  // A thread names itself as it starts; wait until all three have.
+  std::map<std::string, std::string> started;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    started.clear();
+    std::size_t named = 0;
+    for (const auto& [tid, name] : thread_names()) {
+      if (before.count(tid)) continue;
+      started[tid] = name;
+      if (name.rfind("emlio-ingest", 0) == 0) ++named;
+    }
+    if (named == 3 || std::chrono::steady_clock::now() > deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::set<std::string> names;
+  for (const auto& [tid, name] : started) names.insert(name);
+  EXPECT_EQ(started.size(), 3u);
+  EXPECT_EQ(names, (std::set<std::string>{"emlio-ingest0", "emlio-ingest1", "emlio-ingest2"}));
+
+  receiver.reset();
+  for (const auto& [tid, name] : thread_names()) {
+    EXPECT_TRUE(before.count(tid)) << "thread " << tid << " (" << name
+                                   << ") outlived the receiver";
+  }
+}
+
+TEST(ReceiverParallelDecode, StatsExposePipelineBalance) {
+  // A run over a healthy stream reports the balance counters and keeps the
+  // books consistent: decode time accumulates, the queue peak is visible,
+  // nothing is dropped.
   std::vector<msgpack::WireBatch> script;
   constexpr std::uint64_t kBatches = 32;
   for (std::uint64_t i = 0; i < kBatches; ++i) {
@@ -1013,7 +1024,6 @@ TEST(ReceiverParallelDecode, PooledStatsExposePipelineBalance) {
   ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = 4;
-  rc.decode_threads = 3;
   Receiver receiver(rc, std::make_unique<ScriptedSource>(std::move(script)));
   auto delivered = drain_all(receiver);
   ASSERT_EQ(delivered.size(), kBatches + 1);  // + epoch marker
@@ -1051,7 +1061,6 @@ TEST_F(CoreIntegrationTest, TwoDaemonsOneReceiverSentinelAggregation) {
   fan_in.push_back(std::move(ch2.source));
   ReceiverConfig rc;
   rc.num_senders = 2;
-  rc.decode_threads = 2;  // pooled decode under multi-daemon fan-in
   Receiver receiver(rc, std::move(fan_in));
 
   auto sink1 = std::shared_ptr<net::MessageSink>(std::move(ch1.sink));
@@ -1224,7 +1233,6 @@ TEST_F(CoreIntegrationTest, SlabStarvedShmStreamIsByteIdenticalToInProcess) {
     auto sink = std::make_shared<net::ShmMessageSink>(name, so);
     ReceiverConfig rc;
     rc.num_senders = 1;
-    rc.decode_threads = 2;
     Receiver receiver(rc, std::make_unique<net::ShmMessageSource>(name));
     std::vector<tfrecord::ShardReader> readers;
     for (const auto& idx : indexes) readers.emplace_back(idx);
@@ -1278,7 +1286,6 @@ TEST_F(CoreIntegrationTest, LendingAndCopyingLanesShareOneDaemon) {
     std::array<std::unique_ptr<Receiver>, 2> receivers;
     ReceiverConfig rc;
     rc.num_senders = 1;
-    rc.decode_threads = 2;
     for (std::uint32_t node : {0u, 1u}) {
       std::unique_ptr<net::MessageSource> source;
       if (node == 0 && lend) {
@@ -1497,11 +1504,10 @@ TEST_F(CoreIntegrationTest, BackpressuredSinkDoesNotStarveOtherLanes) {
 /// Drives a full 2-daemon × 2-receiver cluster epoch through the pipelined
 /// engine and checks per-node delivery against the plan. `full_dataset` picks
 /// scenario C2 (§5.2: every node consumes the whole dataset) over the default
-/// sharded partitioning (C1). `decode_threads` is the receivers' decode pool
-/// width (0 = auto).
+/// sharded partitioning (C1).
 class MultiDaemonMultiReceiver : public CoreIntegrationTest {
  protected:
-  void run_cluster(bool full_dataset, std::uint32_t epochs, std::size_t decode_threads) {
+  void run_cluster(bool full_dataset, std::uint32_t epochs) {
     auto indexes = tfrecord::load_all_indexes(dir_.string());
     ASSERT_EQ(indexes.size(), 3u);
 
@@ -1524,7 +1530,6 @@ class MultiDaemonMultiReceiver : public CoreIntegrationTest {
     }
     ReceiverConfig rc;
     rc.num_senders = 2;
-    rc.decode_threads = decode_threads;
     std::vector<std::unique_ptr<Receiver>> receivers;
     for (int n = 0; n < 2; ++n) {
       // Native fan-in: one ingest thread per daemon source.
@@ -1617,21 +1622,16 @@ class MultiDaemonMultiReceiver : public CoreIntegrationTest {
 
 TEST_F(MultiDaemonMultiReceiver, ShardedPartitionedC1) {
   // Scenario C1: shards partitioned across the two compute nodes — the
-  // union of the nodes' sample sets is the dataset, disjointly. Pooled
-  // receiver decode under the 2-daemon fan-in.
-  run_cluster(/*full_dataset=*/false, /*epochs=*/2, /*decode_threads=*/2);
+  // union of the nodes' sample sets is the dataset, disjointly. Each
+  // receiver decodes its 2-daemon fan-in on two ingest threads.
+  run_cluster(/*full_dataset=*/false, /*epochs=*/2);
 }
 
 TEST_F(MultiDaemonMultiReceiver, FullDatasetPerNodeC2) {
   // Scenario C2 (§5.2): every node consumes the full dataset; both daemons
-  // serve both nodes their locally-owned half. Receivers at the auto width.
-  run_cluster(/*full_dataset=*/true, /*epochs=*/2, /*decode_threads=*/0);
-}
-
-TEST_F(MultiDaemonMultiReceiver, FullDatasetPerNodeC2PooledDecode) {
-  // C2 again with a 3-wide decode pool: byte traffic doubles per node (the
-  // paper's heavy fan-in case), exactly where decode fan-out matters.
-  run_cluster(/*full_dataset=*/true, /*epochs=*/2, /*decode_threads=*/3);
+  // serve both nodes their locally-owned half, so byte traffic doubles per
+  // node (the paper's heavy fan-in case).
+  run_cluster(/*full_dataset=*/true, /*epochs=*/2);
 }
 
 // --------------------------------------------- end-to-end property sweep
@@ -1645,8 +1645,7 @@ struct E2eParams {
   std::uint32_t threads;
   std::size_t streams;
   Transport transport;
-  std::size_t pool_threads = 0;    ///< daemon encode pool width, 0 = auto
-  std::size_t decode_threads = 0;  ///< receiver decode pool width, 0 = auto
+  std::size_t pool_threads = 0;  ///< daemon encode pool width, 0 = auto
 };
 
 class EndToEndSweep : public ::testing::TestWithParam<E2eParams> {};
@@ -1669,7 +1668,6 @@ TEST_P(EndToEndSweep, EpochAlwaysCleanAcrossConfigs) {
   cfg.num_streams = p.streams;
   cfg.transport = p.transport;
   cfg.pipeline_pool_threads = p.pool_threads;
-  cfg.decode_threads = p.decode_threads;
   EmlioService service(cfg);
   service.start();
 
@@ -1702,25 +1700,20 @@ INSTANTIATE_TEST_SUITE_P(
                       E2eParams{3, 5, 3, 4, Transport::kTcp},
                       E2eParams{5, 16, 1, 3, Transport::kTcp},
                       E2eParams{1, 9, 4, 2, Transport::kTcp},
-                      // Width 1 on both pools (the degenerate pipeline):
-                      E2eParams{3, 8, 2, 1, Transport::kInProcess, /*pool=*/1, /*decode=*/1},
-                      E2eParams{4, 7, 3, 2, Transport::kTcp, /*pool=*/1, /*decode=*/1},
-                      // Explicit decode widths over both transports:
-                      E2eParams{3, 8, 2, 1, Transport::kInProcess, 0, /*decode=*/4},
-                      E2eParams{4, 7, 2, 3, Transport::kTcp, 0, /*decode=*/2},
-                      // ...and a wide decode pool behind a width-1 daemon:
-                      E2eParams{2, 9, 2, 1, Transport::kInProcess, /*pool=*/1, /*decode=*/3},
-                      // Auto daemon width beside a narrow decode pool:
-                      E2eParams{3, 8, 2, 1, Transport::kInProcess, 0, /*decode=*/2},
-                      E2eParams{4, 7, 2, 2, Transport::kTcp, 0, /*decode=*/1},
-                      // Shared-memory lane: auto widths, width 1 and
-                      // explicit decode widths — identical guarantees
-                      // expected.
+                      // Width 1 on the encode pool (the degenerate pipeline):
+                      E2eParams{3, 8, 2, 1, Transport::kInProcess, /*pool=*/1},
+                      E2eParams{4, 7, 3, 2, Transport::kTcp, /*pool=*/1},
+                      E2eParams{2, 9, 2, 1, Transport::kInProcess, /*pool=*/1},
+                      // More TCP shapes at the auto width:
+                      E2eParams{4, 7, 2, 3, Transport::kTcp},
+                      E2eParams{4, 7, 2, 2, Transport::kTcp},
+                      // Shared-memory lane: auto widths and width 1 —
+                      // identical guarantees expected.
                       E2eParams{2, 8, 2, 1, Transport::kShm},
                       E2eParams{3, 5, 3, 1, Transport::kShm},
-                      E2eParams{4, 7, 3, 1, Transport::kShm, /*pool=*/1, /*decode=*/1},
-                      E2eParams{4, 7, 2, 1, Transport::kShm, 0, /*decode=*/2},
-                      E2eParams{3, 8, 2, 1, Transport::kShm, 0, /*decode=*/2}));
+                      E2eParams{4, 7, 3, 1, Transport::kShm, /*pool=*/1},
+                      E2eParams{4, 7, 2, 1, Transport::kShm},
+                      E2eParams{3, 8, 2, 1, Transport::kShm}));
 
 }  // namespace
 }  // namespace emlio::core

@@ -1,7 +1,5 @@
 // Tests for the shared lane layer (common/lane.h): Lane queue/counter
-// semantics, the RatePacer token bucket, and the RoundRobin admission
-// arbiter. Admission across lanes is tested where it runs, at the receiver
-// (test_qos: the Receiver* admission tests). Runs in the TSan CI job.
+// semantics and the RatePacer token bucket. Runs in the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -118,34 +116,6 @@ TEST(Lane, TryPopTakesTheHeadWithoutBlocking) {
   EXPECT_FALSE(lane.try_pop().has_value());
   EXPECT_EQ(lane.stats().delivered_items, 2u);
   EXPECT_EQ(lane.stats().dequeue_stalls, 0u);
-}
-
-// --------------------------------------------------------------- RoundRobin
-
-TEST(RoundRobin, ServesEachReadySlotOncePerTurnAndSkipsTheRest) {
-  RoundRobin rr;
-  // All ready: 0, 1, 2, 0, 1, 2 — one pick per slot per turn.
-  std::vector<std::size_t> order;
-  for (int i = 0; i < 6; ++i) order.push_back(rr.pick(3, [](std::size_t) { return true; }));
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 0, 1, 2}));
-  // Slot 1 not ready: the turn skips it, without serving its neighbours
-  // twice in its place.
-  order.clear();
-  for (int i = 0; i < 4; ++i) {
-    order.push_back(rr.pick(3, [](std::size_t slot) { return slot != 1; }));
-  }
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 0, 2}));
-  // Slot 1 ready again: the next turn serves it.
-  EXPECT_EQ(rr.pick(3, [](std::size_t) { return true; }), 0u);
-  EXPECT_EQ(rr.pick(3, [](std::size_t) { return true; }), 1u);
-}
-
-TEST(RoundRobin, NothingReadyReturnsNpos) {
-  RoundRobin rr;
-  EXPECT_EQ(rr.pick(2, [](std::size_t) { return false; }), RoundRobin::npos);
-  EXPECT_EQ(rr.pick(0, [](std::size_t) { return true; }), RoundRobin::npos);
-  // A miss leaves the cursor where it was.
-  EXPECT_EQ(rr.pick(2, [](std::size_t) { return true; }), 0u);
 }
 
 }  // namespace

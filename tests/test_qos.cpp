@@ -2,9 +2,9 @@
 // (its sender admits encode jobs only within the lane's window), the
 // per-lane stats breakdowns both engines publish, byte-identical
 // per-lane delivery with and without a rate cap, rate caps paced at the
-// daemon's send, the receiver's inline round-robin admission across source
-// lanes (conservation, order, stall counting, close while paced at the
-// ingest push), and the StatsStreamer flatten/delta machinery behind
+// daemon's send, the receiver's fan-in across sources (conservation,
+// per-source order, close while paced on an ingest thread), and the
+// StatsStreamer flatten/delta machinery behind
 // --stats-interval. Runs in the TSan CI job.
 #include <gtest/gtest.h>
 
@@ -259,7 +259,7 @@ TEST_F(QosTest, DaemonLaneBreakdownAggregates) {
 }
 
 TEST_F(QosTest, ReceiverPerSourceLaneBreakdown) {
-  // Two daemons fan into one receiver; each source gets its own lane, and
+  // Two daemons fan into one receiver; each source gets its own row, and
   // the breakdown reports per-source delivery.
   auto indexes = tfrecord::load_all_indexes(dir_.string());
   ASSERT_EQ(indexes.size(), 3u);
@@ -275,7 +275,6 @@ TEST_F(QosTest, ReceiverPerSourceLaneBreakdown) {
 
   ReceiverConfig rc;
   rc.num_senders = 2;
-  rc.decode_threads = 2;
   std::vector<std::unique_ptr<net::MessageSource>> ins;
   ins.push_back(std::move(ch0.source));
   ins.push_back(std::move(ch1.source));
@@ -331,7 +330,8 @@ TEST_F(QosTest, ReceiverPerSourceLaneBreakdown) {
     EXPECT_TRUE(lane.closed) << lane.name;
     lane_items += lane.delivered_items;
   }
-  // Every wire payload (data batches + per-daemon sentinels) crossed a lane.
+  // Every wire payload (data batches + per-daemon sentinels) is counted
+  // against its source.
   EXPECT_GE(lane_items, stats.batches_received);
   receiver.close();
 }
@@ -358,8 +358,8 @@ TEST_F(QosTest, RateCapNeverChangesPerLaneStreamContent) {
   // Same plan, same seed, uncapped and rate-capped: each node's decoded
   // stream must be byte-for-byte identical across both — a cap shifts WHEN
   // a lane is served, never WHAT it carries or in what order. (The per-sink
-  // resequencer pins batch-id order; the receivers' resequencer restores
-  // arrival order after the decode pool.)
+  // resequencer pins batch-id order; each receiver source decodes and
+  // delivers in arrival order on its own ingest thread.)
   auto capture = [&](std::uint64_t lane_rate) {
     auto indexes = tfrecord::load_all_indexes(dir_.string());
     PlannerConfig pc;
@@ -515,12 +515,12 @@ TEST_F(QosTest, DaemonFailedLaneStopsPacingAtOnce) {
   EXPECT_LT(r.elapsed, 1500ms) << "a failed lane kept pacing its queued batches";
 }
 
-// ------------------------------------------- receiver admission across lanes
+// ----------------------------------------------- receiver fan-in across sources
 
 /// Batch ids carry their source: id = source * kIdStride + sequence number.
 constexpr std::uint64_t kIdStride = 1000000;
 
-/// Scripted source for the receiver admission tests: `count` epoch-0 data
+/// Scripted source for the receiver fan-in tests: `count` epoch-0 data
 /// batches, then an epoch-0 sentinel when `sentinel`, then the end of the
 /// stream — or, when `hold_open`, a recv() that blocks until close().
 /// Counts the data payloads it handed out.
@@ -572,17 +572,15 @@ struct CountingSource final : net::MessageSource {
 
 std::uint64_t source_of(const msgpack::WireBatch& b) { return b.batch_id / kIdStride; }
 
-TEST(ReceiverAdmission, RandomizedConservationAndPerSourceOrder) {
-  // Random source counts, lane depths, pool widths and payload counts:
-  // every payload is delivered exactly once, each source's payloads in the
-  // order the source sent them.
+TEST(ReceiverFanIn, RandomizedConservationAndPerSourceOrder) {
+  // Random source counts, queue capacities and payload counts: every
+  // payload is delivered exactly once, each source's payloads in the order
+  // the source sent them.
   std::mt19937 rng(20250808);
   for (int round = 0; round < 5; ++round) {
     const std::size_t nsources = 2 + rng() % 4;
     ReceiverConfig rc;
     rc.num_senders = nsources;
-    rc.ingest_lane_depth = 1 + rng() % 16;
-    rc.decode_threads = 1 + rng() % 4;
     rc.queue_capacity = 1 + rng() % 8;
     std::vector<std::size_t> counts;
     std::vector<std::unique_ptr<net::MessageSource>> sources;
@@ -620,46 +618,13 @@ TEST(ReceiverAdmission, RandomizedConservationAndPerSourceOrder) {
   }
 }
 
-TEST(ReceiverAdmission, DecodeStallsCountEachWaitingPayloadOnce) {
-  // No consumer until the engine wedges: the window (4), the consumer queue
-  // (1) and the payload blocked delivering into it admit a handful; every
-  // other payload, the sentinel included, waits in the lane for a window
-  // slot. decode_stalls must count each of those once — no more.
-  constexpr std::size_t kPayloads = 200;
-  ReceiverConfig rc;
-  rc.num_senders = 1;
-  rc.decode_threads = 1;
-  rc.queue_capacity = 1;
-  rc.ingest_lane_depth = 256;  // holds the whole stream
-  std::vector<std::unique_ptr<net::MessageSource>> sources;
-  sources.push_back(
-      std::make_unique<CountingSource>(0, kPayloads, /*sentinel=*/true, /*hold_open=*/false));
-  Receiver receiver(rc, std::move(sources));
-
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (receiver.stats().lanes[0].queue_peak_depth < kPayloads - 8 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_GE(receiver.stats().lanes[0].queue_peak_depth, kPayloads - 8);
-  std::size_t delivered = 0;
-  while (auto b = receiver.next()) {
-    if (!b->last) ++delivered;
-  }
-  EXPECT_EQ(delivered, kPayloads);
-  const auto stalls = receiver.stats().decode_stalls;
-  EXPECT_LE(stalls, kPayloads + 1) << "a payload was counted more than once";
-  EXPECT_GE(stalls, kPayloads - 10) << "payloads waited for a slot uncounted";
-}
-
-TEST(ReceiverAdmission, CloseDuringThrottleIsPromptAndBalanced) {
-  // Every source lane is capped at 1 payload/s: each ingest thread delivers
+TEST(ReceiverFanIn, CloseDuringThrottleIsPromptAndBalanced) {
+  // Every source is capped at 1 payload/s: each ingest thread delivers
   // its burst token, then waits on its pacer with its second payload in
   // hand. close() must release both at once (not when the next tokens
   // mature, 1 s later) and the payloads in hand must be counted as drops.
   ReceiverConfig rc;
   rc.num_senders = 2;
-  rc.decode_threads = 2;
   rc.lane_rate = 1;
   CountingSource* src[2] = {};
   std::vector<std::unique_ptr<net::MessageSource>> sources;

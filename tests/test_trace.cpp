@@ -439,7 +439,6 @@ TEST_F(TracedServiceTest, TracedRunProducesQuantilesAndForensics) {
   cfg.dataset_dir = dir_.string();
   cfg.batch_size = 8;
   cfg.epochs = 1;
-  cfg.decode_threads = 2;
   cfg.trace = true;
   cfg.trace_wire = true;
   core::EmlioService service(cfg);

@@ -4,7 +4,6 @@
 //
 //   emlio_receive --port 5555 [--senders 1] [--epochs 1] [--expected N]
 //       [--transport tcp|shm] [--shm-name emlio0] [--shm-wait-ms 10000]
-//       [--decode-threads 0]
 //       [--lane-rate 0]
 //       [--retry-max 1 (shm only)] [--retry-deadline 0 (shm only)]
 //       [--stats-json PATH] [--stats-interval SECS]
@@ -28,16 +27,16 @@
 // attach-waits up to --shm-wait-ms, so it may be started before the daemon.
 // shm carries exactly one sender — --senders and --port are then unused.
 //
-// --decode-threads sets the width of the receiver's decode pool, fixed for
-// the run (0 = auto, the same rule as emlio_daemon --pool).
-// --lane-rate caps every source ingest lane at N payloads/sec, paced before
-// each push into the lane (0 = none). --stats-json dumps the final
-// ReceiverStats (throughput + decode-pipeline + per-lane counters) as a JSON
+// The receiver decodes on its source's ingest thread: one PULL socket or shm
+// segment is one source, so one thread decodes it.
+// --lane-rate caps every source at N payloads/sec, paced on its ingest
+// thread before each decode (0 = none). --stats-json dumps the final
+// ReceiverStats (throughput + delivery + per-source counters) as a JSON
 // file at exit, same contract as emlio_daemon --stats-json;
 // --stats-interval streams per-window ReceiverStats deltas to stdout as tsdb
 // line protocol while the run is live.
-// --trace stamps every batch through ingest → decode-wait → decode →
-// resequence → deliver and folds the stamps into per-stage latency
+// --trace stamps every batch through ingest (pacing) → decode → deliver
+// and folds the stamps into per-stage latency
 // histograms: quantiles land in the stats JSON
 // (latency.<stage>.{p50,p95,p99,max}), stream as gauges under
 // --stats-interval, and the --trace-ring slowest batches dump as JSON via
@@ -67,7 +66,6 @@ int main(int argc, char** argv) {
   std::size_t senders = 1;
   std::uint32_t epochs = 1;
   std::uint64_t expected = 0;
-  std::size_t decode_threads = 0;
   std::size_t retry_max = 1;
   std::uint64_t retry_deadline_ms = 0;
   std::string stats_json;
@@ -88,7 +86,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--senders")) senders = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--epochs")) epochs = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--expected")) expected = std::strtoull(next(), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--decode-threads")) decode_threads = std::strtoul(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--stats-json")) stats_json = next();
     else if (!std::strcmp(argv[i], "--lane-rate")) lane_rate = std::strtoull(next(), nullptr, 10);
     else if (!std::strcmp(argv[i], "--retry-max")) retry_max = std::strtoul(next(), nullptr, 10);
@@ -101,7 +98,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: emlio_receive --port P [--senders N] [--epochs E] [--expected N] "
                    "[--transport tcp|shm] [--shm-name NAME] [--shm-wait-ms MS] "
-                   "[--decode-threads WIDTH] "
                    "[--lane-rate N] "
                    "[--retry-max N (shm only)] [--retry-deadline MS (shm only)] "
                    "[--stats-json PATH] [--stats-interval SECS] "
@@ -131,9 +127,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string decode_width =
-      decode_threads ? std::to_string(decode_threads) + " threads" : "auto width";
-
   try {
     std::unique_ptr<net::MessageSource> source;
     // Set once the receiver exists; the reconnect callbacks fire from the
@@ -146,8 +139,8 @@ int main(int argc, char** argv) {
       // matter (the shm analogue of TCP's receiver-first convention).
       auto inner = net::ShmMessageSource::attach_wait(shm_name,
                                                       std::chrono::milliseconds(shm_wait_ms));
-      std::printf("emlio_receive: attached to shm segment %s (%u epoch(s), decode %s)\n",
-                  shm_name.c_str(), epochs, decode_width.c_str());
+      std::printf("emlio_receive: attached to shm segment %s (%u epoch(s))\n",
+                  shm_name.c_str(), epochs);
       if (reconnect_window) {
         // Survive a daemon crash: when the pid probe declares the creator
         // dead, mark the sender dead (in-flight epochs repair) and re-attach
@@ -176,9 +169,8 @@ int main(int argc, char** argv) {
       }
     } else {
       auto pull = std::make_unique<net::PullSocket>(port, /*queue_capacity=*/64);
-      std::printf("emlio_receive: listening on 127.0.0.1:%u (%zu sender(s), %u epoch(s), "
-                  "decode %s)\n",
-                  pull->port(), senders, epochs, decode_width.c_str());
+      std::printf("emlio_receive: listening on 127.0.0.1:%u (%zu sender(s), %u epoch(s))\n",
+                  pull->port(), senders, epochs);
       // Surface connection churn: the PULL socket keeps accepting forever (a
       // restarted daemon just reconnects), so TCP has no reconnect window;
       // the callback is observability only.
@@ -190,7 +182,6 @@ int main(int argc, char** argv) {
     }
     core::ReceiverConfig rc;
     rc.num_senders = senders;
-    rc.decode_threads = decode_threads;
     rc.lane_rate = lane_rate;
     if (!trace_dump.empty()) trace = true;  // a dump without tracing is empty
     rc.trace = trace;
@@ -235,11 +226,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.batches_received),
                 static_cast<double>(stats.bytes_received) / 1e6,
                 static_cast<unsigned long long>(stats.decode_errors));
-    std::printf("emlio_receive: pipeline — %llu decode stalls (ingest waited on decode), "
-                "%llu resequence stalls (out-of-order decode completions), "
-                "peak queue depth %llu, %.1f ms decoding, %llu dropped on close\n",
-                static_cast<unsigned long long>(stats.decode_stalls),
-                static_cast<unsigned long long>(stats.resequence_stalls),
+    std::printf("emlio_receive: pipeline — peak queue depth %llu, %.1f ms decoding, "
+                "%llu dropped on close\n",
                 static_cast<unsigned long long>(stats.queue_peak_depth),
                 static_cast<double>(stats.decode_ns) / 1e6,
                 static_cast<unsigned long long>(stats.dropped_on_close));

@@ -2,12 +2,16 @@
 // pipeline → trainer, over both the in-process channel and real loopback TCP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <set>
 #include <thread>
@@ -804,7 +808,8 @@ TEST(ReceiverParallelDecode, CloseUnderFullWindowAccountsInHandPayload) {
 /// Scripted source whose recv() first runs the hook keyed by its position
 /// (k: before handing out payload k; script.size(): before ending), on the
 /// receiver's ingest thread — where net::ReconnectingSource fires on_down and
-/// on_up — and which ends with `end`.
+/// on_up — and which ends with `end`, or, when `hold_open`, stays connected
+/// with nothing more to send until closed.
 struct HookedSource final : net::MessageSource {
   HookedSource(std::vector<msgpack::WireBatch> batches, net::SourceEnd end_state_)
       : end(end_state_) {
@@ -816,15 +821,29 @@ struct HookedSource final : net::MessageSource {
       hooks.erase(hook);
       fn();
     }
-    if (pos >= script.size()) return std::nullopt;
-    return script[pos++];
+    if (pos < script.size()) return script[pos++];
+    if (hold_open) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return closed; });
+    }
+    return std::nullopt;
   }
-  void close() override {}
+  void close() override {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      closed = true;
+    }
+    cv.notify_all();
+  }
   net::SourceEnd end_state() const override { return end; }
   std::vector<Payload> script;
   std::map<std::size_t, std::function<void()>> hooks;
   net::SourceEnd end;
+  bool hold_open = false;
   std::size_t pos = 0;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool closed = false;
 };
 
 /// Block until `rx` is published and its stats satisfy `done`. A source
@@ -846,22 +865,42 @@ void await_received(const std::atomic<Receiver*>& rx, std::uint64_t n) {
 }
 
 TEST(ReceiverLiveness, DeadPeerEndRepairsTheEpochAndDeliversEveryBatch) {
-  // K batches of epoch 0, no sentinel, then the peer dies: the end-of-loop
-  // death note repairs the epoch behind every batch the source returned.
+  // Sender 0 returns K batches of epoch 0 and no sentinel, then its source
+  // ends as a dead peer. Sender 1 closes epoch 0 and stays connected, so the
+  // stream never ends: only the death note its ingest thread posts behind
+  // the K batches can complete the epoch.
+  emlio::testing::Watchdog watchdog(std::chrono::seconds(30), "dead-peer epoch repair");
   constexpr std::uint64_t kBatches = 5;
   std::vector<msgpack::WireBatch> script;
   for (std::uint64_t i = 0; i < kBatches; ++i) script.push_back(data_batch(0, i));
+  std::vector<std::unique_ptr<net::MessageSource>> sources;
+  sources.push_back(std::make_unique<HookedSource>(std::move(script), net::SourceEnd::kDeadPeer));
+  auto live = std::make_unique<HookedSource>(
+      std::vector<msgpack::WireBatch>{data_batch(0, 100), msgpack::BatchCodec::make_sentinel(0, 0, 1)},
+      net::SourceEnd::kClean);
+  live->hold_open = true;
+  sources.push_back(std::move(live));
   ReceiverConfig rc;
-  rc.num_senders = 1;
-  Receiver receiver(rc,
-                    std::make_unique<HookedSource>(std::move(script), net::SourceEnd::kDeadPeer));
-  auto delivered = drain_all(receiver);
-  ASSERT_EQ(delivered.size(), kBatches + 1);
-  for (std::uint64_t i = 0; i < kBatches; ++i) EXPECT_EQ(delivered[i].batch_id, i);
-  EXPECT_TRUE(delivered.back().last);
-  EXPECT_EQ(delivered.back().sent_count, kBatches);
+  rc.num_senders = 2;
+  Receiver receiver(rc, std::move(sources));
+
+  std::vector<std::uint64_t> ids;
+  std::optional<msgpack::WireBatch> marker;
+  while (!marker) {
+    auto b = receiver.next();
+    ASSERT_TRUE(b.has_value());
+    if (b->last) {
+      marker = std::move(b);
+    } else {
+      ids.push_back(b->batch_id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 100}));
+  EXPECT_EQ(marker->epoch, 0u);
+  EXPECT_EQ(marker->sent_count, kBatches + 1);
   auto stats = receiver.stats();
-  EXPECT_EQ(stats.batches_received, kBatches);
+  EXPECT_EQ(stats.batches_received, kBatches + 1);
   EXPECT_EQ(stats.epochs_completed, 1u);
   EXPECT_EQ(stats.epochs_repaired, 1u);
   EXPECT_EQ(stats.dropped_dead_sender, 0u);

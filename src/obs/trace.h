@@ -17,9 +17,9 @@ namespace emlio::obs {
 /// The stage boundaries of the data path, daemon side first:
 /// read/cache -> encode -> lane-wait -> wire || ingest -> decode -> deliver.
 /// A single batch crosses the daemon stages on the sending host and the
-/// receiver stages on the consuming host; `kWire` covers sender-queue residency + transit when the send
-/// timestamp is propagated on the wire (trace_wire), else it is the
-/// daemon-local send() call.
+/// receiver stages on the consuming host; `kWire` covers sender-queue
+/// residency + transit when the send timestamp is propagated on the wire
+/// (trace_wire), else it is the daemon-local send() call.
 enum class Stage : std::uint8_t {
   kRead = 0,
   kEncode,

@@ -876,7 +876,8 @@ TEST(ReceiverLiveness, DeadPeerEndRepairsTheEpochAndDeliversEveryBatch) {
   std::vector<std::unique_ptr<net::MessageSource>> sources;
   sources.push_back(std::make_unique<HookedSource>(std::move(script), net::SourceEnd::kDeadPeer));
   auto live = std::make_unique<HookedSource>(
-      std::vector<msgpack::WireBatch>{data_batch(0, 100), msgpack::BatchCodec::make_sentinel(0, 0, 1)},
+      std::vector<msgpack::WireBatch>{data_batch(0, 100),
+                                      msgpack::BatchCodec::make_sentinel(0, 0, 1)},
       net::SourceEnd::kClean);
   live->hold_open = true;
   sources.push_back(std::move(live));
@@ -957,8 +958,10 @@ TEST(ReceiverLiveness, RevivedSendersResendForARepairedEpochIsDroppedAndCounted)
   std::atomic<Receiver*> rx{nullptr};
   std::vector<std::unique_ptr<net::MessageSource>> sources;
   auto steady = std::make_unique<HookedSource>(
-      std::vector<msgpack::WireBatch>{data_batch(0, 0), msgpack::BatchCodec::make_sentinel(0, 0, 1),
-                                      data_batch(1, 1), msgpack::BatchCodec::make_sentinel(0, 1, 1)},
+      std::vector<msgpack::WireBatch>{data_batch(0, 0),
+                                      msgpack::BatchCodec::make_sentinel(0, 0, 1),
+                                      data_batch(1, 1),
+                                      msgpack::BatchCodec::make_sentinel(0, 1, 1)},
       net::SourceEnd::kClean);
   // Sender 0 closes epoch 1 only once sender 1 is alive again (its stale
   // re-send is counted): with sender 1 still dead, epoch 1 would repair.

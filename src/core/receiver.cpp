@@ -106,19 +106,17 @@ std::set<std::string> gauges(const ReceiverStats&) {
 
 // ------------------------------------------------------ delivery bookkeeping
 
-msgpack::WireBatch Receiver::decode_payload(const Payload& payload, bool& error) {
+std::optional<msgpack::WireBatch> Receiver::decode_payload(const Payload& payload) {
   // Zero-copy decode: every sample in the result is a view sharing ownership
   // of `payload`'s storage; the receive buffer lives (and its pool slot
   // stays out) exactly until the consumer drops the batch.
-  msgpack::WireBatch batch;
-  error = false;
+  std::optional<msgpack::WireBatch> batch;
   auto t0 = std::chrono::steady_clock::now();
   try {
     batch = msgpack::BatchCodec::decode(payload);
   } catch (const std::exception& e) {
     log::error("receiver: undecodable payload (", e.what(), ")");
     counters_.decode_errors.fetch_add(1, std::memory_order_relaxed);
-    error = true;
   }
   auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)
@@ -301,18 +299,17 @@ void Receiver::ingest_loop(net::MessageSource& source, std::size_t source_index)
     if (tp) trace.note(obs::Stage::kIngest, obs::now_ns());
     state.items.fetch_add(1, std::memory_order_relaxed);
     state.bytes.fetch_add(payload->size(), std::memory_order_relaxed);
-    bool error = false;
-    msgpack::WireBatch batch;
+    std::optional<msgpack::WireBatch> batch;
     {
       obs::StageTimer dec(tp, obs::Stage::kDecode);
-      batch = decode_payload(*payload, error);
+      batch = decode_payload(*payload);
     }
-    if (error) continue;
-    const bool traced = tp && !batch.last;
-    if (traced) adopt_batch_identity(trace, batch, payload->size());
+    if (!batch) continue;
+    const bool traced = tp && !batch->last;
+    if (traced) adopt_batch_identity(trace, *batch, payload->size());
     {
       MutexLock delivery(delivery_mutex_);
-      process_batch(std::move(batch), payload->size(), sender);
+      process_batch(std::move(*batch), payload->size(), sender);
     }
     if (traced) {
       // The wait for the mutex, the epoch algebra and the queue push.

@@ -37,6 +37,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -216,7 +217,8 @@ class Receiver {
   /// Receive, pace, decode and deliver one source's payloads until it ends
   /// or the receiver closes; the last ingest thread out ends the stream.
   void ingest_loop(net::MessageSource& source, std::size_t source_index);
-  msgpack::WireBatch decode_payload(const Payload& payload, bool& error);
+  /// nullopt: undecodable, logged and counted in decode_errors.
+  std::optional<msgpack::WireBatch> decode_payload(const Payload& payload);
   void process_batch(msgpack::WireBatch&& batch, std::size_t wire_bytes, std::uint32_t sender)
       EMLIO_REQUIRES(delivery_mutex_);
   /// Deliver one ordered batch to the consumer queue. Callers hold

@@ -1,16 +1,19 @@
 // google-benchmark microbenches for the hot paths: CRC32C (dispatched and
 // portable kernels), TFRecord framing and slicing, msgpack batch
-// encode/decode, the splice-threshold sweep, and sample generation — plus a
+// encode/decode, the splice-threshold sweep, sample generation and set-up's
+// shard index load — plus a
 // decode-path allocation audit that quantifies the zero-copy Payload
 // refactor (per-sample heap allocations and bytes copied, view decode vs the
 // old materializing decode), appended as JSON via bench_common.h.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <new>
 
 #include "bench_common.h"
@@ -20,6 +23,7 @@
 #include "json/json.h"
 #include "msgpack/batch_codec.h"
 #include "tfrecord/reader.h"
+#include "tfrecord/shard_index.h"
 #include "workload/materialize.h"
 
 // ------------------------------------------------------------------------
@@ -256,6 +260,53 @@ void BM_SampleGenerate(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 100 * 1024);
 }
 BENCHMARK(BM_SampleGenerate);
+
+/// Eight mapping_shard files of `records_per_file` records each, laid out as
+/// 4 KiB samples dealt round-robin (8 x 8,192 is the benchmark's small-4k
+/// dataset). Written once per process, removed at exit.
+struct IndexSet {
+  explicit IndexSet(std::uint64_t records_per_file)
+      : dir(std::filesystem::temp_directory_path() /
+            ("emlio_micro_index_" + std::to_string(::getpid()) + "_" +
+             std::to_string(records_per_file))) {
+    std::filesystem::create_directories(dir);
+    Rng rng(11);
+    for (std::uint32_t shard = 0; shard < 8; ++shard) {
+      tfrecord::ShardIndex idx;
+      idx.shard_id = shard;
+      idx.shard_path = (dir / tfrecord::ShardIndex::shard_filename(shard)).string();
+      for (std::uint64_t i = 0; i < records_per_file; ++i) {
+        idx.records.push_back({i * 4112, 4112, static_cast<std::int64_t>(rng.uniform(1000)),
+                               i * 8 + shard});
+      }
+      idx.file_bytes = records_per_file * 4112;
+      const auto file = dir / tfrecord::ShardIndex::index_filename(shard);
+      idx.save(file.string());
+      bytes += std::filesystem::file_size(file);
+    }
+  }
+  ~IndexSet() { std::filesystem::remove_all(dir); }
+  IndexSet(const IndexSet&) = delete;
+  IndexSet& operator=(const IndexSet&) = delete;
+
+  std::filesystem::path dir;
+  std::uintmax_t bytes = 0;
+};
+
+// Set-up's index read: load_all_indexes over 8 files of Arg records. Wall
+// time, since helper threads may share the files.
+void BM_ShardIndexLoad(benchmark::State& state) {
+  static std::map<std::int64_t, IndexSet> sets;
+  const auto& set =
+      sets.try_emplace(state.range(0), static_cast<std::uint64_t>(state.range(0))).first->second;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tfrecord::load_all_indexes(set.dir.string()));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8 * state.range(0));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(set.bytes));
+}
+BENCHMARK(BM_ShardIndexLoad)->Arg(512)->Arg(8192)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ------------------------------------------------------------------------
 // Decode-path allocation audit. Measures, for one received batch:

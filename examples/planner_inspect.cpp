@@ -22,9 +22,8 @@ int main() {
   cfg.epochs = 2;
   cfg.threads_per_node = 2;
   core::Planner planner(indexes, cfg);
-  std::printf("dataset: %llu samples in %zu shards; label map has %zu entries\n",
-              static_cast<unsigned long long>(planner.dataset_size()), indexes.size(),
-              planner.label_map().size());
+  std::printf("dataset: %llu samples in %zu shards\n",
+              static_cast<unsigned long long>(planner.dataset_size()), indexes.size());
 
   std::vector<core::ShardMeta> meta;
   for (const auto& idx : indexes) meta.push_back({idx.shard_id, idx.num_records()});

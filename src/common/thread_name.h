@@ -1,7 +1,8 @@
 // Engine threads name themselves, so /proc/self/task/*/comm, `top -H` and
 // any profiler can tell the roles apart: emlio-ingest<i> (receiver),
 // emlio-pool<i> (the daemon's encode pool), emlio-send<node> (daemon senders),
-// emlio-accept / emlio-read<i> (PullSocket), emlio-mon-* (energy monitor).
+// emlio-accept / emlio-read<i> (PullSocket), emlio-mon-* (energy monitor),
+// emlio-index<i> (tfrecord::load_all_indexes' helpers).
 #pragma once
 
 #include <pthread.h>

@@ -118,8 +118,10 @@ Daemon::Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,
       sinks_(std::move(sinks)),
       timestamps_(timestamps) {
   for (auto& r : readers) {
-    std::uint32_t id = r.index().shard_id;
-    readers_.emplace(id, std::move(r));
+    const std::uint32_t id = r.index().shard_id;
+    if (!readers_.emplace(id, std::move(r)).second) {
+      throw std::invalid_argument("daemon: two readers for shard " + std::to_string(id));
+    }
   }
   for (const auto& [node_id, sink] : sinks_) {
     // Pool queue 0 is the pool's default queue; lane i posts into i + 1.

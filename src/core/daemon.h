@@ -190,7 +190,8 @@ std::set<std::string> gauges(const DaemonStats&);
 
 class Daemon {
  public:
-  /// `readers`: the shards this storage node owns.
+  /// `readers`: the shards this storage node owns, one reader per shard id
+  /// (a second reader for an id throws std::invalid_argument).
   /// `sinks`: destination compute nodes, indexed by node_id. Sinks are
   /// shared (other daemons may push to the same receiver).
   Daemon(DaemonConfig config, std::vector<tfrecord::ShardReader> readers,

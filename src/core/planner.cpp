@@ -1,6 +1,7 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 
@@ -48,7 +49,6 @@ Planner::Planner(const std::vector<tfrecord::ShardIndex>& shards, PlannerConfig 
   for (const auto& s : shards) {
     shards_.push_back(ShardMeta{s.shard_id, s.num_records()});
     dataset_size_ += s.num_records();
-    for (const auto& r : s.records) labels_[r.sample_index] = r.label;  // line 2
   }
   check_config(config_);
 }

@@ -8,13 +8,17 @@
 // correctness of data-parallel epoch semantics (every sample exactly once
 // per epoch across the fleet) is decided here, ahead of time.
 //
+// Algorithm 2 line 2's global label map is the shard indexes' records
+// themselves: each RecordEntry pairs a sample index with its label, and the
+// daemon reads a sample's label from its own entry, so the planner keeps
+// only each shard's record count.
+//
 // Randomization: the shard list is shuffled every epoch (Algorithm 2 line 4)
 // and the batch-sized slices within each shard are shuffled too, so batch
 // order is randomized while every batch stays one contiguous byte range.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -86,20 +90,16 @@ struct ShardMeta {
 
 class Planner {
  public:
-  /// Plan over full shard indexes (builds the global label map, line 2).
+  /// Plan over full shard indexes (their record counts).
   Planner(const std::vector<tfrecord::ShardIndex>& shards, PlannerConfig config);
 
-  /// Plan over bare metadata (no label map).
+  /// Plan over bare metadata.
   Planner(std::vector<ShardMeta> shards, PlannerConfig config);
 
   const PlannerConfig& config() const noexcept { return config_; }
 
   /// Total records across all shards (|D|).
   std::uint64_t dataset_size() const noexcept { return dataset_size_; }
-
-  /// Global label map: dataset sample index → label (empty if constructed
-  /// from bare metadata).
-  const std::map<std::uint64_t, std::int64_t>& label_map() const noexcept { return labels_; }
 
   /// Build the plan for `epoch` over `num_nodes` compute nodes.
   /// Deterministic: same (seed, epoch, num_nodes) → same plan.
@@ -115,7 +115,6 @@ class Planner {
   std::vector<ShardMeta> shards_;
   PlannerConfig config_;
   std::uint64_t dataset_size_ = 0;
-  std::map<std::uint64_t, std::int64_t> labels_;
 };
 
 }  // namespace emlio::core

@@ -18,8 +18,8 @@ EmlioService::EmlioService(ServiceConfig config)
     throw std::runtime_error("emlio service: no shards found in " + config_.dataset_dir);
   }
   if (!cache::parse_policy(config_.cache_policy)) {
-    // Fail at construction, like every other config error — start() has
-    // already set started_ and begun wiring threads by the time it runs.
+    // Fail at construction, like every other config error, before start()
+    // wires any thread.
     throw std::runtime_error("emlio service: unknown cache policy '" + config_.cache_policy +
                              "' (expected \"clock\" or \"lru\")");
   }
@@ -40,8 +40,10 @@ EmlioService::~EmlioService() { stop(); }
 
 void EmlioService::start() {
   if (started_) return;
-  started_ = true;
-
+  // started_ is set last: a start() that throws (a missing or short shard
+  // file fails the readers) leaves the service unstarted, so next_batch()
+  // refuses and another start() tries again.
+  std::shared_ptr<net::SimLinkControl> link_control;
   std::shared_ptr<net::MessageSink> sink;
   std::unique_ptr<net::MessageSource> source;
 
@@ -72,7 +74,7 @@ void EmlioService::start() {
     auto channel = net::make_sim_channel(link);
     sink = std::shared_ptr<net::MessageSink>(std::move(channel.sink));
     source = std::move(channel.source);
-    link_control_ = channel.control;
+    link_control = channel.control;
   }
 
   // Single compute node (id 0); one daemon owning every shard.
@@ -92,13 +94,17 @@ void EmlioService::start() {
   dc.cache_policy = *cache::parse_policy(config_.cache_policy);  // validated in ctor
   dc.trace = config_.trace;
   dc.trace_wire = config_.trace_wire;
-  daemon_ = std::make_unique<Daemon>(dc, std::move(readers), std::move(sinks), &timestamps_);
+  auto daemon = std::make_unique<Daemon>(dc, std::move(readers), std::move(sinks), &timestamps_);
 
   ReceiverConfig rc;
   rc.num_senders = 1;
   rc.queue_capacity = config_.receiver_queue;
   rc.trace = config_.trace;
-  receiver_ = std::make_unique<Receiver>(rc, std::move(source), &timestamps_);
+  auto receiver = std::make_unique<Receiver>(rc, std::move(source), &timestamps_);
+
+  link_control_ = std::move(link_control);
+  daemon_ = std::move(daemon);
+  receiver_ = std::move(receiver);
 
   daemon_thread_ = std::thread([this, sink] {
     set_thread_name("emlio-daemon");
@@ -115,6 +121,7 @@ void EmlioService::start() {
     }
     sink->close();  // flush & end the stream
   });
+  started_ = true;
 }
 
 std::optional<msgpack::WireBatch> EmlioService::next_batch() {

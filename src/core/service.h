@@ -99,7 +99,8 @@ class EmlioService {
   EmlioService(const EmlioService&) = delete;
   EmlioService& operator=(const EmlioService&) = delete;
 
-  /// Start the daemon thread and receiver. Idempotent.
+  /// Start the daemon thread and receiver. Idempotent once it has returned;
+  /// if it throws, the service stays unstarted and start() may run again.
   void start();
 
   /// Next wire batch (epoch markers have last=true). nullopt = all epochs

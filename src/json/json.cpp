@@ -1,10 +1,10 @@
 #include "json/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace emlio::json {
@@ -162,195 +162,154 @@ std::string Value::dump(int indent) const {
 
 // ---------------------------------------------------------------- parsing
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+void Reader::fail(const std::string& msg) const {
+  throw std::runtime_error("json parse error at offset " + std::to_string(pos_) + ": " + msg);
+}
 
-  Value parse_document() {
-    Value v = parse_value(0);
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
+Value Reader::value(int depth) {
+  if (depth > kMaxDepth) fail("nesting too deep");
+  skip_ws();
+  switch (peek()) {
+    case '{': return object(depth);
+    case '[': return array(depth);
+    case '"': return Value(string());
+    case 't': literal("true"); return Value(true);
+    case 'f': literal("false"); return Value(false);
+    case 'n': literal("null"); return Value(nullptr);
+    default: return number();
   }
+}
 
- private:
-  /// Recursion bound: each nesting level costs one parse_value frame, so an
-  /// adversarial "[[[[..." document would otherwise overflow the stack. 256
-  /// is far beyond any shard index / config / bench output we emit.
-  static constexpr int kMaxDepth = 256;
+void Reader::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing characters after document");
+}
 
-  [[noreturn]] void fail(const std::string& msg) {
-    throw std::runtime_error("json parse error at offset " + std::to_string(pos_) + ": " + msg);
-  }
+void Reader::literal(std::string_view lit) {
+  if (text_.substr(pos_, lit.size()) != lit) fail("invalid literal");
+  pos_ += lit.size();
+}
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  char next() {
-    char c = peek();
+Value Reader::object(int depth) {
+  expect('{');
+  Object obj;
+  skip_ws();
+  if (peek() == '}') {
     ++pos_;
-    return c;
-  }
-
-  void expect(char c) {
-    if (next() != c) fail(std::string("expected '") + c + "'");
-  }
-
-  Value parse_value(int depth) {
-    if (depth > kMaxDepth) fail("nesting too deep");
-    skip_ws();
-    char c = peek();
-    switch (c) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return Value(parse_string());
-      case 't': expect_literal("true"); return Value(true);
-      case 'f': expect_literal("false"); return Value(false);
-      case 'n': expect_literal("null"); return Value(nullptr);
-      default: return parse_number();
-    }
-  }
-
-  void expect_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) fail("invalid literal");
-    pos_ += lit.size();
-  }
-
-  Value parse_object(int depth) {
-    expect('{');
-    Object obj;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return Value(std::move(obj));
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj[std::move(key)] = parse_value(depth + 1);
-      skip_ws();
-      char c = next();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
     return Value(std::move(obj));
   }
-
-  Value parse_array(int depth) {
-    expect('[');
-    Array arr;
+  for (;;) {
     skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return Value(std::move(arr));
-    }
-    for (;;) {
-      arr.push_back(parse_value(depth + 1));
-      skip_ws();
-      char c = next();
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
+    std::string key = string();
+    skip_ws();
+    expect(':');
+    obj[std::move(key)] = value(depth + 1);
+    skip_ws();
+    char c = next();
+    if (c == '}') break;
+    if (c != ',') fail("expected ',' or '}' in object");
+  }
+  return Value(std::move(obj));
+}
+
+Value Reader::array(int depth) {
+  expect('[');
+  Array arr;
+  skip_ws();
+  if (peek() == ']') {
+    ++pos_;
     return Value(std::move(arr));
   }
+  for (;;) {
+    arr.push_back(value(depth + 1));
+    skip_ws();
+    char c = next();
+    if (c == ']') break;
+    if (c != ',') fail("expected ',' or ']' in array");
+  }
+  return Value(std::move(arr));
+}
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      char c = next();
-      if (c == '"') return out;
-      if (c == '\\') {
-        char e = next();
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = next();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("invalid \\u escape");
-            }
-            // Encode as UTF-8 (BMP only; surrogate pairs passed through raw).
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
+std::string Reader::string() {
+  expect('"');
+  std::string out;
+  for (;;) {
+    char c = next();
+    if (c == '"') return out;
+    if (c == '\\') {
+      char e = next();
+      switch (e) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            char h = next();
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else fail("invalid \\u escape");
           }
-          default: fail("invalid escape character");
+          // Encode as UTF-8 (BMP only; surrogate pairs passed through raw).
+          if (code < 0x80) {
+            out += static_cast<char>(code);
+          } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+          }
+          break;
         }
-      } else {
-        out += c;
+        default: fail("invalid escape character");
       }
+    } else {
+      out += c;
     }
   }
+}
 
-  Value parse_number() {
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    bool is_double = false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_double = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    std::string tok(text_.substr(start, pos_ - start));
-    if (tok.empty() || tok == "-") fail("invalid number");
-    try {
-      if (is_double) return Value(std::stod(tok));
-      return Value(static_cast<std::int64_t>(std::stoll(tok)));
-    } catch (const std::exception&) {
-      fail("number out of range: " + tok);
-    }
+Value Reader::number() {
+  const std::size_t start = pos_;
+  if (peek() == '-') ++pos_;
+  bool is_double = false;
+  while (pos_ < text_.size() && in_number(text_[pos_])) {
+    if (!std::isdigit(static_cast<unsigned char>(text_[pos_]))) is_double = true;
+    ++pos_;
   }
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  std::from_chars_result r{};
+  std::int64_t i = 0;
+  double d = 0;
+  if (is_double) {
+    r = std::from_chars(first, last, d);
+  } else {
+    r = std::from_chars(first, last, i);
+  }
+  if (r.ptr != last || (r.ec != std::errc() && r.ec != std::errc::result_out_of_range)) {
+    fail("invalid number: " + std::string(first, last));
+  }
+  if (r.ec == std::errc::result_out_of_range) {
+    fail("number out of range: " + std::string(first, last));
+  }
+  return is_double ? Value(d) : Value(i);
+}
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-Value parse(std::string_view text) { return Parser(text).parse_document(); }
-
-Value parse_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("json: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse(buf.str());
+Value parse(std::string_view text) {
+  Reader reader(text);
+  Value v = reader.value(0);
+  reader.finish();
+  return v;
 }
 
 void write_file(const std::string& path, const Value& v) {

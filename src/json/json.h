@@ -1,9 +1,10 @@
 // Minimal JSON value, parser and serializer.
 //
-// Used for the TFRecord shard index files (the paper's
-// `mapping_shard_*.json`), testbed configuration and benchmark output. This
-// is a deliberate subset: UTF-8 strings are passed through verbatim, numbers
-// are doubles or int64, no comments, no trailing commas.
+// Used to write the TFRecord shard index files (the paper's
+// `mapping_shard_*.json`; ShardIndex::parse reads them without a tree), for
+// testbed configuration and for benchmark output. This is a deliberate
+// subset: UTF-8 strings are passed through verbatim, numbers are doubles or
+// int64 and must convert in full, no comments, no trailing commas.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +70,6 @@ class Value {
   std::string dump(int indent = -1) const;
 
  private:
-  friend class Parser;
   void dump_to(std::string& out, int indent, int depth) const;
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object> v_;
 };
@@ -78,8 +78,72 @@ class Value {
 /// malformed input.
 Value parse(std::string_view text);
 
-/// Read and parse a JSON file.
-Value parse_file(const std::string& path);
+/// True for a byte that continues a number token: a digit, '.', 'e', 'E',
+/// '+' or '-'.
+inline bool in_number(char c) {
+  return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-';
+}
+
+/// A cursor over JSON text, with the rules `parse` reads by: the same
+/// whitespace, escapes, number tokens and nesting cap. A reader that fills
+/// its own structures in one pass (tfrecord::ShardIndex::parse) steps
+/// through the text with it instead of building a Value tree. Every error
+/// throws std::runtime_error "json parse error at offset N: ...".
+class Reader {
+ public:
+  /// Containers nested deeper than this fail: a value recurses once per
+  /// level, so "[[[[..." would otherwise overflow the stack. Far beyond any
+  /// shard index, config or bench output this project writes.
+  static constexpr int kMaxDepth = 256;
+
+  explicit Reader(std::string_view text) : text_(text) {}
+
+  /// The value at the cursor. `depth` counts the containers around it (the
+  /// document's root is 0), for kMaxDepth.
+  Value value(int depth);
+  /// The string token at the cursor, escapes decoded (\u to UTF-8, BMP only).
+  std::string string();
+  /// The number token at the cursor: an optional '-', then the run of bytes
+  /// in_number() accepts. It must convert in full: an int64 when the run is
+  /// all digits, else a double; "1-2", "1.2.3" or "1e5e5" is an error.
+  Value number();
+  /// Fail unless only whitespace is left.
+  void finish();
+
+  void skip_ws() {
+    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' ||
+                                   text_[pos_] == '\t' || text_[pos_] == '\r')) {
+      ++pos_;
+    }
+  }
+  /// The byte at the cursor; fails at the end of the text.
+  char peek() const {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_];
+  }
+  char next() {
+    const char c = peek();
+    ++pos_;
+    return c;
+  }
+  void expect(char c) {
+    if (next() != c) fail(std::string("expected '") + c + "'");
+  }
+
+  std::string_view text() const noexcept { return text_; }
+  std::size_t offset() const noexcept { return pos_; }
+  void seek(std::size_t offset) noexcept { pos_ = offset; }
+
+  [[noreturn]] void fail(const std::string& msg) const;
+
+ private:
+  Value object(int depth);
+  Value array(int depth);
+  void literal(std::string_view lit);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
 
 /// Serialize `v` to a file (pretty-printed).
 void write_file(const std::string& path, const Value& v);

@@ -386,6 +386,47 @@ TEST_F(CoreIntegrationTest, ServiceRejectsRetiredAdaptivePool) {
   EXPECT_THROW(EmlioService{cfg}, std::runtime_error);
 }
 
+TEST_F(CoreIntegrationTest, ServiceRejectsTwoIndexFilesForOneShard) {
+  // Regression: a stray copy of an index (mapping_shard_0000.bak.json) was
+  // loaded as well, the planner planned shard 0 twice, and the daemon kept
+  // one reader for both plans, so the epoch delivered those samples twice
+  // and raised no error.
+  fs::copy_file(dir_ / tfrecord::ShardIndex::index_filename(0),
+                dir_ / "mapping_shard_0000.bak.json");
+  try {
+    EmlioService service(base_config());
+    ADD_FAILURE() << "two index files for shard 0 were accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(tfrecord::ShardIndex::index_filename(0)), std::string::npos) << msg;
+    EXPECT_NE(msg.find("mapping_shard_0000.bak.json"), std::string::npos) << msg;
+  }
+}
+
+TEST_F(CoreIntegrationTest, DaemonRejectsTwoReadersForOneShard) {
+  // The daemon keys its readers by shard id; a second reader for an id was
+  // dropped, and every plan for that id read the first one.
+  const auto indexes = tfrecord::load_all_indexes(dir_.string());
+  std::vector<tfrecord::ShardReader> readers;
+  readers.emplace_back(indexes[0]);
+  readers.emplace_back(indexes[1]);
+  readers.emplace_back(indexes[0]);
+  DaemonConfig dc;
+  dc.pool_threads = 1;
+  EXPECT_THROW({ Daemon daemon(dc, std::move(readers), {}); }, std::invalid_argument);
+}
+
+TEST_F(CoreIntegrationTest, FailedStartLeavesTheServiceUnstarted) {
+  // Regression: start() marked the service started before it built the
+  // shard readers. After a start() that threw, a second start() returned
+  // at once and next_batch() dereferenced a receiver never built (SIGSEGV).
+  fs::remove(dir_ / tfrecord::ShardIndex::shard_filename(1));
+  EmlioService service(base_config());
+  EXPECT_THROW(service.start(), std::runtime_error);
+  EXPECT_THROW(service.start(), std::runtime_error);
+  EXPECT_THROW(service.next_batch(), std::logic_error);
+}
+
 // ------------------------------------------------- receiver ordering logic
 
 /// Scripted source: hands out a fixed sequence of encoded payloads.

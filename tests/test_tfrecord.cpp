@@ -1,15 +1,24 @@
 // Unit tests for TFRecord framing, writer/reader, shard index and builder.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <string>
+#include <string_view>
 
 #include "common/rng.h"
+#include "json/json.h"
+#include "shard_index_dom.h"
 #include "tfrecord/dataset_builder.h"
 #include "tfrecord/reader.h"
 #include "tfrecord/record_io.h"
 #include "tfrecord/shard_index.h"
 #include "tfrecord/writer.h"
+#include "workload/materialize.h"
 
 namespace emlio::tfrecord {
 namespace {
@@ -255,6 +264,243 @@ TEST_F(TfrecordTest, EmptyFileMmapAndZeroRecords) {
   auto idx = w.finish();
   ShardReader reader(idx);
   EXPECT_EQ(reader.verify_all(), 0u);
+}
+
+// ------------------------------------------------------ shard index reader
+
+/// A two-record index document, as a tree so a test can drop or change one
+/// field before dumping it.
+json::Object index_doc() {
+  json::Object root;
+  root["shard_id"] = json::Value(3);
+  root["shard_path"] = json::Value("/data/shard_0003.tfrecord");
+  root["file_bytes"] = json::Value(8224);
+  json::Array records;
+  records.emplace_back(json::Array{json::Value(0), json::Value(4112), json::Value(7),
+                                   json::Value(3)});
+  records.emplace_back(json::Array{json::Value(4112), json::Value(4112), json::Value(-2),
+                                   json::Value(11)});
+  root["records"] = json::Value(std::move(records));
+  return root;
+}
+
+/// What index_doc() reads as.
+ShardIndex doc_index() {
+  ShardIndex idx;
+  idx.shard_id = 3;
+  idx.shard_path = "/data/shard_0003.tfrecord";
+  idx.file_bytes = 8224;
+  idx.records = {{0, 4112, 7, 3}, {4112, 4112, -2, 11}};
+  return idx;
+}
+
+/// index_doc() with one record replaced by `row` (pretty-printed).
+std::string doc_with_record(json::Array row) {
+  json::Object doc = index_doc();
+  doc["records"].as_array()[1] = json::Value(std::move(row));
+  return json::Value(std::move(doc)).dump(2);
+}
+
+std::string read_text(const std::string& file) {
+  std::ifstream in(file, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Write `text` to `file` and load it; the error message, or "" if it loaded.
+std::string load_error(const std::string& file, std::string_view text) {
+  std::ofstream(file, std::ios::binary | std::ios::trunc) << text;
+  try {
+    ShardIndex::load(file);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(TfrecordTest, ShardIndexErrorsNameTheFile) {
+  const std::string file = path("mapping_shard_0003.json");
+  const std::string pretty = json::Value(index_doc()).dump(2);
+  // (document, a fragment its error must contain)
+  std::vector<std::pair<std::string, std::string>> cases;
+  for (const char* key : {"shard_id", "shard_path", "file_bytes", "records"}) {
+    json::Object doc = index_doc();
+    doc.erase(key);
+    cases.emplace_back(json::Value(std::move(doc)).dump(2),
+                       std::string("missing key '") + key + "'");
+  }
+  cases.emplace_back(doc_with_record({json::Value(1), json::Value(2), json::Value(3)}),
+                     "arity != 4");
+  cases.emplace_back(doc_with_record({json::Value(1), json::Value(2), json::Value(3),
+                                      json::Value(4), json::Value(5)}),
+                     "arity != 4");
+  cases.emplace_back(doc_with_record({json::Value(1), json::Value("4112"), json::Value(3),
+                                      json::Value(4)}),
+                     "not an integer");
+  {
+    json::Object doc = index_doc();
+    doc["shard_id"] = json::Value("3");
+    cases.emplace_back(json::Value(std::move(doc)).dump(2), "'shard_id' is not an integer");
+  }
+  {
+    json::Object doc = index_doc();
+    doc["records"] = json::Value(json::Object{{"0", json::Value(1)}});
+    cases.emplace_back(json::Value(std::move(doc)).dump(2), "'records' is not an array");
+  }
+  for (std::size_t cut : {std::size_t{1}, std::size_t{17}, pretty.size() / 3, pretty.size() / 2,
+                          pretty.size() - 2, pretty.size() - 1}) {
+    cases.emplace_back(pretty.substr(0, cut), "json parse error at offset");
+  }
+  cases.emplace_back("", "unexpected end of input");
+  cases.emplace_back(pretty + " }", "trailing characters");
+  // The tree path took the next two and truncated the number.
+  std::vector<std::string> truncated(2, pretty);
+  truncated[0].replace(truncated[0].find("4112,"), 4, "4112.7");
+  truncated[1].replace(truncated[1].find("8224"), 4, "1e3");
+  cases.emplace_back(truncated[0], "a record field takes an integer, not 4112.7");
+  cases.emplace_back(truncated[1], "'file_bytes' takes an integer, not 1e3");
+  {
+    std::string text = pretty;
+    text.replace(text.find("8224"), 4, "9223372036854775808");
+    cases.emplace_back(text, "number out of range");
+  }
+  for (const auto& [text, fragment] : cases) {
+    SCOPED_TRACE(text);
+    const std::string msg = load_error(file, text);
+    EXPECT_NE(msg.find(file), std::string::npos) << "no error naming the file: " << msg;
+    EXPECT_NE(msg.find(fragment), std::string::npos) << msg;
+  }
+  for (const auto& text : truncated) EXPECT_FALSE(testing::dom_parse(text).integer_tokens);
+}
+
+TEST(ShardIndexParse, AcceptsEveryFormTheTreePathAccepts) {
+  const json::Value doc(index_doc());
+  const std::vector<std::string> texts = {
+      doc.dump(-1),
+      doc.dump(2),
+      // Keys in another order, odd whitespace, escapes that decode to ASCII.
+      "\r\n{ \"records\" :[[0,4112 ,7,3],\t[ 4112,4112,-2,11 ]],\"shard\\u005fid\":3,"
+      "\"file_bytes\":8224,\n\"shard_path\":\"\\/data\\/shard_0003.tfrecord\"}  \n",
+      // Unknown keys with nested values, and a repeated key whose last value wins.
+      R"({"version": {"a": [1, -2.5e3, {"b": null}], "c": "x\"y"}, "shard_id": 9,
+          "shard_path": "/data/shard_0003.tfrecord", "file_bytes": 8224, "flags": [true, false],
+          "records": [[0, 4112, 7, 3], [4112, 4112, -2, 11]], "shard_id": 3})",
+  };
+  for (const auto& text : texts) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(ShardIndex::parse(text), doc_index());
+    EXPECT_EQ(testing::dom_parse(text).index, doc_index());
+  }
+}
+
+TEST_F(TfrecordTest, ShardIndexRoundTripsEscapesAndExtremes) {
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  ShardIndex idx;
+  idx.shard_id = std::numeric_limits<std::uint32_t>::max();
+  idx.shard_path = "/data/a\"b\\c\xC3\xA9\n.tfrecord";
+  idx.file_bytes = kMax;
+  idx.records = {{kMax, kMax, std::numeric_limits<std::int64_t>::max(), kMax},
+                 {0, 16, -1, 0},
+                 {16, 16, std::numeric_limits<std::int64_t>::min(), 1}};
+  idx.save(path("mapping_shard_x.json"));
+  EXPECT_EQ(ShardIndex::load(path("mapping_shard_x.json")), idx);
+  // A \u escape decodes to the same UTF-8 bytes as the raw character.
+  EXPECT_EQ(ShardIndex::parse(R"({"shard_id": 0, "shard_path": "é€", "file_bytes": 0,
+                                  "records": []})")
+                .shard_path,
+            "\xC3\xA9\xE2\x82\xAC");
+}
+
+/// load_all_indexes against the tree path, file by file, field by field.
+void expect_same_as_tree_path(const fs::path& dir) {
+  const auto loaded = load_all_indexes(dir.string());
+  ASSERT_FALSE(loaded.empty());
+  for (const auto& idx : loaded) {
+    const std::string file = (dir / ShardIndex::index_filename(idx.shard_id)).string();
+    const auto tree = testing::dom_parse(read_text(file));
+    ASSERT_TRUE(tree.integer_tokens) << file;
+    EXPECT_EQ(idx.shard_id, tree.index.shard_id) << file;
+    EXPECT_EQ(idx.shard_path, tree.index.shard_path) << file;
+    EXPECT_EQ(idx.file_bytes, tree.index.file_bytes) << file;
+    ASSERT_EQ(idx.records.size(), tree.index.records.size()) << file;
+    for (std::size_t i = 0; i < idx.records.size(); ++i) {
+      const auto& a = idx.records[i];
+      const auto& b = tree.index.records[i];
+      ASSERT_TRUE(a.offset == b.offset && a.framed_size == b.framed_size &&
+                  a.label == b.label && a.sample_index == b.sample_index)
+          << file << " record " << i;
+    }
+  }
+}
+
+/// Bytes of every mapping_shard_*.json in `dir`.
+std::uintmax_t index_bytes(const fs::path& dir) {
+  std::uintmax_t bytes = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".json") bytes += entry.file_size();
+  }
+  return bytes;
+}
+
+/// Names of this process's threads that start with `prefix`.
+std::vector<std::string> threads_named(const std::string& prefix) {
+  std::vector<std::string> names;
+  for (const auto& task : fs::directory_iterator("/proc/self/task")) {
+    std::string name;
+    std::getline(std::ifstream(task.path() / "comm"), name);
+    if (name.rfind(prefix, 0) == 0) names.push_back(name);
+  }
+  return names;
+}
+
+/// Enough records for at least 2 MiB of index in 8 files, so that
+/// load_all_indexes starts helper threads on any host with 2 or more cores.
+constexpr std::uint64_t kTwoMiBOfIndexSamples = 40000;
+
+TEST_F(TfrecordTest, LoadAllIndexesMatchesTheTreePath) {
+  workload::materialize_tfrecord(workload::presets::tiny(64, 512), (dir_ / "tiny").string(), 2);
+  expect_same_as_tree_path(dir_ / "tiny");
+
+  workload::materialize_tfrecord(workload::presets::tiny(kTwoMiBOfIndexSamples, 32),
+                                 (dir_ / "big").string(), 8);
+  ASSERT_GE(index_bytes(dir_ / "big"), std::uintmax_t{2} << 20);
+  expect_same_as_tree_path(dir_ / "big");
+}
+
+TEST_F(TfrecordTest, LoadAllIndexesThrowsTheFirstBadFileAndJoinsItsHelpers) {
+  const fs::path big = dir_ / "big";
+  workload::materialize_tfrecord(workload::presets::tiny(kTwoMiBOfIndexSamples, 32),
+                                 big.string(), 8);
+  ASSERT_GE(index_bytes(big), std::uintmax_t{2} << 20);
+  const auto truncate = [&](std::uint32_t shard) {
+    const fs::path file = big / ShardIndex::index_filename(shard);
+    fs::resize_file(file, fs::file_size(file) / 2);
+    return file.string();
+  };
+  const auto expect_error_of = [&](const std::string& file) {
+    try {
+      load_all_indexes(big.string());
+      ADD_FAILURE() << "loaded a truncated index";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(file), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(threads_named("emlio-index"), std::vector<std::string>{});
+  };
+  expect_error_of(truncate(6));
+  // With two bad files, the error is the first one's in name order.
+  expect_error_of(truncate(2));
+}
+
+TEST_F(TfrecordTest, LoadAllIndexesRejectsTwoFilesForOneShard) {
+  workload::materialize_tfrecord(workload::presets::tiny(64, 512), dir_.string(), 2);
+  fs::copy_file(dir_ / ShardIndex::index_filename(0), dir_ / "mapping_shard_0000.bak.json");
+  try {
+    load_all_indexes(dir_.string());
+    ADD_FAILURE() << "two files for shard 0 were accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path(ShardIndex::index_filename(0))), std::string::npos) << msg;
+    EXPECT_NE(msg.find(path("mapping_shard_0000.bak.json")), std::string::npos) << msg;
+  }
 }
 
 // Parameterized slice property: for random record layouts, any in-bounds

@@ -3,10 +3,11 @@
 //   make_fuzz_corpus <outdir>
 //
 // Writes one subdirectory per harness (msgpack/, framing/, shm_header/,
-// json/, crc32c/, splice/), each seeded with REAL wire bytes produced by the
-// same code paths the daemon uses — an encoded data batch, a sentinel, a
-// valid frame header, a freshly created shm segment header, a
-// shard-index-shaped JSON document — plus a few near-miss mutants
+// json/, crc32c/, splice/, shard_index/), each seeded with REAL wire bytes
+// produced by the same code paths the daemon uses — an encoded data batch,
+// a sentinel, a valid frame header, a freshly created shm segment header, a
+// shard-index-shaped JSON document, a saved shard index — plus a few
+// near-miss mutants
 // (truncations, flipped magics) so the fuzzers start on both sides of every
 // validation branch instead of rediscovering the format from zero. The
 // crc32c seeds are sized to reach each path of the hardware kernel (bytes,
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <utility>
@@ -29,6 +31,7 @@
 #include "msgpack/batch_codec.h"
 #include "net/framing.h"
 #include "net/shm_segment.h"
+#include "tfrecord/shard_index.h"
 
 namespace fs = std::filesystem;
 
@@ -145,6 +148,30 @@ int main(int argc, char** argv) {
 })"));
   write_seed(js, "scalars.json", std::string(R"([null, true, -1.5e3, "aéb", {}])"));
   write_seed(js, "nested.json", std::string("[[[[[[[[{\"k\":[1,2,3]}]]]]]]]]"));
+
+  // --------------------------------------------------------- shard_index
+  // A real 3-record index as save() writes it (pretty), the same compact,
+  // a truncation, and the keys in another order.
+  const fs::path si = out / "shard_index";
+  fs::create_directories(si);
+  {
+    emlio::tfrecord::ShardIndex idx;
+    idx.shard_id = 7;
+    idx.shard_path = "/data/shard_0007.tfrecord";
+    idx.file_bytes = 12384;
+    idx.records = {{0, 4112, 3, 7}, {4112, 4112, -1, 15}, {8224, 4160, 999, 23}};
+    const fs::path pretty = si / "pretty.json";
+    idx.save(pretty.string());
+    std::ifstream in(pretty, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    write_seed(si, "compact.json", emlio::json::parse(text).dump(-1));
+    write_seed(si, "truncated.json", text.substr(0, text.size() / 2));
+    write_seed(si, "reordered.json",
+               std::string(R"({"records": [[0, 4112, 3, 7], [4112, 4112, -1, 15],)"
+                           R"( [8224, 4160, 999, 23]], "shard_path": "/data/shard_0007.tfrecord",)"
+                           R"( "file_bytes": 12384, "shard_id": 7})"));
+  }
 
   // -------------------------------------------------------------- crc32c
   // First byte = split point (0x80: the middle), then the message. Sizes:

@@ -26,7 +26,7 @@
 namespace {
 
 using emlio::tfrecord::ShardIndex;
-using emlio::tfrecord::testing::DomIndex;
+using emlio::tfrecord::reference::DomIndex;
 
 /// The round-trip file, one per process, removed at exit.
 struct ScratchFile {
@@ -51,7 +51,7 @@ std::optional<ShardIndex> one_pass(std::string_view text) {
 
 std::optional<DomIndex> tree(std::string_view text) {
   try {
-    return emlio::tfrecord::testing::dom_parse(text);
+    return emlio::tfrecord::reference::dom_parse(text);
   } catch (const std::runtime_error&) {
     return std::nullopt;
   }
@@ -62,11 +62,11 @@ std::optional<DomIndex> tree(std::string_view text) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   const std::string_view text(reinterpret_cast<const char*>(data), size);
   const auto fast = one_pass(text);
-  const auto reference = tree(text);
-  if (fast && (!reference || reference->index != *fast)) {
+  const auto slow = tree(text);
+  if (fast && (!slow || slow->index != *fast)) {
     mismatch("parse() accepted a document the tree path rejects or reads differently");
   }
-  if (reference && reference->integer_tokens && (!fast || *fast != reference->index)) {
+  if (slow && slow->integer_tokens && (!fast || *fast != slow->index)) {
     mismatch("parse() rejected or misread a document the tree path reads");
   }
   if (fast) {

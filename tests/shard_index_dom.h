@@ -10,7 +10,7 @@
 #include "json/json.h"
 #include "tfrecord/shard_index.h"
 
-namespace emlio::tfrecord::testing {
+namespace emlio::tfrecord::reference {
 
 struct DomIndex {
   ShardIndex index;
@@ -47,4 +47,4 @@ inline DomIndex dom_parse(std::string_view text) {
   return out;
 }
 
-}  // namespace emlio::tfrecord::testing
+}  // namespace emlio::tfrecord::reference

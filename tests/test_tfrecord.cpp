@@ -6,7 +6,6 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <string>
 #include <string_view>
 
@@ -369,7 +368,7 @@ TEST_F(TfrecordTest, ShardIndexErrorsNameTheFile) {
     EXPECT_NE(msg.find(file), std::string::npos) << "no error naming the file: " << msg;
     EXPECT_NE(msg.find(fragment), std::string::npos) << msg;
   }
-  for (const auto& text : truncated) EXPECT_FALSE(testing::dom_parse(text).integer_tokens);
+  for (const auto& text : truncated) EXPECT_FALSE(reference::dom_parse(text).integer_tokens);
 }
 
 TEST(ShardIndexParse, AcceptsEveryFormTheTreePathAccepts) {
@@ -388,7 +387,7 @@ TEST(ShardIndexParse, AcceptsEveryFormTheTreePathAccepts) {
   for (const auto& text : texts) {
     SCOPED_TRACE(text);
     EXPECT_EQ(ShardIndex::parse(text), doc_index());
-    EXPECT_EQ(testing::dom_parse(text).index, doc_index());
+    EXPECT_EQ(reference::dom_parse(text).index, doc_index());
   }
 }
 
@@ -416,7 +415,7 @@ void expect_same_as_tree_path(const fs::path& dir) {
   ASSERT_FALSE(loaded.empty());
   for (const auto& idx : loaded) {
     const std::string file = (dir / ShardIndex::index_filename(idx.shard_id)).string();
-    const auto tree = testing::dom_parse(read_text(file));
+    const auto tree = reference::dom_parse(read_text(file));
     ASSERT_TRUE(tree.integer_tokens) << file;
     EXPECT_EQ(idx.shard_id, tree.index.shard_id) << file;
     EXPECT_EQ(idx.shard_path, tree.index.shard_path) << file;
